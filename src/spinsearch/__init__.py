@@ -46,6 +46,7 @@ from .sequences import (
     grover_propagator,
     initial_state,
     measured_conversion_coefficient,
+    measured_conversion_coefficients,
     simple_search,
     spin_echo_hamiltonian,
 )

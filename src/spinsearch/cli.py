@@ -37,7 +37,7 @@ from .sequences import (
     grover_coefficients,
     grover_propagator,
     initial_state,
-    measured_conversion_coefficient,
+    measured_conversion_coefficients,
     projector_x_basis,
     simple_search,
 )
@@ -152,16 +152,24 @@ def cmd_search(cfg: dict, out: Path) -> dict:
 
 def cmd_grover_scan(cfg: dict, out: Path) -> dict:
     n_values = _require(cfg, "n_values", list, default=[2, 3, 4])
+    if not n_values:
+        raise ConfigError("n_values must list at least one qubit count")
     for n in n_values:
         _check_n(n)
     s = _require(cfg, "s", int, default=0)
     k = _require(cfg, "k", int, default=1)
     m_max_cfg = cfg.get("m_max", "auto")
+    if m_max_cfg != "auto":
+        if not (
+            isinstance(m_max_cfg, (int, float))
+            and float(m_max_cfg).is_integer()
+            and m_max_cfg >= 0
+        ):
+            raise ConfigError(f"m_max must be 'auto' or an integer >= 0, got {m_max_cfg!r}")
+        m_max_cfg = int(m_max_cfg)
 
-    rows = []
-    summary = []
-    worst = 0.0
-    total_calls = 0
+    # validate every n before the first one runs
+    plan = []
     for n in n_values:
         N = 2**n
         if not 0 <= s < N:
@@ -169,13 +177,23 @@ def cmd_grover_scan(cfg: dict, out: Path) -> dict:
         if not 1 <= k <= n:
             raise ConfigError(f"k={k} out of range for n={n}")
         eps = _epsilons(cfg, n)
-        m_max = int(4 * np.sqrt(N)) + 1 if m_max_cfg == "auto" else int(m_max_cfg)
-        marked = MarkedState(s=s, n=n)
+        if eps[k - 1] == 0:
+            raise ConfigError(f"epsilon of the read spin k={k} must be nonzero")
+        m_max = int(4 * np.sqrt(N)) + 1 if m_max_cfg == "auto" else m_max_cfg
+        plan.append((n, eps, m_max))
+
+    rows = []
+    summary = []
+    worst = 0.0
+    total_calls = 0
+    for n, eps, m_max in plan:
+        N = 2**n
+        measured_all = measured_conversion_coefficients(MarkedState(s=s, n=n), m_max, eps, k)
         best = (0.0, 0)
         for m in range(0, m_max + 1):
             coeffs = grover_coefficients(m, N)
             analytic = conversion_coefficient(m, N, eps, k)
-            measured = measured_conversion_coefficient(marked, m, eps, k)
+            measured = float(measured_all[m])
             residual = abs(analytic - measured)
             worst = max(worst, residual)
             total_calls += UF_CALLS_PER_UO * m

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -147,16 +146,27 @@ def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def matrix_log_skew(u: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
     """Hermitian h with u = exp(i*h) and eigenphases on the principal branch.
 
-    Uses a complex Schur form, which stays numerically orthonormal even for
-    (near-)degenerate eigenvalues where a plain eigendecomposition of a
-    unitary may not.  Eigenphases within branch_tol of +-pi are ambiguous
-    and raise BranchCutError; pass branch_tol=0 to override.
+    The eigenphases are first rotated by a common angle so that the widest
+    gap between them sits at -1.  The Cayley transform of the rotated
+    unitary w, i (1 - w)(1 + w)^-1, is then a well-conditioned Hermitian
+    matrix with the same eigenvectors, and its eigh gives an orthonormal
+    eigenbasis even for (near-)degenerate eigenvalues, where a plain
+    eigendecomposition of a unitary may not.  Eigenphases within branch_tol
+    of +-pi are ambiguous and raise BranchCutError; pass branch_tol=0 to
+    override.
     """
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    t, z = schur(u, output="complex")
-    phases = np.angle(np.diag(t))
+    sorted_phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(sorted_phases, append=sorted_phases[0] + 2 * np.pi)
+    widest = int(np.argmax(gaps))
+    alpha = np.pi - (sorted_phases[widest] + gaps[widest] / 2)
+    w = np.exp(1j * alpha) * u
+    eye = np.eye(u.shape[0])
+    cayley = 1j * np.linalg.solve(eye + w, eye - w)
+    lam, z = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    phases = np.angle(np.exp(1j * (2 * np.arctan(lam) - alpha)))
     if branch_tol > 0 and np.any(np.pi - np.abs(phases) < branch_tol):
         raise BranchCutError(
             "eigenphase within "

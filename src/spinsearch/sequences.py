@@ -271,18 +271,40 @@ def projector_x_basis(marked: MarkedState) -> np.ndarray:
     return ry @ diag_projector(marked) @ ry.conj().T
 
 
+def x_basis_state(marked: MarkedState) -> np.ndarray:
+    """|x_s> = exp(-i pi/2 Fy)|s>, the real unit vector with D_s^x = |x_s><x_s|.
+
+    A Kronecker product of one column of the single-qubit rotation
+    exp(-i pi/2 I_y) per qubit, so no 2^n eigendecomposition is needed.
+    """
+    r = math.sqrt(0.5)
+    ry_columns = {1: np.array([r, r]), -1: np.array([-r, r])}
+    out = np.ones(1)
+    for a in marked.signs:
+        out = np.kron(out, ry_columns[a])
+    return out
+
+
+def _grover_step(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """S a for one step S = (I - 2 D_last)(I - 2 |x_s><x_s|).
+
+    Both factors are rank-1 reflections: I - 2 |x_s><x_s| costs one
+    vector-matrix product and one rank-1 update, and I - 2 D_last flips the
+    sign of the last row.  O(N^2), against O(N^3) for a dense product.
+    """
+    a = a - 2 * np.outer(xs, xs @ a)
+    a[-1] *= -1
+    return a
+
+
 def grover_propagator(marked: MarkedState, m: int) -> np.ndarray:
-    """[exp(-i pi D_last) exp(-i pi D_s^x)]^m by direct matrix products."""
+    """[exp(-i pi D_last) exp(-i pi D_s^x)]^m, one reflection step at a time."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    n = marked.n
-    dim = 2**n
-    d_last = diag_projector(MarkedState(s=dim - 1, n=n))
-    dsx = projector_x_basis(marked)
-    step = (np.eye(dim) - 2 * d_last) @ (np.eye(dim) - 2 * dsx)
-    u = np.eye(dim, dtype=complex)
+    xs = x_basis_state(marked)
+    u = np.eye(2**marked.n, dtype=complex)
     for _ in range(m):
-        u = step @ u
+        u = _grover_step(u, xs)
     return u
 
 
@@ -430,19 +452,42 @@ def conversion_coefficient(m: int, N: int, epsilons, k: int) -> float:
     return float(np.real(1 + (g[4] + g[5]) / N - (2 / N) * ratio * g[0]))
 
 
+def measured_conversion_coefficients(
+    marked: MarkedState, m_max: int, epsilons, k: int
+) -> np.ndarray:
+    """Brute-force counterpart for m = 0..m_max: propagate sum eps_l I_lz.
+
+    The density matrix is carried once along the trajectory
+    rho <- S rho S^T, each step a pair of reflection steps, and the I_kz
+    projection is read off its diagonal.  S is real, so rho stays real.
+    """
+    n = marked.n
+    epsilons = np.asarray(epsilons, dtype=float)
+    if m_max < 0:
+        raise ValueError("iteration count must be >= 0")
+    if epsilons.shape != (n,):
+        raise ValueError("need one polarization per work qubit")
+    if not 1 <= k <= n:
+        raise ValueError(f"read spin {k} outside [1, {n}]")
+    if epsilons[k - 1] == 0:
+        raise ValueError("polarization of the read spin must be nonzero")
+    system = SpinSystem(n_work=n)
+    iz = [np.diag(spin_op(system, l, "z")).real for l in range(1, n + 1)]
+    rho = np.diag(sum(e * z for e, z in zip(epsilons, iz)))
+    xs = x_basis_state(marked)
+    traces = np.empty(m_max + 1)
+    for m in range(m_max + 1):
+        if m:
+            rho = _grover_step(_grover_step(rho, xs).T, xs).T
+        traces[m] = rho.diagonal() @ iz[k - 1]
+    return traces / (2**n / 4) / epsilons[k - 1]
+
+
 def measured_conversion_coefficient(
     marked: MarkedState, m: int, epsilons, k: int
 ) -> float:
-    """Brute-force counterpart: propagate sum eps_l I_lz and project I_kz."""
-    n = marked.n
-    epsilons = np.asarray(epsilons, dtype=float)
-    system = SpinSystem(n_work=n)
-    rho0 = sum(epsilons[l - 1] * spin_op(system, l, "z") for l in range(1, n + 1))
-    u = grover_propagator(marked, m)
-    rho = u @ rho0 @ u.conj().T
-    ikz = spin_op(system, k, "z")
-    coeff = float(np.real(np.trace(rho @ ikz)) / (2**n / 4))
-    return coeff / epsilons[k - 1]
+    """The m-th entry of measured_conversion_coefficients."""
+    return float(measured_conversion_coefficients(marked, m, epsilons, k)[m])
 
 
 @dataclass

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpinSystem, expm_unitary, magnetic_quantum_numbers, spin_op, total_op
+from .linalg import (
+    HERMITIAN_TOL,
+    SpinSystem,
+    expm_unitary,
+    hermiticity_defect,
+    magnetic_quantum_numbers,
+    spin_op,
+    total_op,
+)
 from .mqalgebra import phase_cycle_project
 from .sequences import EnsembleState
 
@@ -89,6 +97,9 @@ class PipelineConfig:
             raise ValueError("point count must be a power of two")
         if self.detect_axis not in ("x", "y", "z"):
             raise ValueError(f"detect axis must be x, y or z, got {self.detect_axis!r}")
+        defect = hermiticity_defect(self.h_evol.matrix)
+        if defect > HERMITIAN_TOL:
+            raise ValueError(f"labeling Hamiltonian is not Hermitian (defect {defect:.3e})")
         wmax = self.h_evol.max_transition_frequency
         nyquist = np.pi / self.dt
         if wmax >= nyquist:
@@ -98,26 +109,32 @@ class PipelineConfig:
 
 
 def run_pipeline(rho0: EnsembleState, cfg: PipelineConfig) -> np.ndarray:
-    """Complex signal s(t1) on the grid, by conjugation and trace per point."""
+    """Complex signal s(t1) on the grid, evaluated in the eigenbasis of H.
+
+    With H = V diag(w) V+, P_e = V+ P V and Q_e = V+ Q V, exp(-i H t1) is the
+    phase vector e(t1) = exp(-i w t1) in that frame, and the trace is
+    e^T (Q_e^T * P_e) conj(e): one eigh, then O(dim^2) per point.
+    """
     cfg.validate()
     n = int(round(np.log2(rho0.rho.shape[0])))
     system = SpinSystem(n_work=n)
     f_q = total_op(system, cfg.detect_axis)
     p = cfg.u_seq @ rho0.rho @ cfg.u_seq.conj().T
     q = cfg.v_seq.conj().T @ f_q @ cfg.v_seq
-    h = cfg.h_evol.matrix
-    out = np.empty(cfg.n_points, dtype=complex)
-    for j in range(cfg.n_points):
-        u_t = expm_unitary(h, j * cfg.dt)
-        out[j] = np.trace(q @ u_t @ p @ u_t.conj().T)
-    return out
+    w, p_e, q_e = _eigenframe(p, q, cfg.h_evol)
+    e = np.exp(-1j * np.outer(np.arange(cfg.n_points) * cfg.dt, w))
+    return ((e @ (q_e.T * p_e)) * e.conj()).sum(axis=1)
+
+
+def _eigenframe(p: np.ndarray, q: np.ndarray, h: SpinHamiltonian):
+    """Eigenvalues of H, and P and Q written in its eigenbasis."""
+    w, v = np.linalg.eigh(h.matrix)
+    return w, v.conj().T @ p @ v, v.conj().T @ q @ v
 
 
 def eigen_expand(p: np.ndarray, q: np.ndarray, h: SpinHamiltonian):
     """All transition lines (w_jk, conj(Q_jk) P_jk) in the H eigenbasis."""
-    w, v = np.linalg.eigh(h.matrix)
-    p_e = v.conj().T @ p @ v
-    q_e = v.conj().T @ q @ v
+    w, p_e, q_e = _eigenframe(p, q, h)
     omegas = w[:, None] - w[None, :]
     amps = q_e.conj() * p_e
     return omegas.ravel(), amps.ravel()

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinsearch
+from spinsearch import cli
 from spinsearch.cli import main
 
 OMEGA_10HZ = 2 * np.pi * 10
@@ -92,6 +98,48 @@ class TestGroverScanCommand:
     def test_residual_small(self, tmp_path):
         code, _, report = run(tmp_path, "grover-scan", {"n_values": [3], "m_max": 10})
         assert report["max_residual"] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"n_values": [2], "epsilons": [0.0, 1.0]},
+            {"n_values": [3], "k": 2, "epsilons": [1.0, 0.0, 1.0]},
+            {"n_values": [2], "m_max": -1},
+            {"n_values": [2], "m_max": "ten"},
+            {"n_values": [2], "m_max": 2.5},
+            {"n_values": []},
+            {"n_values": [3, 2], "s": 5},
+        ],
+        ids=[
+            "zero-epsilon",
+            "zero-epsilon-k2",
+            "negative-m_max",
+            "string-m_max",
+            "fractional-m_max",
+            "empty-n_values",
+            "s-out-of-range-for-second-n",
+        ],
+    )
+    def test_bad_config_exits_2_before_numerics(self, tmp_path, monkeypatch, cfg):
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("numerics ran before the config was rejected")
+
+        monkeypatch.setattr(cli, "measured_conversion_coefficients", no_numerics)
+        code, out, report = run(tmp_path, "grover-scan", cfg)
+        assert code == 2
+        assert report is None and not (out / "grover_scan.csv").exists()
+
+    def test_integral_float_m_max_runs(self, tmp_path):
+        code, out, report = run(tmp_path, "grover-scan", {"n_values": [2], "m_max": 4.0})
+        assert code == 0
+        assert len((out / "grover_scan.csv").read_text().splitlines()) == 1 + 5
+
+    def test_zero_epsilon_off_read_spin_runs(self, tmp_path):
+        code, _, report = run(
+            tmp_path, "grover-scan", {"n_values": [2], "m_max": 4, "epsilons": [1.0, 0.0]}
+        )
+        assert code == 0
+        assert report["max_residual"] <= 1e-9
 
 
 class TestSpectrumCommand:
@@ -236,3 +284,15 @@ class TestDeterminism:
         r1.pop("duration_s")
         r2.pop("duration_s")
         assert r1 == r2
+
+
+def test_cli_import_does_not_load_scipy():
+    src_dir = str(Path(spinsearch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    probe = "import sys, spinsearch.cli; print('scipy' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.strip() == "False"
+

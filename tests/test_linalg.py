@@ -15,7 +15,7 @@ from spinsearch.linalg import (
     unitarity_defect,
 )
 
-from conftest import maxabs, random_hermitian
+from conftest import maxabs, random_hermitian, random_unitary
 
 
 class TestSpinSystem:
@@ -149,3 +149,14 @@ class TestMatrixLogSkew:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             matrix_log_skew(np.diag([2.0, 1.0]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "phases",
+        [[0.3, 0.3, -1.2, -1.2], [3.0, 3.0, -3.0, -3.0, 0.5, 0.5, 0.5, -0.5], [1.0] * 4],
+        ids=["degenerate-pairs", "degenerate-near-cut", "scalar"],
+    )
+    def test_round_trip_degenerate_phases(self, rng, phases):
+        q = random_unitary(rng, len(phases))
+        h = (q * np.array(phases)) @ q.conj().T
+        u = expm_unitary(h, -1.0)
+        assert maxabs(matrix_log_skew(u) - h) <= 1e-12

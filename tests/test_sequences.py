@@ -23,11 +23,13 @@ from spinsearch.sequences import (
     grover_propagator_factored,
     initial_state,
     measured_conversion_coefficient,
+    measured_conversion_coefficients,
     projector_x_basis,
     sign_flip_frame,
     simple_search,
     spin_echo_hamiltonian,
     vos_oracle_operations,
+    x_basis_state,
 )
 
 from conftest import maxabs, random_hermitian
@@ -36,6 +38,39 @@ from conftest import maxabs, random_hermitian
 def brute_conjugate(rho, marked, theta):
     c = selective_phase(marked, theta)
     return c @ rho @ c.conj().T
+
+
+def dense_grover_step(marked):
+    """One Grover step as a dense matrix, from the eigh-built D_s^x."""
+    dim = 2**marked.n
+    d_last = diag_projector(MarkedState(s=dim - 1, n=marked.n))
+    return (np.eye(dim) - 2 * d_last) @ (np.eye(dim) - 2 * projector_x_basis(marked))
+
+
+def dense_grover_trajectory(marked, m_max):
+    """Reference propagators U_0..U_m_max by dense products U <- step @ U."""
+    step = dense_grover_step(marked)
+    u = np.eye(2**marked.n, dtype=complex)
+    out = [u]
+    for _ in range(m_max):
+        u = step @ u
+        out.append(u)
+    return out
+
+
+def dense_conversion_coefficients(marked, m_max, epsilons):
+    """Reference C_m for every read spin k: rows m = 0..m_max, columns k = 1..n,
+    from rho = U rho0 U^dagger and trace(rho I_kz)."""
+    n = marked.n
+    system = SpinSystem(n_work=n)
+    ikz = [spin_op(system, k, "z") for k in range(1, n + 1)]
+    rho0 = sum(e * op for e, op in zip(epsilons, ikz))
+    out = np.empty((m_max + 1, n))
+    for m, u in enumerate(dense_grover_trajectory(marked, m_max)):
+        rho = u @ rho0 @ u.conj().T
+        for k in range(n):
+            out[m, k] = np.real(np.einsum("ij,ji->", rho, ikz[k])) / (2**n / 4) / epsilons[k]
+    return out
 
 
 class TestInitialState:
@@ -248,6 +283,22 @@ class TestGroverPropagator:
                 w = sign_flip_frame(m)
                 assert maxabs(diag_projector(m) - w @ d0 @ w.conj().T) <= 1e-11
 
+    def test_matches_dense_loop(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            marked = MarkedState(s=int(rng.integers(2**n)), n=n)
+            dense = dense_grover_trajectory(marked, 9)
+            for m in range(10):
+                assert maxabs(grover_propagator(marked, m) - dense[m]) <= 1e-12
+
+    def test_x_basis_state_projector(self):
+        for n in range(1, 5):
+            for s in range(2**n):
+                m = MarkedState(s=s, n=n)
+                xs = x_basis_state(m)
+                assert xs.dtype == float and abs(xs @ xs - 1) <= 1e-15
+                assert maxabs(np.outer(xs, xs) - projector_x_basis(m)) <= 1e-14
+
     def test_factored_form_matches(self):
         for n in (2, 3):
             for s in (0, 1, 2**n - 1):
@@ -311,6 +362,47 @@ class TestConversionCoefficient:
                 analytic = conversion_coefficient(m, 8, eps, k)
                 measured = measured_conversion_coefficient(MarkedState(s=5, n=3), m, eps, k)
                 assert abs(analytic - measured) <= 1e-8
+
+    def test_trajectory_matches_dense_reference(self):
+        rng = np.random.default_rng(2002)
+        for n in range(2, 9):
+            N = 2**n
+            m_max = int(4 * np.sqrt(N)) + 1
+            marked = MarkedState(s=int(rng.integers(N)), n=n)
+            eps = rng.uniform(0.5, 1.5, n)
+            dense = dense_conversion_coefficients(marked, m_max, eps)
+            for k in range(1, n + 1):
+                traj = measured_conversion_coefficients(marked, m_max, eps, k)
+                assert traj.shape == (m_max + 1,)
+                assert maxabs(traj - dense[:, k - 1]) <= 1e-12
+                analytic = [conversion_coefficient(m, N, eps, k) for m in range(m_max + 1)]
+                assert maxabs(traj - np.array(analytic)) <= 1e-9
+
+    def test_single_m_is_trajectory_entry(self):
+        marked, eps = MarkedState(s=6, n=4), np.array([0.6, 1.1, 1.4, 0.8])
+        traj = measured_conversion_coefficients(marked, 12, eps, 3)
+        for m in (0, 5, 12):
+            assert measured_conversion_coefficient(marked, m, eps, 3) == traj[m]
+
+    def test_zero_read_polarization_rejected(self):
+        eps = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="read spin must be nonzero"):
+            conversion_coefficient(2, 8, eps, 2)
+        with pytest.raises(ValueError, match="read spin must be nonzero"):
+            measured_conversion_coefficient(MarkedState(s=1, n=3), 2, eps, 2)
+        with pytest.raises(ValueError, match="read spin must be nonzero"):
+            measured_conversion_coefficients(MarkedState(s=1, n=3), 2, eps, 2)
+        # a zero elsewhere is fine: only the read spin is divided by
+        assert np.isfinite(measured_conversion_coefficient(MarkedState(s=1, n=3), 2, eps, 1))
+
+    def test_trajectory_rejects_bad_arguments(self):
+        marked = MarkedState(s=0, n=2)
+        with pytest.raises(ValueError):
+            measured_conversion_coefficients(marked, -1, np.ones(2), 1)
+        with pytest.raises(ValueError):
+            measured_conversion_coefficients(marked, 3, np.ones(3), 1)
+        with pytest.raises(ValueError):
+            measured_conversion_coefficients(marked, 3, np.ones(2), 3)
 
     def test_marked_state_independent(self):
         vals = [

@@ -56,6 +56,18 @@ class TestSpinHamiltonian:
         assert abs(h.max_transition_frequency - 6.0) < 1e-12
 
 
+def dense_pipeline(rho0, cfg):
+    """Reference signal: conjugate P by exp(-i H t1) and trace, point by point."""
+    n = int(round(np.log2(rho0.rho.shape[0])))
+    p = cfg.u_seq @ rho0.rho @ cfg.u_seq.conj().T
+    q = cfg.v_seq.conj().T @ total_op(SpinSystem(n_work=n), cfg.detect_axis) @ cfg.v_seq
+    out = np.empty(cfg.n_points, dtype=complex)
+    for j in range(cfg.n_points):
+        u_t = expm_unitary(cfg.h_evol.matrix, j * cfg.dt)
+        out[j] = np.trace(q @ u_t @ p @ u_t.conj().T)
+    return out
+
+
 class TestRunPipeline:
     def test_commuting_everything_is_constant(self):
         n = 2
@@ -92,6 +104,50 @@ class TestRunPipeline:
         om, amps = eigen_expand(p, q, cfg.h_evol)
         times = np.arange(cfg.n_points) * cfg.dt
         assert maxabs(series - resum_lines(om, amps, times)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("detect", ["x", "y", "z"])
+    def test_matches_dense_reference(self, n, detect, rng):
+        system = SpinSystem(n_work=n)
+        dim = 2**n
+        u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+        rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "x")
+        h = SpinHamiltonian.custom(random_hermitian(rng, dim, scale=20.0))
+        cfg = PipelineConfig(
+            u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64, detect_axis=detect
+        )
+        assert maxabs(run_pipeline(rho0, cfg) - dense_pipeline(rho0, cfg)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagonal_h_matches_dense_conjugation(self, n, rng):
+        # frame invariance: the same signal in a frame W where H is no longer
+        # diagonal, and against the point-by-point dense reference
+        system = SpinSystem(n_work=n)
+        dim = 2**n
+        u, v, w = (random_unitary(rng, dim) for _ in range(3))
+        rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "y")
+        h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
+        assert maxabs(h.matrix - np.diag(np.diag(h.matrix))) == 0
+        diag_cfg = PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64)
+        dense_cfg = PipelineConfig(
+            u_seq=w @ u,
+            v_seq=v @ w.conj().T,
+            h_evol=SpinHamiltonian.custom(w @ h.matrix @ w.conj().T),
+            dt=1e-3,
+            n_points=64,
+        )
+        assert maxabs(dense_cfg.h_evol.matrix - np.diag(np.diag(dense_cfg.h_evol.matrix))) > 0
+        series = run_pipeline(rho0, diag_cfg)
+        assert maxabs(series - run_pipeline(rho0, dense_cfg)) <= 1e-11
+        assert maxabs(series - dense_pipeline(rho0, diag_cfg)) <= 1e-11
+
+    def test_non_hermitian_h_rejected(self):
+        eye = np.eye(2, dtype=complex)
+        h = SpinHamiltonian.custom(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        cfg = PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8)
+        rho0 = initial_state(SpinSystem(n_work=1), np.ones(1), "z")
+        with pytest.raises(ValueError, match="Hermitian"):
+            run_pipeline(rho0, cfg)
 
     def test_nyquist_guard(self):
         n = 2
