@@ -12,7 +12,7 @@ is attempted here; this script only makes the trade visible.
 
 import numpy as np
 
-from spinsearch.linalg import SpinSystem, expm_unitary, spin_op, total_op
+from spinsearch.linalg import SpinSystem, product_rotation, spin_op
 from spinsearch.mqalgebra import gradient_crush, zq_dephase
 from spinsearch.oracle import MarkedState, sign_vector
 from spinsearch.sequences import conjugate_multi_selective, initial_state
@@ -28,7 +28,7 @@ def readout_with_extras(extra_indices):
     indices = [MARKED] + list(extra_indices)
     markeds = [MarkedState(s=r, n=N_QUBITS) for r in indices]
     rho = conjugate_multi_selective(rho, markeds, [THETA] * len(indices))
-    pulse = expm_unitary(total_op(system, "y"), np.pi / 2)
+    pulse = product_rotation(N_QUBITS, "y", np.pi / 2)
     rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
     dim = 2**N_QUBITS
     return np.array(

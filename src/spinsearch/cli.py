@@ -26,7 +26,14 @@ from .composition import (
     symmetric_sandwich,
     trotter_product,
 )
-from .linalg import BranchCutError, SpinSystem, expm_unitary, spin_op, total_op
+from .linalg import (
+    BranchCutError,
+    SpinSystem,
+    expm_unitary,
+    product_rotation,
+    random_hermitian,
+    spin_op,
+)
 from .mqalgebra import phase_cycle_project
 from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .selftest import run_selftest, tolerance_scale
@@ -104,7 +111,15 @@ def _check_n(n) -> int:
 # commands
 
 
+SEARCH_KEYS = frozenset({"n", "s", "theta", "aux_mode", "epsilons", "seed"})
+
+
 def cmd_search(cfg: dict, out: Path) -> dict:
+    unknown = sorted(set(cfg) - SEARCH_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown search config keys {unknown}; allowed: {sorted(SEARCH_KEYS)}"
+        )
     n = _check_n(_require(cfg, "n", int, required=True))
     s = _require(cfg, "s", int, required=True)
     if not 0 <= s < 2**n:
@@ -114,6 +129,8 @@ def cmd_search(cfg: dict, out: Path) -> dict:
     if aux_mode not in ("selective-cs", "explicit-uf"):
         raise ConfigError(f"aux_mode must be 'selective-cs' or 'explicit-uf', got {aux_mode!r}")
     eps = _epsilons(cfg, n)
+    if np.any(eps == 0):
+        raise ConfigError("search needs a nonzero epsilon on every work qubit")
 
     result = simple_search(MarkedState(s=s, n=n), eps, float(theta), aux_mode)
     signs = np.sign(result.per_qubit_signal / (eps * np.sin(result.theta))).astype(int)
@@ -307,14 +324,13 @@ def _cross_peak_inputs(cfg: dict):
 
     dsx = projector_x_basis(MarkedState(s=s, n=n))
     h_s = phase_cycle_project(dsx, n1, 0)
-    sub = SpinSystem(n_work=2)
-    ry_a = expm_unitary(spin_op(system, 1, "y") + spin_op(system, 2, "y"), np.pi / 2)
+    ry_a = product_rotation(n, "y", [np.pi / 2, np.pi / 2, 0.0, 0.0])
     dr_a = np.kron(diag_projector(MarkedState(s=0, n=2)), np.eye(4))
     h_r = dominance * phase_cycle_project(ry_a @ dr_a @ ry_a.conj().T, n1, 0)
     h_zq = h_s + h_r
 
     u = expm_unitary(h_zq, tau_u)
-    ry = expm_unitary(total_op(system, "y"), np.pi / 2)
+    ry = product_rotation(n, "y", np.pi / 2)
     h_x_frame = ry @ h_zq @ ry.conj().T
     v = expm_unitary(h_x_frame, tau_v)
 
@@ -396,17 +412,13 @@ def cmd_compose_bench(cfg: dict, out: Path) -> dict:
     operators = _require(cfg, "operators", str, default="random")
     rng = np.random.default_rng(seed)
 
-    def rand_herm():
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return (z + z.conj().T) / 2
-
     if operators == "su2-zx":
         one = SpinSystem(n_work=1)
         a, b = spin_op(one, 1, "z"), spin_op(one, 1, "x")
     elif operators == "random":
-        a, b = rand_herm(), rand_herm()
+        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     elif operators == "commuting":
-        a = rand_herm()
+        a = random_hermitian(rng, dim)
         _, v = np.linalg.eigh(a)
         b = (v * rng.normal(size=dim)) @ v.conj().T
     else:

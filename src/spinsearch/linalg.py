@@ -8,11 +8,15 @@ Conventions, fixed once here:
   occupy the least significant factors.  The computational-basis index of a
   product state is then the integer read off the qubit bit string.
 * Matrix exponentials of Hermitian generators go through the
-  eigendecomposition, which keeps the result unitary to roundoff.
+  eigendecomposition, which keeps the result unitary to roundoff.  The
+  exception is a collective pulse exp(-i angle F_axis): its single-spin
+  terms commute, so it is built exactly as a Kronecker product of 2x2
+  rotations (product_rotation).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +95,46 @@ def total_op(system: SpinSystem, axis: str) -> np.ndarray:
     for k in range(1, system.n_work + 1):
         out += spin_op(system, k, axis)
     return out
+
+
+def product_rotation(n: int, axis: str, angle) -> np.ndarray:
+    """exp(-i angle F_axis) on n qubits, as the Kronecker product of the
+    single-qubit rotations exp(-i angle sigma_axis / 2).
+
+    Exact because the single-spin terms of F_axis commute.  angle is one
+    angle for every qubit or a sequence of n per-qubit angles; a zero
+    angle leaves its qubit alone.
+    """
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"rotation axis must be x, y or z, got {axis!r}")
+    angles = np.broadcast_to(np.asarray(angle, dtype=float), (n,))
+    eye = np.eye(2, dtype=complex)
+    sigma = 2 * PAULI_HALF[axis]
+    return kron_all(
+        math.cos(a / 2) * eye - 1j * math.sin(a / 2) * sigma for a in angles
+    )
+
+
+def conjugate_leading(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(u x I) rho (u x I)^dagger, with u acting on the leading tensor factors.
+
+    The identity on the trailing factors (the auxiliary qubits, say) is
+    never built: the left product is u times rho reshaped to u's row
+    count, and the right product is u-bar applied to every row of rho
+    viewed as a (row, u-index, trailing-index) stack.
+    """
+    dim, du = rho.shape[0], u.shape[0]
+    rest = dim // du
+    if du * rest != dim:
+        raise ValueError(f"operator of size {du} does not divide dimension {dim}")
+    left = (u @ rho.reshape(du, -1)).reshape(dim, du, rest)
+    return np.einsum("icb,ac->iab", left, u.conj(), optimize=True).reshape(dim, dim)
+
+
+def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    """A random Hermitian matrix (z + z^dagger)/2 with Gaussian entries."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return scale * (z + z.conj().T) / 2
 
 
 def magnetic_quantum_numbers(n: int) -> np.ndarray:

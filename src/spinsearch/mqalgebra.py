@@ -18,6 +18,7 @@ from .linalg import (
     expm_unitary,
     kron_all,
     magnetic_quantum_numbers,
+    product_rotation,
     spin_op,
     total_op,
 )
@@ -103,8 +104,7 @@ class LomsoBasis:
 
     def x_product(self, l: int) -> np.ndarray:
         """Rotate Z_l into the x basis: 2^(|T|-1) * prod_{k in T} I_kx."""
-        system = SpinSystem(n_work=self.n)
-        ry = expm_unitary(total_op(system, "y"), np.pi / 2)
+        ry = product_rotation(self.n, "y", np.pi / 2)
         return ry @ self.z_ops[l] @ ry.conj().T
 
 

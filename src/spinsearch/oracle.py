@@ -15,6 +15,11 @@ auxiliary |0>|1> sector:
 * the aux-free selective phase shift C_s(theta) = exp(-i theta D_s)
   acting on the work qubits alone.
 
+U_f is a permutation of basis indices, and uf_permutation is its one
+definition; V_S is diagonal.  The dense matrices built from them serve
+small-n checks; the search pipeline applies U_f by indexing and V_S as a
+phase vector.
+
 Oracle cost accounting: one U_o (or its C_s stand-in) consumes two
 applications of U_f.
 """
@@ -89,22 +94,11 @@ def sign_vector(s: int, n: int) -> np.ndarray:
     return np.array([1 if ((s >> (n - k)) & 1) == 0 else -1 for k in range(1, n + 1)])
 
 
-def state_from_signs(signs) -> int:
-    return MarkedState.from_signs(signs).s
-
-
 def diag_projector(marked: MarkedState) -> np.ndarray:
     """Rank-1 projector |s><s| built from the single-spin product form."""
     half = 0.5 * np.eye(2, dtype=complex)
     iz = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
     return kron_all(half + a * iz for a in marked.signs)
-
-
-def basis_projector(index: int, dim: int) -> np.ndarray:
-    """diag(0,...,1,...,0) with the 1 at the given basis index."""
-    d = np.zeros(dim, dtype=complex)
-    d[index] = 1.0
-    return np.diag(d)
 
 
 def selective_phase(marked: MarkedState, theta: float) -> np.ndarray:
@@ -119,28 +113,40 @@ def _require_aux(system: SpinSystem):
         raise ConfigurationError("this oracle needs a system with two auxiliary qubits")
 
 
-def oracle_uf(marked: MarkedState, system: SpinSystem) -> np.ndarray:
-    """Bit-flip oracle |x>|a>|b> -> |x>|a xor f(x)>|b>, f(x) = [x == s]."""
+def uf_permutation(marked: MarkedState, system: SpinSystem) -> np.ndarray:
+    """Index map p of the bit-flip oracle: U_f |idx> = |p[idx]>.
+
+    U_f |x>|a>|b> = |x>|a xor f(x)>|b> with f(x) = [x == s]; aux qubit a is
+    bit 0b10 of the index.  U_f is an involution: p[p] is the identity, and
+    U_f rho U_f^dagger = rho[p][:, p].
+    """
     _require_aux(system)
     if system.n_work != marked.n:
         raise ConfigurationError("marked state and system disagree on work-qubit count")
-    dim = system.dim
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        x, ab = divmod(idx, 4)
-        if x == marked.s:
-            ab ^= 0b10  # flip aux qubit a
-        u[x * 4 + ab, idx] = 1.0
+    idx = np.arange(system.dim)
+    f = (idx >> 2) == marked.s
+    return idx ^ (0b10 * f)
+
+
+def oracle_uf(marked: MarkedState, system: SpinSystem) -> np.ndarray:
+    """Bit-flip oracle U_f as a dense permutation matrix."""
+    p = uf_permutation(marked, system)
+    u = np.zeros((system.dim, system.dim), dtype=complex)
+    u[p, np.arange(system.dim)] = 1.0
     return u
 
 
-def conditional_aux_phase(system: SpinSystem, theta: float) -> np.ndarray:
-    """V_S(theta): phase exp(-i theta) on auxiliary states with a = 1, b = 1."""
+def aux_phase_vector(system: SpinSystem, theta: float) -> np.ndarray:
+    """Diagonal of V_S(theta): exp(-i theta) on auxiliary states with a = 1, b = 1."""
     _require_aux(system)
     d = np.ones(system.dim, dtype=complex)
-    for x in range(system.dim_work):
-        d[x * 4 + 0b11] = np.exp(-1j * theta)
-    return np.diag(d)
+    d[0b11::4] = np.exp(-1j * theta)
+    return d
+
+
+def conditional_aux_phase(system: SpinSystem, theta: float) -> np.ndarray:
+    """V_S(theta) as a dense diagonal matrix."""
+    return np.diag(aux_phase_vector(system, theta))
 
 
 def oracle_uo(marked: MarkedState, system: SpinSystem, theta: float) -> np.ndarray:

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import composition, mqalgebra, oracle, sequences, spectroscopy
-from .linalg import SpinSystem, comm, expm_unitary, magnetic_quantum_numbers, spin_op, total_op, unitarity_defect
+from .linalg import (
+    SpinSystem,
+    comm,
+    expm_unitary,
+    magnetic_quantum_numbers,
+    random_hermitian,
+    spin_op,
+    total_op,
+    unitarity_defect,
+)
 from .oracle import MarkedState
 
 
@@ -27,11 +36,6 @@ class InvariantResult:
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
-
-
-def _rand_herm(rng, dim, scale=1.0):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (a + a.conj().T) / 2
 
 
 def _check_spin_commutators() -> float:
@@ -59,7 +63,7 @@ def _check_expm_unitary() -> float:
     rng = np.random.default_rng(11)
     worst = 0.0
     for dim in (2, 4, 8, 16):
-        h = _rand_herm(rng, dim)
+        h = random_hermitian(rng, dim)
         worst = max(worst, unitarity_defect(expm_unitary(h, 0.37)))
         u = expm_unitary(h, 0.2) @ expm_unitary(h, 0.55)
         worst = max(worst, float(np.abs(u - expm_unitary(h, 0.75)).max()))
@@ -110,7 +114,7 @@ def _check_conjugation_identities() -> float:
     for n in (2, 3, 4):
         dim = 2**n
         for _ in range(6):
-            rho = _rand_herm(rng, dim)
+            rho = random_hermitian(rng, dim)
             s = int(rng.integers(dim))
             marked = MarkedState(s=s, n=n)
             for theta in thetas:
@@ -160,7 +164,7 @@ def _check_phase_cycling() -> float:
     for n in (2, 3, 4):
         system = SpinSystem(n_work=n)
         for _ in range(8):
-            f = _rand_herm(rng, 2**n)
+            f = random_hermitian(rng, 2**n)
             dec = mqalgebra.decompose_orders(f, system)
             for target in range(-n, n + 1):
                 proj = mqalgebra.phase_cycle_project(f, 2 * n + 1, target)
@@ -189,8 +193,8 @@ def _check_zero_quantum_closure() -> float:
     for n in (2, 3):
         system = SpinSystem(n_work=n)
         for _ in range(6):
-            h = mqalgebra.order_component(_rand_herm(rng, 2**n), 0)
-            zq_op = mqalgebra.order_component(_rand_herm(rng, 2**n), 0)
+            h = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
+            zq_op = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
             u = expm_unitary(zq_op, 0.9)
             moved = u @ h @ u.conj().T
             dec = mqalgebra.decompose_orders(moved, system)
@@ -208,8 +212,8 @@ def _check_even_order_closure() -> float:
         om = mqalgebra.order_matrix(n)
         even_mask = np.abs(np.rint(om)) % 2 == 0
         for _ in range(6):
-            h = np.where(even_mask, _rand_herm(rng, 2**n), 0)
-            gen = np.where(even_mask, _rand_herm(rng, 2**n), 0)
+            h = np.where(even_mask, random_hermitian(rng, 2**n), 0)
+            gen = np.where(even_mask, random_hermitian(rng, 2**n), 0)
             u = expm_unitary(gen, 0.8)
             moved = u @ h @ u.conj().T
             dec = mqalgebra.decompose_orders(moved, system)
@@ -251,8 +255,8 @@ def _check_pipeline_vs_lines() -> float:
     worst = 0.0
     for n in (2, 3):
         system = SpinSystem(n_work=n)
-        u = expm_unitary(_rand_herm(rng, 2**n), 1.0)
-        v = expm_unitary(_rand_herm(rng, 2**n), 1.0)
+        u = expm_unitary(random_hermitian(rng, 2**n), 1.0)
+        v = expm_unitary(random_hermitian(rng, 2**n), 1.0)
         h = spectroscopy.SpinHamiltonian.uniform_fz(n, 2 * np.pi * 10)
         cfg = spectroscopy.PipelineConfig(
             u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64
@@ -271,8 +275,8 @@ def _check_pipeline_vs_lines() -> float:
 def _check_composition_unitarity() -> float:
     rng = np.random.default_rng(83)
     worst = 0.0
-    a = _rand_herm(rng, 4)
-    b = _rand_herm(rng, 4)
+    a = random_hermitian(rng, 4)
+    b = random_hermitian(rng, 4)
     worst = max(worst, unitarity_defect(composition.trotter_product([a, b], 0.7, 8).propagator))
     worst = max(worst, unitarity_defect(composition.commutator_product(a, b, 16).propagator))
     worst = max(worst, unitarity_defect(composition.symmetric_sandwich(a, b, 0.3).propagator))
@@ -289,8 +293,8 @@ def _check_composition_unitarity() -> float:
 
 def _check_sandwich_time_symmetry() -> float:
     rng = np.random.default_rng(97)
-    a = _rand_herm(rng, 4)
-    b = _rand_herm(rng, 4)
+    a = random_hermitian(rng, 4)
+    b = random_hermitian(rng, 4)
     worst = 0.0
     for x in (0.4, 0.15):
         s_pos = composition.symmetric_sandwich(a, b, x).propagator

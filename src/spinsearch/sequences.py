@@ -24,15 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpinSystem, expm_unitary, spin_op, total_op
+from .linalg import (
+    SpinSystem,
+    conjugate_leading,
+    expm_unitary,
+    product_rotation,
+    spin_op,
+)
 from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
     MarkedState,
+    aux_phase_vector,
     aux_pure_state,
     diag_projector,
-    oracle_uo,
     sign_vector,
+    uf_permutation,
 )
 
 DEFAULT_SEARCH_THETA = -np.pi / 2
@@ -158,7 +165,11 @@ def simple_search(
 
     Pipeline: transverse initial state (y axis) -> oracle phase shift ->
     pi/2 pulse about y on the work qubits -> gradient crush -> zero-quantum
-    dephase -> per-qubit z projection.  The surviving state is proportional
+    dephase -> per-qubit z projection.  With aux_mode="explicit-uf" every
+    step runs on the full work + auxiliary density matrix (see
+    _apply_explicit_oracle), and the auxiliary qubits are traced out only
+    before the readout, so the equivalence of the two oracle realizations
+    is computed, not assumed.  The surviving state is proportional
     to sum_k eps_k a_k I_kz; the sign pattern recovers s once the known
     sign of sin(theta) is divided out.  The measured proportionality
     constant is reported next to the 2/N reference value, which omits the
@@ -178,26 +189,18 @@ def simple_search(
     elif aux_mode == "explicit-uf":
         system = SpinSystem(n_work=n, n_aux=2)
         rho = initial_state(system, epsilons, "y").rho
-        uo = oracle_uo(marked, system, theta)
-        rho = uo @ rho @ uo.conj().T
+        rho = _apply_explicit_oracle(rho, marked, system, theta)
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
-    pulse = expm_unitary(total_op(system, "y"), np.pi / 2)
-    rho = pulse @ rho @ pulse.conj().T
+    rho = conjugate_leading(rho, product_rotation(n, "y", np.pi / 2))
     rho = zq_dephase(gradient_crush(rho))
 
     if system.n_aux == 2:
         rho = _trace_out_aux(rho, n)
 
-    work = SpinSystem(n_work=n)
     dim = 2**n
-    coeffs = np.array(
-        [
-            np.real(np.trace(rho @ spin_op(work, k, "z"))) / (dim / 4)
-            for k in range(1, n + 1)
-        ]
-    )
+    coeffs = _iz_diagonals(n) @ np.diag(rho).real / (dim / 4)
 
     mags = np.abs(coeffs)
     # relative threshold, with an absolute floor so an all-roundoff readout
@@ -223,6 +226,28 @@ def simple_search(
         measured_prefactor=float(np.mean(prefactors)),
         reference_prefactor=2.0 / dim,
     )
+
+
+def _apply_explicit_oracle(
+    rho: np.ndarray, marked: MarkedState, system: SpinSystem, theta: float
+) -> np.ndarray:
+    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, without building U_o.
+
+    Each U_f conjugation is a row-and-column permutation of rho, and the
+    diagonal V_S conjugation an elementwise phase v_i rho_ij conj(v_j).
+    """
+    p = uf_permutation(marked, system)
+    v = aux_phase_vector(system, theta)
+    rho = rho[np.ix_(p, p)]
+    rho *= v[:, None]
+    rho *= v.conj()[None, :]
+    return rho[np.ix_(p, p)]
+
+
+def _iz_diagonals(n: int) -> np.ndarray:
+    """Row k - 1 holds the diagonal of I_kz on n work qubits."""
+    system = SpinSystem(n_work=n)
+    return np.array([np.diag(spin_op(system, k, "z")).real for k in range(1, n + 1)])
 
 
 def _trace_out_aux(rho: np.ndarray, n_work: int) -> np.ndarray:
@@ -266,8 +291,7 @@ def vos_oracle_operations(k: int) -> int:
 
 def projector_x_basis(marked: MarkedState) -> np.ndarray:
     """D_s^x: the marked projector rotated from z products into x products."""
-    system = SpinSystem(n_work=marked.n)
-    ry = expm_unitary(total_op(system, "y"), np.pi / 2)
+    ry = product_rotation(marked.n, "y", np.pi / 2)
     return ry @ diag_projector(marked) @ ry.conj().T
 
 
@@ -315,20 +339,15 @@ def sign_flip_frame(marked: MarkedState) -> np.ndarray:
     all-zeros projector by W lands on the marked projector.
     """
     n = marked.n
-    system = SpinSystem(n_work=n)
-    w = expm_unitary(total_op(system, "x"), np.pi / 2)
-    for k in range(1, n + 1):
-        w = w @ expm_unitary(marked.signs[k - 1] * spin_op(system, k, "x"), -np.pi / 2)
-    return w
+    per_spin = [-a * np.pi / 2 for a in marked.signs]
+    return product_rotation(n, "x", np.pi / 2) @ product_rotation(n, "x", per_spin)
 
 
 def grover_propagator_factored(marked: MarkedState, m: int) -> np.ndarray:
     """The same propagator with the marked-state dependence pulled into a
     fixed frame change around a marked-independent core iteration."""
     n = marked.n
-    system = SpinSystem(n_work=n)
-    ry = expm_unitary(total_op(system, "y"), np.pi / 2)
-    w = ry @ sign_flip_frame(marked)
+    w = product_rotation(n, "y", np.pi / 2) @ sign_flip_frame(marked)
     return w @ grover_core(n, m) @ w.conj().T
 
 
@@ -471,8 +490,7 @@ def measured_conversion_coefficients(
         raise ValueError(f"read spin {k} outside [1, {n}]")
     if epsilons[k - 1] == 0:
         raise ValueError("polarization of the read spin must be nonzero")
-    system = SpinSystem(n_work=n)
-    iz = [np.diag(spin_op(system, l, "z")).real for l in range(1, n + 1)]
+    iz = _iz_diagonals(n)
     rho = np.diag(sum(e * z for e, z in zip(epsilons, iz)))
     xs = x_basis_state(marked)
     traces = np.empty(m_max + 1)

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-
-def random_hermitian(rng, dim, scale=1.0):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (z + z.conj().T) / 2
+from spinsearch.linalg import random_hermitian  # noqa: F401  (shared by the test modules)
 
 
 def random_unitary(rng, dim):

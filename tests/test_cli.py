@@ -69,6 +69,26 @@ class TestSearchCommand:
         code, _, _ = run(tmp_path, "search", {"n": 2, "s": 1, "theta": 0.0})
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"n": 3, "s": 5, "epsilons": [0, 1, 1]},
+            {"n": 3, "s": 5, "epsilons": [1.0, 1.0, 0.0], "aux_mode": "explicit-uf"},
+            {"n": 3, "s": 5, "aux": "explicit-uf"},
+            {"n": 3, "s": 5, "Theta": 0.4},
+        ],
+        ids=["zero-epsilon", "zero-epsilon-explicit", "misspelt-aux_mode", "misspelt-theta"],
+    )
+    def test_bad_config_exits_2_before_numerics(self, tmp_path, monkeypatch, cfg, capsys):
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("numerics ran before the config was rejected")
+
+        monkeypatch.setattr(cli, "simple_search", no_numerics)
+        code, out, report = run(tmp_path, "search", cfg)
+        assert code == 2
+        assert report is None and not (out / "search.csv").exists()
+        assert "config error" in capsys.readouterr().err
+
 
 class TestGroverScanCommand:
     def test_scan_rows(self, tmp_path):
@@ -284,6 +304,29 @@ class TestDeterminism:
         r1.pop("duration_s")
         r2.pop("duration_s")
         assert r1 == r2
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = {
+    "compose_bench.json": "compose-bench",
+    "cross_peak_demo.json": "spectrum",
+    "grover_scan.json": "grover-scan",
+    "search.json": "search",
+    "spectrum_uniform.json": "spectrum",
+    "spectrum_weak_coupling.json": "spectrum",
+}
+
+
+def test_every_shipped_config_is_covered():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(SHIPPED_CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIGS))
+def test_shipped_config_runs(tmp_path, name):
+    out = tmp_path / "out"
+    argv = [SHIPPED_CONFIGS[name], "--config", str(CONFIG_DIR / name), "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "report.json").is_file()
 
 
 def test_cli_import_does_not_load_scipy():

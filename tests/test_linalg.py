@@ -7,9 +7,11 @@ from spinsearch.linalg import (
     BranchCutError,
     SpinSystem,
     comm,
+    conjugate_leading,
     expm_unitary,
     magnetic_quantum_numbers,
     matrix_log_skew,
+    product_rotation,
     spin_op,
     total_op,
     unitarity_defect,
@@ -126,6 +128,62 @@ class TestExpmUnitary:
         h = random_hermitian(np.random.default_rng(seed), 8)
         lhs = expm_unitary(h, s) @ expm_unitary(h, t)
         assert maxabs(lhs - expm_unitary(h, s + t)) <= 1e-10
+
+
+class TestProductRotation:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_eigh_of_collective_operator(self, n, axis):
+        rng = np.random.default_rng(100 * n + ord(axis))
+        system = SpinSystem(n_work=n)
+        for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=3):
+            ref = expm_unitary(total_op(system, axis), angle)
+            assert maxabs(product_rotation(n, axis, angle) - ref) <= 1e-12
+
+    def test_per_qubit_angles(self, rng):
+        n = 4
+        system = SpinSystem(n_work=n)
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+        ref = np.eye(2**n, dtype=complex)
+        for k, a in enumerate(angles, start=1):
+            ref = ref @ expm_unitary(spin_op(system, k, "x"), a)
+        assert maxabs(product_rotation(n, "x", angles) - ref) <= 1e-12
+        zero_on_two = product_rotation(n, "y", [0.7, 0.0, 0.0, 0.7])
+        ref = expm_unitary(spin_op(system, 1, "y") + spin_op(system, 4, "y"), 0.7)
+        assert maxabs(zero_on_two - ref) <= 1e-12
+
+    def test_rejects_bad_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            product_rotation(2, "+", 1.0)
+
+
+class TestConjugateLeading:
+    @pytest.mark.parametrize("n_lead,n_rest", [(1, 0), (3, 0), (1, 2), (3, 2), (2, 1)])
+    def test_matches_dense_kron(self, rng, n_lead, n_rest):
+        u = random_unitary(rng, 2**n_lead)
+        rho = random_hermitian(rng, 2 ** (n_lead + n_rest))
+        full = np.kron(u, np.eye(2**n_rest))
+        got = conjugate_leading(rho, u)
+        assert maxabs(got - full @ rho @ full.conj().T) <= 1e-12
+
+    def test_non_hermitian_operand(self, rng):
+        u = random_unitary(rng, 4)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        full = np.kron(u, np.eye(4))
+        assert maxabs(conjugate_leading(a, u) - full @ a @ full.conj().T) <= 1e-12
+
+    def test_rejects_non_dividing_size(self, rng):
+        with pytest.raises(ValueError, match="divide"):
+            conjugate_leading(np.eye(8), random_unitary(rng, 3))
+
+
+class TestRandomHermitian:
+    def test_same_draws_as_inline_formula(self):
+        a = random_hermitian(np.random.default_rng(5), 6, scale=2.5)
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        assert maxabs(a - 2.5 * (z + z.conj().T) / 2) == 0
+        assert maxabs(a - a.conj().T) == 0
 
 
 class TestMatrixLogSkew:

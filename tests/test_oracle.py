@@ -8,8 +8,8 @@ from spinsearch.oracle import (
     ConfigurationError,
     MarkedState,
     OracleSpec,
+    aux_phase_vector,
     aux_pure_state,
-    basis_projector,
     conditional_aux_phase,
     diag_projector,
     oracle_uf,
@@ -17,9 +17,17 @@ from spinsearch.oracle import (
     restrict_to_aux01,
     selective_phase,
     sign_vector,
+    uf_permutation,
 )
 
 from conftest import maxabs
+
+
+def basis_projector(index: int, dim: int) -> np.ndarray:
+    """diag(0,...,1,...,0) with the 1 at the given basis index."""
+    d = np.zeros(dim, dtype=complex)
+    d[index] = 1.0
+    return np.diag(d)
 
 
 class TestSignVector:
@@ -129,6 +137,49 @@ class TestExplicitOracle:
     def test_needs_aux_qubits(self):
         with pytest.raises(ConfigurationError):
             oracle_uf(MarkedState(s=1, n=2), SpinSystem(n_work=2))
+        with pytest.raises(ConfigurationError):
+            uf_permutation(MarkedState(s=1, n=2), SpinSystem(n_work=2))
+
+
+def loop_uf(marked, system):
+    """U_f built entry by entry from |x>|a>|b> -> |x>|a xor f(x)>|b>."""
+    u = np.zeros((system.dim, system.dim), dtype=complex)
+    for idx in range(system.dim):
+        x, ab = divmod(idx, 4)
+        if x == marked.s:
+            ab ^= 0b10
+        u[x * 4 + ab, idx] = 1.0
+    return u
+
+
+class TestUfPermutation:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_dense_oracle_for_every_s(self, n):
+        system = SpinSystem(n_work=n, n_aux=2)
+        cols = np.arange(system.dim)
+        for s in range(2**n):
+            marked = MarkedState(s=s, n=n)
+            p = uf_permutation(marked, system)
+            ref = loop_uf(marked, system)
+            assert np.array_equal(np.argmax(ref, axis=0), p)
+            assert np.array_equal(ref[p, cols], np.ones(system.dim))
+            assert np.array_equal(oracle_uf(marked, system), ref)
+            assert np.array_equal(p[p], cols)
+
+    def test_indexing_equals_dense_conjugation(self, rng):
+        system = SpinSystem(n_work=3, n_aux=2)
+        marked = MarkedState(s=6, n=3)
+        p = uf_permutation(marked, system)
+        uf = oracle_uf(marked, system)
+        rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        assert np.array_equal(rho[np.ix_(p, p)], uf @ rho @ uf.conj().T)
+
+    def test_aux_phase_vector_is_the_diagonal(self):
+        system = SpinSystem(n_work=3, n_aux=2)
+        v = aux_phase_vector(system, 0.7)
+        expected = [np.exp(-0.7j) if idx % 4 == 0b11 else 1.0 for idx in range(32)]
+        assert np.array_equal(v, np.array(expected))
+        assert np.array_equal(conditional_aux_phase(system, 0.7), np.diag(v))
 
 
 class TestPhaseOracle:

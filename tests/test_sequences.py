@@ -3,9 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsearch.linalg import SpinSystem, expm_unitary, kron_all, spin_op, unitarity_defect
-from spinsearch.mqalgebra import gradient_crush
-from spinsearch.oracle import MarkedState, aux_pure_state, diag_projector, selective_phase
+from spinsearch import linalg, oracle, sequences
+from spinsearch.linalg import (
+    SpinSystem,
+    expm_unitary,
+    kron_all,
+    spin_op,
+    total_op,
+    unitarity_defect,
+)
+from spinsearch.mqalgebra import gradient_crush, zq_dephase
+from spinsearch.oracle import (
+    MarkedState,
+    aux_pure_state,
+    diag_projector,
+    oracle_uo,
+    selective_phase,
+    sign_vector,
+)
 from spinsearch.sequences import (
     AmbiguousReadoutError,
     EnsembleState,
@@ -40,11 +55,61 @@ def brute_conjugate(rho, marked, theta):
     return c @ rho @ c.conj().T
 
 
+def eigh_pulse(system, axis, angle):
+    """exp(-i angle F_axis) through the eigendecomposition of the collective operator."""
+    return expm_unitary(total_op(system, axis), angle)
+
+
+def dense_projector_x_basis(marked):
+    """D_s^x with the pi/2 y pulse built from an eigh of Fy."""
+    ry = eigh_pulse(SpinSystem(n_work=marked.n), "y", np.pi / 2)
+    return ry @ diag_projector(marked) @ ry.conj().T
+
+
+def dense_sign_flip_frame(marked):
+    """W from eigh-built collective and per-spin x rotations."""
+    n = marked.n
+    system = SpinSystem(n_work=n)
+    w = eigh_pulse(system, "x", np.pi / 2)
+    for k in range(1, n + 1):
+        w = w @ expm_unitary(marked.signs[k - 1] * spin_op(system, k, "x"), -np.pi / 2)
+    return w
+
+
+def dense_search_signal(marked, epsilons, theta, aux_mode):
+    """Per-qubit z coefficients of the search sequence, all dense.
+
+    The oracle is the dense U_o = U_f V_S U_f (or C_s), the pulse comes from
+    an eigh of the collective Fy on the full space, and each coefficient is
+    a trace against a dense I_kz.
+    """
+    n = marked.n
+    if aux_mode == "selective-cs":
+        system = SpinSystem(n_work=n)
+        u = selective_phase(marked, theta)
+    else:
+        system = SpinSystem(n_work=n, n_aux=2)
+        u = oracle_uo(marked, system, theta)
+    rho = initial_state(system, epsilons, "y").rho
+    rho = u @ rho @ u.conj().T
+    pulse = eigh_pulse(system, "y", np.pi / 2)
+    rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
+    if system.n_aux == 2:
+        rho = np.einsum("iaja->ij", rho.reshape(2**n, 4, 2**n, 4))
+    work = SpinSystem(n_work=n)
+    return np.array(
+        [
+            np.real(np.trace(rho @ spin_op(work, k, "z"))) / (2**n / 4)
+            for k in range(1, n + 1)
+        ]
+    )
+
+
 def dense_grover_step(marked):
     """One Grover step as a dense matrix, from the eigh-built D_s^x."""
     dim = 2**marked.n
     d_last = diag_projector(MarkedState(s=dim - 1, n=marked.n))
-    return (np.eye(dim) - 2 * d_last) @ (np.eye(dim) - 2 * projector_x_basis(marked))
+    return (np.eye(dim) - 2 * d_last) @ (np.eye(dim) - 2 * dense_projector_x_basis(marked))
 
 
 def dense_grover_trajectory(marked, m_max):
@@ -222,6 +287,35 @@ class TestSimpleSearch:
         with pytest.raises(ValueError, match="nonzero"):
             simple_search(MarkedState(s=1, n=2), [1.0, 0.0])
 
+    @pytest.mark.parametrize("aux_mode", ["selective-cs", "explicit-uf"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_reference(self, n, aux_mode):
+        rng = np.random.default_rng(1000 * n + len(aux_mode))
+        for _ in range(3):
+            marked = MarkedState(s=int(rng.integers(2**n)), n=n)
+            theta = float(rng.choice([-1, 1]) * rng.uniform(0.3, np.pi - 0.3))
+            eps = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1, 1], size=n)
+            res = simple_search(marked, eps, theta, aux_mode)
+            ref = dense_search_signal(marked, eps, theta, aux_mode)
+            assert maxabs(res.per_qubit_signal - ref) <= 1e-12
+            assert res.recovered_s == marked.s
+
+    def test_explicit_oracle_at_n8_builds_no_dense_operator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the explicit-uf search reached a dense builder")
+
+        monkeypatch.setattr(sequences, "expm_unitary", forbidden)
+        monkeypatch.setattr(linalg, "expm_unitary", forbidden)
+        monkeypatch.setattr(linalg, "total_op", forbidden)
+        monkeypatch.setattr(oracle, "oracle_uo", forbidden)
+        monkeypatch.setattr(oracle, "oracle_uf", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        eps = np.linspace(0.6, 1.4, 8)
+        res = simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
+        assert res.recovered_s == 173
+        expected = np.sin(res.theta) * (2 / 2**8) * eps * sign_vector(173, 8)
+        assert maxabs(res.per_qubit_signal - expected) <= 1e-12
+
 
 class TestSpinEcho:
     def test_no_decoupling_returns_projector(self):
@@ -298,6 +392,13 @@ class TestGroverPropagator:
                 xs = x_basis_state(m)
                 assert xs.dtype == float and abs(xs @ xs - 1) <= 1e-15
                 assert maxabs(np.outer(xs, xs) - projector_x_basis(m)) <= 1e-14
+
+    def test_product_pulse_frames_match_eigh_built(self):
+        for n in range(1, 5):
+            for s in range(2**n):
+                m = MarkedState(s=s, n=n)
+                assert maxabs(projector_x_basis(m) - dense_projector_x_basis(m)) <= 1e-12
+                assert maxabs(sign_flip_frame(m) - dense_sign_flip_frame(m)) <= 1e-12
 
     def test_factored_form_matches(self):
         for n in (2, 3):
