@@ -12,17 +12,17 @@ reported; whether a given ratio is "strong enough" is left to the reader.
 
 import numpy as np
 
-from spinsearch.cli import _cross_peak_inputs
+from spinsearch.cli import _spectrum_pipeline
+from spinsearch.config import SpectrumConfig, parse
 from spinsearch.spectroscopy import run_pipeline, spectrum
 
 
 def peak_table(dominance):
-    rho0, pipe, label_omega, _, extras = _cross_peak_inputs(
-        {"dominance": dominance}
-    )
-    series = run_pipeline(rho0, pipe)
-    spec = spectrum(series, pipe.dt, label_omega=label_omega)
-    return spec.peaks, extras["delta_hz"]
+    cfg = parse(SpectrumConfig, {"preset": "cross-peak-demo", "dominance": dominance})
+    pipe, _ = _spectrum_pipeline(cfg)
+    series = run_pipeline(cfg.rho0, pipe)
+    spec = spectrum(series, pipe.dt, label_omega=cfg.label_omega)
+    return spec.peaks, cfg.label_omega / (2 * np.pi)
 
 
 def main():

@@ -5,7 +5,6 @@ from .linalg import (
     BranchCutError,
     SpinSystem,
     comm,
-    acomm,
     expm_unitary,
     magnetic_quantum_numbers,
     matrix_log_skew,
@@ -15,7 +14,6 @@ from .linalg import (
 from .oracle import (
     ConfigurationError,
     MarkedState,
-    OracleSpec,
     aux_pure_state,
     diag_projector,
     oracle_uf,

@@ -249,6 +249,17 @@ def cross_interaction(
     )
 
 
+def palindromic_weights(p_list) -> list[float]:
+    """The scale factors of a fractal composition, checked: they must sum
+    to one and read the same both ways."""
+    p_list = [float(p) for p in p_list]
+    if abs(sum(p_list) - 1.0) > 1e-12:
+        raise ValueError(f"composition weights must sum to 1, got {sum(p_list)}")
+    if any(abs(p_list[j] - p_list[-1 - j]) > 1e-12 for j in range(len(p_list))):
+        raise ValueError("composition weights must be palindromic")
+    return p_list
+
+
 def fractal_compose(
     a: np.ndarray,
     b: np.ndarray,
@@ -268,11 +279,7 @@ def fractal_compose(
     orderings, leaving only the high-order cross-interaction generator; its
     residual order is reported as measured.
     """
-    p_list = [float(p) for p in p_list]
-    if abs(sum(p_list) - 1.0) > 1e-12:
-        raise ValueError(f"composition weights must sum to 1, got {sum(p_list)}")
-    if any(abs(p_list[j] - p_list[-1 - j]) > 1e-12 for j in range(len(p_list))):
-        raise ValueError("composition weights must be palindromic")
+    p_list = palindromic_weights(p_list)
     outer, inner = _resolve_sides(a, b, order_side)
 
     def build_one_side(o, i, xv):

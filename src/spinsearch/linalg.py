@@ -145,16 +145,8 @@ def magnetic_quantum_numbers(n: int) -> np.ndarray:
     return np.array([(n - 2 * bin(x).count("1")) / 2 for x in range(2**n)])
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
-
-
-def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -163,14 +155,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
 
 
 def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -131,6 +131,14 @@ def lomso_expand_projector(basis: LomsoBasis, k: int) -> np.ndarray:
     return out
 
 
+def require_order_separation(n: int, n1: int) -> None:
+    """Raise AliasingError unless n1 phase steps separate the orders -n..n."""
+    if n1 < 2 * n + 1:
+        raise AliasingError(
+            f"n1 = {n1} cannot separate orders in [-{n}, {n}]; need n1 >= {2 * n + 1}"
+        )
+
+
 def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndarray:
     """Select one coherence order by discrete Fourier phase cycling.
 
@@ -139,10 +147,7 @@ def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndar
     modulo n1 alias onto it, hence the n1 >= 2n + 1 requirement.
     """
     n = _n_from_dim(f_op.shape[0])
-    if n1 < 2 * n + 1:
-        raise AliasingError(
-            f"n1 = {n1} cannot separate orders in [-{n}, {n}]; need n1 >= {2 * n + 1}"
-        )
+    require_order_separation(n, n1)
     fz = total_op(SpinSystem(n_work=n), "z")
     out = np.zeros_like(f_op, dtype=complex)
     for k in range(n1):

@@ -64,29 +64,6 @@ class MarkedState:
         return cls(s=s, n=n)
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    """A marked state with the oracle phase and realization choice."""
-
-    marked: MarkedState
-    theta: float
-    aux_mode: str = "selective-cs"  # or "explicit-uf"
-
-    def __post_init__(self):
-        if self.aux_mode not in ("selective-cs", "explicit-uf"):
-            raise ValueError(f"unknown aux_mode {self.aux_mode!r}")
-
-    def build(self, system: SpinSystem) -> np.ndarray:
-        """The oracle unitary for this realization on the given system."""
-        if self.aux_mode == "selective-cs":
-            if system.n_aux != 0:
-                raise ConfigurationError(
-                    "the selective-phase realization acts on work qubits only"
-                )
-            return selective_phase(self.marked, self.theta)
-        return oracle_uo(self.marked, system, self.theta)
-
-
 def sign_vector(s: int, n: int) -> np.ndarray:
     """Sign vector {a_k} of basis index s; bit 0 maps to a = +1."""
     if not 0 <= s < 2**n:

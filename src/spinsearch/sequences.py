@@ -280,11 +280,6 @@ def spin_echo_hamiltonian(marked: MarkedState, k: int) -> np.ndarray:
     return d
 
 
-def vos_oracle_operations(k: int) -> int:
-    """Oracle operations consumed by one exp(-i theta D(n-k)) application."""
-    return 2**k
-
-
 # ---------------------------------------------------------------------------
 # Grover-type iteration and its closed coefficient algebra
 
@@ -506,30 +501,6 @@ def measured_conversion_coefficient(
 ) -> float:
     """The m-th entry of measured_conversion_coefficients."""
     return float(measured_conversion_coefficients(marked, m, epsilons, k)[m])
-
-
-@dataclass
-class ConversionReport:
-    m: int
-    N: int
-    analytic: float
-    measured: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.analytic - self.measured)
-
-
-def conversion_report(
-    marked: MarkedState, m: int, epsilons, k: int = 1
-) -> ConversionReport:
-    n = marked.n
-    return ConversionReport(
-        m=m,
-        N=2**n,
-        analytic=conversion_coefficient(m, 2**n, epsilons, k),
-        measured=measured_conversion_coefficient(marked, m, epsilons, k),
-    )
 
 
 def gamma1_first_peak(N: int, rel_tol: float = 0.01) -> tuple[int, float]:

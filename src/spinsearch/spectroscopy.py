@@ -16,6 +16,7 @@ m*w, which is what makes order-resolved detection scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,8 +64,8 @@ class SpinHamiltonian:
             raise ValueError("need one offset per spin")
         h = sum(offsets[k - 1] * spin_op(system, k, "z") for k in range(1, n + 1))
         for (k, l), j_hz in (couplings or {}).items():
-            if k == l:
-                raise ValueError("couplings need two distinct spins")
+            if k == l or not (1 <= k <= n and 1 <= l <= n):
+                raise ValueError(f"couplings need two distinct spins in 1..{n}, got ({k}, {l})")
             h = h + 2 * np.pi * j_hz * (spin_op(system, k, "z") @ spin_op(system, l, "z"))
         return cls(kind="weak-coupling", matrix=h)
 
@@ -72,7 +73,7 @@ class SpinHamiltonian:
     def custom(cls, matrix: np.ndarray) -> "SpinHamiltonian":
         return cls(kind="custom", matrix=np.asarray(matrix, dtype=complex))
 
-    @property
+    @cached_property  # PipelineConfig.validate runs at config parse and again in run_pipeline
     def max_transition_frequency(self) -> float:
         w = np.linalg.eigvalsh(self.matrix)
         return float(w.max() - w.min())

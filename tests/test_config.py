@@ -1,0 +1,300 @@
+"""Config schemas: every defect exits 2 before any numerics run.
+
+Each bad config runs through cli.main in process with every numerics
+entry point of the CLI replaced by a function that fails the test, so an
+exit code of 2 with no output files shows that the config was rejected
+before anything was computed.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinsearch import cli
+from spinsearch.config import (
+    COMPOSE_DIM_MAX,
+    GROVER_M_MAX,
+    T1_POINTS_MAX,
+    ConfigError,
+    SelftestConfig,
+    SpectrumConfig,
+    T1Config,
+    parse,
+)
+from spinsearch.selftest import InvariantResult
+
+NUMERICS = (
+    "simple_search",
+    "measured_conversion_coefficients",
+    "grover_propagator",
+    "run_pipeline",
+    "phase_cycle_project",
+    "trotter_product",
+    "commutator_product",
+    "symmetric_sandwich",
+    "cross_interaction",
+    "fractal_compose",
+    "run_selftest",
+)
+
+UNIFORM_H = {"kind": "uniform-fz", "omega": 2 * math.pi * 10}
+GROVER = {
+    "preset": "grover-excitation",
+    "n": 2,
+    "s": 1,
+    "hamiltonian": UNIFORM_H,
+    "t1": {"dt": 1 / 256, "points": 64},
+}
+WEAK = {
+    "preset": "identity",
+    "n": 2,
+    "hamiltonian": {"kind": "weak-coupling", "offsets": [10.0, 20.0]},
+    "t1": {"dt": 1 / 256, "points": 64},
+}
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("numerics ran before the config was rejected")
+
+    for name in NUMERICS:
+        monkeypatch.setattr(cli, name, fail)
+
+
+def run_main(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    return cli.main([command, "--config", str(path), "--out", str(out)]), out
+
+
+def assert_rejected(tmp_path, capsys, command, cfg):
+    code, out = run_main(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []  # no report.json, no CSV
+    return err
+
+
+BAD_CONFIGS = {
+    "spectrum-negative-iterations": ("spectrum", {**GROVER, "iterations": -1}),
+    "spectrum-offset-count": (
+        "spectrum", {**WEAK, "hamiltonian": {"kind": "weak-coupling", "offsets": [1.0]}},
+    ),
+    "spectrum-detect-axis-q": ("spectrum", {**GROVER, "detect_axis": "q"}),
+    "spectrum-nested-nan-dt": ("spectrum", {**GROVER, "t1": {"dt": math.nan, "points": 64}}),
+    "spectrum-zero-points": ("spectrum", {**GROVER, "t1": {"dt": 1 / 256, "points": 0}}),
+    "spectrum-bogus-key": ("spectrum", {**GROVER, "bogus": 1}),
+    "spectrum-coupling-spin-out-of-range": (
+        "spectrum",
+        {**WEAK, "hamiltonian": {**WEAK["hamiltonian"], "couplings": [[1, 5, 2.0]]}},
+    ),
+    "cross-peak-zero-N1": ("spectrum", {"preset": "cross-peak-demo", "N1": 0}),
+    "cross-peak-with-hamiltonian": ("spectrum", {"preset": "cross-peak-demo", "hamiltonian": UNIFORM_H}),
+    "identity-with-marked-index": ("spectrum", {**WEAK, "s": 1}),
+    "fractal-mode-zzz": ("compose-bench", {"method": "fractal", "mode": "zzz"}),
+    "compose-zero-dim": ("compose-bench", {"method": "trotter", "dim": 0}),
+    "cross-interaction-level-3": ("compose-bench", {"method": "cross-interaction", "level": 3}),
+    "trotter-zero-m": ("compose-bench", {"method": "trotter", "m": 0}),
+    "compose-misspelt-method": ("compose-bench", {"metod": "trotter"}),
+    "trotter-with-level": ("compose-bench", {"method": "trotter", "level": 2}),
+    "fractal-weights-not-summing-to-one": ("compose-bench", {"method": "fractal", "p_list": [0.5, 0.4]}),
+    "compose-negative-seed": ("compose-bench", {"method": "sandwich", "seed": -1}),
+    "search-string-epsilons": ("search", {"n": 2, "s": 1, "epsilons": ["a", "b"]}),
+    "search-boolean-n": ("search", {"n": True, "s": 0}),
+    "search-boolean-theta": ("search", {"n": 3, "s": 5, "theta": True}),
+    "search-infinite-theta": ("search", {"n": 3, "s": 5, "theta": math.inf}),
+    "search-huge-integer-theta": ("search", {"n": 3, "s": 5, "theta": 10**400}),
+    "scan-misspelt-m_max": ("grover-scan", {"n_values": [2], "m_mx": 3}),
+    "scan-nan-epsilon": ("grover-scan", {"n_values": [2], "epsilons": [1.0, math.nan]}),
+    "scan-k-out-of-range": ("grover-scan", {"n_values": [2, 3], "k": 3}),
+    "selftest-unknown-key": ("selftest", {"bogus": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_before_numerics(tmp_path, capsys, no_numerics, name):
+    command, cfg = BAD_CONFIGS[name]
+    assert_rejected(tmp_path, capsys, command, cfg)
+
+
+UNKNOWN_KEY = {
+    "search": {"n": 2, "s": 1, "extra": 0},
+    "grover-scan": {"n_values": [2], "extra": 0},
+    "spectrum": {**GROVER, "extra": 0},
+    "spectrum.hamiltonian": {**GROVER, "hamiltonian": {**UNIFORM_H, "extra": 0}},
+    "spectrum.t1": {**GROVER, "t1": {"dt": 1 / 256, "points": 64, "extra": 0}},
+    "compose-bench": {"method": "trotter", "extra": 0},
+    "selftest": {"extra": 0},
+}
+
+
+@pytest.mark.parametrize("where", sorted(UNKNOWN_KEY))
+def test_unknown_key_exits_2(tmp_path, capsys, no_numerics, where):
+    command, _, nested = where.partition(".")
+    err = assert_rejected(tmp_path, capsys, command, UNKNOWN_KEY[where])
+    assert repr(f"{nested}.extra" if nested else "extra") in err
+
+
+@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
+def test_every_command_declares_seed(command):
+    assert "seed" in {f.name for f in fields(cli.SCHEMAS[command]) if f.init}
+
+
+def test_seed_is_accepted(tmp_path):
+    assert parse(SelftestConfig, {"seed": 4}).seed == 4
+    code, _ = run_main(tmp_path, "spectrum", {**GROVER, "seed": 4})
+    assert code == 0
+
+
+OVER_BOUND = {
+    "t1-points": ("spectrum", {**GROVER, "t1": {"dt": 1 / 256, "points": 2 * T1_POINTS_MAX}}),
+    "compose-dim": ("compose-bench", {"method": "trotter", "dim": COMPOSE_DIM_MAX + 1}),
+    "scan-m_max": ("grover-scan", {"n_values": [8], "m_max": GROVER_M_MAX + 1}),
+    "spectrum-iterations": ("spectrum", {**GROVER, "iterations": GROVER_M_MAX + 1}),
+    "search-n": ("search", {"n": 9, "s": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BOUND))
+def test_size_over_bound_exits_2_before_numerics(tmp_path, capsys, no_numerics, name):
+    command, cfg = OVER_BOUND[name]
+    assert_rejected(tmp_path, capsys, command, cfg)
+
+
+def test_size_bounds_are_inclusive():
+    assert parse(T1Config, {"dt": 0.1, "points": T1_POINTS_MAX}).points == T1_POINTS_MAX
+    with pytest.raises(ConfigError, match="16384"):
+        parse(T1Config, {"dt": 0.1, "points": T1_POINTS_MAX + 1})
+    assert parse(cli.SCHEMAS["compose-bench"], {"method": "trotter", "dim": COMPOSE_DIM_MAX}).dim == 256
+    scan = parse(cli.SCHEMAS["grover-scan"], {"n_values": [2], "m_max": GROVER_M_MAX})
+    assert scan.plan[0][2] == GROVER_M_MAX
+
+
+def test_whole_floats_read_as_integers():
+    cfg = parse(SpectrumConfig, {**GROVER, "n": 2.0, "s": 1.0, "iterations": 3.0})
+    assert (type(cfg.n), type(cfg.marked.s), type(cfg.iterations)) == (int, int, int)
+    with pytest.raises(ConfigError):
+        parse(SpectrumConfig, {**GROVER, "iterations": 1.5})
+
+
+def test_variant_defaults_are_filled():
+    cfg = parse(cli.SCHEMAS["compose-bench"], {"method": "commutator"})
+    assert (cfg.m, cfg.x, cfg.level) == (100, None, None)
+    cfg = parse(cli.SCHEMAS["compose-bench"], {"method": "cross-interaction"})
+    assert (cfg.x, cfg.level, cfg.m) == (0.1, 2, None)
+    demo = parse(SpectrumConfig, {"preset": "cross-peak-demo"})
+    assert (demo.s, demo.N1, demo.n, demo.p_axis) == (5, 9, 4, "z")
+
+
+def test_nyquist_violation_at_parse_keeps_exit_4(tmp_path, capsys, no_numerics):
+    code, out = run_main(tmp_path, "spectrum", {**GROVER, "t1": {"dt": 0.1, "points": 64}})
+    assert code == 4
+    assert "sampling error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# fuzzer: drawn configs keep the exit-code contract and never raise
+
+
+SMALL_VALID = {
+    "search": {"n": 2, "s": 1, "theta": -1.0, "aux_mode": "explicit-uf", "epsilons": [1.0, 0.5]},
+    "grover-scan": {"n_values": [2, 3], "s": 1, "k": 2, "m_max": 5, "epsilons": "uniform"},
+    "spectrum": {
+        "preset": "grover-excitation",
+        "n": 2,
+        "s": 1,
+        "iterations": 1,
+        "epsilons": [1.0, 0.8],
+        "p_axis": "x",
+        "detect_axis": "x",
+        "hamiltonian": {"kind": "weak-coupling", "offsets": [10.0, 20.0], "couplings": [[1, 2, 1.0]]},
+        "t1": {"dt": 1 / 64, "points": 16},
+    },
+    "compose-bench": {"method": "fractal", "dim": 3, "x": 0.2, "mode": "difference"},
+    "selftest": {},
+}
+
+# per key, values a user might mean; mixed with the hostile VALUES below
+PLAUSIBLE = {
+    "n": [1, 2, 3], "s": [0, 1, 3, 7], "theta": [-1.0, 0.0, 3.0], "epsilons": ["uniform", [1.0, 0.0], [0.5, 1.5, 1.0]],
+    "aux_mode": ["selective-cs", "explicit-uf"], "n_values": [[1], [2, 3]], "k": [1, 2, 3], "m_max": ["auto", 0, 12.0],
+    "preset": ["grover-excitation", "identity", "cross-peak-demo"], "iterations": [0, 3],
+    "p_axis": ["x", "y", "z"], "detect_axis": ["x", "y", "z"], "phi": [0.0, 1.0],
+    "hamiltonian": [{"kind": "uniform-fz", "omega": 5.0}, {"kind": "weak-coupling", "offsets": [1.0, 2.0]}],
+    "t1": [{"dt": 0.01, "points": 8}, {"dt": 0.5, "points": 32}],
+    "N1": [9, 11], "tau_u": [0.3, 2.0], "tau_v": [0.2], "dominance": [0.0, 2.0],
+    "method": ["trotter", "commutator", "sandwich", "cross-interaction", "fractal"],
+    "operators": ["random", "su2-zx", "commuting"], "dim": [1, 2, 4], "t": [0.5, 2.0], "m": [1, 3],
+    "x": [0.0, 0.05, -0.3], "level": [2, 4], "p_list": [[1.0], [0.3, 0.4, 0.3]],
+    "order_side": ["A-outer", "B-outer"], "mode": ["compose", "difference"], "seed": [0, 5],
+    "kind": ["uniform-fz", "weak-coupling"], "omega": [1.0, 100.0], "offsets": [[1.0, 2.0], [3.0]],
+    "couplings": [[[1, 2, 1.0]], []], "dt": [0.01, 0.2], "points": [4, 16],
+}
+HOSTILE = st.one_of(
+    st.sampled_from(
+        [True, False, None, math.nan, math.inf, -math.inf, "", "q", 10**400, 1e300, 2.5,
+         2 * T1_POINTS_MAX, COMPOSE_DIM_MAX + 1, GROVER_M_MAX + 1]
+    ),
+    st.integers(-2, 6),
+    st.floats(-3, 3),
+)
+VALUES = st.recursive(
+    HOSTILE,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "omega", "offsets", "dt", "points", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+NESTED = {"hamiltonian": ["kind", "omega", "offsets", "couplings"], "t1": ["dt", "points"]}
+
+
+@st.composite
+def mutated(draw, cfg: dict, keys: list[str]):
+    """cfg with up to three keys dropped, mutated in place or set anew."""
+    cfg = dict(cfg)
+    for k in draw(st.lists(st.sampled_from(keys + ["bogus"]), max_size=3, unique=True)):
+        action = draw(st.sampled_from(["plausible", "plausible", "hostile", "drop", "nest"]))
+        if action == "drop":
+            cfg.pop(k, None)
+        elif action == "nest" and isinstance(cfg.get(k), dict):
+            cfg[k] = draw(mutated(cfg[k], NESTED[k]))
+        elif action == "plausible" and k in PLAUSIBLE:
+            cfg[k] = draw(st.sampled_from(PLAUSIBLE[k]))
+        else:
+            cfg[k] = draw(VALUES)
+    return cfg
+
+
+def _fake_selftest():
+    return [InvariantResult(name="fake", residual=0.0, tolerance=1.0)]
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_VALID))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_configs_keep_the_exit_code_contract(command, data):
+    keys = sorted(f.name for f in fields(cli.SCHEMAS[command]) if f.init)
+    cfg = data.draw(mutated(SMALL_VALID[command], keys))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_selftest", _fake_selftest):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        wrote_report = (out / "report.json").exists()
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    assert wrote_report == (code == 0)

@@ -7,7 +7,6 @@ from spinsearch.linalg import SpinSystem, kron_all
 from spinsearch.oracle import (
     ConfigurationError,
     MarkedState,
-    OracleSpec,
     aux_phase_vector,
     aux_pure_state,
     conditional_aux_phase,
@@ -215,25 +214,6 @@ class TestPhaseOracle:
         from spinsearch.oracle import UF_CALLS_PER_UO
 
         assert UF_CALLS_PER_UO == 2
-
-
-class TestOracleSpec:
-    def test_selective_mode_needs_bare_work_register(self):
-        spec = OracleSpec(marked=MarkedState(s=1, n=2), theta=0.4)
-        got = spec.build(SpinSystem(n_work=2))
-        assert maxabs(got - selective_phase(spec.marked, 0.4)) == 0
-        with pytest.raises(ConfigurationError):
-            spec.build(SpinSystem(n_work=2, n_aux=2))
-
-    def test_explicit_mode_builds_full_oracle(self):
-        spec = OracleSpec(marked=MarkedState(s=1, n=2), theta=0.4, aux_mode="explicit-uf")
-        system = SpinSystem(n_work=2, n_aux=2)
-        got = spec.build(system)
-        assert maxabs(got - oracle_uo(spec.marked, system, 0.4)) == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            OracleSpec(marked=MarkedState(s=0, n=1), theta=0.1, aux_mode="psychic")
 
 
 class TestAuxPureState:

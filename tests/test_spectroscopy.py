@@ -55,6 +55,11 @@ class TestSpinHamiltonian:
         h = SpinHamiltonian.uniform_fz(3, 2.0)
         assert abs(h.max_transition_frequency - 6.0) < 1e-12
 
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 1), (1, 3), (-1, 2)])
+    def test_coupling_needs_two_distinct_spins_of_the_system(self, pair):
+        with pytest.raises(ValueError, match="distinct spins in 1..2"):
+            SpinHamiltonian.weak_coupling(2, [1.0, 2.0], {pair: 1.0})
+
 
 def dense_pipeline(rho0, cfg):
     """Reference signal: conjugate P by exp(-i H t1) and trace, point by point."""
