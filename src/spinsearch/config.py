@@ -35,6 +35,8 @@ N_MAX = 8  # work qubits; the explicit-oracle search runs on 2**(n+2) states
 T1_POINTS_MAX = 2**14  # 269 MB: run_pipeline holds a few points x 2**n phase arrays
 COMPOSE_DIM_MAX = 2**8  # 54 MB, 5 s for the slowest method
 GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
+COMPOSE_M_MAX = 2**10  # 51 MB, 52 s: commutator at dim 256 multiplies 22 m dense steps
+CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.5 s: two phase cycles of N1 steps at n = 4
 
 
 class ConfigError(ValueError):
@@ -208,6 +210,8 @@ class GroverScanConfig:
     def __post_init__(self):
         if not self.n_values:
             raise ValueError("n_values must list at least one qubit count")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"n_values must not repeat an entry, got {self.n_values}")
         plan = []
         for n in self.n_values:
             marked = MarkedState(s=self.s, n=n)
@@ -284,7 +288,7 @@ class SpectrumConfig:
     phi: float | None = key(None)
     hamiltonian: HamiltonianConfig | None = key(None)
     t1: T1Config | None = key(None)
-    N1: int | None = key(None)
+    N1: int | None = key(None, hi=CROSS_PEAK_N1_MAX)
     tau_u: float | None = key(None)
     tau_v: float | None = key(None)
     dominance: float | None = key(None)
@@ -336,7 +340,7 @@ class ComposeBenchConfig:
     operators: Literal["random", "su2-zx", "commuting"] = key("random")
     dim: int = key(4, lo=1, hi=COMPOSE_DIM_MAX)
     t: float | None = key(None)
-    m: int | None = key(None, lo=1)
+    m: int | None = key(None, lo=1, hi=COMPOSE_M_MAX)
     x: float | None = key(None)
     level: Literal[2, 4] | None = key(None)
     p_list: list[float] | None = key(None)

@@ -137,6 +137,13 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * (z + z.conj().T) / 2
 
 
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def magnetic_quantum_numbers(n: int) -> np.ndarray:
     """Diagonal of the collective z operator for n spins, indexed by basis state.
 

@@ -20,7 +20,6 @@ from .linalg import (
     magnetic_quantum_numbers,
     product_rotation,
     spin_op,
-    total_op,
 )
 from .oracle import MarkedState, diag_projector
 
@@ -148,7 +147,7 @@ def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndar
     """
     n = _n_from_dim(f_op.shape[0])
     require_order_separation(n, n1)
-    fz = total_op(SpinSystem(n_work=n), "z")
+    fz = np.diag(magnetic_quantum_numbers(n)).astype(complex)  # Fz is diagonal: M per basis state
     out = np.zeros_like(f_op, dtype=complex)
     for k in range(n1):
         phi = 2 * np.pi * k / n1

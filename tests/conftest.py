@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from spinsearch.linalg import random_hermitian  # noqa: F401  (shared by the test modules)
+from spinsearch.linalg import random_hermitian, random_unitary  # noqa: F401  (shared by the test modules)
+from spinsearch.selftest import INVARIANT_GROUPS
 
-
-def random_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+# the registry's checks by name, for tests that run one with their own cases
+CHECK = {name: check for name, check, _tolerance in INVARIANT_GROUPS}
 
 
 def maxabs(a):

@@ -10,6 +10,7 @@ import pytest
 import spinsearch
 from spinsearch import cli
 from spinsearch.cli import main
+from spinsearch.selftest import INVARIANT_GROUPS
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -261,12 +262,16 @@ class TestComposeBenchCommand:
 
 
 class TestSelftestCommand:
-    def test_fresh_build_passes(self, tmp_path):
+    def test_fresh_build_passes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPINSEARCH_TOL_SCALE", raising=False)
         code, out, report = run(tmp_path, "selftest")
         assert code == 0
-        assert report["payload"]["n_groups"] >= 12
+        names = [name for name, _check, _tolerance in INVARIANT_GROUPS]
+        assert len(names) == 17
+        assert [g["name"] for g in report["payload"]["groups"]] == names
+        rows = (out / "selftest.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == names
         assert report["payload"]["failing"] == []
-        assert (out / "selftest.csv").is_file()
 
     def test_perturbed_tolerance_fails(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINSEARCH_TOL_SCALE", "1e-16")
@@ -277,12 +282,13 @@ class TestSelftestCommand:
 
 class TestDeterminism:
     def test_identical_runs_byte_identical_csv(self, tmp_path):
-        cfg = {"n_values": [2, 3], "m_max": 5, "s": 1}
-        _, out1, _ = run(tmp_path, "grover-scan", cfg, subdir="a")
-        _, out2, _ = run(tmp_path, "grover-scan", cfg, subdir="b")
-        assert (out1 / "grover_scan.csv").read_bytes() == (
-            out2 / "grover_scan.csv"
-        ).read_bytes()
+        for command, cfg, csv in (
+            ("grover-scan", {"n_values": [2, 3], "m_max": 5, "s": 1}, "grover_scan.csv"),
+            ("selftest", None, "selftest.csv"),
+        ):
+            _, out1, _ = run(tmp_path, command, cfg, subdir=f"{command}-a")
+            _, out2, _ = run(tmp_path, command, cfg, subdir=f"{command}-b")
+            assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
     def test_spectrum_determinism(self, tmp_path):
         cfg = {

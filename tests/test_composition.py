@@ -18,7 +18,7 @@ from spinsearch.composition import (
     trotter_product,
 )
 
-from conftest import maxabs, random_hermitian
+from conftest import CHECK, maxabs, random_hermitian
 
 ONE_SPIN = SpinSystem(n_work=1)
 IX = spin_op(ONE_SPIN, 1, "x")
@@ -102,13 +102,8 @@ class TestSymmetricSandwich:
         res = symmetric_sandwich(a, zero, 0.4)
         assert maxabs(res.propagator - expm_unitary(a, -0.4)) <= 1e-12
 
-    def test_time_symmetry(self, rng):
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        for x in (0.5, 0.2):
-            fwd = symmetric_sandwich(a, b, x).propagator
-            bwd = symmetric_sandwich(a, b, -x).propagator
-            assert maxabs(fwd @ bwd - np.eye(4)) <= 1e-12
+    def test_time_symmetry(self):
+        assert CHECK["sandwich-time-symmetry"](seed=20240817) <= 1e-12
 
     def test_generator_third_order(self, rng):
         a = random_hermitian(rng, 4)

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from spinsearch import cli
 from spinsearch.config import (
     COMPOSE_DIM_MAX,
+    COMPOSE_M_MAX,
+    CROSS_PEAK_N1_MAX,
     GROVER_M_MAX,
     T1_POINTS_MAX,
     ConfigError,
@@ -119,6 +121,7 @@ BAD_CONFIGS = {
     "scan-misspelt-m_max": ("grover-scan", {"n_values": [2], "m_mx": 3}),
     "scan-nan-epsilon": ("grover-scan", {"n_values": [2], "epsilons": [1.0, math.nan]}),
     "scan-k-out-of-range": ("grover-scan", {"n_values": [2, 3], "k": 3}),
+    "scan-repeated-n": ("grover-scan", {"n_values": [3, 2, 3]}),
     "selftest-unknown-key": ("selftest", {"bogus": 1}),
 }
 
@@ -161,6 +164,8 @@ def test_seed_is_accepted(tmp_path):
 OVER_BOUND = {
     "t1-points": ("spectrum", {**GROVER, "t1": {"dt": 1 / 256, "points": 2 * T1_POINTS_MAX}}),
     "compose-dim": ("compose-bench", {"method": "trotter", "dim": COMPOSE_DIM_MAX + 1}),
+    "commutator-m": ("compose-bench", {"method": "commutator", "m": COMPOSE_M_MAX + 1}),
+    "cross-peak-N1": ("spectrum", {"preset": "cross-peak-demo", "N1": CROSS_PEAK_N1_MAX + 1}),
     "scan-m_max": ("grover-scan", {"n_values": [8], "m_max": GROVER_M_MAX + 1}),
     "spectrum-iterations": ("spectrum", {**GROVER, "iterations": GROVER_M_MAX + 1}),
     "search-n": ("search", {"n": 9, "s": 0}),
@@ -180,6 +185,9 @@ def test_size_bounds_are_inclusive():
     assert parse(cli.SCHEMAS["compose-bench"], {"method": "trotter", "dim": COMPOSE_DIM_MAX}).dim == 256
     scan = parse(cli.SCHEMAS["grover-scan"], {"n_values": [2], "m_max": GROVER_M_MAX})
     assert scan.plan[0][2] == GROVER_M_MAX
+    assert parse(cli.SCHEMAS["compose-bench"], {"method": "commutator", "m": COMPOSE_M_MAX}).m == 1024
+    assert parse(SpectrumConfig, {"preset": "cross-peak-demo", "N1": CROSS_PEAK_N1_MAX}).N1 == 4096
+    assert len(parse(cli.SCHEMAS["grover-scan"], {"n_values": list(range(1, 9))}).plan) == 8
 
 
 def test_whole_floats_read_as_integers():

@@ -47,18 +47,6 @@ class TestSpinOp:
         prod = spin_op(system, 1, "z") @ spin_op(system, 2, "z")
         assert abs(np.trace(prod)) == 0
 
-    def test_distinct_spins_commute(self):
-        for n in (2, 3, 4):
-            system = SpinSystem(n_work=n)
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if k == l:
-                        continue
-                    for a1 in "xyz":
-                        for a2 in "xyz":
-                            c = comm(spin_op(system, k, a1), spin_op(system, l, a2))
-                            assert maxabs(c) <= 1e-13
-
     def test_ladder_operators(self):
         system = SpinSystem(n_work=1)
         ip = spin_op(system, 1, "+")

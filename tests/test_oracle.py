@@ -13,7 +13,6 @@ from spinsearch.oracle import (
     diag_projector,
     oracle_uf,
     oracle_uo,
-    restrict_to_aux01,
     selective_phase,
     sign_vector,
     uf_permutation,
@@ -182,16 +181,6 @@ class TestUfPermutation:
 
 
 class TestPhaseOracle:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sector_restriction_equals_selective_phase(self, n):
-        system = SpinSystem(n_work=n, n_aux=2)
-        for s in range(2**n):
-            marked = MarkedState(s=s, n=n)
-            for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-                uo = oracle_uo(marked, system, theta)
-                block = restrict_to_aux01(uo, system)
-                assert maxabs(block - selective_phase(marked, theta)) <= 1e-12
-
     def test_zero_phase_identity(self):
         system = SpinSystem(n_work=2, n_aux=2)
         uo = oracle_uo(MarkedState(s=3, n=2), system, 0.0)

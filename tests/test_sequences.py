@@ -27,14 +27,11 @@ from spinsearch.sequences import (
     conjugate_multi_selective,
     conjugate_selective,
     conversion_coefficient,
-    extract_alpha_from_matrix,
     gamma1_first_peak,
     grover_coefficients,
-    grover_coefficients_recursion,
     grover_core,
     grover_basis,
     grover_propagator,
-    grover_propagator_factored,
     initial_state,
     measured_conversion_coefficient,
     measured_conversion_coefficients,
@@ -251,12 +248,6 @@ class TestSimpleSearch:
     def test_single_qubit(self):
         assert simple_search(MarkedState(s=0, n=1), [1.0]).recovered_s == 0
 
-    def test_exhaustive_three_qubits(self):
-        for s in range(8):
-            res = simple_search(MarkedState(s=s, n=3), np.ones(3))
-            assert res.recovered_s == s
-            assert res.oracle_uf_calls == 2
-
     def test_prefactor_carries_sin_theta(self):
         theta = -np.pi / 2
         res = simple_search(MarkedState(s=5, n=3), np.ones(3), theta)
@@ -364,14 +355,6 @@ class TestGroverPropagator:
     def test_unitary(self):
         assert unitarity_defect(grover_propagator(MarkedState(s=5, n=3), 7)) <= 1e-10
 
-    def test_frame_relation(self):
-        for n in (1, 2, 3):
-            d0 = diag_projector(MarkedState(s=0, n=n))
-            for s in range(2**n):
-                m = MarkedState(s=s, n=n)
-                w = sign_flip_frame(m)
-                assert maxabs(diag_projector(m) - w @ d0 @ w.conj().T) <= 1e-11
-
     def test_matches_dense_loop(self):
         rng = np.random.default_rng(11)
         for n in range(1, 7):
@@ -395,16 +378,6 @@ class TestGroverPropagator:
                 assert maxabs(projector_x_basis(m) - dense_projector_x_basis(m)) <= 1e-12
                 assert maxabs(sign_flip_frame(m) - dense_sign_flip_frame(m)) <= 1e-12
 
-    def test_factored_form_matches(self):
-        for n in (2, 3):
-            for s in (0, 1, 2**n - 1):
-                m = MarkedState(s=s, n=n)
-                for it in (1, 3, 6):
-                    assert (
-                        maxabs(grover_propagator(m, it) - grover_propagator_factored(m, it))
-                        <= 1e-10
-                    )
-
 
 class TestGroverCoefficients:
     def test_zero_iterations(self):
@@ -420,18 +393,6 @@ class TestGroverCoefficients:
             for m in (0, 1, 5, 13):
                 d1, d2 = grover_coefficients(m, N).identity_defects()
                 assert d1 <= 1e-10 and d2 <= 1e-10
-
-    def test_three_way_agreement(self):
-        for n in (2, 3, 4):
-            N = 2**n
-            for m in range(26):
-                closed = np.array(grover_coefficients(m, N).alpha)
-                rec = np.array(grover_coefficients_recursion(m, N).alpha)
-                assert maxabs(closed - rec) <= 1e-9
-                coeffs, recon_res = extract_alpha_from_matrix(n, m)
-                assert abs(coeffs[0] - 1) <= 1e-9
-                assert maxabs(coeffs[1:] - closed) <= 1e-9
-                assert recon_res <= 1e-9
 
     def test_closed_algebra_residual(self):
         for n in (2, 3, 4):
@@ -507,21 +468,6 @@ class TestConversionCoefficient:
             for s in range(4)
         ]
         assert max(vals) - min(vals) <= 1e-10
-
-    def test_transfer_decreases_with_qubits(self):
-        prev = None
-        for n in range(2, 8):
-            N = 2**n
-            m_max = int(4 * np.sqrt(N)) + 1
-            marked = MarkedState(s=0, n=n)
-            eps = np.ones(n)
-            best = max(
-                1 - measured_conversion_coefficient(marked, m, eps, 1)
-                for m in range(1, m_max)
-            )
-            if prev is not None:
-                assert best < prev
-            prev = best
 
     def test_gamma_maxima_bounded_and_located(self):
         for N in (16, 64, 256):

@@ -14,12 +14,11 @@ from spinsearch.spectroscopy import (
     inphase_check,
     interaction_frame,
     order_intensities,
-    resum_lines,
     run_pipeline,
     spectrum,
 )
 
-from conftest import maxabs, random_hermitian, random_unitary
+from conftest import CHECK, maxabs, random_hermitian, random_unitary
 
 
 def uniform_cfg(n, u, v, omega=2 * np.pi * 10, dt=1e-3, points=64, detect="z"):
@@ -96,19 +95,8 @@ class TestRunPipeline:
         assert abs(series[0] - np.trace(q @ p)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_line_expansion(self, n, rng):
-        system = SpinSystem(n_work=n)
-        dim = 2**n
-        u = random_unitary(rng, dim)
-        v = random_unitary(rng, dim)
-        cfg = uniform_cfg(n, u, v, points=128)
-        rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "y")
-        series = run_pipeline(rho0, cfg)
-        p = u @ rho0.rho @ u.conj().T
-        q = v.conj().T @ total_op(system, "z") @ v
-        om, amps = eigen_expand(p, q, cfg.h_evol)
-        times = np.arange(cfg.n_points) * cfg.dt
-        assert maxabs(series - resum_lines(om, amps, times)) <= 1e-9
+    def test_matches_line_expansion(self, n):
+        assert CHECK["pipeline-vs-line-expansion"](n_values=(n,), count=4, seed=20240817) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("detect", ["x", "y", "z"])
