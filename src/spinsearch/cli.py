@@ -303,7 +303,8 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
         "payload": {
             "method": method,
             "error_norm": res.error_norm,
-            "fitted_order": res.fitted_order,
+            # an exact composition fits order inf, which strict JSON cannot hold
+            "fitted_order": res.fitted_order if np.isfinite(res.fitted_order) else None,
             "steps": list(res.steps),
             "step_errors": list(res.step_errors),
         },

@@ -6,10 +6,18 @@ and all composed propagators are exactly unitary.  Generators are compared
 in the form U = exp(i G) with G Hermitian, extracted with the principal
 matrix logarithm.
 
-Error metric: the largest singular value of (composed - target).  Error
-orders are never asserted inside this module; each builder also evaluates
-the composition at a geometric ladder of step sizes and reports the fitted
-log-log slope, which the callers and the test suite judge.
+Error metric: the largest singular value of (composed - target), taken on
+the propagator or on its generator.  Error orders are never asserted
+inside this module; each builder evaluates the composition at a geometric
+ladder of step sizes and reports the fitted log-log slope, which the
+callers and the test suite judge.
+
+Every builder returns through one ladder driver, `_ladder`: it builds and
+scores each rung once, and rung 0 (the step size the caller asked for) is
+the reported propagator.  Step powers are taken by repeated squaring
+(np.linalg.matrix_power, about 2 log2(reps) products), which is still a
+brute-force product of the dense step matrix, never the closed form it is
+checked against.
 """
 
 from __future__ import annotations
@@ -23,10 +31,16 @@ from .linalg import comm, expm_unitary, matrix_log_skew
 
 @dataclass
 class CompositionResult:
-    """A composed propagator with its accuracy diagnostics."""
+    """A composed propagator with its accuracy diagnostics.
+
+    generator_estimate is the logarithm of the propagator where the error
+    metric takes it anyway (symmetric_sandwich, cross_interaction and
+    fractal_compose in "difference" mode), and None for the builders that
+    compare propagators (trotter_product, commutator_product, fractal
+    "compose" mode).
+    """
 
     propagator: np.ndarray
-    target_generator: np.ndarray | None
     generator_estimate: np.ndarray | None
     error_norm: float
     fitted_order: float
@@ -53,6 +67,42 @@ def _fit_order(steps, errors) -> float:
     return float(np.polyfit(np.log(steps[keep]), np.log(errors[keep]), 1)[0])
 
 
+def _propagator_error(target):
+    """Error metric |u - target(rung)|; no generator is taken."""
+    return lambda u, rung: (_specnorm(u - target(rung)), None)
+
+
+def _generator_error(target):
+    """Error metric |log u - target(rung)|, returned with log u."""
+
+    def error(u, rung):
+        g = matrix_log_skew(u)
+        return _specnorm(g - target(rung)), g
+
+    return error
+
+
+def _ladder(build, error, ladder, steps, oracle_calls: int) -> CompositionResult:
+    """Build and score every rung once: build(rung) is the composed
+    propagator, error(u, rung) its (error, generator or None), and steps the
+    step size of each rung for the order fit.  Rung 0 is reported."""
+    runs = []
+    for rung in ladder:
+        u = build(rung)
+        runs.append((u, *error(u, rung)))
+    errors = [err for _, err, _ in runs]
+    propagator, _, generator = runs[0]
+    return CompositionResult(
+        propagator=propagator,
+        generator_estimate=generator,
+        error_norm=errors[0],
+        fitted_order=_fit_order(steps, errors),
+        steps=tuple(steps),
+        step_errors=tuple(errors),
+        oracle_calls=oracle_calls,
+    )
+
+
 def trotter_product(h_list, t: float, m: int) -> CompositionResult:
     """(prod_k exp(-i H_k t/m))^m against exp(-i sum_k H_k t).
 
@@ -69,28 +119,10 @@ def trotter_product(h_list, t: float, m: int) -> CompositionResult:
         step = np.eye(h_tot.shape[0], dtype=complex)
         for h in h_list:
             step = step @ expm_unitary(h, t / slices)
-        u = np.eye(h_tot.shape[0], dtype=complex)
-        for _ in range(slices):
-            u = step @ u
-        return u
+        return np.linalg.matrix_power(step, slices)
 
     ladder = [m, 2 * m, 4 * m]
-    errors = [_specnorm(build(s) - target) for s in ladder]
-    u = build(m)
-    try:
-        gen = matrix_log_skew(u)
-    except ValueError:
-        gen = None
-    return CompositionResult(
-        propagator=u,
-        target_generator=-t * h_tot,
-        generator_estimate=gen,
-        error_norm=errors[0],
-        fitted_order=_fit_order([1 / s for s in ladder], errors),
-        steps=tuple(1 / s for s in ladder),
-        step_errors=tuple(errors),
-        oracle_calls=m,
-    )
+    return _ladder(build, _propagator_error(lambda _: target), ladder, [1 / s for s in ladder], m)
 
 
 def commutator_product(a: np.ndarray, b: np.ndarray, m: int) -> CompositionResult:
@@ -109,24 +141,11 @@ def commutator_product(a: np.ndarray, b: np.ndarray, m: int) -> CompositionResul
     def build(reps: int) -> np.ndarray:
         r = 1 / np.sqrt(reps)
         step = _expi(a, r) @ _expi(b, r) @ _expi(a, -r) @ _expi(b, -r)
-        u = np.eye(a.shape[0], dtype=complex)
-        for _ in range(reps):
-            u = step @ u
-        return u
+        return np.linalg.matrix_power(step, reps)
 
     ladder = [m, 4 * m, 16 * m]
-    errors = [_specnorm(build(s) - target) for s in ladder]
-    u = build(m)
-    return CompositionResult(
-        propagator=u,
-        target_generator=x_herm,
-        generator_estimate=None,
-        error_norm=errors[0],
-        fitted_order=_fit_order([1 / np.sqrt(s) for s in ladder], errors),
-        steps=tuple(1 / np.sqrt(s) for s in ladder),
-        step_errors=tuple(errors),
-        oracle_calls=2 * m,
-    )
+    steps = [1 / np.sqrt(s) for s in ladder]
+    return _ladder(build, _propagator_error(lambda _: target), ladder, steps, 2 * m)
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
@@ -145,24 +164,13 @@ def symmetric_sandwich(
     S(x) S(-x) = E.
     """
     outer, inner = _resolve_sides(a, b, order_side)
-
-    def gen_dev(xv: float) -> float:
-        g = matrix_log_skew(_sandwich(outer, inner, xv))
-        return _specnorm(g - xv * (outer + inner))
-
     ladder = [x, x / 2, x / 4]
-    errors = [gen_dev(xv) for xv in ladder]
-    u = _sandwich(outer, inner, x)
-    gen = matrix_log_skew(u)
-    return CompositionResult(
-        propagator=u,
-        target_generator=x * (outer + inner),
-        generator_estimate=gen,
-        error_norm=errors[0],
-        fitted_order=_fit_order(ladder, errors),
-        steps=tuple(ladder),
-        step_errors=tuple(errors),
-        oracle_calls=1,
+    return _ladder(
+        lambda xv: _sandwich(outer, inner, xv),
+        _generator_error(lambda xv: xv * (outer + inner)),
+        ladder,
+        ladder,
+        1,
     )
 
 
@@ -174,10 +182,11 @@ def _resolve_sides(a, b, order_side):
     raise ValueError(f"order_side must be 'A-outer' or 'B-outer', got {order_side!r}")
 
 
-def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
-    """Principal square root exp(i G/2) of a unitary away from the branch cut."""
-    g = matrix_log_skew(u)
-    return _expi(g / 2, 1.0)
+def _symmetric_product(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sqrt(k) m sqrt(k), with sqrt(k) = exp(i G/2) the principal root of
+    the unitary k = exp(i G), k away from the branch cut."""
+    half = _expi(matrix_log_skew(k) / 2, 1.0)
+    return half @ m @ half
 
 
 def cross_interaction_target(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
@@ -188,17 +197,11 @@ def cross_interaction_target(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarr
 
 
 def _cross2_propagator(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
-    s_a = _sandwich(a, b, x)
-    s_b = _sandwich(b, a, x)
-    half = _unitary_sqrt(s_a)
-    return half @ np.linalg.inv(s_b) @ half
+    return _symmetric_product(_sandwich(a, b, x), np.linalg.inv(_sandwich(b, a, x)))
 
 
 def _cross4_propagator(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
-    u_a3 = _cross2_propagator(a, b, x)
-    u_b3 = _cross2_propagator(b, a, x)
-    half = _unitary_sqrt(u_a3)
-    return half @ u_b3 @ half
+    return _symmetric_product(_cross2_propagator(a, b, x), _cross2_propagator(b, a, x))
 
 
 def cross_interaction(
@@ -217,35 +220,18 @@ def cross_interaction(
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if level == 2:
-        build = _cross2_propagator
-        target_gen = cross_interaction_target(a, b, x)
-        calls = 4
+        propagator, target, calls = _cross2_propagator, cross_interaction_target, 4
     elif level == 4:
-        build = _cross4_propagator
-        target_gen = None
-        calls = 13
+        propagator, target, calls = _cross4_propagator, lambda a, b, xv: 0, 13
     else:
         raise ValueError(f"level must be 2 or 4, got {level}")
-
-    def gen_dev(xv: float) -> float:
-        g = matrix_log_skew(build(a, b, xv))
-        if level == 2:
-            g = g - cross_interaction_target(a, b, xv)
-        return _specnorm(g)
-
     ladder = [x, x / 2, x / 4]
-    errors = [gen_dev(xv) for xv in ladder]
-    u = build(a, b, x)
-    gen = matrix_log_skew(u)
-    return CompositionResult(
-        propagator=u,
-        target_generator=target_gen,
-        generator_estimate=gen,
-        error_norm=errors[0],
-        fitted_order=_fit_order(ladder, errors),
-        steps=tuple(ladder),
-        step_errors=tuple(errors),
-        oracle_calls=calls,
+    return _ladder(
+        lambda xv: propagator(a, b, xv),
+        _generator_error(lambda xv: target(a, b, xv)),
+        ladder,
+        ladder,
+        calls,
     )
 
 
@@ -292,40 +278,17 @@ def fractal_compose(
         def build(xv):
             return build_one_side(outer, inner, xv)
 
-        def err(xv):
-            return _specnorm(build(xv) - _expi(outer + inner, xv))
-
-        target_gen = x * (outer + inner)
+        error = _propagator_error(lambda xv: _expi(outer + inner, xv))
         calls = len(p_list)
     elif mode == "difference":
         def build(xv):
             f_a = build_one_side(a, b, xv)
-            f_b = build_one_side(b, a, xv)
-            half = _unitary_sqrt(f_b)
-            return half @ np.linalg.inv(f_a) @ half
+            return _symmetric_product(build_one_side(b, a, xv), np.linalg.inv(f_a))
 
-        def err(xv):
-            return _specnorm(matrix_log_skew(build(xv)))
-
-        target_gen = None
+        error = _generator_error(lambda _: 0)
         calls = 3 * len(p_list)
     else:
         raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")
 
     ladder = [x, x / 2, x / 4]
-    errors = [err(xv) for xv in ladder]
-    u = build(x)
-    try:
-        gen = matrix_log_skew(u)
-    except ValueError:
-        gen = None
-    return CompositionResult(
-        propagator=u,
-        target_generator=target_gen,
-        generator_estimate=gen,
-        error_norm=errors[0],
-        fitted_order=_fit_order(ladder, errors),
-        steps=tuple(ladder),
-        step_errors=tuple(errors),
-        oracle_calls=calls,
-    )
+    return _ladder(build, error, ladder, ladder, calls)

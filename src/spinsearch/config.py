@@ -11,8 +11,9 @@ run before any numerics; a ValueError or TypeError they raise becomes a
 ConfigError.
 
 Keys declared with a None default belong to variants (a spectrum preset,
-a composition method, a Hamiltonian kind): each variant lists the keys it
-uses with their defaults, and a key it does not use must not be given.
+a composition method or operator pair, a Hamiltonian kind): each variant
+lists the keys it uses with their defaults, and a key it does not use must
+not be given.
 """
 
 import math
@@ -33,9 +34,9 @@ from .spectroscopy import NyquistError, PipelineConfig, SpinHamiltonian
 # the largest accepted config at n = 8 (2 CPUs, numpy 2.4, OpenBLAS 0.3.31).
 N_MAX = 8  # work qubits; the explicit-oracle search runs on 2**(n+2) states
 T1_POINTS_MAX = 2**14  # 269 MB: run_pipeline holds a few points x 2**n phase arrays
-COMPOSE_DIM_MAX = 2**8  # 54 MB, 5 s for the slowest method
+COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest method
 GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
-COMPOSE_M_MAX = 2**10  # 51 MB, 52 s: commutator at dim 256 multiplies 22 m dense steps
+COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
 CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.5 s: two phase cycles of N1 steps at n = 4
 
 
@@ -338,7 +339,7 @@ COMPOSE_METHODS = {
 class ComposeBenchConfig:
     method: Literal["trotter", "commutator", "sandwich", "cross-interaction", "fractal"] = key()
     operators: Literal["random", "su2-zx", "commuting"] = key("random")
-    dim: int = key(4, lo=1, hi=COMPOSE_DIM_MAX)
+    dim: int | None = key(None, lo=1, hi=COMPOSE_DIM_MAX)
     t: float | None = key(None)
     m: int | None = key(None, lo=1, hi=COMPOSE_M_MAX)
     x: float | None = key(None)
@@ -349,7 +350,9 @@ class ComposeBenchConfig:
     seed: int = key(7, lo=0)
 
     def __post_init__(self):
-        _variant(self, f"method {self.method!r}", COMPOSE_METHODS[self.method])
+        if self.operators == "su2-zx" and self.dim is not None:
+            raise ValueError("key 'dim' does not apply to operators 'su2-zx' (a fixed 2x2 pair)")
+        _variant(self, f"method {self.method!r}", {**COMPOSE_METHODS[self.method], "dim": 4})
         if self.p_list is not None:
             palindromic_weights(self.p_list)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,15 @@ from spinsearch.selftest import INVARIANT_GROUPS
 
 # the registry's checks by name, for tests that run one with their own cases
 CHECK = {name: check for name, check, _tolerance in INVARIANT_GROUPS}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and +-Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def maxabs(a):

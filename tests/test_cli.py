@@ -12,6 +12,8 @@ from spinsearch import cli
 from spinsearch.cli import main
 from spinsearch.selftest import INVARIANT_GROUPS
 
+from conftest import strict_json
+
 OMEGA_10HZ = 2 * np.pi * 10
 
 
@@ -25,7 +27,7 @@ def run(tmp_path, command, cfg=None, subdir="out"):
     code = main(args)
     report = None
     if (out / "report.json").is_file():
-        report = json.loads((out / "report.json").read_text())
+        report = strict_json((out / "report.json").read_text())
     return code, out, report
 
 
@@ -227,6 +229,8 @@ class TestComposeBenchCommand:
         assert report["payload"]["error_norm"] <= 1e-12
         lines = (out / "compose_bench.csv").read_text().splitlines()
         assert lines[0] == "method,x_or_m,error_norm,fitted_order,oracle_calls"
+        assert report["payload"]["fitted_order"] is None  # inf has no JSON token
+        assert lines[1].split(",")[3] == "inf"
 
     def test_sandwich_order_three(self, tmp_path):
         cfg = {"method": "sandwich", "operators": "random", "x": 0.2, "seed": 3}

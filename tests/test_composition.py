@@ -9,6 +9,7 @@ from spinsearch.linalg import (
     spin_op,
     unitarity_defect,
 )
+from spinsearch import composition
 from spinsearch.composition import (
     commutator_product,
     cross_interaction,
@@ -93,6 +94,80 @@ class TestCommutatorProduct:
         a, b = np.pi * IX, np.pi * IY
         res = commutator_product(a, b, 100)
         assert res.fitted_order >= 0.8  # order in 1/sqrt(m)
+
+
+def sequential_power(step, reps):
+    """step^reps by reps plain products: the reference for repeated squaring."""
+    u = np.eye(step.shape[0], dtype=complex)
+    for _ in range(reps):
+        u = step @ u
+    return u
+
+
+def sequential_trotter(h_list, t, slices):
+    step = np.eye(h_list[0].shape[0], dtype=complex)
+    for h in h_list:
+        step = step @ expm_unitary(h, t / slices)
+    return sequential_power(step, slices)
+
+
+def sequential_commutator(a, b, reps):
+    r = 1 / np.sqrt(reps)
+    step = (
+        expm_unitary(a, -r) @ expm_unitary(b, -r) @ expm_unitary(a, r) @ expm_unitary(b, r)
+    )
+    return sequential_power(step, reps)
+
+
+@pytest.mark.parametrize("m", [1, 3, 16, 100])
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_ladders_match_the_sequential_product(dim, m):
+    rng = np.random.default_rng(1000 * dim + m)
+    a = random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
+    w, v = np.linalg.eigh(1j * comm(a, b))
+    cases = [
+        (trotter_product([a, b], 0.8, m), [m, 2 * m, 4 * m],
+         lambda s: sequential_trotter([a, b], 0.8, s), expm_unitary(a + b, 0.8)),
+        (commutator_product(a, b, m), [m, 4 * m, 16 * m],
+         lambda s: sequential_commutator(a, b, s), (v * np.exp(1j * w)) @ v.conj().T),
+    ]
+    for res, ladder, reference, target in cases:
+        refs = [reference(s) for s in ladder]
+        assert maxabs(res.propagator - refs[0]) <= 1e-12
+        for err, ref in zip(res.step_errors, refs):
+            assert abs(err - np.linalg.norm(ref - target, 2)) <= 1e-12
+
+
+P1 = 1 / (2 - 2 ** (1 / 3))
+# (expm_unitary calls, matrix_log_skew calls) with 4x4 operators: every
+# rung is built and scored once, and rung 0 is not rebuilt
+BUILDER_CALLS = {
+    "trotter": (lambda a, b: trotter_product([a, b], 1.0, 16), 7, 0),
+    "commutator": (lambda a, b: commutator_product(a, b, 16), 12, 0),
+    "sandwich": (lambda a, b: symmetric_sandwich(a, b, 0.2), 6, 3),
+    "cross-level-2": (lambda a, b: cross_interaction(a, b, 0.1, level=2), 15, 6),
+    "cross-level-4": (lambda a, b: cross_interaction(a, b, 0.1, level=4), 33, 12),
+    "fractal-compose": (lambda a, b: fractal_compose(a, b, 0.2, [1.0]), 9, 0),
+    "fractal-difference": (lambda a, b: fractal_compose(a, b, 0.2, [1.0], mode="difference"), 15, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_CALLS))
+def test_each_rung_is_built_once(monkeypatch, rng, name):
+    builder, expm_calls, log_calls = BUILDER_CALLS[name]
+    counts = {"expm_unitary": 0, "matrix_log_skew": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (expm_unitary, composition.matrix_log_skew):
+        monkeypatch.setattr(composition, fn.__name__, counted(fn))
+    builder(0.5 * random_hermitian(rng, 4), 0.5 * random_hermitian(rng, 4))
+    assert (counts["expm_unitary"], counts["matrix_log_skew"]) == (expm_calls, log_calls)
 
 
 class TestSymmetricSandwich:

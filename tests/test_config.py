@@ -34,6 +34,8 @@ from spinsearch.config import (
 )
 from spinsearch.selftest import InvariantResult
 
+from conftest import strict_json
+
 NUMERICS = (
     "simple_search",
     "measured_conversion_coefficients",
@@ -113,6 +115,7 @@ BAD_CONFIGS = {
     "trotter-with-level": ("compose-bench", {"method": "trotter", "level": 2}),
     "fractal-weights-not-summing-to-one": ("compose-bench", {"method": "fractal", "p_list": [0.5, 0.4]}),
     "compose-negative-seed": ("compose-bench", {"method": "sandwich", "seed": -1}),
+    "su2-zx-with-dim": ("compose-bench", {"method": "commutator", "operators": "su2-zx", "dim": 7}),
     "search-string-epsilons": ("search", {"n": 2, "s": 1, "epsilons": ["a", "b"]}),
     "search-boolean-n": ("search", {"n": True, "s": 0}),
     "search-boolean-theta": ("search", {"n": 3, "s": 5, "theta": True}),
@@ -303,6 +306,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(command, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([command, "--config", str(path), "--out", str(out)])
         wrote_report = (out / "report.json").exists()
+        if wrote_report:
+            strict_json((out / "report.json").read_text())
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
     assert wrote_report == (code == 0)
