@@ -70,9 +70,17 @@ class SpinSystem:
 
 
 def kron_all(factors) -> np.ndarray:
+    """Kronecker product of 2-D factors, first factor most significant.
+
+    A left fold of broadcast outer products: each step multiplies every
+    entry of the running product with every entry of the next factor, as
+    np.kron does, but without np.kron's per-call dispatch.
+    """
     out = np.eye(1, dtype=complex)
     for f in factors:
-        out = np.kron(out, f)
+        f = np.asarray(f)
+        (r, c), (p, q) = out.shape, f.shape
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * p, c * q)
     return out
 
 
@@ -149,7 +157,8 @@ def magnetic_quantum_numbers(n: int) -> np.ndarray:
 
     Basis index x has M = (n - 2 popcount(x)) / 2.
     """
-    return np.array([(n - 2 * bin(x).count("1")) / 2 for x in range(2**n)])
+    popcount = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    return (n - 2 * popcount) / 2
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import (
     SpinSystem,
-    expm_unitary,
     kron_all,
     magnetic_quantum_numbers,
     product_rotation,
@@ -147,11 +146,11 @@ def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndar
     """
     n = _n_from_dim(f_op.shape[0])
     require_order_separation(n, n1)
-    fz = np.diag(magnetic_quantum_numbers(n)).astype(complex)  # Fz is diagonal: M per basis state
+    mz = magnetic_quantum_numbers(n)  # Fz is diagonal: M per basis state
     out = np.zeros_like(f_op, dtype=complex)
     for k in range(n1):
         phi = 2 * np.pi * k / n1
-        r = expm_unitary(fz, phi)
+        r = np.diag(np.exp(-1j * mz * phi))  # exp(-i phi Fz)
         out += np.exp(1j * phi * target_order) * (r @ f_op @ r.conj().T)
     return out / n1
 

@@ -4,7 +4,9 @@ The marked basis index s is carried equivalently by a sign vector
 {a_k = +-1}: a_k = +1 when bit k of s (qubit 1 = most significant) is 0.
 The diagonal projector onto |s><s| factorizes as the product of single-spin
 projectors (E/2 + a_k I_kz), which is what makes product-operator analysis
-of the oracle possible.
+of the oracle possible.  diag_projector builds |s><s| as its one nonzero
+entry; the selftest group projector-product-form checks it against the
+product form for every s at n <= 4.
 
 Two oracle realizations are provided and are interchangeable on the
 auxiliary |0>|1> sector:
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpinSystem, kron_all, spin_op
+from .linalg import SpinSystem, spin_op
 
 UF_CALLS_PER_UO = 2
 
@@ -72,10 +74,16 @@ def sign_vector(s: int, n: int) -> np.ndarray:
 
 
 def diag_projector(marked: MarkedState) -> np.ndarray:
-    """Rank-1 projector |s><s| built from the single-spin product form."""
-    half = 0.5 * np.eye(2, dtype=complex)
-    iz = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
-    return kron_all(half + a * iz for a in marked.signs)
+    """Rank-1 projector |s><s|: a single 1 at (s, s).
+
+    Equal entry for entry to the single-spin product form
+    prod_k (E/2 + a_k I_kz), which the selftest group
+    projector-product-form checks.
+    """
+    dim = 2**marked.n
+    d = np.zeros((dim, dim), dtype=complex)
+    d[marked.s, marked.s] = 1.0
+    return d
 
 
 def selective_phase(marked: MarkedState, theta: float) -> np.ndarray:

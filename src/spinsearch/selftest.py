@@ -23,9 +23,11 @@ import numpy as np
 
 from . import composition, mqalgebra, oracle, sequences, spectroscopy
 from .linalg import (
+    PAULI_HALF,
     SpinSystem,
     comm,
     expm_unitary,
+    kron_all,
     magnetic_quantum_numbers,
     random_hermitian,
     random_unitary,
@@ -241,11 +243,11 @@ def _check_grover_three_way(*, n_values=(2, 3, 4), count=26) -> float:
     worst = 0.0
     for n in n_values:
         N = 2**n
-        for m in range(count):
+        fits = sequences.extract_alpha_from_matrix(n, count - 1)
+        for m, (coeffs, recon_res) in enumerate(fits):
             closed = np.array(sequences.grover_coefficients(m, N).alpha)
             rec = np.array(sequences.grover_coefficients_recursion(m, N).alpha)
             worst = max(worst, float(np.abs(closed - rec).max()))
-            coeffs, recon_res = sequences.extract_alpha_from_matrix(n, m)
             worst = max(worst, float(abs(coeffs[0] - 1.0)))
             worst = max(worst, float(np.abs(coeffs[1:] - closed).max()))
             worst = max(worst, recon_res)
@@ -318,6 +320,19 @@ def _check_sandwich_time_symmetry(*, seed=97) -> float:
     return worst
 
 
+def _check_projector_product_form(*, n_values=(1, 2, 3, 4)) -> float:
+    """|s><s| for every s against the product of single-spin projectors
+    E/2 + a_k I_kz over the sign vector of s."""
+    half = 0.5 * np.eye(2, dtype=complex)
+    worst = 0.0
+    for n in n_values:
+        for s in range(2**n):
+            marked = MarkedState(s=s, n=n)
+            product = kron_all(half + a * PAULI_HALF["z"] for a in marked.signs)
+            worst = max(worst, float(np.abs(product - oracle.diag_projector(marked)).max()))
+    return worst
+
+
 INVARIANT_GROUPS = (
     ("spin-commutators", _check_spin_commutators, 1e-13),
     ("expm-unitarity-and-group-law", _check_expm_unitary, 1e-10),
@@ -336,6 +351,7 @@ INVARIANT_GROUPS = (
     ("pipeline-vs-line-expansion", _check_pipeline_vs_lines, 1e-9),
     ("composition-unitarity", _check_composition_unitarity, 1e-10),
     ("sandwich-time-symmetry", _check_sandwich_time_symmetry, 1e-12),
+    ("projector-product-form", _check_projector_product_form, 1e-13),
 )
 
 

@@ -404,33 +404,47 @@ def grover_basis(n: int) -> list[np.ndarray]:
     return [np.eye(2**n, dtype=complex), d0, d0x, d0 @ d0x, d0x @ d0]
 
 
-def grover_core(n: int, m: int) -> np.ndarray:
-    """The marked-independent core iteration [exp(-i pi D0x) exp(-i pi D0)]^m."""
-    dim = 2**n
-    d0 = diag_projector(MarkedState(s=0, n=n))
-    d0x = projector_x_basis(MarkedState(s=0, n=n))
+def _core_trajectory(basis: list[np.ndarray], m_max: int):
+    """Yield G(0), G(1), ..., G(m_max) of the core iteration, each as the
+    dense product step @ G(m - 1); basis is grover_basis(n)."""
+    _, d0, d0x = basis[:3]
+    dim = d0.shape[0]
     step = (np.eye(dim) - 2 * d0x) @ (np.eye(dim) - 2 * d0)
     g = np.eye(dim, dtype=complex)
-    for _ in range(m):
+    yield g
+    for _ in range(m_max):
         g = step @ g
+        yield g
+
+
+def grover_core(n: int, m: int) -> np.ndarray:
+    """The marked-independent core iteration [exp(-i pi D0x) exp(-i pi D0)]^m."""
+    for g in _core_trajectory(grover_basis(n), m):
+        pass
     return g
 
 
-def extract_alpha_from_matrix(n: int, m: int) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of the core G(m) over the five-operator basis.
+def extract_alpha_from_matrix(n: int, m_max: int) -> list[tuple[np.ndarray, float]]:
+    """Least-squares coefficients of the core G(m) over the five-operator
+    basis, for m = 0..m_max.
 
     The basis is not orthogonal under the trace inner product, so the
-    normal equations go through the Gram matrix.  Returns the five
-    coefficients (leading one should be 1) and the max-entry residual of
-    the reconstruction.
+    normal equations go through its Gram matrix, built once.  G(m) comes
+    from the dense iteration, never from the closed form.  Entry m holds
+    the five coefficients (the leading one should be 1) and the max-entry
+    residual of the reconstruction.
     """
     basis = grover_basis(n)
-    g = grover_core(n, m)
-    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
-    rhs = np.array([np.trace(b.conj().T @ g) for b in basis])
-    coeffs = np.linalg.solve(gram, rhs)
-    recon = sum(c * b for c, b in zip(coeffs, basis))
-    return coeffs, float(np.abs(g - recon).max())
+    stack = np.array(basis)
+    bra = stack.conj()
+    gram = np.einsum("aij,bij->ab", bra, stack)
+    fits = []
+    for g in _core_trajectory(basis, m_max):
+        rhs = np.einsum("aij,ij->a", bra, g)
+        coeffs = np.linalg.solve(gram, rhs)
+        recon = sum(c * b for c, b in zip(coeffs, basis))
+        fits.append((coeffs, float(np.abs(g - recon).max())))
+    return fits
 
 
 def gamma_coefficients(alpha, N: int) -> tuple[complex, ...]:

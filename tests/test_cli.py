@@ -271,7 +271,7 @@ class TestSelftestCommand:
         code, out, report = run(tmp_path, "selftest")
         assert code == 0
         names = [name for name, _check, _tolerance in INVARIANT_GROUPS]
-        assert len(names) == 17
+        assert len(names) == 18
         assert [g["name"] for g in report["payload"]["groups"]] == names
         rows = (out / "selftest.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == names

@@ -9,6 +9,7 @@ from spinsearch.linalg import (
     comm,
     conjugate_leading,
     expm_unitary,
+    kron_all,
     magnetic_quantum_numbers,
     matrix_log_skew,
     product_rotation,
@@ -85,6 +86,53 @@ class TestTotalOp:
             fz = total_op(SpinSystem(n_work=n), "z")
             assert maxabs(np.diag(fz).real - magnetic_quantum_numbers(n)) == 0
             assert maxabs(fz - np.diag(np.diag(fz))) == 0
+
+    def test_popcount_matches_bit_string_count(self):
+        for n in range(9):
+            ref = np.array([(n - 2 * bin(x).count("1")) / 2 for x in range(2**n)])
+            got = magnetic_quantum_numbers(n)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def kron_fold(factors):
+    """Reference: kron_all as a left fold of np.kron."""
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+class TestKronAll:
+    SHAPES = [(2, 2), (1, 2), (2, 1), (3, 3), (4, 4)]
+
+    @staticmethod
+    def draw(rng, shape, complex_entries):
+        f = rng.normal(size=shape)
+        return f + 1j * rng.normal(size=shape) if complex_entries else f
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_bit_identical_to_kron_fold(self, rng, complex_entries):
+        for shape in self.SHAPES:
+            factors = [self.draw(rng, shape, complex_entries)]
+            assert np.array_equal(kron_all(factors), kron_fold(factors))
+        for _ in range(20):
+            count = int(rng.integers(1, 5))
+            picks = rng.choice(len(self.SHAPES), size=count)
+            factors = [self.draw(rng, self.SHAPES[i], complex_entries) for i in picks]
+            got, ref = kron_all(factors), kron_fold(factors)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_mixed_real_and_complex_factors(self, rng):
+        factors = [self.draw(rng, s, k % 2 == 1) for k, s in enumerate(self.SHAPES)]
+        assert np.array_equal(kron_all(factors), kron_fold(factors))
+
+    def test_generator_argument(self, rng):
+        factors = [self.draw(rng, (2, 2), True) for _ in range(4)]
+        assert np.array_equal(kron_all(f for f in factors), kron_fold(factors))
+
+    def test_empty_is_one_by_one_identity(self):
+        got = kron_all([])
+        assert got.dtype == complex and np.array_equal(got, kron_fold([]))
 
 
 class TestExpmUnitary:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsearch.linalg import SpinSystem, comm, spin_op, total_op
+from spinsearch.linalg import SpinSystem, comm, expm_unitary, spin_op, total_op
 from spinsearch.mqalgebra import (
     AliasingError,
     decompose_orders,
@@ -123,7 +123,31 @@ class TestLomsoTransform:
             assert maxabs(diag_projector(marked) - total / 8) <= 1e-12
 
 
+def expm_phase_cycle_project(f_op, n1, target_order):
+    """Reference: each phase step as expm_unitary of the dense diagonal Fz."""
+    n = int(np.log2(f_op.shape[0]))
+    fz = total_op(SpinSystem(n_work=n), "z")
+    out = np.zeros_like(f_op, dtype=complex)
+    for k in range(n1):
+        phi = 2 * np.pi * k / n1
+        r = expm_unitary(fz, phi)
+        out += np.exp(1j * phi * target_order) * (r @ f_op @ r.conj().T)
+    return out / n1
+
+
 class TestPhaseCycling:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bit_identical_to_expm_steps(self, n):
+        rng = np.random.default_rng(4000 + n)
+        for _ in range(6):
+            f = random_hermitian(rng, 2**n)
+            if rng.integers(2):
+                f = f + 1j * random_hermitian(rng, 2**n)  # not Hermitian
+            n1 = int(rng.integers(2 * n + 1, 2 * n + 6))
+            target = int(rng.integers(-n, n + 1))
+            got = phase_cycle_project(f, n1, target)
+            assert np.array_equal(got, expm_phase_cycle_project(f, n1, target))
+
     def test_zero_quantum_fixed_point(self):
         op = flip_flop()
         assert maxabs(phase_cycle_project(op, 5, 0) - op) <= 1e-12

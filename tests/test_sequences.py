@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsearch import linalg, oracle, sequences
+from spinsearch import linalg, oracle, selftest, sequences
 from spinsearch.linalg import (
     SpinSystem,
     expm_unitary,
@@ -27,6 +27,7 @@ from spinsearch.sequences import (
     conjugate_multi_selective,
     conjugate_selective,
     conversion_coefficient,
+    extract_alpha_from_matrix,
     gamma1_first_peak,
     grover_coefficients,
     grover_core,
@@ -402,6 +403,50 @@ class TestGroverCoefficients:
                 alpha = grover_coefficients(m, N).alpha
                 recon = basis[0] + sum(a * b for a, b in zip(alpha, basis[1:]))
                 assert maxabs(grover_core(n, m) - recon) <= 1e-9
+
+
+def per_m_extraction(n, m):
+    """Reference: the least-squares fit of G(m) built afresh for one m."""
+    basis = grover_basis(n)
+    g = grover_core(n, m)
+    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
+    rhs = np.array([np.trace(b.conj().T @ g) for b in basis])
+    coeffs = np.linalg.solve(gram, rhs)
+    recon = sum(c * b for c, b in zip(coeffs, basis))
+    return coeffs, float(np.abs(g - recon).max())
+
+
+class TestExtractAlpha:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_m_fit(self, n):
+        fits = extract_alpha_from_matrix(n, 25)
+        assert len(fits) == 26
+        for m, (coeffs, residual) in enumerate(fits):
+            ref_coeffs, ref_residual = per_m_extraction(n, m)
+            assert maxabs(coeffs - ref_coeffs) <= 1e-12
+            assert abs(residual - ref_residual) <= 1e-12
+
+    def test_fit_never_reads_the_closed_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the matrix fit reached a closed-form coefficient")
+
+        for name in ("grover_coefficients", "grover_coefficients_recursion", "gamma_coefficients"):
+            monkeypatch.setattr(sequences, name, forbidden)
+        fits = extract_alpha_from_matrix(4, 25)
+        assert len(fits) == 26
+        assert max(abs(coeffs[0] - 1) for coeffs, _ in fits) <= 1e-12
+
+    def test_three_way_check_builds_the_basis_once_per_n(self, monkeypatch):
+        calls = []
+        original = sequences.grover_basis
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(sequences, "grover_basis", counting)
+        selftest._check_grover_three_way()
+        assert calls == [2, 3, 4]
 
 
 class TestConversionCoefficient:
