@@ -24,7 +24,7 @@ THETA = -np.pi / 2
 
 def readout_with_extras(extra_indices):
     system = SpinSystem(n_work=N_QUBITS)
-    rho = initial_state(system, np.ones(N_QUBITS), "y").rho
+    rho = initial_state(system, np.ones(N_QUBITS), "y")
     indices = [MARKED] + list(extra_indices)
     markeds = [MarkedState(s=r, n=N_QUBITS) for r in indices]
     rho = conjugate_multi_selective(rho, markeds, [THETA] * len(indices))

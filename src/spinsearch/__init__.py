@@ -23,7 +23,6 @@ from .oracle import (
 )
 from .mqalgebra import (
     AliasingError,
-    CoherenceDecomposition,
     LomsoBasis,
     decompose_orders,
     gradient_crush,
@@ -34,16 +33,13 @@ from .mqalgebra import (
 )
 from .sequences import (
     AmbiguousReadoutError,
-    EnsembleState,
     GroverCoefficients,
     SearchResult,
     conjugate_multi_selective,
-    conjugate_selective,
     conversion_coefficient,
     grover_coefficients,
     grover_propagator,
     initial_state,
-    measured_conversion_coefficient,
     measured_conversion_coefficients,
     simple_search,
     spin_echo_hamiltonian,

@@ -92,20 +92,13 @@ def write_csv(path: Path, header, rows):
 def cmd_search(cfg: SearchConfig, out: Path) -> dict:
     n, eps = cfg.n, cfg.eps
     result = simple_search(cfg.marked, eps, cfg.theta, cfg.aux_mode)
-    signs = np.sign(result.per_qubit_signal / (eps * np.sin(result.theta))).astype(int)
     write_csv(
         out / "search.csv",
         ["qubit", "epsilon", "z_coefficient", "sign"],
         [
-            (k + 1, eps[k], result.per_qubit_signal[k], signs[k])
+            (k + 1, eps[k], result.per_qubit_signal[k], result.signs[k])
             for k in range(n)
         ],
-    )
-    spread = float(
-        np.abs(
-            result.per_qubit_signal / (eps * np.array(MarkedState(s=result.recovered_s, n=n).signs))
-            - result.measured_prefactor
-        ).max()
     )
     return {
         "payload": {
@@ -122,7 +115,7 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
             ),
         },
         "oracle_calls": result.oracle_uf_calls,
-        "max_residual": spread,
+        "max_residual": result.prefactor_spread,
     }
 
 
@@ -320,7 +313,6 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
         ["invariant", "residual", "tolerance", "passed"],
         [(r.name, r.residual, r.tolerance, int(r.passed)) for r in results],
     )
-    failing = [r.name for r in results if not r.passed]
     return {
         "payload": {
             "groups": [
@@ -333,12 +325,11 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
                 for r in results
             ],
             "n_groups": len(results),
-            "failing": failing,
+            "failing": [r.name for r in results if not r.passed],
             "tolerance_scale": tolerance_scale(),
         },
         "oracle_calls": 0,
         "max_residual": max(r.residual for r in results),
-        "_failing": failing,
     }
 
 
@@ -408,7 +399,6 @@ def main(argv=None) -> int:
         print(f"numerical branch error: {exc}", file=sys.stderr)
         return 5
 
-    failing = result.pop("_failing", [])
     report = {
         "command": args.command,
         "config": raw,
@@ -422,6 +412,7 @@ def main(argv=None) -> int:
         for r in result["payload"]["groups"]:
             status = "pass" if r["passed"] else "FAIL"
             print(f"{status}  {r['name']}  residual={r['residual']:.3e}  tol={r['tolerance']:.3e}")
+        failing = result["payload"]["failing"]
         if failing:
             print(f"selftest failed: {', '.join(failing)}", file=sys.stderr)
             return 1

@@ -27,7 +27,7 @@ from .composition import palindromic_weights
 from .linalg import SpinSystem, spin_op
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
-from .sequences import EnsembleState, initial_state
+from .sequences import initial_state
 from .spectroscopy import NyquistError, PipelineConfig, SpinHamiltonian
 
 # Size bounds, checked before anything is allocated, with the peak RSS of
@@ -38,6 +38,9 @@ COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest m
 GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
 COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
 CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.5 s: two phase cycles of N1 steps at n = 4
+# Magnitude bounds on float keys, far below where a sweep saw overflow (README)
+VALUE_MAX = 1e12  # times, angles, frequencies and couplings
+DOMINANCE_MAX = 1e5  # the cross-peak generator fails its Hermiticity check from 1.8e6
 
 
 class ConfigError(ValueError):
@@ -93,9 +96,9 @@ def _describe(tp, meta) -> str:
         return "a string"
     lo, hi = meta.get("lo"), meta.get("hi")
     if lo is not None and hi is not None:
-        bounds = f" in [{lo}, {hi}]"
+        bounds = f" in [{lo:g}, {hi:g}]"
     else:
-        bounds = f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else ""
+        bounds = f" >= {lo:g}" if lo is not None else f" <= {hi:g}" if hi is not None else ""
     return ("an integer" if tp is int else "a finite number") + bounds
 
 
@@ -235,9 +238,9 @@ HAMILTONIAN_KINDS = {
 @schema
 class HamiltonianConfig:
     kind: Literal["uniform-fz", "weak-coupling"] = key()
-    omega: float | None = key(None)
-    offsets: list[float] | None = key(None)
-    couplings: list[tuple[int, int, float]] | None = key(None)  # [k, l, J_hz]
+    omega: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
+    offsets: list[float] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
+    couplings: list[tuple[int, int, float]] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)  # [k, l, J_hz]
 
     def __post_init__(self):
         _variant(self, f"hamiltonian kind {self.kind!r}", HAMILTONIAN_KINDS[self.kind])
@@ -286,16 +289,16 @@ class SpectrumConfig:
     epsilons: Literal["uniform"] | list[float] | None = key(None)
     p_axis: Literal["x", "y", "z"] | None = key(None)
     detect_axis: str | None = key(None)
-    phi: float | None = key(None)
+    phi: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     hamiltonian: HamiltonianConfig | None = key(None)
     t1: T1Config | None = key(None)
     N1: int | None = key(None, hi=CROSS_PEAK_N1_MAX)
-    tau_u: float | None = key(None)
-    tau_v: float | None = key(None)
-    dominance: float | None = key(None)
+    tau_u: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
+    tau_v: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
+    dominance: float | None = key(None, lo=-DOMINANCE_MAX, hi=DOMINANCE_MAX)
     seed: int = key(0, lo=0)
     marked: MarkedState | None = derived()
-    rho0: EnsembleState = derived()
+    rho0: np.ndarray = derived()
     pipe: PipelineConfig = derived()  # without u_seq and v_seq, which are numerics
     label_omega: float | None = derived()
 
@@ -306,7 +309,7 @@ class SpectrumConfig:
             require_order_separation(CROSS_PEAK_N, self.N1)
             _set(self, n=CROSS_PEAK_N, p_axis="z", label_omega=CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B)
             system = SpinSystem(n_work=CROSS_PEAK_N)
-            h_evol = SpinHamiltonian.custom(
+            h_evol = SpinHamiltonian(
                 CROSS_PEAK_OMEGA_A * (spin_op(system, 1, "z") + spin_op(system, 2, "z"))
                 + CROSS_PEAK_OMEGA_B * (spin_op(system, 3, "z") + spin_op(system, 4, "z"))
             )
@@ -340,9 +343,9 @@ class ComposeBenchConfig:
     method: Literal["trotter", "commutator", "sandwich", "cross-interaction", "fractal"] = key()
     operators: Literal["random", "su2-zx", "commuting"] = key("random")
     dim: int | None = key(None, lo=1, hi=COMPOSE_DIM_MAX)
-    t: float | None = key(None)
+    t: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     m: int | None = key(None, lo=1, hi=COMPOSE_M_MAX)
-    x: float | None = key(None)
+    x: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     level: Literal[2, 4] | None = key(None)
     p_list: list[float] | None = key(None)
     order_side: Literal["A-outer", "B-outer"] | None = key(None)

@@ -9,17 +9,11 @@ construction of multiple-quantum generators from diagonal projectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SpinSystem,
-    kron_all,
-    magnetic_quantum_numbers,
-    product_rotation,
-    spin_op,
-)
+from .linalg import SpinSystem, magnetic_quantum_numbers, spin_op
 from .oracle import MarkedState, diag_projector
 
 
@@ -40,32 +34,14 @@ def order_matrix(n: int) -> np.ndarray:
     return m[:, None] - m[None, :]
 
 
-@dataclass
-class CoherenceDecomposition:
-    """An operator split into its coherence-order components."""
-
-    n: int
-    components: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def reconstructed(self) -> np.ndarray:
-        return sum(self.components.values())
-
-    def support(self, tol: float = 1e-12) -> list[int]:
-        return sorted(m for m, a in self.components.items() if np.abs(a).max() > tol)
-
-
-def decompose_orders(a: np.ndarray, system: SpinSystem) -> CoherenceDecomposition:
-    """Split a work-qubit operator into components of definite order."""
+def decompose_orders(a: np.ndarray, system: SpinSystem) -> dict[int, np.ndarray]:
+    """Split a work-qubit operator into its components {m: A_m} of definite
+    coherence order m = -n..n; the components sum to the operator."""
     n = system.n_work
     if a.shape != (2**n, 2**n):
         raise ValueError("operator dimension does not match the work qubits")
     om = order_matrix(n)
-    comps = {}
-    for m in range(-n, n + 1):
-        mask = np.abs(om - m) < 0.5
-        comps[m] = np.where(mask, a, 0.0)
-    return CoherenceDecomposition(n=n, components=comps)
+    return {m: np.where(np.abs(om - m) < 0.5, a, 0.0) for m in range(-n, n + 1)}
 
 
 def order_component(a: np.ndarray, m: int) -> np.ndarray:
@@ -99,11 +75,6 @@ class LomsoBasis:
     z_ops: list[np.ndarray]
     a: np.ndarray
     a_inv: np.ndarray
-
-    def x_product(self, l: int) -> np.ndarray:
-        """Rotate Z_l into the x basis: 2^(|T|-1) * prod_{k in T} I_kx."""
-        ry = product_rotation(self.n, "y", np.pi / 2)
-        return ry @ self.z_ops[l] @ ry.conj().T
 
 
 def lomso_transform(n: int) -> LomsoBasis:
@@ -167,46 +138,13 @@ def x_product_op(n: int, qubits) -> np.ndarray:
     return out
 
 
-def mq_generator(n: int, l_indices, variant: str = "comm") -> np.ndarray:
-    """Hermitian multiple-quantum generator with support only at orders +-l.
+def mq_generator(n: int, l_indices) -> np.ndarray:
+    """Hermitian multiple-quantum generator i [X_l, D_first - D_last], with
+    support only at orders +-l.
 
-    comm:     i [X_l, D_first - D_last]
-    anticomm:   [X_l, D_first + D_last]_+
-
-    where X_l is the x product operator over the chosen qubits and
+    X_l is the x product operator over the chosen qubits and
     D_first/D_last project onto the all-zeros / all-ones states.
     """
     x_l = x_product_op(n, l_indices)
-    d_first = diag_projector(MarkedState(s=0, n=n))
-    d_last = diag_projector(MarkedState(s=2**n - 1, n=n))
-    if variant == "comm":
-        d = d_first - d_last
-        return 1j * (x_l @ d - d @ x_l)
-    if variant == "anticomm":
-        d = d_first + d_last
-        return x_l @ d + d @ x_l
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def mq_generator_expanded(n: int, l_indices) -> np.ndarray:
-    """Four-term raising/lowering product expansion of the comm generator.
-
-    Independent construction used to cross-check mq_generator: each term is
-    a tensor product of pure raising or lowering factors on the chosen
-    qubits and (E/2 +- I_z) projectors on the rest.
-    """
-    chosen = sorted(set(l_indices))
-    rest = [k for k in range(1, n + 1) if k not in chosen]
-    e2 = np.eye(2, dtype=complex)
-    ip = np.array([[0, 1], [0, 0]], dtype=complex)   # I_x + i I_y
-    im = np.array([[0, 0], [1, 0]], dtype=complex)   # I_x - i I_y
-    up = 0.5 * e2 + np.diag([0.5, -0.5]).astype(complex)
-    dn = 0.5 * e2 - np.diag([0.5, -0.5]).astype(complex)
-
-    def term(ladder, proj):
-        factors = []
-        for k in range(1, n + 1):
-            factors.append(ladder if k in chosen else proj)
-        return kron_all(factors)
-
-    return 0.5j * (term(im, up) - term(ip, dn) - term(ip, up) + term(im, dn))
+    d = diag_projector(MarkedState(s=0, n=n)) - diag_projector(MarkedState(s=2**n - 1, n=n))
+    return 1j * (x_l @ d - d @ x_l)

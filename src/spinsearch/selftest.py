@@ -127,7 +127,7 @@ def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000) ->
             s = int(rng.integers(dim))
             theta = float(rng.uniform(0, 2 * np.pi))
             marked = MarkedState(s=s, n=n)
-            analytic = sequences.conjugate_selective(rho, marked, theta)
+            analytic = sequences.conjugate_multi_selective(rho, [marked], [theta])
             c = oracle.selective_phase(marked, theta)
             worst = max(worst, float(np.abs(analytic - c @ rho @ c.conj().T).max()))
             picks = rng.choice(dim, size=int(rng.integers(2, min(4, dim) + 1)), replace=False)
@@ -192,10 +192,10 @@ def _check_mq_generator_orders(*, n_values=(2, 3)) -> float:
         subsets = [(1, *c) for size in range(1, n) for c in combinations(range(2, n + 1), size)]
         for qubits in subsets:
             l = len(qubits)
-            g = mqalgebra.mq_generator(n, qubits, "comm")
+            g = mqalgebra.mq_generator(n, qubits)
             worst = max(worst, float(np.abs(g - g.conj().T).max()))
             dec = mqalgebra.decompose_orders(g, system)
-            for m, a in dec.components.items():
+            for m, a in dec.items():
                 if abs(m) != l:
                     worst = max(worst, float(np.abs(a).max()))
     return worst
@@ -212,7 +212,7 @@ def _check_zero_quantum_closure(*, n_values=(2, 3), count=6, seed=53) -> float:
             u = expm_unitary(zq_op, 0.9)
             moved = u @ h @ u.conj().T
             dec = mqalgebra.decompose_orders(moved, system)
-            for m, a in dec.components.items():
+            for m, a in dec.items():
                 if m != 0:
                     worst = max(worst, float(np.abs(a).max()))
     return worst
@@ -231,7 +231,7 @@ def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59) -> float:
             u = expm_unitary(gen, 0.8)
             moved = u @ h @ u.conj().T
             dec = mqalgebra.decompose_orders(moved, system)
-            for m, a in dec.components.items():
+            for m, a in dec.items():
                 if m % 2 != 0:
                     worst = max(worst, float(np.abs(a).max()))
     return worst
@@ -281,7 +281,7 @@ def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000) -> float:
             cfg = spectroscopy.PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1 / 256, n_points=128)
             rho0 = sequences.initial_state(system, rng.uniform(0.5, 1.5, n), "y")
             series = spectroscopy.run_pipeline(rho0, cfg)
-            p = u @ rho0.rho @ u.conj().T
+            p = u @ rho0 @ u.conj().T
             q = v.conj().T @ total_op(system, "z") @ v
             om, amps = spectroscopy.eigen_expand(p, q, h)
             resum = spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    SpinSystem,
-    conjugate_leading,
-    expm_unitary,
-    product_rotation,
-    spin_op,
-)
+from .linalg import SpinSystem, conjugate_leading, product_rotation, spin_op
 from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
@@ -50,31 +44,7 @@ class AmbiguousReadoutError(RuntimeError):
     """A per-qubit readout coefficient is too small to assign a sign."""
 
 
-@dataclass
-class EnsembleState:
-    """Density operator, or its traceless deviation part, with polarizations."""
-
-    rho: np.ndarray
-    epsilons: np.ndarray
-    is_deviation: bool = True
-
-    def validate(self, tol: float = 1e-10):
-        herm = np.abs(self.rho - self.rho.conj().T).max()
-        if herm > 1e-12:
-            raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
-        tr = complex(np.trace(self.rho))
-        if self.is_deviation:
-            if abs(tr) > 1e-12:
-                raise ValueError(f"deviation part must be traceless, trace = {tr}")
-        else:
-            if abs(tr - 1) > tol:
-                raise ValueError(f"density operator trace {tr} != 1")
-            w = np.linalg.eigvalsh(self.rho)
-            if w.min() < -tol:
-                raise ValueError(f"density operator not PSD (min eig {w.min():.3e})")
-
-
-def initial_state(system: SpinSystem, epsilons, axis: str = "y") -> EnsembleState:
+def initial_state(system: SpinSystem, epsilons, axis: str = "y") -> np.ndarray:
     """Deviation part sum_k eps_k I_k_axis, tensored with the auxiliary
     |0>|1> projector when the system carries auxiliary qubits."""
     epsilons = np.asarray(epsilons, dtype=float)
@@ -86,68 +56,57 @@ def initial_state(system: SpinSystem, epsilons, axis: str = "y") -> EnsembleStat
     )
     if system.n_aux == 2:
         dev = np.kron(dev, aux_pure_state(system))
-    return EnsembleState(rho=dev, epsilons=epsilons)
-
-
-def conjugate_selective(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
-    """C_s(theta) rho C_s(theta)^-1 via the four-term closed form.
-
-    rho - (1-cos t)[rho, D]_+ + i sin t [rho, D] + ((1-cos t)^2 + sin^2 t) D rho D
-    """
-    d = diag_projector(marked)
-    u = 1.0 - math.cos(theta)
-    v = math.sin(theta)
-    rd = rho @ d
-    dr = d @ rho
-    return rho - u * (rd + dr) + 1j * v * (rd - dr) + (u * u + v * v) * (d @ rho @ d)
+    return dev
 
 
 def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
-    """Conjugation by a product of selective phase shifts, in closed form.
+    """Conjugation by a product of selective phase shifts C_s(theta_k), in
+    closed form; one marked state gives the single-phase identity.
 
-    The cross terms D_k rho D_l carry a symmetric cosine/sine weight plus an
-    antisymmetric correction; orthogonality of the projectors keeps the
-    whole expression exact for distinct marked indices.
+    With u_k = 1 - cos theta_k, v_k = sin theta_k and D_u = sum_k u_k D_k,
+    D_v = sum_k v_k D_k over the one-entry projectors D_k = |s_k><s_k|:
+
+        rho - (rho D_u + D_u rho) + i (rho D_v - D_v rho)
+            + sum_kl w_kl D_k rho D_l,
+        w_kl = u_k u_l + v_k v_l + i (v_k u_l - v_l u_k).
+
+    Each D_k only picks out row or column s_k, so the first terms scale
+    rows and columns of rho, and the sum is one m x m block at the marked
+    indices; no projector is built.  Exact for distinct marked indices.
     """
     markeds = list(markeds)
     thetas = [float(t) for t in thetas]
     if len(markeds) != len(thetas):
         raise ValueError("need one phase per marked state")
-    indices = [m.s for m in markeds]
-    if len(set(indices)) != len(indices):
+    idx = [m.s for m in markeds]
+    if len(set(idx)) != len(idx):
         raise ValueError("marked indices must be distinct")
-    projs = [diag_projector(m) for m in markeds]
-    us = [1.0 - math.cos(t) for t in thetas]
-    vs = [math.sin(t) for t in thetas]
+    u = np.array([1.0 - math.cos(t) for t in thetas])
+    v = np.array([math.sin(t) for t in thetas])
 
-    out = rho.copy().astype(complex)
-    d_u = sum(u * p for u, p in zip(us, projs))
-    d_v = sum(v * p for v, p in zip(vs, projs))
-    out -= rho @ d_u + d_u @ rho
-    out += 1j * (rho @ d_v - d_v @ rho)
-    m = len(projs)
-    for k in range(m):
-        pk_rho = projs[k] @ rho
-        for l in range(m):
-            w = us[k] * us[l] + vs[k] * vs[l]
-            out += w * (pk_rho @ projs[l])
-    for k in range(m):
-        for l in range(k + 1, m):
-            w = vs[k] * us[l] - vs[l] * us[k]
-            out += 1j * w * (projs[k] @ rho @ projs[l] - projs[l] @ rho @ projs[k])
+    out = rho.astype(complex)
+    out[:, idx] -= rho[:, idx] * (u - 1j * v)  # rho D_u - i rho D_v
+    out[idx, :] -= (u + 1j * v)[:, None] * rho[idx, :]  # D_u rho + i D_v rho
+    w = np.outer(u, u) + np.outer(v, v) + 1j * (np.outer(v, u) - np.outer(u, v))
+    block = np.ix_(idx, idx)
+    out[block] += w * rho[block]
     return out
 
 
 @dataclass
 class SearchResult:
-    """Outcome of the two-call search sequence."""
+    """Outcome of the two-call search sequence.  signs is the sign pattern
+    read off once sin(theta) is divided out; prefactor_spread is the largest
+    deviation of signal_k / (eps_k a_k) from their mean, measured_prefactor."""
 
     recovered_s: int
     per_qubit_signal: np.ndarray
+    signs: np.ndarray
     confidence: float
     oracle_uf_calls: int
     theta: float
     measured_prefactor: float
+    prefactor_spread: float
     reference_prefactor: float
 
     @property
@@ -184,11 +143,11 @@ def simple_search(
 
     if aux_mode == "selective-cs":
         system = SpinSystem(n_work=n)
-        rho = initial_state(system, epsilons, "y").rho
-        rho = conjugate_selective(rho, marked, theta)
+        rho = initial_state(system, epsilons, "y")
+        rho = conjugate_multi_selective(rho, [marked], [theta])
     elif aux_mode == "explicit-uf":
         system = SpinSystem(n_work=n, n_aux=2)
-        rho = initial_state(system, epsilons, "y").rho
+        rho = initial_state(system, epsilons, "y")
         rho = _apply_explicit_oracle(rho, marked, system, theta)
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
@@ -217,13 +176,16 @@ def simple_search(
     signs = np.sign(coeffs / (epsilons * sin_t)).astype(int)
     recovered = MarkedState.from_signs(signs).s
     prefactors = coeffs / (epsilons * sign_vector(recovered, n))
+    prefactor = float(np.mean(prefactors))
     return SearchResult(
         recovered_s=recovered,
         per_qubit_signal=coeffs,
+        signs=signs,
         confidence=float(mags.min() / threshold) if threshold > 0 else math.inf,
         oracle_uf_calls=UF_CALLS_PER_UO,
         theta=theta,
-        measured_prefactor=float(np.mean(prefactors)),
+        measured_prefactor=prefactor,
+        prefactor_spread=float(np.abs(prefactors - prefactor).max()),
         reference_prefactor=2.0 / dim,
     )
 
@@ -271,11 +233,11 @@ def spin_echo_hamiltonian(marked: MarkedState, k: int) -> np.ndarray:
     n = marked.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"decoupled-qubit count {k} outside [0, {n - 1}]")
-    system = SpinSystem(n_work=n)
     d = diag_projector(marked)
     for j in range(k):
-        qubit = n - j
-        pulse = expm_unitary(spin_op(system, qubit, "x"), np.pi)
+        angles = np.zeros(n)
+        angles[n - j - 1] = np.pi  # a pi x pulse on qubit n - j
+        pulse = product_rotation(n, "x", angles)
         d = d + pulse @ d @ pulse.conj().T
     return d
 
@@ -358,10 +320,6 @@ class GroverCoefficients:
     N: int
     alpha: tuple[complex, complex, complex, complex]
     gamma: tuple[complex, ...] = field(default=())
-
-    def identity_defects(self) -> tuple[float, float]:
-        a1, a2, a3, a4 = self.alpha
-        return (abs(a1 - a2), abs(a4 + 2 * a1 + a3))
 
 
 def _iteration_angle(N: int) -> float:
@@ -508,13 +466,6 @@ def measured_conversion_coefficients(
             rho = _grover_step(_grover_step(rho, xs).T, xs).T
         traces[m] = rho.diagonal() @ iz[k - 1]
     return traces / (2**n / 4) / epsilons[k - 1]
-
-
-def measured_conversion_coefficient(
-    marked: MarkedState, m: int, epsilons, k: int
-) -> float:
-    """The m-th entry of measured_conversion_coefficients."""
-    return float(measured_conversion_coefficients(marked, m, epsilons, k)[m])
 
 
 def gamma1_first_peak(N: int, rel_tol: float = 0.01) -> tuple[int, float]:

@@ -30,7 +30,6 @@ from .linalg import (
     total_op,
 )
 from .mqalgebra import phase_cycle_project
-from .sequences import EnsembleState
 
 PEAK_REL_THRESHOLD = 1e-6
 
@@ -43,14 +42,11 @@ class NyquistError(ValueError):
 class SpinHamiltonian:
     """Labeling Hamiltonian for the t1 evolution period."""
 
-    kind: str
     matrix: np.ndarray
-    omega: float = 0.0
 
     @classmethod
     def uniform_fz(cls, n: int, omega: float) -> "SpinHamiltonian":
-        system = SpinSystem(n_work=n)
-        return cls(kind="uniform-fz", matrix=omega * total_op(system, "z"), omega=omega)
+        return cls(omega * total_op(SpinSystem(n_work=n), "z"))
 
     @classmethod
     def weak_coupling(cls, n: int, offsets, couplings=None) -> "SpinHamiltonian":
@@ -67,11 +63,7 @@ class SpinHamiltonian:
             if k == l or not (1 <= k <= n and 1 <= l <= n):
                 raise ValueError(f"couplings need two distinct spins in 1..{n}, got ({k}, {l})")
             h = h + 2 * np.pi * j_hz * (spin_op(system, k, "z") @ spin_op(system, l, "z"))
-        return cls(kind="weak-coupling", matrix=h)
-
-    @classmethod
-    def custom(cls, matrix: np.ndarray) -> "SpinHamiltonian":
-        return cls(kind="custom", matrix=np.asarray(matrix, dtype=complex))
+        return cls(h)
 
     @cached_property  # PipelineConfig.validate runs at config parse and again in run_pipeline
     def max_transition_frequency(self) -> float:
@@ -103,24 +95,25 @@ class PipelineConfig:
             raise ValueError(f"labeling Hamiltonian is not Hermitian (defect {defect:.3e})")
         wmax = self.h_evol.max_transition_frequency
         nyquist = np.pi / self.dt
-        if wmax >= nyquist:
+        if not wmax < nyquist:  # a NaN frequency fails too
             raise NyquistError(
                 f"max transition frequency {wmax:.6g} rad/s >= Nyquist {nyquist:.6g}"
             )
 
 
-def run_pipeline(rho0: EnsembleState, cfg: PipelineConfig) -> np.ndarray:
-    """Complex signal s(t1) on the grid, evaluated in the eigenbasis of H.
+def run_pipeline(rho0: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Complex signal s(t1) on the grid, evaluated in the eigenbasis of H;
+    rho0 is the initial deviation matrix.
 
     With H = V diag(w) V+, P_e = V+ P V and Q_e = V+ Q V, exp(-i H t1) is the
     phase vector e(t1) = exp(-i w t1) in that frame, and the trace is
     e^T (Q_e^T * P_e) conj(e): one eigh, then O(dim^2) per point.
     """
     cfg.validate()
-    n = int(round(np.log2(rho0.rho.shape[0])))
+    n = int(round(np.log2(rho0.shape[0])))
     system = SpinSystem(n_work=n)
     f_q = total_op(system, cfg.detect_axis)
-    p = cfg.u_seq @ rho0.rho @ cfg.u_seq.conj().T
+    p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
     q = cfg.v_seq.conj().T @ f_q @ cfg.v_seq
     w, p_e, q_e = _eigenframe(p, q, cfg.h_evol)
     e = np.exp(-1j * np.outer(np.arange(cfg.n_points) * cfg.dt, w))

@@ -23,6 +23,12 @@ def maxabs(a):
     return float(np.abs(a).max())
 
 
+def support(components: dict, tol: float = 1e-12) -> list[int]:
+    """The coherence orders of a decompose_orders result with a component
+    larger than tol."""
+    return sorted(m for m, a in components.items() if np.abs(a).max() > tol)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

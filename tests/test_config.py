@@ -24,8 +24,10 @@ from spinsearch.config import (
     COMPOSE_DIM_MAX,
     COMPOSE_M_MAX,
     CROSS_PEAK_N1_MAX,
+    DOMINANCE_MAX,
     GROVER_M_MAX,
     T1_POINTS_MAX,
+    VALUE_MAX,
     ConfigError,
     SelftestConfig,
     SpectrumConfig,
@@ -179,6 +181,101 @@ OVER_BOUND = {
 def test_size_over_bound_exits_2_before_numerics(tmp_path, capsys, no_numerics, name):
     command, cfg = OVER_BOUND[name]
     assert_rejected(tmp_path, capsys, command, cfg)
+
+
+IDENTITY_N4 = {
+    "preset": "identity",
+    "n": 4,
+    "hamiltonian": UNIFORM_H,
+    "t1": {"dt": 1 / 256, "points": 64},
+}
+ALL_COUPLED = [[k, l] for k in range(1, 5) for l in range(k + 1, 5)]
+
+
+def float_keys(v, dominance):
+    """One config per magnitude-bounded float key, at value v (dominance
+    for the cross-peak demo), sized so the t1 grid stays under Nyquist."""
+    fast = {"dt": 1 / (64 * abs(v)), "points": 16}
+    return {
+        "compose-x-sandwich": ("compose-bench", {"method": "sandwich", "x": v}),
+        "compose-x-cross-interaction": ("compose-bench", {"method": "cross-interaction", "x": v}),
+        "compose-x-cross-interaction-dim-64": (
+            "compose-bench", {"method": "cross-interaction", "x": v, "dim": 64},
+        ),
+        "compose-x-fractal": ("compose-bench", {"method": "fractal", "x": v}),
+        "trotter-t": ("compose-bench", {"method": "trotter", "t": v}),
+        "spectrum-phi": ("spectrum", {**IDENTITY_N4, "phi": v}),
+        "uniform-fz-omega": (
+            "spectrum", {**IDENTITY_N4, "hamiltonian": {"kind": "uniform-fz", "omega": v}, "t1": fast},
+        ),
+        "weak-coupling-offsets": (
+            "spectrum",
+            {**IDENTITY_N4, "hamiltonian": {"kind": "weak-coupling", "offsets": [v] * 4}, "t1": fast},
+        ),
+        "weak-coupling-J": (
+            "spectrum",
+            {
+                **IDENTITY_N4,
+                "hamiltonian": {
+                    "kind": "weak-coupling",
+                    "offsets": [0.0] * 4,
+                    "couplings": [[k, l, v] for k, l in ALL_COUPLED],
+                },
+                "t1": {"dt": 1 / (64 * 2 * math.pi * len(ALL_COUPLED) * abs(v)), "points": 16},
+            },
+        ),
+        "cross-peak-tau_u": ("spectrum", {"preset": "cross-peak-demo", "tau_u": v}),
+        "cross-peak-tau_v": ("spectrum", {"preset": "cross-peak-demo", "tau_v": v}),
+        "cross-peak-dominance": ("spectrum", {"preset": "cross-peak-demo", "dominance": dominance}),
+    }
+
+
+# values that used to break the exit-code contract: an uncaught exception
+# (exit 1), or exit 0 with NaN in the outputs
+UNBOUNDED_FLOATS = {
+    "cross-interaction-x-1e300": ("compose-bench", {"method": "cross-interaction", "x": 1e300}),
+    "sandwich-x-1.7e308": ("compose-bench", {"method": "sandwich", "x": 1.7e308}),
+    "trotter-t-1.7e308": ("compose-bench", {"method": "trotter", "t": 1.7e308}),
+    "cross-interaction-x-5e102-dim-64": (
+        "compose-bench", {"method": "cross-interaction", "x": 5e102, "dim": 64},
+    ),
+    "cross-peak-dominance-1e7": ("spectrum", {"preset": "cross-peak-demo", "dominance": 1e7}),
+    "cross-peak-tau_u-1e308": ("spectrum", {"preset": "cross-peak-demo", "tau_u": 1e308}),
+    "identity-n4-phi-1.7e308": ("spectrum", {**IDENTITY_N4, "phi": 1.7e308}),
+    "uniform-fz-omega-1.7e308": (
+        "spectrum", {**IDENTITY_N4, "hamiltonian": {"kind": "uniform-fz", "omega": 1.7e308}},
+    ),
+    **{
+        f"{name}-over-bound": case
+        for name, case in float_keys(-1.01 * VALUE_MAX, -1.01 * DOMINANCE_MAX).items()
+    },
+}
+
+
+@pytest.fixture
+def no_command(monkeypatch):
+    def fail(cfg, out):
+        raise AssertionError("the command ran before the config was rejected")
+
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name, fail)
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED_FLOATS))
+def test_float_over_bound_exits_2_before_numerics(tmp_path, capsys, no_command, name):
+    command, cfg = UNBOUNDED_FLOATS[name]
+    assert_rejected(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", sorted(float_keys(1.0, 1.0)))
+def test_float_at_bound_runs_clean(tmp_path, name, sign):
+    command, cfg = float_keys(sign * VALUE_MAX, sign * DOMINANCE_MAX)[name]
+    code, out = run_main(tmp_path, command, cfg)
+    assert code == 0
+    strict_json((out / "report.json").read_text())
+    for csv in out.glob("*.csv"):
+        assert "nan" not in csv.read_text().lower()
 
 
 def test_size_bounds_are_inclusive():

@@ -62,8 +62,8 @@ class TestSpinHamiltonian:
 
 def dense_pipeline(rho0, cfg):
     """Reference signal: conjugate P by exp(-i H t1) and trace, point by point."""
-    n = int(round(np.log2(rho0.rho.shape[0])))
-    p = cfg.u_seq @ rho0.rho @ cfg.u_seq.conj().T
+    n = int(round(np.log2(rho0.shape[0])))
+    p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
     q = cfg.v_seq.conj().T @ total_op(SpinSystem(n_work=n), cfg.detect_axis) @ cfg.v_seq
     out = np.empty(cfg.n_points, dtype=complex)
     for j in range(cfg.n_points):
@@ -90,7 +90,7 @@ class TestRunPipeline:
         v = random_unitary(rng, 4)
         rho0 = initial_state(system, np.ones(n), "x")
         series = run_pipeline(rho0, uniform_cfg(n, u, v))
-        p = u @ rho0.rho @ u.conj().T
+        p = u @ rho0 @ u.conj().T
         q = v.conj().T @ total_op(system, "z") @ v
         assert abs(series[0] - np.trace(q @ p)) <= 1e-12
 
@@ -105,7 +105,7 @@ class TestRunPipeline:
         dim = 2**n
         u, v = random_unitary(rng, dim), random_unitary(rng, dim)
         rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "x")
-        h = SpinHamiltonian.custom(random_hermitian(rng, dim, scale=20.0))
+        h = SpinHamiltonian(random_hermitian(rng, dim, scale=20.0))
         cfg = PipelineConfig(
             u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64, detect_axis=detect
         )
@@ -125,7 +125,7 @@ class TestRunPipeline:
         dense_cfg = PipelineConfig(
             u_seq=w @ u,
             v_seq=v @ w.conj().T,
-            h_evol=SpinHamiltonian.custom(w @ h.matrix @ w.conj().T),
+            h_evol=SpinHamiltonian(w @ h.matrix @ w.conj().T),
             dt=1e-3,
             n_points=64,
         )
@@ -136,7 +136,7 @@ class TestRunPipeline:
 
     def test_non_hermitian_h_rejected(self):
         eye = np.eye(2, dtype=complex)
-        h = SpinHamiltonian.custom(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        h = SpinHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
         cfg = PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8)
         rho0 = initial_state(SpinSystem(n_work=1), np.ones(1), "z")
         with pytest.raises(ValueError, match="Hermitian"):
@@ -149,6 +149,15 @@ class TestRunPipeline:
         rho0 = initial_state(SpinSystem(n_work=n), np.ones(n), "z")
         with pytest.raises(NyquistError):
             run_pipeline(rho0, cfg)
+
+    def test_nyquist_guard_rejects_nan_frequency(self):
+        # inf - inf: the spread of the eigenvalues reads NaN, which no
+        # comparison with the Nyquist frequency may let through
+        h = SpinHamiltonian(np.diag([np.inf, -np.inf]))
+        eye = np.eye(2, dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(NyquistError, match="nan"):
+            assert np.isnan(h.max_transition_frequency)
+            PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8).validate()
 
     def test_power_of_two_guard(self):
         eye = np.eye(4, dtype=complex)
@@ -303,7 +312,7 @@ class TestOrderIntensities:
         rho0 = initial_state(system, np.ones(n), "z")
         series = run_pipeline(rho0, cfg)
         spec = spectrum(series, cfg.dt, label_omega=omega, rel_threshold=1e-9)
-        p = u @ rho0.rho @ u.conj().T
+        p = u @ rho0 @ u.conj().T
         q = v.conj().T @ total_op(system, "z") @ v
         intens = order_intensities(p, q)
         by_order = {pk.order: pk.amplitude for pk in spec.peaks}
@@ -345,8 +354,7 @@ class TestCrossZq:
             random_hermitian(rng, 8), random_hermitian(rng, 8), 2 * n + 1
         )
         assert maxabs(h - h.conj().T) <= 1e-12
-        dec = decompose_orders(h, system)
-        for m, compnt in dec.components.items():
+        for m, compnt in decompose_orders(h, system).items():
             if m != 0:
                 assert maxabs(compnt) <= 1e-11
 
