@@ -12,7 +12,7 @@ is attempted here; this script only makes the trade visible.
 
 import numpy as np
 
-from spinsearch.linalg import SpinSystem, product_rotation, spin_op
+from spinsearch.linalg import product_rotation, spin_op
 from spinsearch.mqalgebra import gradient_crush, zq_dephase
 from spinsearch.oracle import MarkedState, sign_vector
 from spinsearch.sequences import conjugate_multi_selective, initial_state
@@ -23,8 +23,7 @@ THETA = -np.pi / 2
 
 
 def readout_with_extras(extra_indices):
-    system = SpinSystem(n_work=N_QUBITS)
-    rho = initial_state(system, np.ones(N_QUBITS), "y")
+    rho = initial_state(N_QUBITS, np.ones(N_QUBITS), "y")
     indices = [MARKED] + list(extra_indices)
     markeds = [MarkedState(s=r, n=N_QUBITS) for r in indices]
     rho = conjugate_multi_selective(rho, markeds, [THETA] * len(indices))
@@ -33,7 +32,7 @@ def readout_with_extras(extra_indices):
     dim = 2**N_QUBITS
     return np.array(
         [
-            np.real(np.trace(rho @ spin_op(system, k, "z"))) / (dim / 4)
+            np.real(np.trace(rho @ spin_op(N_QUBITS, k, "z"))) / (dim / 4)
             for k in range(1, N_QUBITS + 1)
         ]
     )

@@ -3,7 +3,6 @@ multiple-quantum spectroscopy, and operator-splitting verification."""
 
 from .linalg import (
     BranchCutError,
-    SpinSystem,
     comm,
     expm_unitary,
     magnetic_quantum_numbers,
@@ -12,7 +11,6 @@ from .linalg import (
     total_op,
 )
 from .oracle import (
-    ConfigurationError,
     MarkedState,
     aux_pure_state,
     diag_projector,

@@ -42,7 +42,6 @@ from .config import (
 )
 from .linalg import (
     BranchCutError,
-    SpinSystem,
     expm_unitary,
     product_rotation,
     random_hermitian,
@@ -262,8 +261,7 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
     method, dim = cfg.method, cfg.dim
     rng = np.random.default_rng(cfg.seed)
     if cfg.operators == "su2-zx":
-        one = SpinSystem(n_work=1)
-        a, b = spin_op(one, 1, "z"), spin_op(one, 1, "x")
+        a, b = spin_op(1, 1, "z"), spin_op(1, 1, "x")
     elif cfg.operators == "random":
         a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     else:  # commuting

@@ -24,7 +24,7 @@ from typing import Literal, Union, get_args, get_origin
 import numpy as np
 
 from .composition import palindromic_weights
-from .linalg import SpinSystem, spin_op
+from .linalg import spin_op
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
 from .sequences import initial_state
@@ -38,8 +38,11 @@ COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest m
 GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
 COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
 CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.5 s: two phase cycles of N1 steps at n = 4
-# Magnitude bounds on float keys, far below where a sweep saw overflow (README)
-VALUE_MAX = 1e12  # times, angles, frequencies and couplings
+# Magnitude bounds on float keys, far from where a sweep saw overflow (README)
+VALUE_MAX = 1e12  # times, angles, frequencies, couplings and polarizations
+# Smallest nonzero dwell time, label frequency or polarization: peak orders
+# (frequency / omega) and polarization ratios stay finite
+VALUE_MIN = 1e-24
 DOMINANCE_MAX = 1e5  # the cross-peak generator fails its Hermiticity check from 1.8e6
 
 
@@ -170,12 +173,20 @@ def parse(schema_cls, cfg: dict, where: str = ""):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_floor(name: str, values) -> None:
+    """Reject a nonzero magnitude below VALUE_MIN."""
+    mags = np.abs(np.asarray(values, dtype=float))
+    if np.any((mags > 0) & (mags < VALUE_MIN)):
+        raise ValueError(f"{name} must be 0 or at least {VALUE_MIN:g} in magnitude, got {values!r}")
+
+
 def _eps_vector(epsilons, n: int) -> np.ndarray:
     """The polarization vector of an `epsilons` key for n work qubits."""
     if epsilons == "uniform":
         return np.ones(n)
     if len(epsilons) != n:
         raise ValueError(f"epsilons must be 'uniform' or a list of {n} numbers")
+    _check_floor("epsilons", epsilons)  # a scan divides by the read spin's polarization
     return np.asarray(epsilons, dtype=float)
 
 
@@ -189,7 +200,7 @@ class SearchConfig:
     s: int = key()
     theta: float = key(-np.pi / 2)
     aux_mode: Literal["selective-cs", "explicit-uf"] = key("selective-cs")
-    epsilons: Literal["uniform"] | list[float] = key("uniform")
+    epsilons: Literal["uniform"] | list[float] = key("uniform", lo=-VALUE_MAX, hi=VALUE_MAX)
     seed: int = key(0, lo=0)
     marked: MarkedState = derived()
     eps: np.ndarray = derived()
@@ -207,7 +218,7 @@ class GroverScanConfig:
     s: int = key(0)
     k: int = key(1, lo=1)
     m_max: Literal["auto"] | int = key("auto", lo=0, hi=GROVER_M_MAX)
-    epsilons: Literal["uniform"] | list[float] = key("uniform")
+    epsilons: Literal["uniform"] | list[float] = key("uniform", lo=-VALUE_MAX, hi=VALUE_MAX)
     seed: int = key(0, lo=0)
     plan: tuple = derived()  # (marked, eps, m_max) per n, all checked before the first runs
 
@@ -244,6 +255,8 @@ class HamiltonianConfig:
 
     def __post_init__(self):
         _variant(self, f"hamiltonian kind {self.kind!r}", HAMILTONIAN_KINDS[self.kind])
+        if self.kind == "uniform-fz":  # peak orders are frequency / omega
+            _check_floor("hamiltonian.omega", self.omega)
 
     def build(self, n: int) -> SpinHamiltonian:
         if self.kind == "uniform-fz":
@@ -254,7 +267,7 @@ class HamiltonianConfig:
 
 @schema
 class T1Config:
-    dt: float = key()
+    dt: float = key(lo=VALUE_MIN, hi=VALUE_MAX)
     points: int = key(hi=T1_POINTS_MAX)
 
 
@@ -286,7 +299,7 @@ class SpectrumConfig:
     n: int | None = key(None, lo=1, hi=N_MAX)
     s: int | None = key(None)
     iterations: int | None = key(None, lo=0, hi=GROVER_M_MAX)
-    epsilons: Literal["uniform"] | list[float] | None = key(None)
+    epsilons: Literal["uniform"] | list[float] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     p_axis: Literal["x", "y", "z"] | None = key(None)
     detect_axis: str | None = key(None)
     phi: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
@@ -308,15 +321,13 @@ class SpectrumConfig:
             # the demo fixes everything but its own keys: 2+2 spins at 100 Hz and 60 Hz
             require_order_separation(CROSS_PEAK_N, self.N1)
             _set(self, n=CROSS_PEAK_N, p_axis="z", label_omega=CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B)
-            system = SpinSystem(n_work=CROSS_PEAK_N)
+            iz = [spin_op(CROSS_PEAK_N, k, "z") for k in range(1, CROSS_PEAK_N + 1)]
             h_evol = SpinHamiltonian(
-                CROSS_PEAK_OMEGA_A * (spin_op(system, 1, "z") + spin_op(system, 2, "z"))
-                + CROSS_PEAK_OMEGA_B * (spin_op(system, 3, "z") + spin_op(system, 4, "z"))
+                CROSS_PEAK_OMEGA_A * (iz[0] + iz[1]) + CROSS_PEAK_OMEGA_B * (iz[2] + iz[3])
             )
             eps = np.array([1.0, 0.8, 1.2, 0.9])
             pipe = PipelineConfig(None, None, h_evol, dt=1.0 / 1024, n_points=512)
         else:
-            system = SpinSystem(n_work=self.n)
             h_evol = self.hamiltonian.build(self.n)
             _set(self, label_omega=self.hamiltonian.omega)
             eps = _eps_vector(self.epsilons, self.n)
@@ -325,7 +336,7 @@ class SpectrumConfig:
             )
         pipe.validate()
         marked = None if self.s is None else MarkedState(s=self.s, n=self.n)
-        _set(self, marked=marked, pipe=pipe, rho0=initial_state(system, eps, self.p_axis))
+        _set(self, marked=marked, pipe=pipe, rho0=initial_state(self.n, eps, self.p_axis))
 
 
 _P1 = 1 / (2 - 2 ** (1 / 3))  # fourth-order palindromic weights (p1, 1 - 2 p1, p1)

@@ -1,12 +1,15 @@
 """Dense complex linear algebra for small spin-1/2 systems.
 
-Everything downstream works on plain complex ndarrays of dimension 2**d.
+Everything downstream works on plain complex ndarrays of dimension 2**n.
 Conventions, fixed once here:
 
 * hbar = 1 and Iz = diag(1, -1)/2, so |0> is the M = +1/2 state.
-* Qubit 1 is the most significant tensor factor; auxiliary qubits (if any)
-  occupy the least significant factors.  The computational-basis index of a
-  product state is then the integer read off the qubit bit string.
+* Qubit 1 is the most significant tensor factor.  The computational-basis
+  index of a product state is then the integer read off the qubit bit
+  string.  The two auxiliary qubits of the explicit oracle are the least
+  significant factors; that layout is fixed in oracle.
+* Builders take the qubit count n (spin_op, total_op, product_rotation);
+  functions that take an operator read n off its shape with n_qubits.
 * Matrix exponentials of Hermitian generators go through the
   eigendecomposition, which keeps the result unitary to roundoff.  The
   exception is a collective pulse exp(-i angle F_axis): its single-spin
@@ -17,7 +20,6 @@ Conventions, fixed once here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,35 +40,12 @@ class BranchCutError(ValueError):
     """A matrix logarithm hit the principal-branch cut (eigenphase at pi)."""
 
 
-@dataclass(frozen=True)
-class SpinSystem:
-    """Qubit bookkeeping: n_work work spins, optionally two auxiliary spins.
-
-    Work qubits are numbered 1..n_work (most significant first); auxiliary
-    qubits, when present, are n_work+1 and n_work+2 in the least significant
-    positions.
-    """
-
-    n_work: int
-    n_aux: int = 0
-
-    def __post_init__(self):
-        if self.n_work < 1:
-            raise ValueError(f"need at least one work qubit, got {self.n_work}")
-        if self.n_aux not in (0, 2):
-            raise ValueError(f"n_aux must be 0 or 2, got {self.n_aux}")
-
-    @property
-    def n_total(self) -> int:
-        return self.n_work + self.n_aux
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_total
-
-    @property
-    def dim_work(self) -> int:
-        return 2**self.n_work
+def n_qubits(a: np.ndarray) -> int:
+    """The qubit count n of a 2**n x 2**n operator."""
+    n = int(round(np.log2(a.shape[0])))
+    if a.shape != (2**n, 2**n):
+        raise ValueError(f"operator of shape {a.shape} is not 2**n x 2**n")
+    return n
 
 
 def kron_all(factors) -> np.ndarray:
@@ -84,24 +63,24 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def spin_op(system: SpinSystem, k: int, axis: str) -> np.ndarray:
-    """Single-spin operator for qubit k (1-based), embedded in the full space."""
+def spin_op(n: int, k: int, axis: str) -> np.ndarray:
+    """Single-spin operator for qubit k (1-based) of n qubits."""
     if axis not in PAULI_HALF:
         raise ValueError(f"unknown axis {axis!r}")
-    if not 1 <= k <= system.n_total:
-        raise IndexError(f"qubit index {k} outside 1..{system.n_total}")
-    factors = [np.eye(2, dtype=complex)] * system.n_total
+    if not 1 <= k <= n:
+        raise IndexError(f"qubit index {k} outside 1..{n}")
+    factors = [np.eye(2, dtype=complex)] * n
     factors[k - 1] = PAULI_HALF[axis]
     return kron_all(factors)
 
 
-def total_op(system: SpinSystem, axis: str) -> np.ndarray:
-    """Collective operator sum_k I_k_axis over the *work* qubits."""
+def total_op(n: int, axis: str) -> np.ndarray:
+    """Collective operator sum_k I_k_axis over n qubits."""
     if axis not in ("x", "y", "z"):
         raise ValueError(f"total_op axis must be x, y or z, got {axis!r}")
-    out = np.zeros((system.dim, system.dim), dtype=complex)
-    for k in range(1, system.n_work + 1):
-        out += spin_op(system, k, axis)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(1, n + 1):
+        out += spin_op(n, k, axis)
     return out
 
 

@@ -13,19 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpinSystem, magnetic_quantum_numbers, spin_op
+from .linalg import magnetic_quantum_numbers, n_qubits, spin_op
 from .oracle import MarkedState, diag_projector
 
 
 class AliasingError(ValueError):
     """Phase-cycle step count too small to separate the coherence orders."""
-
-
-def _n_from_dim(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
 
 
 def order_matrix(n: int) -> np.ndarray:
@@ -34,20 +27,17 @@ def order_matrix(n: int) -> np.ndarray:
     return m[:, None] - m[None, :]
 
 
-def decompose_orders(a: np.ndarray, system: SpinSystem) -> dict[int, np.ndarray]:
-    """Split a work-qubit operator into its components {m: A_m} of definite
-    coherence order m = -n..n; the components sum to the operator."""
-    n = system.n_work
-    if a.shape != (2**n, 2**n):
-        raise ValueError("operator dimension does not match the work qubits")
+def decompose_orders(a: np.ndarray) -> dict[int, np.ndarray]:
+    """Split an operator into its components {m: A_m} of definite coherence
+    order m = -n..n; the components sum to the operator."""
+    n = n_qubits(a)
     om = order_matrix(n)
     return {m: np.where(np.abs(om - m) < 0.5, a, 0.0) for m in range(-n, n + 1)}
 
 
 def order_component(a: np.ndarray, m: int) -> np.ndarray:
-    """Order-m component of an operator; qubit count inferred from the shape."""
-    n = _n_from_dim(a.shape[0])
-    mask = np.abs(order_matrix(n) - m) < 0.5
+    """Order-m component of an operator."""
+    mask = np.abs(order_matrix(n_qubits(a)) - m) < 0.5
     return np.where(mask, a, 0.0)
 
 
@@ -115,7 +105,7 @@ def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndar
     weights exp(+i phi * target_order).  Orders congruent to the target
     modulo n1 alias onto it, hence the n1 >= 2n + 1 requirement.
     """
-    n = _n_from_dim(f_op.shape[0])
+    n = n_qubits(f_op)
     require_order_separation(n, n1)
     mz = magnetic_quantum_numbers(n)  # Fz is diagonal: M per basis state
     out = np.zeros_like(f_op, dtype=complex)
@@ -131,10 +121,9 @@ def x_product_op(n: int, qubits) -> np.ndarray:
     qubits = sorted(set(qubits))
     if not qubits:
         raise ValueError("need at least one qubit index")
-    system = SpinSystem(n_work=n)
     out = np.eye(2**n, dtype=complex) * 2.0 ** (len(qubits) - 1)
     for k in qubits:
-        out = out @ spin_op(system, k, "x")
+        out = out @ spin_op(n, k, "x")
     return out
 
 

@@ -1,5 +1,11 @@
 """Search-problem oracles on work + auxiliary qubits.
 
+The explicit oracle acts on n work qubits and exactly two auxiliary
+qubits a and b, which occupy the two least significant positions: the
+full-system index is 4 x + 2 a + b for work index x.  That layout is
+fixed here, so the explicit-oracle functions take only the marked state
+(which carries n) or n itself.
+
 The marked basis index s is carried equivalently by a sign vector
 {a_k = +-1}: a_k = +1 when bit k of s (qubit 1 = most significant) is 0.
 The diagonal projector onto |s><s| factorizes as the product of single-spin
@@ -18,9 +24,9 @@ auxiliary |0>|1> sector:
   acting on the work qubits alone.
 
 U_f is a permutation of basis indices, and uf_permutation is its one
-definition; V_S is diagonal.  The dense matrices built from them serve
-small-n checks; the search pipeline applies U_f by indexing and V_S as a
-phase vector.
+definition; V_S is diagonal, and aux_phase_vector is its diagonal.  The
+dense matrices built from them serve small-n checks; the search pipeline
+applies U_f by indexing and V_S as a phase vector.
 
 Oracle cost accounting: one U_o (or its C_s stand-in) consumes two
 applications of U_f.
@@ -32,13 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpinSystem, spin_op
+from .linalg import spin_op
 
 UF_CALLS_PER_UO = 2
-
-
-class ConfigurationError(ValueError):
-    """System layout incompatible with the requested oracle construction."""
 
 
 @dataclass(frozen=True)
@@ -93,64 +95,48 @@ def selective_phase(marked: MarkedState, theta: float) -> np.ndarray:
     return np.diag(d)
 
 
-def _require_aux(system: SpinSystem):
-    if system.n_aux != 2:
-        raise ConfigurationError("this oracle needs a system with two auxiliary qubits")
-
-
-def uf_permutation(marked: MarkedState, system: SpinSystem) -> np.ndarray:
+def uf_permutation(marked: MarkedState) -> np.ndarray:
     """Index map p of the bit-flip oracle: U_f |idx> = |p[idx]>.
 
     U_f |x>|a>|b> = |x>|a xor f(x)>|b> with f(x) = [x == s]; aux qubit a is
     bit 0b10 of the index.  U_f is an involution: p[p] is the identity, and
     U_f rho U_f^dagger = rho[p][:, p].
     """
-    _require_aux(system)
-    if system.n_work != marked.n:
-        raise ConfigurationError("marked state and system disagree on work-qubit count")
-    idx = np.arange(system.dim)
+    idx = np.arange(2 ** (marked.n + 2))
     f = (idx >> 2) == marked.s
     return idx ^ (0b10 * f)
 
 
-def oracle_uf(marked: MarkedState, system: SpinSystem) -> np.ndarray:
+def oracle_uf(marked: MarkedState) -> np.ndarray:
     """Bit-flip oracle U_f as a dense permutation matrix."""
-    p = uf_permutation(marked, system)
-    u = np.zeros((system.dim, system.dim), dtype=complex)
-    u[p, np.arange(system.dim)] = 1.0
+    p = uf_permutation(marked)
+    u = np.zeros((len(p), len(p)), dtype=complex)
+    u[p, np.arange(len(p))] = 1.0
     return u
 
 
-def aux_phase_vector(system: SpinSystem, theta: float) -> np.ndarray:
-    """Diagonal of V_S(theta): exp(-i theta) on auxiliary states with a = 1, b = 1."""
-    _require_aux(system)
-    d = np.ones(system.dim, dtype=complex)
+def aux_phase_vector(n: int, theta: float) -> np.ndarray:
+    """Diagonal of V_S(theta) on n work qubits plus the auxiliary pair:
+    exp(-i theta) on auxiliary states with a = 1, b = 1."""
+    d = np.ones(2 ** (n + 2), dtype=complex)
     d[0b11::4] = np.exp(-1j * theta)
     return d
 
 
-def conditional_aux_phase(system: SpinSystem, theta: float) -> np.ndarray:
-    """V_S(theta) as a dense diagonal matrix."""
-    return np.diag(aux_phase_vector(system, theta))
-
-
-def oracle_uo(marked: MarkedState, system: SpinSystem, theta: float) -> np.ndarray:
+def oracle_uo(marked: MarkedState, theta: float) -> np.ndarray:
     """Phase oracle U_o(theta) = U_f V_S(theta) U_f on the full system."""
-    uf = oracle_uf(marked, system)
-    return uf @ conditional_aux_phase(system, theta) @ uf
+    uf = oracle_uf(marked)
+    return uf @ np.diag(aux_phase_vector(marked.n, theta)) @ uf
 
 
-def restrict_to_aux01(u: np.ndarray, system: SpinSystem) -> np.ndarray:
+def restrict_to_aux01(u: np.ndarray) -> np.ndarray:
     """Block of a full-system operator on the auxiliary |0>|1> sector."""
-    _require_aux(system)
-    idx = np.arange(system.dim_work) * 4 + 0b01
+    idx = np.arange(u.shape[0] // 4) * 4 + 0b01
     return u[np.ix_(idx, idx)]
 
 
-def aux_pure_state(system: SpinSystem) -> np.ndarray:
+def aux_pure_state() -> np.ndarray:
     """Projector |0><0| x |1><1| on the two auxiliary spins (4x4)."""
-    _require_aux(system)
-    aux = SpinSystem(n_work=2)
-    s1z = spin_op(aux, 1, "z")
-    s2z = spin_op(aux, 2, "z")
+    s1z = spin_op(2, 1, "z")
+    s2z = spin_op(2, 2, "z")
     return 0.25 * np.eye(4) + 0.5 * (s1z - s2z) - s1z @ s2z

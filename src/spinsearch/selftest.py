@@ -24,7 +24,6 @@ import numpy as np
 from . import composition, mqalgebra, oracle, sequences, spectroscopy
 from .linalg import (
     PAULI_HALF,
-    SpinSystem,
     comm,
     expm_unitary,
     kron_all,
@@ -52,17 +51,15 @@ class InvariantResult:
 def _check_spin_commutators(*, n_values=(2, 3, 4)) -> float:
     worst = 0.0
     for n in n_values:
-        system = SpinSystem(n_work=n)
-        ops = [(k, spin_op(system, k, ax)) for k in range(1, n + 1) for ax in "xyz"]
+        ops = [(k, spin_op(n, k, ax)) for k in range(1, n + 1) for ax in "xyz"]
         for k, a in ops:
             for l, b in ops:
                 if k != l:
                     worst = max(worst, float(np.abs(comm(a, b)).max()))
     # su(2) algebra on one spin: [Ix, Iy] = i Iz and cyclic
-    system = SpinSystem(n_work=2)
     for k in (1, 2):
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-            d = comm(spin_op(system, k, a), spin_op(system, k, b)) - 1j * spin_op(system, k, c)
+            d = comm(spin_op(2, k, a), spin_op(2, k, b)) - 1j * spin_op(2, k, c)
             worst = max(worst, float(np.abs(d).max()))
     return worst
 
@@ -81,7 +78,7 @@ def _check_expm_unitary(*, n_values=(1, 2, 3, 4), seed=11) -> float:
 def _check_fz_eigenvalues(*, n_values=(1, 2, 3, 4)) -> float:
     worst = 0.0
     for n in n_values:
-        fz = total_op(SpinSystem(n_work=n), "z")
+        fz = total_op(n, "z")
         worst = max(
             worst, float(np.abs(np.diag(fz).real - magnetic_quantum_numbers(n)).max())
         )
@@ -92,12 +89,11 @@ def _check_fz_eigenvalues(*, n_values=(1, 2, 3, 4)) -> float:
 def _check_oracle_equivalence(*, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
-        system = SpinSystem(n_work=n, n_aux=2)
         for s in range(2**n):
             marked = MarkedState(s=s, n=n)
             for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-                uo = oracle.oracle_uo(marked, system, theta)
-                block = oracle.restrict_to_aux01(uo, system)
+                uo = oracle.oracle_uo(marked, theta)
+                block = oracle.restrict_to_aux01(uo)
                 cs = oracle.selective_phase(marked, theta)
                 worst = max(worst, float(np.abs(block - cs).max()))
     return worst
@@ -188,13 +184,12 @@ def _check_mq_generator_orders(*, n_values=(2, 3)) -> float:
     has no coherence order but +-(subset size)."""
     worst = 0.0
     for n in n_values:
-        system = SpinSystem(n_work=n)
         subsets = [(1, *c) for size in range(1, n) for c in combinations(range(2, n + 1), size)]
         for qubits in subsets:
             l = len(qubits)
             g = mqalgebra.mq_generator(n, qubits)
             worst = max(worst, float(np.abs(g - g.conj().T).max()))
-            dec = mqalgebra.decompose_orders(g, system)
+            dec = mqalgebra.decompose_orders(g)
             for m, a in dec.items():
                 if abs(m) != l:
                     worst = max(worst, float(np.abs(a).max()))
@@ -205,13 +200,12 @@ def _check_zero_quantum_closure(*, n_values=(2, 3), count=6, seed=53) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in n_values:
-        system = SpinSystem(n_work=n)
         for _ in range(count):
             h = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
             zq_op = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
             u = expm_unitary(zq_op, 0.9)
             moved = u @ h @ u.conj().T
-            dec = mqalgebra.decompose_orders(moved, system)
+            dec = mqalgebra.decompose_orders(moved)
             for m, a in dec.items():
                 if m != 0:
                     worst = max(worst, float(np.abs(a).max()))
@@ -222,7 +216,6 @@ def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in n_values:
-        system = SpinSystem(n_work=n)
         om = mqalgebra.order_matrix(n)
         even_mask = np.abs(np.rint(om)) % 2 == 0
         for _ in range(count):
@@ -230,7 +223,7 @@ def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59) -> float:
             gen = np.where(even_mask, random_hermitian(rng, 2**n), 0)
             u = expm_unitary(gen, 0.8)
             moved = u @ h @ u.conj().T
-            dec = mqalgebra.decompose_orders(moved, system)
+            dec = mqalgebra.decompose_orders(moved)
             for m, a in dec.items():
                 if m % 2 != 0:
                     worst = max(worst, float(np.abs(a).max()))
@@ -273,16 +266,15 @@ def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000) -> float:
     for n in n_values:
         dim = 2**n
         rng = np.random.default_rng(seed + n)
-        system = SpinSystem(n_work=n)
         h = spectroscopy.SpinHamiltonian.uniform_fz(n, 2 * np.pi * 10)
         for _ in range(count):
             u = random_unitary(rng, dim)
             v = random_unitary(rng, dim)
             cfg = spectroscopy.PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1 / 256, n_points=128)
-            rho0 = sequences.initial_state(system, rng.uniform(0.5, 1.5, n), "y")
+            rho0 = sequences.initial_state(n, rng.uniform(0.5, 1.5, n), "y")
             series = spectroscopy.run_pipeline(rho0, cfg)
             p = u @ rho0 @ u.conj().T
-            q = v.conj().T @ total_op(system, "z") @ v
+            q = v.conj().T @ total_op(n, "z") @ v
             om, amps = spectroscopy.eigen_expand(p, q, h)
             resum = spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
             worst = max(worst, float(np.abs(series - resum).max()))

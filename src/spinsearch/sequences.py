@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpinSystem, conjugate_leading, product_rotation, spin_op
+from .linalg import conjugate_leading, product_rotation, spin_op
 from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
@@ -44,19 +44,12 @@ class AmbiguousReadoutError(RuntimeError):
     """A per-qubit readout coefficient is too small to assign a sign."""
 
 
-def initial_state(system: SpinSystem, epsilons, axis: str = "y") -> np.ndarray:
-    """Deviation part sum_k eps_k I_k_axis, tensored with the auxiliary
-    |0>|1> projector when the system carries auxiliary qubits."""
+def initial_state(n: int, epsilons, axis: str = "y") -> np.ndarray:
+    """Deviation part sum_k eps_k I_k_axis on n work qubits."""
     epsilons = np.asarray(epsilons, dtype=float)
-    if epsilons.shape != (system.n_work,):
+    if epsilons.shape != (n,):
         raise ValueError("need one polarization per work qubit")
-    work = SpinSystem(n_work=system.n_work)
-    dev = sum(
-        epsilons[k - 1] * spin_op(work, k, axis) for k in range(1, system.n_work + 1)
-    )
-    if system.n_aux == 2:
-        dev = np.kron(dev, aux_pure_state(system))
-    return dev
+    return sum(epsilons[k - 1] * spin_op(n, k, axis) for k in range(1, n + 1))
 
 
 def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
@@ -142,20 +135,18 @@ def simple_search(
         raise ValueError("polarizations must be nonzero")
 
     if aux_mode == "selective-cs":
-        system = SpinSystem(n_work=n)
-        rho = initial_state(system, epsilons, "y")
+        rho = initial_state(n, epsilons, "y")
         rho = conjugate_multi_selective(rho, [marked], [theta])
     elif aux_mode == "explicit-uf":
-        system = SpinSystem(n_work=n, n_aux=2)
-        rho = initial_state(system, epsilons, "y")
-        rho = _apply_explicit_oracle(rho, marked, system, theta)
+        rho = np.kron(initial_state(n, epsilons, "y"), aux_pure_state())
+        rho = _apply_explicit_oracle(rho, marked, theta)
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
     rho = conjugate_leading(rho, product_rotation(n, "y", np.pi / 2))
     rho = zq_dephase(gradient_crush(rho))
 
-    if system.n_aux == 2:
+    if aux_mode == "explicit-uf":
         rho = _trace_out_aux(rho, n)
 
     dim = 2**n
@@ -190,16 +181,14 @@ def simple_search(
     )
 
 
-def _apply_explicit_oracle(
-    rho: np.ndarray, marked: MarkedState, system: SpinSystem, theta: float
-) -> np.ndarray:
+def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
     """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, without building U_o.
 
     Each U_f conjugation is a row-and-column permutation of rho, and the
     diagonal V_S conjugation an elementwise phase v_i rho_ij conj(v_j).
     """
-    p = uf_permutation(marked, system)
-    v = aux_phase_vector(system, theta)
+    p = uf_permutation(marked)
+    v = aux_phase_vector(marked.n, theta)
     rho = rho[np.ix_(p, p)]
     rho *= v[:, None]
     rho *= v.conj()[None, :]
@@ -208,8 +197,7 @@ def _apply_explicit_oracle(
 
 def _iz_diagonals(n: int) -> np.ndarray:
     """Row k - 1 holds the diagonal of I_kz on n work qubits."""
-    system = SpinSystem(n_work=n)
-    return np.array([np.diag(spin_op(system, k, "z")).real for k in range(1, n + 1)])
+    return np.array([np.diag(spin_op(n, k, "z")).real for k in range(1, n + 1)])
 
 
 def _trace_out_aux(rho: np.ndarray, n_work: int) -> np.ndarray:

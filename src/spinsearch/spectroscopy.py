@@ -22,14 +22,13 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN_TOL,
-    SpinSystem,
     expm_unitary,
     hermiticity_defect,
-    magnetic_quantum_numbers,
+    n_qubits,
     spin_op,
     total_op,
 )
-from .mqalgebra import phase_cycle_project
+from .mqalgebra import order_matrix, phase_cycle_project
 
 PEAK_REL_THRESHOLD = 1e-6
 
@@ -46,7 +45,7 @@ class SpinHamiltonian:
 
     @classmethod
     def uniform_fz(cls, n: int, omega: float) -> "SpinHamiltonian":
-        return cls(omega * total_op(SpinSystem(n_work=n), "z"))
+        return cls(omega * total_op(n, "z"))
 
     @classmethod
     def weak_coupling(cls, n: int, offsets, couplings=None) -> "SpinHamiltonian":
@@ -54,15 +53,14 @@ class SpinHamiltonian:
 
         offsets in rad/s, couplings {(k, l): J_hz} in Hz.
         """
-        system = SpinSystem(n_work=n)
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (n,):
             raise ValueError("need one offset per spin")
-        h = sum(offsets[k - 1] * spin_op(system, k, "z") for k in range(1, n + 1))
+        h = sum(offsets[k - 1] * spin_op(n, k, "z") for k in range(1, n + 1))
         for (k, l), j_hz in (couplings or {}).items():
             if k == l or not (1 <= k <= n and 1 <= l <= n):
                 raise ValueError(f"couplings need two distinct spins in 1..{n}, got ({k}, {l})")
-            h = h + 2 * np.pi * j_hz * (spin_op(system, k, "z") @ spin_op(system, l, "z"))
+            h = h + 2 * np.pi * j_hz * (spin_op(n, k, "z") @ spin_op(n, l, "z"))
         return cls(h)
 
     @cached_property  # PipelineConfig.validate runs at config parse and again in run_pipeline
@@ -110,9 +108,7 @@ def run_pipeline(rho0: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     e^T (Q_e^T * P_e) conj(e): one eigh, then O(dim^2) per point.
     """
     cfg.validate()
-    n = int(round(np.log2(rho0.shape[0])))
-    system = SpinSystem(n_work=n)
-    f_q = total_op(system, cfg.detect_axis)
+    f_q = total_op(n_qubits(rho0), cfg.detect_axis)
     p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
     q = cfg.v_seq.conj().T @ f_q @ cfg.v_seq
     w, p_e, q_e = _eigenframe(p, q, cfg.h_evol)
@@ -154,10 +150,9 @@ def inphase_check(
     Q = V+ F_q V.  When it holds, every order-m line has amplitude
     |P_jk|^2 exp(i m phi), so lines of one order share a single phase.
     """
-    system = SpinSystem(n_work=n)
-    p = u_seq @ total_op(system, p_axis) @ u_seq.conj().T
-    q = v_seq.conj().T @ total_op(system, q_axis) @ v_seq
-    rz = expm_unitary(total_op(system, "z"), phi)
+    p = u_seq @ total_op(n, p_axis) @ u_seq.conj().T
+    q = v_seq.conj().T @ total_op(n, q_axis) @ v_seq
+    rz = expm_unitary(total_op(n, "z"), phi)
     target = rz @ p @ rz.conj().T
     residual = float(np.abs(q.conj().T - target).max())
     return residual <= tol, residual
@@ -219,9 +214,8 @@ def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:
 
     Summing over all orders reproduces the t1 = 0 signal Tr(Q P).
     """
-    n = int(round(np.log2(p.shape[0])))
-    mm = magnetic_quantum_numbers(n)
-    om = np.rint(mm[:, None] - mm[None, :]).astype(int)
+    n = n_qubits(p)
+    om = np.rint(order_matrix(n)).astype(int)
     amps = q.conj() * p
     return {m: complex(amps[om == m].sum()) for m in range(-n, n + 1)}
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from spinsearch.cli import main as cli_main
-from spinsearch.linalg import SpinSystem, spin_op
+from spinsearch.linalg import spin_op
 from spinsearch.mqalgebra import decompose_orders, mq_generator
 from spinsearch.oracle import MarkedState
 from spinsearch.sequences import (
@@ -128,10 +128,9 @@ def test_criterion_07_coherence_order_machinery():
     worst = CHECK["phase-cycling-vs-grading"](n_values=(2, 3, 4), count=50, seed=2000)
     assert worst <= 1e-11
     n = 3
-    system = SpinSystem(n_work=n)
     for l in (1, 2, 3):
         g = mq_generator(n, tuple(range(1, l + 1)))
-        assert support(decompose_orders(g, system), tol=1e-12) == [-l, l]
+        assert support(decompose_orders(g), tol=1e-12) == [-l, l]
     report(
         "criterion 7 (coherence-order machinery)",
         f"phase cycling vs grading residual {worst:.3e} <= 1e-11; "
@@ -145,7 +144,6 @@ def test_criterion_08_spectroscopy_consistency():
     assert worst <= 1e-9
 
     n, omega = 3, 2 * np.pi * 10
-    system = SpinSystem(n_work=n)
     u = grover_propagator(MarkedState(s=3, n=n), 2)
     cfg = PipelineConfig(
         u_seq=u,
@@ -154,7 +152,7 @@ def test_criterion_08_spectroscopy_consistency():
         dt=1 / 256,
         n_points=256,
     )
-    rho0 = initial_state(system, np.ones(n), "z")
+    rho0 = initial_state(n, np.ones(n), "z")
     spec = spectrum(run_pipeline(rho0, cfg), cfg.dt, label_omega=omega)
     freqs = {round(p.frequency / omega) for p in spec.peaks}
     assert 1 <= len(spec.peaks) <= 2 * n + 1
@@ -205,8 +203,7 @@ def test_criterion_10_composition_orders():
     # halving x shrinks the deviation ~8x; an x^2 term would only give ~4x
     assert sand.step_errors[0] / sand.step_errors[1] >= 6.0
 
-    one = SpinSystem(n_work=1)
-    iz, ix = spin_op(one, 1, "z"), spin_op(one, 1, "x")
+    iz, ix = spin_op(1, 1, "z"), spin_op(1, 1, "x")
     cross = cross_interaction(iz, ix, 0.1, level=2)
     target = cross_interaction_target(iz, ix, 0.1)
     rel = maxabs(cross.generator_estimate - target) / maxabs(target)

@@ -3,7 +3,6 @@ import pytest
 
 from spinsearch.linalg import (
     BranchCutError,
-    SpinSystem,
     comm,
     expm_unitary,
     spin_op,
@@ -21,10 +20,9 @@ from spinsearch.composition import (
 
 from conftest import CHECK, maxabs, random_hermitian
 
-ONE_SPIN = SpinSystem(n_work=1)
-IX = spin_op(ONE_SPIN, 1, "x")
-IY = spin_op(ONE_SPIN, 1, "y")
-IZ = spin_op(ONE_SPIN, 1, "z")
+IX = spin_op(1, 1, "x")
+IY = spin_op(1, 1, "y")
+IZ = spin_op(1, 1, "z")
 
 
 def commuting_pair(rng, dim=4):

@@ -28,6 +28,7 @@ from spinsearch.config import (
     GROVER_M_MAX,
     T1_POINTS_MAX,
     VALUE_MAX,
+    VALUE_MIN,
     ConfigError,
     SelftestConfig,
     SpectrumConfig,
@@ -227,6 +228,24 @@ def float_keys(v, dominance):
         "cross-peak-tau_u": ("spectrum", {"preset": "cross-peak-demo", "tau_u": v}),
         "cross-peak-tau_v": ("spectrum", {"preset": "cross-peak-demo", "tau_v": v}),
         "cross-peak-dominance": ("spectrum", {"preset": "cross-peak-demo", "dominance": dominance}),
+        "scan-epsilons": ("grover-scan", {"n_values": [3], "epsilons": [v] * 3}),
+        "spectrum-epsilons": ("spectrum", {**IDENTITY_N4, "epsilons": [v] * 4}),
+        "search-epsilons": ("search", {"n": 3, "s": 5, "epsilons": [v] * 3, "aux_mode": "explicit-uf"}),
+    }
+
+
+def floor_keys(v):
+    """One config per float key whose nonzero magnitude has a floor, at
+    value v, each next to the largest values its quotients meet: peak
+    orders are frequency / omega, and a scan divides by the read spin's
+    polarization."""
+    return {
+        "dt-and-omega-floor": (
+            "spectrum",
+            {**IDENTITY_N4, "hamiltonian": {"kind": "uniform-fz", "omega": v}, "t1": {"dt": abs(v), "points": 16}},
+        ),
+        "scan-epsilons-floor": ("grover-scan", {"n_values": [3], "epsilons": [v, VALUE_MAX, VALUE_MAX]}),
+        "spectrum-epsilons-floor": ("spectrum", {**IDENTITY_N4, "epsilons": [v, VALUE_MAX, 1.0, 0.0]}),
     }
 
 
@@ -245,10 +264,31 @@ UNBOUNDED_FLOATS = {
     "uniform-fz-omega-1.7e308": (
         "spectrum", {**IDENTITY_N4, "hamiltonian": {"kind": "uniform-fz", "omega": 1.7e308}},
     ),
+    "uniform-fz-omega-1e-310": (
+        "spectrum",
+        {
+            "preset": "identity",
+            "n": 2,
+            "hamiltonian": {"kind": "uniform-fz", "omega": 1e-310},
+            "t1": {"dt": 0.00390625, "points": 16},
+        },
+    ),
+    "t1-dt-5e-324": (
+        "spectrum",
+        {
+            "preset": "identity",
+            "n": 2,
+            "hamiltonian": {"kind": "uniform-fz", "omega": 1.0},
+            "t1": {"dt": 5e-324, "points": 16},
+        },
+    ),
+    "scan-epsilons-1e308": ("grover-scan", {"n_values": [2], "epsilons": [1e308, 1e308]}),
+    "scan-epsilons-1e-310": ("grover-scan", {"n_values": [2], "epsilons": [1e-310, 1.0]}),
     **{
         f"{name}-over-bound": case
         for name, case in float_keys(-1.01 * VALUE_MAX, -1.01 * DOMINANCE_MAX).items()
     },
+    **{f"{name}-under-floor": case for name, case in floor_keys(0.99 * VALUE_MIN).items()},
 }
 
 
@@ -268,9 +308,10 @@ def test_float_over_bound_exits_2_before_numerics(tmp_path, capsys, no_command, 
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("name", sorted(float_keys(1.0, 1.0)))
+@pytest.mark.parametrize("name", sorted(float_keys(1.0, 1.0)) + sorted(floor_keys(1.0)))
 def test_float_at_bound_runs_clean(tmp_path, name, sign):
-    command, cfg = float_keys(sign * VALUE_MAX, sign * DOMINANCE_MAX)[name]
+    at_bound = {**float_keys(sign * VALUE_MAX, sign * DOMINANCE_MAX), **floor_keys(sign * VALUE_MIN)}
+    command, cfg = at_bound[name]
     code, out = run_main(tmp_path, command, cfg)
     assert code == 0
     strict_json((out / "report.json").read_text())
@@ -354,7 +395,7 @@ PLAUSIBLE = {
 HOSTILE = st.one_of(
     st.sampled_from(
         [True, False, None, math.nan, math.inf, -math.inf, "", "q", 10**400, 1e300, 2.5,
-         2 * T1_POINTS_MAX, COMPOSE_DIM_MAX + 1, GROVER_M_MAX + 1]
+         5e-324, -1e-310, 2 * T1_POINTS_MAX, COMPOSE_DIM_MAX + 1, GROVER_M_MAX + 1]
     ),
     st.integers(-2, 6),
     st.floats(-3, 3),

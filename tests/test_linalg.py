@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from spinsearch.linalg import (
     BranchCutError,
-    SpinSystem,
     comm,
     conjugate_leading,
     expm_unitary,
     kron_all,
     magnetic_quantum_numbers,
     matrix_log_skew,
+    n_qubits,
     product_rotation,
     spin_op,
     total_op,
@@ -21,69 +21,56 @@ from spinsearch.linalg import (
 from conftest import maxabs, random_hermitian, random_unitary
 
 
-class TestSpinSystem:
-    def test_dimensions(self):
-        assert SpinSystem(n_work=3).dim == 8
-        assert SpinSystem(n_work=3, n_aux=2).dim == 32
-        assert SpinSystem(n_work=3, n_aux=2).dim_work == 8
+class TestNQubits:
+    def test_reads_n_off_the_shape(self):
+        assert [n_qubits(np.eye(2**n)) for n in range(4)] == [0, 1, 2, 3]
 
-    def test_rejects_bad_layout(self):
-        with pytest.raises(ValueError):
-            SpinSystem(n_work=0)
-        with pytest.raises(ValueError):
-            SpinSystem(n_work=2, n_aux=1)
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (8,)])
+    def test_rejects_non_qubit_shapes(self, shape):
+        with pytest.raises(ValueError, match="2\\*\\*n"):
+            n_qubits(np.zeros(shape))
 
 
 class TestSpinOp:
     def test_single_qubit_z(self):
-        assert maxabs(spin_op(SpinSystem(n_work=1), 1, "z") - 0.5 * np.diag([1, -1])) == 0
+        assert maxabs(spin_op(1, 1, "z") - 0.5 * np.diag([1, -1])) == 0
 
     def test_su2_commutator(self):
-        system = SpinSystem(n_work=2)
-        lhs = comm(spin_op(system, 1, "x"), spin_op(system, 1, "y"))
-        assert maxabs(lhs - 1j * spin_op(system, 1, "z")) < 1e-15
+        lhs = comm(spin_op(2, 1, "x"), spin_op(2, 1, "y"))
+        assert maxabs(lhs - 1j * spin_op(2, 1, "z")) < 1e-15
 
     def test_traceless_two_spin_product(self):
-        system = SpinSystem(n_work=2)
-        prod = spin_op(system, 1, "z") @ spin_op(system, 2, "z")
+        prod = spin_op(2, 1, "z") @ spin_op(2, 2, "z")
         assert abs(np.trace(prod)) == 0
 
     def test_ladder_operators(self):
-        system = SpinSystem(n_work=1)
-        ip = spin_op(system, 1, "+")
-        im = spin_op(system, 1, "-")
-        ix, iy = spin_op(system, 1, "x"), spin_op(system, 1, "y")
+        ip = spin_op(1, 1, "+")
+        im = spin_op(1, 1, "-")
+        ix, iy = spin_op(1, 1, "x"), spin_op(1, 1, "y")
         assert maxabs(ip - (ix + 1j * iy)) == 0
         assert maxabs(im - (ix - 1j * iy)) == 0
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
-            spin_op(SpinSystem(n_work=2), 3, "x")
+            spin_op(2, 3, "x")
 
 
 class TestTotalOp:
     def test_two_spin_z(self):
-        fz = total_op(SpinSystem(n_work=2), "z")
+        fz = total_op(2, "z")
         assert maxabs(fz - np.diag([1, 0, 0, -1])) == 0
 
     def test_single_spin_reduces(self):
-        system = SpinSystem(n_work=1)
-        assert maxabs(total_op(system, "z") - spin_op(system, 1, "z")) == 0
+        assert maxabs(total_op(1, "z") - spin_op(1, 1, "z")) == 0
 
     def test_three_spin_eigenvalues(self):
-        fz = total_op(SpinSystem(n_work=3), "z")
+        fz = total_op(3, "z")
         got = sorted(np.diag(fz).real)
         assert got == [-1.5, -0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.5]
 
-    def test_work_qubits_only(self):
-        # aux spins do not contribute to the collective work operator
-        fz = total_op(SpinSystem(n_work=1, n_aux=2), "z")
-        expected = np.kron(0.5 * np.diag([1, -1]), np.eye(4))
-        assert maxabs(fz - expected) == 0
-
     def test_popcount_formula(self):
         for n in (1, 2, 3, 4):
-            fz = total_op(SpinSystem(n_work=n), "z")
+            fz = total_op(n, "z")
             assert maxabs(np.diag(fz).real - magnetic_quantum_numbers(n)) == 0
             assert maxabs(fz - np.diag(np.diag(fz))) == 0
 
@@ -171,21 +158,19 @@ class TestProductRotation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_eigh_of_collective_operator(self, n, axis):
         rng = np.random.default_rng(100 * n + ord(axis))
-        system = SpinSystem(n_work=n)
         for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=3):
-            ref = expm_unitary(total_op(system, axis), angle)
+            ref = expm_unitary(total_op(n, axis), angle)
             assert maxabs(product_rotation(n, axis, angle) - ref) <= 1e-12
 
     def test_per_qubit_angles(self, rng):
         n = 4
-        system = SpinSystem(n_work=n)
         angles = rng.uniform(-np.pi, np.pi, size=n)
         ref = np.eye(2**n, dtype=complex)
         for k, a in enumerate(angles, start=1):
-            ref = ref @ expm_unitary(spin_op(system, k, "x"), a)
+            ref = ref @ expm_unitary(spin_op(n, k, "x"), a)
         assert maxabs(product_rotation(n, "x", angles) - ref) <= 1e-12
         zero_on_two = product_rotation(n, "y", [0.7, 0.0, 0.0, 0.7])
-        ref = expm_unitary(spin_op(system, 1, "y") + spin_op(system, 4, "y"), 0.7)
+        ref = expm_unitary(spin_op(n, 1, "y") + spin_op(n, 4, "y"), 0.7)
         assert maxabs(zero_on_two - ref) <= 1e-12
 
     def test_rejects_bad_axis(self):

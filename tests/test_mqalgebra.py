@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsearch.linalg import (
-    SpinSystem,
     comm,
     expm_unitary,
     kron_all,
@@ -29,34 +28,29 @@ from conftest import CHECK, maxabs, random_hermitian, support
 
 def flip_flop(n=2):
     """(I1+ I2- + I1- I2+)/2, the elementary zero-quantum coherence."""
-    system = SpinSystem(n_work=n)
-    ip1, im1 = spin_op(system, 1, "+"), spin_op(system, 1, "-")
-    ip2, im2 = spin_op(system, 2, "+"), spin_op(system, 2, "-")
+    ip1, im1 = spin_op(n, 1, "+"), spin_op(n, 1, "-")
+    ip2, im2 = spin_op(n, 2, "+"), spin_op(n, 2, "-")
     return 0.5 * (ip1 @ im2 + im1 @ ip2)
 
 
 class TestDecomposeOrders:
     def test_longitudinal_is_order_zero(self):
-        system = SpinSystem(n_work=2)
-        assert support(decompose_orders(spin_op(system, 1, "z"), system)) == [0]
+        assert support(decompose_orders(spin_op(2, 1, "z"))) == [0]
 
     def test_raising_is_order_plus_one(self):
-        system = SpinSystem(n_work=2)
-        assert support(decompose_orders(spin_op(system, 1, "+"), system)) == [1]
+        assert support(decompose_orders(spin_op(2, 1, "+"))) == [1]
 
     def test_double_x_product_orders(self):
-        system = SpinSystem(n_work=2)
-        op = 4 * spin_op(system, 1, "x") @ spin_op(system, 2, "x")
-        assert support(decompose_orders(op, system)) == [-2, 0, 2]
+        op = 4 * spin_op(2, 1, "x") @ spin_op(2, 2, "x")
+        assert support(decompose_orders(op)) == [-2, 0, 2]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**31))
     def test_reconstruction_and_eigenrelation(self, n, seed):
-        system = SpinSystem(n_work=n)
         a = random_hermitian(np.random.default_rng(seed), 2**n)
-        dec = decompose_orders(a, system)
+        dec = decompose_orders(a)
         assert maxabs(sum(dec.values()) - a) <= 1e-12
-        fz = total_op(system, "z")
+        fz = total_op(n, "z")
         for m, comp in dec.items():
             assert maxabs(comm(fz, comp) - m * comp) <= 1e-10
 
@@ -67,8 +61,7 @@ class TestCrushAndDephase:
         assert maxabs(gradient_crush(rho) - rho) == 0
 
     def test_transverse_dies_in_crush(self):
-        system = SpinSystem(n_work=2)
-        assert maxabs(gradient_crush(spin_op(system, 1, "x"))) == 0
+        assert maxabs(gradient_crush(spin_op(2, 1, "x"))) == 0
 
     def test_flip_flop_survives_crush(self):
         op = flip_flop()
@@ -78,8 +71,7 @@ class TestCrushAndDephase:
         assert maxabs(zq_dephase(flip_flop())) == 0
 
     def test_two_spin_order_survives_dephase(self):
-        system = SpinSystem(n_work=2)
-        op = spin_op(system, 1, "z") @ spin_op(system, 2, "z")
+        op = spin_op(2, 1, "z") @ spin_op(2, 2, "z")
         assert maxabs(zq_dephase(op) - op) == 0
 
     def test_dephased_commutes_with_z_basis(self, rng):
@@ -119,7 +111,6 @@ class TestLomsoTransform:
     def test_projector_subset_sum_expansion(self):
         # product form == (1/N) sum over qubit subsets of prod (a_k 2 I_kz)
         n = 3
-        system = SpinSystem(n_work=n)
         for s in range(8):
             marked = MarkedState(s=s, n=n)
             a = marked.signs
@@ -128,7 +119,7 @@ class TestLomsoTransform:
                 term = np.eye(8, dtype=complex)
                 for k in range(1, n + 1):
                     if (subset >> (n - k)) & 1:
-                        term = term @ (2 * a[k - 1] * spin_op(system, k, "z"))
+                        term = term @ (2 * a[k - 1] * spin_op(n, k, "z"))
                 total += term
             assert maxabs(diag_projector(marked) - total / 8) <= 1e-12
 
@@ -136,7 +127,7 @@ class TestLomsoTransform:
 def expm_phase_cycle_project(f_op, n1, target_order):
     """Reference: each phase step as expm_unitary of the dense diagonal Fz."""
     n = int(np.log2(f_op.shape[0]))
-    fz = total_op(SpinSystem(n_work=n), "z")
+    fz = total_op(n, "z")
     out = np.zeros_like(f_op, dtype=complex)
     for k in range(n1):
         phi = 2 * np.pi * k / n1
@@ -165,15 +156,13 @@ class TestPhaseCycling:
     def test_projected_x_projector_matches_grading(self):
         from spinsearch.sequences import projector_x_basis
 
-        system = SpinSystem(n_work=2)
         dsx = projector_x_basis(MarkedState(s=1, n=2))
         projected = phase_cycle_project(dsx, 5, 0)
-        expected = decompose_orders(dsx, system)[0]
+        expected = decompose_orders(dsx)[0]
         assert maxabs(projected - expected) <= 1e-11
 
     def test_double_x_zero_quantum_part(self):
-        system = SpinSystem(n_work=2)
-        op = 4 * spin_op(system, 1, "x") @ spin_op(system, 2, "x")
+        op = 4 * spin_op(2, 1, "x") @ spin_op(2, 2, "x")
         got = phase_cycle_project(op, 5, 0)
         assert maxabs(got - 2 * flip_flop()) <= 1e-12
 
@@ -206,9 +195,8 @@ def mq_generator_expanded(n, l_indices):
 
 class TestMqGenerators:
     def test_two_spin_comm_orders(self):
-        system = SpinSystem(n_work=2)
         g = mq_generator(2, (1, 2))
-        assert support(decompose_orders(g, system), tol=1e-13) == [-2, 2]
+        assert support(decompose_orders(g), tol=1e-13) == [-2, 2]
 
     def test_hermiticity(self):
         g = mq_generator(3, (1, 3))
@@ -221,9 +209,8 @@ class TestMqGenerators:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_support_at_plus_minus_l(self, l):
         n = 3
-        system = SpinSystem(n_work=n)
         g = mq_generator(n, tuple(range(1, l + 1)))
-        assert support(decompose_orders(g, system), tol=1e-13) == [-l, l]
+        assert support(decompose_orders(g), tol=1e-13) == [-l, l]
 
 
 class TestClosureProperties:

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinsearch.linalg import SpinSystem, kron_all
+from spinsearch.linalg import kron_all
 from spinsearch.oracle import (
-    ConfigurationError,
     MarkedState,
     aux_phase_vector,
     aux_pure_state,
-    conditional_aux_phase,
     diag_projector,
     oracle_uf,
     oracle_uo,
@@ -102,14 +100,12 @@ class TestSelectivePhase:
 
 class TestExplicitOracle:
     def test_uf_squares_to_identity(self):
-        system = SpinSystem(n_work=2, n_aux=2)
-        uf = oracle_uf(MarkedState(s=1, n=2), system)
+        uf = oracle_uf(MarkedState(s=1, n=2))
         assert maxabs(uf @ uf - np.eye(16)) == 0
 
     def test_uf_flips_aux_a_on_marked(self):
-        system = SpinSystem(n_work=2, n_aux=2)
         s = 1
-        uf = oracle_uf(MarkedState(s=s, n=2), system)
+        uf = oracle_uf(MarkedState(s=s, n=2))
         for b in (0, 1):
             ket = np.zeros(16)
             ket[s * 4 + 0b00 + b] = 1.0  # |s>|0>|b>
@@ -121,8 +117,7 @@ class TestExplicitOracle:
     def test_phase_kickback_on_minus_state(self):
         # aux a in (|0> - |1>)/sqrt2 turns the bit flip into (-1)^f(x)
         n, s = 2, 2
-        system = SpinSystem(n_work=n, n_aux=2)
-        uf = oracle_uf(MarkedState(s=s, n=n), system)
+        uf = oracle_uf(MarkedState(s=s, n=n))
         for x in range(4):
             for b in (0, 1):
                 ket = np.zeros(16)
@@ -132,17 +127,12 @@ class TestExplicitOracle:
                 sign = -1.0 if x == s else 1.0
                 assert maxabs(out - sign * ket) < 1e-15
 
-    def test_needs_aux_qubits(self):
-        with pytest.raises(ConfigurationError):
-            oracle_uf(MarkedState(s=1, n=2), SpinSystem(n_work=2))
-        with pytest.raises(ConfigurationError):
-            uf_permutation(MarkedState(s=1, n=2), SpinSystem(n_work=2))
 
-
-def loop_uf(marked, system):
+def loop_uf(marked):
     """U_f built entry by entry from |x>|a>|b> -> |x>|a xor f(x)>|b>."""
-    u = np.zeros((system.dim, system.dim), dtype=complex)
-    for idx in range(system.dim):
+    dim = 2 ** (marked.n + 2)
+    u = np.zeros((dim, dim), dtype=complex)
+    for idx in range(dim):
         x, ab = divmod(idx, 4)
         if x == marked.s:
             ab ^= 0b10
@@ -153,43 +143,32 @@ def loop_uf(marked, system):
 class TestUfPermutation:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_dense_oracle_for_every_s(self, n):
-        system = SpinSystem(n_work=n, n_aux=2)
-        cols = np.arange(system.dim)
+        cols = np.arange(2 ** (n + 2))
         for s in range(2**n):
             marked = MarkedState(s=s, n=n)
-            p = uf_permutation(marked, system)
-            ref = loop_uf(marked, system)
+            p = uf_permutation(marked)
+            ref = loop_uf(marked)
             assert np.array_equal(np.argmax(ref, axis=0), p)
-            assert np.array_equal(ref[p, cols], np.ones(system.dim))
-            assert np.array_equal(oracle_uf(marked, system), ref)
+            assert np.array_equal(ref[p, cols], np.ones(len(cols)))
+            assert np.array_equal(oracle_uf(marked), ref)
             assert np.array_equal(p[p], cols)
 
     def test_indexing_equals_dense_conjugation(self, rng):
-        system = SpinSystem(n_work=3, n_aux=2)
         marked = MarkedState(s=6, n=3)
-        p = uf_permutation(marked, system)
-        uf = oracle_uf(marked, system)
+        p = uf_permutation(marked)
+        uf = oracle_uf(marked)
         rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         assert np.array_equal(rho[np.ix_(p, p)], uf @ rho @ uf.conj().T)
-
-    def test_aux_phase_vector_is_the_diagonal(self):
-        system = SpinSystem(n_work=3, n_aux=2)
-        v = aux_phase_vector(system, 0.7)
-        expected = [np.exp(-0.7j) if idx % 4 == 0b11 else 1.0 for idx in range(32)]
-        assert np.array_equal(v, np.array(expected))
-        assert np.array_equal(conditional_aux_phase(system, 0.7), np.diag(v))
 
 
 class TestPhaseOracle:
     def test_zero_phase_identity(self):
-        system = SpinSystem(n_work=2, n_aux=2)
-        uo = oracle_uo(MarkedState(s=3, n=2), system, 0.0)
+        uo = oracle_uo(MarkedState(s=3, n=2), 0.0)
         assert maxabs(uo - np.eye(16)) == 0
 
     def test_superposition_action(self, rng):
         n, s, theta = 2, 1, 0.77
-        system = SpinSystem(n_work=n, n_aux=2)
-        uo = oracle_uo(MarkedState(s=s, n=n), system, theta)
+        uo = oracle_uo(MarkedState(s=s, n=n), theta)
         amp = rng.normal(size=4) + 1j * rng.normal(size=4)
         ket = np.zeros(16, dtype=complex)
         for x in range(4):
@@ -207,21 +186,19 @@ class TestPhaseOracle:
 
 class TestAuxPureState:
     def test_matches_direct_projector(self):
-        system = SpinSystem(n_work=1, n_aux=2)
         direct = kron_all([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert maxabs(aux_pure_state(system) - direct) <= 1e-13
+        assert maxabs(aux_pure_state() - direct) <= 1e-13
 
     def test_trace_one(self):
-        p = aux_pure_state(SpinSystem(n_work=3, n_aux=2))
+        p = aux_pure_state()
         assert abs(np.trace(p) - 1) < 1e-14
 
     def test_idempotent(self):
-        p = aux_pure_state(SpinSystem(n_work=1, n_aux=2))
+        p = aux_pure_state()
         assert maxabs(p @ p - p) <= 1e-12
 
     def test_conditional_phase_targets_a1_b1(self):
-        system = SpinSystem(n_work=1, n_aux=2)
-        v = conditional_aux_phase(system, np.pi / 3)
+        v = np.diag(aux_phase_vector(1, np.pi / 3))
         d = np.diag(v)
         for x in (0, 1):
             for ab in range(4):

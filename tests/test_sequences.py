@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spinsearch import linalg, oracle, selftest, sequences
 from spinsearch.linalg import (
-    SpinSystem,
     expm_unitary,
     kron_all,
     spin_op,
@@ -48,24 +47,23 @@ def brute_conjugate(rho, marked, theta):
     return c @ rho @ c.conj().T
 
 
-def eigh_pulse(system, axis, angle):
+def eigh_pulse(n, axis, angle):
     """exp(-i angle F_axis) through the eigendecomposition of the collective operator."""
-    return expm_unitary(total_op(system, axis), angle)
+    return expm_unitary(total_op(n, axis), angle)
 
 
 def dense_projector_x_basis(marked):
     """D_s^x with the pi/2 y pulse built from an eigh of Fy."""
-    ry = eigh_pulse(SpinSystem(n_work=marked.n), "y", np.pi / 2)
+    ry = eigh_pulse(marked.n, "y", np.pi / 2)
     return ry @ diag_projector(marked) @ ry.conj().T
 
 
 def dense_sign_flip_frame(marked):
     """W from eigh-built collective and per-spin x rotations."""
     n = marked.n
-    system = SpinSystem(n_work=n)
-    w = eigh_pulse(system, "x", np.pi / 2)
+    w = eigh_pulse(n, "x", np.pi / 2)
     for k in range(1, n + 1):
-        w = w @ expm_unitary(marked.signs[k - 1] * spin_op(system, k, "x"), -np.pi / 2)
+        w = w @ expm_unitary(marked.signs[k - 1] * spin_op(n, k, "x"), -np.pi / 2)
     return w
 
 
@@ -77,22 +75,22 @@ def dense_search_signal(marked, epsilons, theta, aux_mode):
     a trace against a dense I_kz.
     """
     n = marked.n
+    rho = initial_state(n, epsilons, "y")
+    fy = total_op(n, "y")
     if aux_mode == "selective-cs":
-        system = SpinSystem(n_work=n)
         u = selective_phase(marked, theta)
     else:
-        system = SpinSystem(n_work=n, n_aux=2)
-        u = oracle_uo(marked, system, theta)
-    rho = initial_state(system, epsilons, "y")
+        u = oracle_uo(marked, theta)
+        rho = np.kron(rho, aux_pure_state())
+        fy = np.kron(fy, np.eye(4))
     rho = u @ rho @ u.conj().T
-    pulse = eigh_pulse(system, "y", np.pi / 2)
+    pulse = expm_unitary(fy, np.pi / 2)
     rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
-    if system.n_aux == 2:
+    if aux_mode == "explicit-uf":
         rho = np.einsum("iaja->ij", rho.reshape(2**n, 4, 2**n, 4))
-    work = SpinSystem(n_work=n)
     return np.array(
         [
-            np.real(np.trace(rho @ spin_op(work, k, "z"))) / (2**n / 4)
+            np.real(np.trace(rho @ spin_op(n, k, "z"))) / (2**n / 4)
             for k in range(1, n + 1)
         ]
     )
@@ -120,8 +118,7 @@ def dense_conversion_coefficients(marked, m_max, epsilons):
     """Reference C_m for every read spin k: rows m = 0..m_max, columns k = 1..n,
     from rho = U rho0 U^dagger and trace(rho I_kz)."""
     n = marked.n
-    system = SpinSystem(n_work=n)
-    ikz = [spin_op(system, k, "z") for k in range(1, n + 1)]
+    ikz = [spin_op(n, k, "z") for k in range(1, n + 1)]
     rho0 = sum(e * op for e, op in zip(epsilons, ikz))
     out = np.empty((m_max + 1, n))
     for m, u in enumerate(dense_grover_trajectory(marked, m_max)):
@@ -133,23 +130,20 @@ def dense_conversion_coefficients(marked, m_max, epsilons):
 
 class TestInitialState:
     def test_uniform_z(self):
-        system = SpinSystem(n_work=2)
-        rho = initial_state(system, [1.0, 1.0], "z")
-        expected = spin_op(system, 1, "z") + spin_op(system, 2, "z")
+        rho = initial_state(2, [1.0, 1.0], "z")
+        expected = spin_op(2, 1, "z") + spin_op(2, 2, "z")
         assert maxabs(rho - expected) == 0
 
     def test_traceless(self, rng):
-        system = SpinSystem(n_work=3)
-        rho = initial_state(system, rng.uniform(0.5, 1.5, 3), "y")
+        rho = initial_state(3, rng.uniform(0.5, 1.5, 3), "y")
         assert abs(np.trace(rho)) <= 1e-14
         assert maxabs(rho - rho.conj().T) <= 1e-12
 
     def test_aux_sector_survives_gradient(self):
-        system = SpinSystem(n_work=1, n_aux=2)
-        aux = aux_pure_state(system)
+        aux = aux_pure_state()
         assert maxabs(gradient_crush(aux) - aux) == 0
-        rho = initial_state(system, [1.0], "z")
-        assert rho.shape == (8, 8)
+        rho = np.kron(initial_state(1, [1.0], "z"), aux)
+        assert maxabs(gradient_crush(rho) - rho) == 0
         assert abs(np.trace(rho)) <= 1e-14
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsearch.linalg import SpinSystem, expm_unitary, spin_op, total_op
+from spinsearch.linalg import expm_unitary, spin_op, total_op
 from spinsearch.mqalgebra import decompose_orders
 from spinsearch.oracle import MarkedState
 from spinsearch.sequences import grover_propagator, initial_state
@@ -38,17 +38,16 @@ class TestSpinHamiltonian:
             2, [2 * np.pi * 5, 2 * np.pi * 8], {(1, 2): 3.0}
         )
         assert maxabs(h.matrix - np.diag(np.diag(h.matrix))) == 0
-        system = SpinSystem(n_work=2)
         expected = (
-            2 * np.pi * 5 * spin_op(system, 1, "z")
-            + 2 * np.pi * 8 * spin_op(system, 2, "z")
-            + 2 * np.pi * 3 * spin_op(system, 1, "z") @ spin_op(system, 2, "z")
+            2 * np.pi * 5 * spin_op(2, 1, "z")
+            + 2 * np.pi * 8 * spin_op(2, 2, "z")
+            + 2 * np.pi * 3 * spin_op(2, 1, "z") @ spin_op(2, 2, "z")
         )
         assert maxabs(h.matrix - expected) <= 1e-12
 
     def test_uniform_fz(self):
         h = SpinHamiltonian.uniform_fz(2, 7.0)
-        assert maxabs(h.matrix - 7.0 * total_op(SpinSystem(n_work=2), "z")) == 0
+        assert maxabs(h.matrix - 7.0 * total_op(2, "z")) == 0
 
     def test_max_transition_frequency(self):
         h = SpinHamiltonian.uniform_fz(3, 2.0)
@@ -64,7 +63,7 @@ def dense_pipeline(rho0, cfg):
     """Reference signal: conjugate P by exp(-i H t1) and trace, point by point."""
     n = int(round(np.log2(rho0.shape[0])))
     p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
-    q = cfg.v_seq.conj().T @ total_op(SpinSystem(n_work=n), cfg.detect_axis) @ cfg.v_seq
+    q = cfg.v_seq.conj().T @ total_op(n, cfg.detect_axis) @ cfg.v_seq
     out = np.empty(cfg.n_points, dtype=complex)
     for j in range(cfg.n_points):
         u_t = expm_unitary(cfg.h_evol.matrix, j * cfg.dt)
@@ -75,23 +74,21 @@ def dense_pipeline(rho0, cfg):
 class TestRunPipeline:
     def test_commuting_everything_is_constant(self):
         n = 2
-        system = SpinSystem(n_work=n)
-        rho0 = initial_state(system, np.ones(n), "z")
+        rho0 = initial_state(n, np.ones(n), "z")
         eye = np.eye(2**n, dtype=complex)
         series = run_pipeline(rho0, uniform_cfg(n, eye, eye))
-        fz = total_op(system, "z")
+        fz = total_op(n, "z")
         expected = np.trace(fz @ fz)
         assert maxabs(series - expected) <= 1e-12
 
     def test_t0_value_is_trace_qp(self, rng):
         n = 2
-        system = SpinSystem(n_work=n)
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
-        rho0 = initial_state(system, np.ones(n), "x")
+        rho0 = initial_state(n, np.ones(n), "x")
         series = run_pipeline(rho0, uniform_cfg(n, u, v))
         p = u @ rho0 @ u.conj().T
-        q = v.conj().T @ total_op(system, "z") @ v
+        q = v.conj().T @ total_op(n, "z") @ v
         assert abs(series[0] - np.trace(q @ p)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -101,10 +98,9 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("detect", ["x", "y", "z"])
     def test_matches_dense_reference(self, n, detect, rng):
-        system = SpinSystem(n_work=n)
         dim = 2**n
         u, v = random_unitary(rng, dim), random_unitary(rng, dim)
-        rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "x")
+        rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
         h = SpinHamiltonian(random_hermitian(rng, dim, scale=20.0))
         cfg = PipelineConfig(
             u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64, detect_axis=detect
@@ -115,10 +111,9 @@ class TestRunPipeline:
     def test_diagonal_h_matches_dense_conjugation(self, n, rng):
         # frame invariance: the same signal in a frame W where H is no longer
         # diagonal, and against the point-by-point dense reference
-        system = SpinSystem(n_work=n)
         dim = 2**n
         u, v, w = (random_unitary(rng, dim) for _ in range(3))
-        rho0 = initial_state(system, rng.uniform(0.5, 1.5, n), "y")
+        rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
         h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
         assert maxabs(h.matrix - np.diag(np.diag(h.matrix))) == 0
         diag_cfg = PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64)
@@ -138,7 +133,7 @@ class TestRunPipeline:
         eye = np.eye(2, dtype=complex)
         h = SpinHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
         cfg = PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8)
-        rho0 = initial_state(SpinSystem(n_work=1), np.ones(1), "z")
+        rho0 = initial_state(1, np.ones(1), "z")
         with pytest.raises(ValueError, match="Hermitian"):
             run_pipeline(rho0, cfg)
 
@@ -146,7 +141,7 @@ class TestRunPipeline:
         n = 2
         eye = np.eye(4, dtype=complex)
         cfg = uniform_cfg(n, eye, eye, omega=2 * np.pi * 600, dt=1e-3)
-        rho0 = initial_state(SpinSystem(n_work=n), np.ones(n), "z")
+        rho0 = initial_state(n, np.ones(n), "z")
         with pytest.raises(NyquistError):
             run_pipeline(rho0, cfg)
 
@@ -162,7 +157,7 @@ class TestRunPipeline:
     def test_power_of_two_guard(self):
         eye = np.eye(4, dtype=complex)
         cfg = uniform_cfg(2, eye, eye, points=100)
-        rho0 = initial_state(SpinSystem(n_work=2), np.ones(2), "z")
+        rho0 = initial_state(2, np.ones(2), "z")
         with pytest.raises(ValueError, match="power of two"):
             run_pipeline(rho0, cfg)
 
@@ -170,7 +165,7 @@ class TestRunPipeline:
 class TestEigenExpand:
     def test_fz_against_itself_single_line(self):
         n = 2
-        fz = total_op(SpinSystem(n_work=n), "z")
+        fz = total_op(n, "z")
         h = SpinHamiltonian.uniform_fz(n, 5.0)
         om, amps = eigen_expand(fz, fz, h)
         live = np.abs(amps) > 1e-12
@@ -198,14 +193,13 @@ class TestEigenExpand:
 class TestInphase:
     def _constructed_v(self, u, phi, n, p_axis="z", q_axis="z"):
         # V+ = exp(-i phi Fz) U R with R mapping F_q onto F_p by conjugation
-        system = SpinSystem(n_work=n)
         if (p_axis, q_axis) == ("z", "z"):
             r = np.eye(2**n, dtype=complex)
         elif (p_axis, q_axis) == ("x", "z"):
-            r = expm_unitary(total_op(system, "y"), np.pi / 2)
+            r = expm_unitary(total_op(n, "y"), np.pi / 2)
         else:
             raise NotImplementedError
-        rz = expm_unitary(total_op(system, "z"), phi)
+        rz = expm_unitary(total_op(n, "z"), phi)
         v_dag = rz @ u @ r
         return v_dag.conj().T
 
@@ -224,12 +218,11 @@ class TestInphase:
 
     def test_same_order_lines_share_phase(self, rng):
         n, phi = 2, 0.815
-        system = SpinSystem(n_work=n)
         u = random_unitary(rng, 4)
         v = self._constructed_v(u, phi, n)
-        p = u @ total_op(system, "z") @ u.conj().T
-        q = v.conj().T @ total_op(system, "z") @ v
-        mm = np.diag(total_op(system, "z")).real
+        p = u @ total_op(n, "z") @ u.conj().T
+        q = v.conj().T @ total_op(n, "z") @ v
+        mm = np.diag(total_op(n, "z")).real
         amps = q.conj() * p
         for m in range(-n, n + 1):
             mask = np.isclose(mm[:, None] - mm[None, :], m)
@@ -268,10 +261,9 @@ class TestSpectrum:
     def test_three_qubit_pipeline_peak_budget(self):
         n = 3
         omega = 2 * np.pi * 10
-        system = SpinSystem(n_work=n)
         u = grover_propagator(MarkedState(s=5, n=n), 2)
         cfg = uniform_cfg(n, u, u.conj().T, omega=omega, dt=1 / 256, points=256)
-        rho0 = initial_state(system, np.ones(n), "z")
+        rho0 = initial_state(n, np.ones(n), "z")
         series = run_pipeline(rho0, cfg)
         spec = spectrum(series, cfg.dt, label_omega=omega)
         assert 1 <= len(spec.peaks) <= 2 * n + 1
@@ -305,15 +297,14 @@ class TestOrderIntensities:
     def test_matches_spectrum_amplitudes(self, rng):
         n = 2
         omega = 2 * np.pi * 20
-        system = SpinSystem(n_work=n)
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
         cfg = uniform_cfg(n, u, v, omega=omega, dt=1 / 128, points=128)
-        rho0 = initial_state(system, np.ones(n), "z")
+        rho0 = initial_state(n, np.ones(n), "z")
         series = run_pipeline(rho0, cfg)
         spec = spectrum(series, cfg.dt, label_omega=omega, rel_threshold=1e-9)
         p = u @ rho0 @ u.conj().T
-        q = v.conj().T @ total_op(system, "z") @ v
+        q = v.conj().T @ total_op(n, "z") @ v
         intens = order_intensities(p, q)
         by_order = {pk.order: pk.amplitude for pk in spec.peaks}
         for m, amp in by_order.items():
@@ -321,10 +312,9 @@ class TestOrderIntensities:
 
     def test_t0_signal_independent_of_labeling(self, rng):
         n = 2
-        system = SpinSystem(n_work=n)
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
-        rho0 = initial_state(system, np.ones(n), "y")
+        rho0 = initial_state(n, np.ones(n), "y")
         cfg_a = uniform_cfg(n, u, v, omega=2 * np.pi * 10)
         cfg_b = PipelineConfig(
             u_seq=u,
@@ -349,12 +339,11 @@ class TestCrossZq:
 
     def test_output_is_zero_quantum(self, rng):
         n = 3
-        system = SpinSystem(n_work=n)
         h = cross_zq_hamiltonian(
             random_hermitian(rng, 8), random_hermitian(rng, 8), 2 * n + 1
         )
         assert maxabs(h - h.conj().T) <= 1e-12
-        for m, compnt in decompose_orders(h, system).items():
+        for m, compnt in decompose_orders(h).items():
             if m != 0:
                 assert maxabs(compnt) <= 1e-11
 
