@@ -10,6 +10,10 @@ Conventions, fixed once here:
   significant factors; that layout is fixed in oracle.
 * Builders take the qubit count n (spin_op, total_op, product_rotation);
   functions that take an operator read n off its shape with n_qubits.
+* Single-spin sums are built by index (total_op).  No work-qubit operator
+  is lifted to the auxiliary pair: the explicit-oracle search traces the
+  pair out after the oracle, exact as Tr_aux[(u x I) rho (u x I)^+] =
+  u Tr_aux[rho] u^+ and its z readout reads only aux-diagonal entries.
 * Matrix exponentials of Hermitian generators go through the
   eigendecomposition, which keeps the result unitary to roundoff.  The
   exception is a collective pulse exp(-i angle F_axis): its single-spin
@@ -74,13 +78,29 @@ def spin_op(n: int, k: int, axis: str) -> np.ndarray:
     return kron_all(factors)
 
 
-def total_op(n: int, axis: str) -> np.ndarray:
-    """Collective operator sum_k I_k_axis over n qubits."""
+def single_spin_entries(n: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row x of I_k_axis holds its one nonzero, vals[k - 1, x], at column
+    cols[k - 1, x]: x itself for z, x with qubit k's bit flipped for x, y."""
     if axis not in ("x", "y", "z"):
-        raise ValueError(f"total_op axis must be x, y or z, got {axis!r}")
+        raise ValueError(f"spin-sum axis must be x, y or z, got {axis!r}")
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    rows = np.arange(2**n)
+    bits = (rows >> shifts) & 1
+    flip = int(axis != "z")
+    return rows ^ (flip << shifts), PAULI_HALF[axis][bits, bits ^ flip]
+
+
+def total_op(n: int, axis: str, weights=1.0) -> np.ndarray:
+    """sum_k w_k I_k_axis for one weight w or n of them, accumulated
+    entrywise in k order: bit for bit the sum of the dense terms."""
+    cols, vals = single_spin_entries(n, axis)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape not in ((), (n,)):
+        raise ValueError(f"need one weight or one per qubit, got shape {weights.shape}")
+    rows = np.arange(2**n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for k in range(1, n + 1):
-        out += spin_op(n, k, axis)
+    for w, c, v in zip(np.broadcast_to(weights, (n,)), cols, vals):
+        out[rows, c] += w * v
     return out
 
 
@@ -100,22 +120,6 @@ def product_rotation(n: int, axis: str, angle) -> np.ndarray:
     return kron_all(
         math.cos(a / 2) * eye - 1j * math.sin(a / 2) * sigma for a in angles
     )
-
-
-def conjugate_leading(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(u x I) rho (u x I)^dagger, with u acting on the leading tensor factors.
-
-    The identity on the trailing factors (the auxiliary qubits, say) is
-    never built: the left product is u times rho reshaped to u's row
-    count, and the right product is u-bar applied to every row of rho
-    viewed as a (row, u-index, trailing-index) stack.
-    """
-    dim, du = rho.shape[0], u.shape[0]
-    rest = dim // du
-    if du * rest != dim:
-        raise ValueError(f"operator of size {du} does not divide dimension {dim}")
-    left = (u @ rho.reshape(du, -1)).reshape(dim, du, rest)
-    return np.einsum("icb,ac->iab", left, u.conj(), optimize=True).reshape(dim, dim)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import conjugate_leading, product_rotation, spin_op
+from .linalg import product_rotation, single_spin_entries, total_op
 from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
@@ -46,10 +46,7 @@ class AmbiguousReadoutError(RuntimeError):
 
 def initial_state(n: int, epsilons, axis: str = "y") -> np.ndarray:
     """Deviation part sum_k eps_k I_k_axis on n work qubits."""
-    epsilons = np.asarray(epsilons, dtype=float)
-    if epsilons.shape != (n,):
-        raise ValueError("need one polarization per work qubit")
-    return sum(epsilons[k - 1] * spin_op(n, k, axis) for k in range(1, n + 1))
+    return total_op(n, axis, epsilons)
 
 
 def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
@@ -117,11 +114,11 @@ def simple_search(
 
     Pipeline: transverse initial state (y axis) -> oracle phase shift ->
     pi/2 pulse about y on the work qubits -> gradient crush -> zero-quantum
-    dephase -> per-qubit z projection.  With aux_mode="explicit-uf" every
-    step runs on the full work + auxiliary density matrix (see
-    _apply_explicit_oracle), and the auxiliary qubits are traced out only
-    before the readout, so the equivalence of the two oracle realizations
-    is computed, not assumed.  The surviving state is proportional
+    dephase -> per-qubit z projection.  With aux_mode="explicit-uf" the
+    oracle runs on the full work + auxiliary density matrix, so the
+    equivalence of the two oracle realizations is computed, not assumed,
+    and the auxiliary pair is traced out right after it (exact, see
+    _apply_explicit_oracle).  The surviving state is proportional
     to sum_k eps_k a_k I_kz; the sign pattern recovers s once the known
     sign of sin(theta) is divided out.  The measured proportionality
     constant is reported next to the 2/N reference value, which omits the
@@ -139,15 +136,13 @@ def simple_search(
         rho = conjugate_multi_selective(rho, [marked], [theta])
     elif aux_mode == "explicit-uf":
         rho = np.kron(initial_state(n, epsilons, "y"), aux_pure_state())
-        rho = _apply_explicit_oracle(rho, marked, theta)
+        rho = _apply_explicit_oracle(rho, marked, theta).reshape(2**n, 4, 2**n, 4)
+        rho = np.einsum("iaja->ij", rho)  # trace out the auxiliary pair
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
-    rho = conjugate_leading(rho, product_rotation(n, "y", np.pi / 2))
-    rho = zq_dephase(gradient_crush(rho))
-
-    if aux_mode == "explicit-uf":
-        rho = _trace_out_aux(rho, n)
+    pulse = product_rotation(n, "y", np.pi / 2)
+    rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
 
     dim = 2**n
     coeffs = _iz_diagonals(n) @ np.diag(rho).real / (dim / 4)
@@ -182,28 +177,32 @@ def simple_search(
 
 
 def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
-    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, without building U_o.
+    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, written into rho.
 
-    Each U_f conjugation is a row-and-column permutation of rho, and the
-    diagonal V_S conjugation an elementwise phase v_i rho_ij conj(v_j).
+    U_f swaps the rows, then the columns, of the indices uf_permutation
+    moves; V_S scales only the rows, then the columns, where v != 1.  The
+    search's only step on the auxiliary pair: the pair is traced out next,
+    exact for any aux content as Tr_aux[(u x I) rho (u x I)^+] =
+    u Tr_aux[rho] u^+ and the z readout reads only aux-diagonal entries.
     """
     p = uf_permutation(marked)
+    moved = np.flatnonzero(p != np.arange(len(p)))
     v = aux_phase_vector(marked.n, theta)
-    rho = rho[np.ix_(p, p)]
-    rho *= v[:, None]
-    rho *= v.conj()[None, :]
-    return rho[np.ix_(p, p)]
+    phased = np.flatnonzero(v != 1)
+    rho[moved] = rho[p[moved]]  # U_f
+    rho[:, moved] = rho[:, p[moved]]
+    for i in phased:  # V_S, a row or column at a time: no gathered copy
+        rho[i] *= v[i]
+    for i in phased:
+        rho[:, i] *= v[i].conjugate()
+    rho[moved] = rho[p[moved]]  # U_f again
+    rho[:, moved] = rho[:, p[moved]]
+    return rho
 
 
 def _iz_diagonals(n: int) -> np.ndarray:
-    """Row k - 1 holds the diagonal of I_kz on n work qubits."""
-    return np.array([np.diag(spin_op(n, k, "z")).real for k in range(1, n + 1)])
-
-
-def _trace_out_aux(rho: np.ndarray, n_work: int) -> np.ndarray:
-    dim_w = 2**n_work
-    r = rho.reshape(dim_w, 4, dim_w, 4)
-    return np.einsum("iaja->ij", r)
+    """Row k - 1 is the diagonal of I_kz, contiguous to keep the readout's summation order."""
+    return np.ascontiguousarray(single_spin_entries(n, "z")[1].real)
 
 
 # ---------------------------------------------------------------------------

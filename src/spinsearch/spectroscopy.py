@@ -53,10 +53,7 @@ class SpinHamiltonian:
 
         offsets in rad/s, couplings {(k, l): J_hz} in Hz.
         """
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (n,):
-            raise ValueError("need one offset per spin")
-        h = sum(offsets[k - 1] * spin_op(n, k, "z") for k in range(1, n + 1))
+        h = total_op(n, "z", offsets)
         for (k, l), j_hz in (couplings or {}).items():
             if k == l or not (1 <= k <= n and 1 <= l <= n):
                 raise ValueError(f"couplings need two distinct spins in 1..{n}, got ({k}, {l})")

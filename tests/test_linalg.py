@@ -4,19 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsearch.linalg import (
+    PAULI_HALF,
     BranchCutError,
     comm,
-    conjugate_leading,
     expm_unitary,
     kron_all,
     magnetic_quantum_numbers,
     matrix_log_skew,
     n_qubits,
     product_rotation,
+    single_spin_entries,
     spin_op,
     total_op,
     unitarity_defect,
 )
+from spinsearch.sequences import _iz_diagonals, initial_state
+from spinsearch.spectroscopy import SpinHamiltonian
 
 from conftest import maxabs, random_hermitian, random_unitary
 
@@ -122,6 +125,63 @@ class TestKronAll:
         assert got.dtype == complex and np.array_equal(got, kron_fold([]))
 
 
+def kron_fold_spin_sum(n, axis, weights):
+    """Reference: sum_k w_k I_k_axis as n dense kron-fold terms summed in k
+    order, the way the builders summed them before they indexed entries."""
+    eye = np.eye(2, dtype=complex)
+    terms = (
+        w * kron_fold([eye] * (k - 1) + [PAULI_HALF[axis]] + [eye] * (n - k))
+        for k, w in enumerate(np.broadcast_to(weights, (n,)), start=1)
+    )
+    return sum(terms)
+
+
+class TestSingleSpinSums:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_kron_fold_sums(self, n, axis):
+        rng = np.random.default_rng(10 * n + ord(axis))
+        signed = rng.uniform(0.2, 2.0, n) * rng.choice([-1, 1], size=n)
+        for weights in (signed, -1.7, 1.0):
+            ref = kron_fold_spin_sum(n, axis, weights)
+            got = total_op(n, axis, weights)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert np.array_equal(total_op(n, axis), kron_fold_spin_sum(n, axis, 1.0))
+        ref = kron_fold_spin_sum(n, axis, signed)
+        assert np.array_equal(initial_state(n, signed, axis), ref)
+        if axis == "z":
+            assert np.array_equal(SpinHamiltonian.weak_coupling(n, signed).matrix, ref)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_iz_diagonals_are_the_spin_op_diagonals(self, n):
+        ref = np.array([np.diag(spin_op(n, k, "z")).real for k in range(1, n + 1)])
+        got = _iz_diagonals(n)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.flags.c_contiguous
+
+    def test_one_nonzero_per_row(self):
+        for axis in "xyz":
+            cols, vals = single_spin_entries(3, axis)
+            for k in range(1, 4):
+                dense = np.zeros((8, 8), dtype=complex)
+                dense[np.arange(8), cols[k - 1]] = vals[k - 1]
+                assert np.array_equal(dense, spin_op(3, k, axis))
+
+    @pytest.mark.parametrize("axis", ["+", "-", "w", ""])
+    def test_unknown_axis_raises(self, axis):
+        with pytest.raises(ValueError, match="axis"):
+            total_op(2, axis)
+        with pytest.raises(ValueError, match="axis"):
+            single_spin_entries(2, axis)
+        with pytest.raises(ValueError, match="axis"):
+            initial_state(2, [1.0, 1.0], axis)
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_weight_count_must_match(self, weights):
+        with pytest.raises(ValueError, match="weight"):
+            total_op(2, "z", weights)
+
+
 class TestExpmUnitary:
     def test_zero_time_is_identity(self, rng):
         h = random_hermitian(rng, 8)
@@ -176,26 +236,6 @@ class TestProductRotation:
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
             product_rotation(2, "+", 1.0)
-
-
-class TestConjugateLeading:
-    @pytest.mark.parametrize("n_lead,n_rest", [(1, 0), (3, 0), (1, 2), (3, 2), (2, 1)])
-    def test_matches_dense_kron(self, rng, n_lead, n_rest):
-        u = random_unitary(rng, 2**n_lead)
-        rho = random_hermitian(rng, 2 ** (n_lead + n_rest))
-        full = np.kron(u, np.eye(2**n_rest))
-        got = conjugate_leading(rho, u)
-        assert maxabs(got - full @ rho @ full.conj().T) <= 1e-12
-
-    def test_non_hermitian_operand(self, rng):
-        u = random_unitary(rng, 4)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        full = np.kron(u, np.eye(4))
-        assert maxabs(conjugate_leading(a, u) - full @ a @ full.conj().T) <= 1e-12
-
-    def test_rejects_non_dividing_size(self, rng):
-        with pytest.raises(ValueError, match="divide"):
-            conjugate_leading(np.eye(8), random_unitary(rng, 3))
 
 
 class TestRandomHermitian:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from spinsearch import linalg, oracle, selftest, sequences
 from spinsearch.linalg import (
     expm_unitary,
     kron_all,
+    product_rotation,
     spin_op,
     total_op,
     unitarity_defect,
@@ -39,7 +42,7 @@ from spinsearch.sequences import (
     x_basis_state,
 )
 
-from conftest import maxabs, random_hermitian
+from conftest import maxabs, random_hermitian, random_unitary
 
 
 def brute_conjugate(rho, marked, theta):
@@ -306,6 +309,64 @@ class TestSimpleSearch:
         assert res.recovered_s == 173
         expected = np.sin(res.theta) * (2 / 2**8) * eps * sign_vector(173, 8)
         assert maxabs(res.per_qubit_signal - expected) <= 1e-12
+
+    def test_explicit_oracle_at_n8_never_reaches_the_closed_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the explicit-uf search reached the aux-free closed form")
+
+        monkeypatch.setattr(sequences, "conjugate_multi_selective", forbidden)
+        monkeypatch.setattr(oracle, "selective_phase", forbidden)
+        eps = np.linspace(-1.4, 1.3, 8)
+        marked = MarkedState(s=90, n=8)
+        with pytest.raises(AssertionError, match="closed form"):  # the patch is live
+            simple_search(marked, eps, aux_mode="selective-cs")
+        for theta in (-np.pi / 2, 0.9):
+            res = simple_search(marked, eps, theta, aux_mode="explicit-uf")
+            assert res.recovered_s == 90
+            expected = np.sin(theta) * (2 / 2**8) * eps * sign_vector(90, 8)
+            assert maxabs(res.per_qubit_signal - expected) <= 1e-12
+
+    def test_explicit_oracle_at_n8_peak_memory(self):
+        # two full work + auxiliary complex matrices: one 1024-dim state
+        # may exist, but no full-space pulse or second copy of the state
+        bound = 2 * 1024**2 * np.dtype(complex).itemsize
+        eps = np.linspace(0.6, 1.4, 8)
+        simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
+        tracemalloc.start()
+        try:
+            simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB above {bound / 2**20:.0f} MiB"
+
+
+def trace_out_aux(rho, n):
+    return np.einsum("iaja->ij", rho.reshape(2**n, 4, 2**n, 4))
+
+
+def crushed_diagonal(rho, u):
+    """Readout diagonal after the pulse u, the gradient crush and the
+    zero-quantum dephase."""
+    return np.diag(zq_dephase(gradient_crush(u @ rho @ u.conj().T)))
+
+
+class TestEarlyTrace:
+    """Tracing the auxiliary pair out before the pulse, crush and dephase
+    gives the readout diagonal of the full-space pipeline, for any
+    auxiliary content."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_trace_commutes_with_the_readout_pipeline(self, n):
+        rng = np.random.default_rng(700 + n)
+        pulses = [product_rotation(n, "y", np.pi / 2), random_unitary(rng, 2**n)]
+        for u in pulses:
+            for _ in range(3):
+                rho = random_hermitian(rng, 2 ** (n + 2))
+                full = crushed_diagonal(rho, np.kron(u, np.eye(4)))
+                late = np.diag(trace_out_aux(np.diag(full), n))
+                early = crushed_diagonal(trace_out_aux(rho, n), u)
+                assert maxabs(late - early) <= 1e-13
 
 
 class TestSpinEcho:
