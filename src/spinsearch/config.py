@@ -24,7 +24,6 @@ from typing import Literal, Union, get_args, get_origin
 import numpy as np
 
 from .composition import palindromic_weights
-from .linalg import spin_op
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
 from .sequences import initial_state
@@ -321,10 +320,8 @@ class SpectrumConfig:
             # the demo fixes everything but its own keys: 2+2 spins at 100 Hz and 60 Hz
             require_order_separation(CROSS_PEAK_N, self.N1)
             _set(self, n=CROSS_PEAK_N, p_axis="z", label_omega=CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B)
-            iz = [spin_op(CROSS_PEAK_N, k, "z") for k in range(1, CROSS_PEAK_N + 1)]
-            h_evol = SpinHamiltonian(
-                CROSS_PEAK_OMEGA_A * (iz[0] + iz[1]) + CROSS_PEAK_OMEGA_B * (iz[2] + iz[3])
-            )
+            offsets = [CROSS_PEAK_OMEGA_A] * 2 + [CROSS_PEAK_OMEGA_B] * 2
+            h_evol = SpinHamiltonian.weak_coupling(CROSS_PEAK_N, offsets)
             eps = np.array([1.0, 0.8, 1.2, 0.9])
             pipe = PipelineConfig(None, None, h_evol, dt=1.0 / 1024, n_points=512)
         else:

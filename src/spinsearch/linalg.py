@@ -90,16 +90,27 @@ def single_spin_entries(n: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
     return rows ^ (flip << shifts), PAULI_HALF[axis][bits, bits ^ flip]
 
 
+def iz_diagonals(n: int) -> np.ndarray:
+    """Row k - 1 is the real diagonal of I_kz, contiguous to keep the readout's summation order."""
+    return np.ascontiguousarray(single_spin_entries(n, "z")[1].real)
+
+
+def qubit_weights(n: int, weights) -> np.ndarray:
+    """One weight per qubit, from one weight or n of them."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape not in ((), (n,)):
+        raise ValueError(f"need one weight or one per qubit, got shape {weights.shape}")
+    return np.broadcast_to(weights, (n,))
+
+
 def total_op(n: int, axis: str, weights=1.0) -> np.ndarray:
     """sum_k w_k I_k_axis for one weight w or n of them, accumulated
     entrywise in k order: bit for bit the sum of the dense terms."""
     cols, vals = single_spin_entries(n, axis)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape not in ((), (n,)):
-        raise ValueError(f"need one weight or one per qubit, got shape {weights.shape}")
+    weights = qubit_weights(n, weights)
     rows = np.arange(2**n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for w, c, v in zip(np.broadcast_to(weights, (n,)), cols, vals):
+    for w, c, v in zip(weights, cols, vals):
         out[rows, c] += w * v
     return out
 
@@ -148,10 +159,6 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max())
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
@@ -161,7 +168,7 @@ def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     Diagonal generators short-circuit to an elementwise exponential.
     """
-    defect = hermiticity_defect(h)
+    defect = float(np.abs(h - h.conj().T).max())
     if defect > HERMITIAN_TOL:
         raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
     if np.abs(h - np.diag(np.diag(h))).max() == 0.0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import product_rotation, single_spin_entries, total_op
+from .linalg import iz_diagonals, product_rotation, total_op
 from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
@@ -145,7 +145,7 @@ def simple_search(
     rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
 
     dim = 2**n
-    coeffs = _iz_diagonals(n) @ np.diag(rho).real / (dim / 4)
+    coeffs = iz_diagonals(n) @ np.diag(rho).real / (dim / 4)
 
     mags = np.abs(coeffs)
     # relative threshold, with an absolute floor so an all-roundoff readout
@@ -198,11 +198,6 @@ def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -
     rho[moved] = rho[p[moved]]  # U_f again
     rho[:, moved] = rho[:, p[moved]]
     return rho
-
-
-def _iz_diagonals(n: int) -> np.ndarray:
-    """Row k - 1 is the diagonal of I_kz, contiguous to keep the readout's summation order."""
-    return np.ascontiguousarray(single_spin_entries(n, "z")[1].real)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +439,7 @@ def measured_conversion_coefficients(
         raise ValueError(f"read spin {k} outside [1, {n}]")
     if epsilons[k - 1] == 0:
         raise ValueError("polarization of the read spin must be nonzero")
-    iz = _iz_diagonals(n)
+    iz = iz_diagonals(n)
     rho = np.diag(sum(e * z for e, z in zip(epsilons, iz)))
     xs = x_basis_state(marked)
     traces = np.empty(m_max + 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli
+from spinsearch import cli, spectroscopy
 from spinsearch.cli import main
 from spinsearch.selftest import INVARIANT_GROUPS
 
@@ -337,6 +337,52 @@ def test_shipped_config_runs(tmp_path, name):
     argv = [SHIPPED_CONFIGS[name], "--config", str(CONFIG_DIR / name), "--out", str(out)]
     assert main(argv) == 0
     assert (out / "report.json").is_file()
+
+
+# an n = 8 grover-excitation spectrum shaped like the benchmark's
+N8_SPECTRUM = {
+    "preset": "grover-excitation",
+    "n": 8,
+    "s": 173,
+    "iterations": 2,
+    "epsilons": [0.6, 1.4, 0.9, 1.1, 0.7, 1.3, 0.8, 1.2],
+    "p_axis": "z",
+    "detect_axis": "z",
+    "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ},
+    "t1": {"dt": 1 / 256, "points": 256},
+}
+# what the labelling path must not call, and where it would be looked up
+DIAGONALIZERS = {
+    "eigh": np.linalg, "eigvalsh": np.linalg, "eigvals": np.linalg, "expm_unitary": spectroscopy,
+}
+
+
+@pytest.mark.parametrize(
+    "name, eigh_calls",
+    [
+        ("n8-grover-excitation", 0),
+        ("spectrum_uniform.json", 0),
+        ("spectrum_weak_coupling.json", 0),
+        # the demo's non-diagonal excitation and reconversion generators
+        ("cross_peak_demo.json", 2),
+    ],
+)
+def test_labelling_path_runs_no_diagonalization(tmp_path, monkeypatch, name, eigh_calls):
+    calls = dict.fromkeys(DIAGONALIZERS, 0)
+    for fn, owner in DIAGONALIZERS.items():
+
+        def counted(*args, _fn=fn, _real=getattr(owner, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, fn, counted)
+    if name in SHIPPED_CONFIGS:
+        cfg_path = CONFIG_DIR / name
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(N8_SPECTRUM))
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"eigh": eigh_calls, "eigvalsh": 0, "eigvals": 0, "expm_unitary": 0}
 
 
 def test_cli_import_does_not_load_scipy():

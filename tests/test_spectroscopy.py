@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,17 +39,34 @@ class TestSpinHamiltonian:
         h = SpinHamiltonian.weak_coupling(
             2, [2 * np.pi * 5, 2 * np.pi * 8], {(1, 2): 3.0}
         )
-        assert maxabs(h.matrix - np.diag(np.diag(h.matrix))) == 0
         expected = (
             2 * np.pi * 5 * spin_op(2, 1, "z")
             + 2 * np.pi * 8 * spin_op(2, 2, "z")
             + 2 * np.pi * 3 * spin_op(2, 1, "z") @ spin_op(2, 2, "z")
         )
-        assert maxabs(h.matrix - expected) <= 1e-12
+        assert maxabs(expected - np.diag(np.diag(expected))) == 0
+        assert h.diagonal.shape == (4,)
+        assert maxabs(h.diagonal - np.diag(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_indexed_couplings_bit_identical_to_dense_products(self, n):
+        # every pair coupled: all 28 at n = 8
+        rng = np.random.default_rng(700 + n)
+        offsets = 2 * np.pi * rng.uniform(-50.0, 50.0, n)
+        pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+        couplings = {pair: rng.uniform(-20.0, 20.0) for pair in pairs}
+        dense = total_op(n, "z", offsets)
+        for (k, l), j_hz in couplings.items():
+            dense = dense + 2 * np.pi * j_hz * (spin_op(n, k, "z") @ spin_op(n, l, "z"))
+        ref = np.diag(dense)
+        got = SpinHamiltonian.weak_coupling(n, offsets, couplings).diagonal
+        assert len(couplings) == n * (n - 1) // 2
+        assert not ref.imag.any()
+        assert got.dtype == np.float64 and np.array_equal(got, ref.real)
 
     def test_uniform_fz(self):
         h = SpinHamiltonian.uniform_fz(2, 7.0)
-        assert maxabs(h.matrix - 7.0 * total_op(2, "z")) == 0
+        assert np.array_equal(h.diagonal, np.diag(7.0 * total_op(2, "z")).real)
 
     def test_max_transition_frequency(self):
         h = SpinHamiltonian.uniform_fz(3, 2.0)
@@ -58,17 +77,39 @@ class TestSpinHamiltonian:
         with pytest.raises(ValueError, match="distinct spins in 1..2"):
             SpinHamiltonian.weak_coupling(2, [1.0, 2.0], {pair: 1.0})
 
+    def test_offset_count_checked(self):
+        with pytest.raises(ValueError, match="one weight or one per qubit"):
+            SpinHamiltonian.weak_coupling(2, [1.0, 2.0, 3.0])
 
-def dense_pipeline(rho0, cfg):
-    """Reference signal: conjugate P by exp(-i H t1) and trace, point by point."""
+    def test_non_hermitian_h_rejected(self):
+        # a complex entry, a matrix, a length that is no power of two
+        for bad in (np.array([1.0, 2.0 + 1e-3j]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(3)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                SpinHamiltonian(bad)
+
+
+def dense_pipeline(rho0, h, cfg):
+    """Reference signal for a dense, non-diagonal H (cfg.h_evol unused):
+    conjugate P by expm_unitary(H, t1), which diagonalizes H, and trace,
+    point by point."""
+    assert maxabs(h - np.diag(np.diag(h))) > 0  # expm_unitary's eigh branch
     n = int(round(np.log2(rho0.shape[0])))
     p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
     q = cfg.v_seq.conj().T @ total_op(n, cfg.detect_axis) @ cfg.v_seq
     out = np.empty(cfg.n_points, dtype=complex)
     for j in range(cfg.n_points):
-        u_t = expm_unitary(cfg.h_evol.matrix, j * cfg.dt)
+        u_t = expm_unitary(h, j * cfg.dt)
         out[j] = np.trace(q @ u_t @ p @ u_t.conj().T)
     return out
+
+
+def framed_reference(rho0, cfg, w):
+    """dense_pipeline in the frame W where the diagonal H is dense:
+    W diag(h) W+ with excitation W U and reconversion V W+ give the same
+    signal as diag(h) with U and V."""
+    h = (w * cfg.h_evol.diagonal) @ w.conj().T
+    framed = replace(cfg, u_seq=w @ cfg.u_seq, v_seq=cfg.v_seq @ w.conj().T)
+    return dense_pipeline(rho0, h, framed)
 
 
 class TestRunPipeline:
@@ -98,44 +139,26 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("detect", ["x", "y", "z"])
     def test_matches_dense_reference(self, n, detect, rng):
+        # a random real diagonal, against the reference in a random frame W
         dim = 2**n
-        u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+        u, v, w = (random_unitary(rng, dim) for _ in range(3))
         rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
-        h = SpinHamiltonian(random_hermitian(rng, dim, scale=20.0))
+        h = SpinHamiltonian(rng.uniform(-100.0, 100.0, dim))
         cfg = PipelineConfig(
             u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64, detect_axis=detect
         )
-        assert maxabs(run_pipeline(rho0, cfg) - dense_pipeline(rho0, cfg)) <= 1e-11
+        assert maxabs(run_pipeline(rho0, cfg) - framed_reference(rho0, cfg, w)) <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_h_matches_dense_conjugation(self, n, rng):
-        # frame invariance: the same signal in a frame W where H is no longer
-        # diagonal, and against the point-by-point dense reference
+        # the weak-coupling diagonal with random offsets, against the
+        # reference in a random frame W
         dim = 2**n
         u, v, w = (random_unitary(rng, dim) for _ in range(3))
         rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
         h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
-        assert maxabs(h.matrix - np.diag(np.diag(h.matrix))) == 0
-        diag_cfg = PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64)
-        dense_cfg = PipelineConfig(
-            u_seq=w @ u,
-            v_seq=v @ w.conj().T,
-            h_evol=SpinHamiltonian(w @ h.matrix @ w.conj().T),
-            dt=1e-3,
-            n_points=64,
-        )
-        assert maxabs(dense_cfg.h_evol.matrix - np.diag(np.diag(dense_cfg.h_evol.matrix))) > 0
-        series = run_pipeline(rho0, diag_cfg)
-        assert maxabs(series - run_pipeline(rho0, dense_cfg)) <= 1e-11
-        assert maxabs(series - dense_pipeline(rho0, diag_cfg)) <= 1e-11
-
-    def test_non_hermitian_h_rejected(self):
-        eye = np.eye(2, dtype=complex)
-        h = SpinHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        cfg = PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8)
-        rho0 = initial_state(1, np.ones(1), "z")
-        with pytest.raises(ValueError, match="Hermitian"):
-            run_pipeline(rho0, cfg)
+        cfg = PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64)
+        assert maxabs(run_pipeline(rho0, cfg) - framed_reference(rho0, cfg, w)) <= 1e-11
 
     def test_nyquist_guard(self):
         n = 2
@@ -146,13 +169,14 @@ class TestRunPipeline:
             run_pipeline(rho0, cfg)
 
     def test_nyquist_guard_rejects_nan_frequency(self):
-        # inf - inf: the spread of the eigenvalues reads NaN, which no
-        # comparison with the Nyquist frequency may let through
-        h = SpinHamiltonian(np.diag([np.inf, -np.inf]))
+        # a diagonal holding NaN spreads NaN, which no comparison with the
+        # Nyquist frequency may let through; [inf, -inf] spreads inf
         eye = np.eye(2, dtype=complex)
-        with np.errstate(invalid="ignore"), pytest.raises(NyquistError, match="nan"):
-            assert np.isnan(h.max_transition_frequency)
-            PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8).validate()
+        for diagonal, spread in (([np.nan, 0.0], "nan"), ([np.inf, -np.inf], "inf")):
+            h = SpinHamiltonian(np.array(diagonal))
+            assert str(h.max_transition_frequency) == spread
+            with pytest.raises(NyquistError, match=spread):
+                PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8).validate()
 
     def test_power_of_two_guard(self):
         eye = np.eye(4, dtype=complex)
