@@ -99,6 +99,17 @@ def dense_search_signal(marked, epsilons, theta, aux_mode):
     )
 
 
+def allocating_grover_propagator(marked, m):
+    """The propagator by the allocating one-sided step: a fresh outer
+    product, its double and the difference per step."""
+    xs = x_basis_state(marked)
+    u = np.eye(2**marked.n, dtype=complex)
+    for _ in range(m):
+        u = u - 2 * np.outer(xs, xs @ u)
+        u[-1] *= -1
+    return u
+
+
 def dense_grover_step(marked):
     """One Grover step as a dense matrix, from the eigh-built D_s^x."""
     dim = 2**marked.n
@@ -426,6 +437,15 @@ class TestGroverPropagator:
             for m in range(10):
                 assert maxabs(grover_propagator(marked, m) - dense[m]) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_allocating_step(self, n):
+        rng = np.random.default_rng(1200 + n)
+        for s in sorted({0, 2**n - 1, int(rng.integers(2**n))}):
+            marked = MarkedState(s=s, n=n)
+            for m in (0, 1, 2, 7):
+                got = grover_propagator(marked, m)
+                assert np.array_equal(got, allocating_grover_propagator(marked, m))
+
     def test_x_basis_state_projector(self):
         for n in range(1, 5):
             for s in range(2**n):
@@ -542,6 +562,59 @@ class TestConversionCoefficient:
                 assert maxabs(traj - dense[:, k - 1]) <= 1e-12
                 analytic = [conversion_coefficient(m, N, eps, k) for m in range(m_max + 1)]
                 assert maxabs(traj - np.array(analytic)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n,s", [(n, s) for n in range(2, 7) for s in (0, 2**n - 1)] + [(8, 255)]
+    )
+    def test_edge_marks_match_dense_reference(self, n, s):
+        # s = 2^n - 1 is D_last's own index: the row/column flip and the
+        # x_s reflection overlap there
+        rng = np.random.default_rng(3100 + n)
+        m_max = int(4 * np.sqrt(2**n)) + 1
+        marked = MarkedState(s=s, n=n)
+        eps = rng.uniform(0.5, 1.5, n)
+        dense = dense_conversion_coefficients(marked, m_max, eps)
+        for k in range(1, n + 1):
+            traj = measured_conversion_coefficients(marked, m_max, eps, k)
+            assert maxabs(traj - dense[:, k - 1]) <= 1e-12
+
+    def test_trajectory_at_n8_never_reads_the_closed_form(self, monkeypatch):
+        marked, eps = MarkedState(s=173, n=8), np.linspace(0.6, 1.4, 8)
+        expected = measured_conversion_coefficients(marked, 65, eps, 3)
+        analytic = [conversion_coefficient(m, 256, eps, 3) for m in range(66)]
+        assert maxabs(expected - np.array(analytic)) <= 1e-9
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the measured trajectory reached a closed form")
+
+        names = (
+            "grover_coefficients",
+            "grover_coefficients_recursion",
+            "gamma_coefficients",
+            "conversion_coefficient",
+            "grover_core",
+            "extract_alpha_from_matrix",
+        )
+        for name in names:
+            monkeypatch.setattr(sequences, name, forbidden)
+        with pytest.raises(AssertionError, match="closed form"):  # the patch is live
+            conversion_coefficient(1, 256, eps, 3)
+        got = measured_conversion_coefficients(marked, 65, eps, 3)
+        assert np.array_equal(got, expected)
+
+    def test_trajectory_at_n8_peak_memory(self):
+        # rho and one update buffer, 2 N^2 doubles, plus vectors: a per-step
+        # N x N temporary would add a third
+        bound = 1.25 * 2**20
+        marked, eps = MarkedState(s=173, n=8), np.linspace(0.6, 1.4, 8)
+        measured_conversion_coefficients(marked, 65, eps, 1)
+        tracemalloc.start()
+        try:
+            measured_conversion_coefficients(marked, 65, eps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
 
     def test_single_m_is_trajectory_entry(self):
         # a shorter trajectory ends on the same value as a longer one at that m
