@@ -12,16 +12,16 @@ reported; whether a given ratio is "strong enough" is left to the reader.
 
 import numpy as np
 
-from spinsearch.cli import _spectrum_pipeline
+from spinsearch.cli import spectrum_unitaries
 from spinsearch.config import SpectrumConfig, parse
-from spinsearch.spectroscopy import run_pipeline, spectrum
+from spinsearch.spectroscopy import run_pipeline, spectrum, transfer_pair
 
 
 def peak_table(dominance):
     cfg = parse(SpectrumConfig, {"preset": "cross-peak-demo", "dominance": dominance})
-    pipe, _ = _spectrum_pipeline(cfg)
-    series = run_pipeline(cfg.rho0, pipe)
-    spec = spectrum(series, pipe.dt, label_omega=cfg.label_omega)
+    u, v, _ = spectrum_unitaries(cfg)
+    p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
+    spec = spectrum(run_pipeline(p, q, cfg.pipe), cfg.pipe.dt, label_omega=cfg.label_omega)
     return spec.peaks, cfg.label_omega / (2 * np.pi)
 
 

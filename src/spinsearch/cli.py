@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +45,8 @@ from .linalg import (
     product_rotation,
     random_hermitian,
     spin_op,
+    total_op,
 )
-from .mqalgebra import phase_cycle_project
 from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .selftest import run_selftest, tolerance_scale
 from .sequences import (
@@ -62,10 +61,11 @@ from .sequences import (
 )
 from .spectroscopy import (
     NyquistError,
-    PipelineConfig,
+    cross_zq_hamiltonian,
     inphase_check,
     run_pipeline,
     spectrum,
+    transfer_pair,
 )
 
 
@@ -130,7 +130,7 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         best = (0.0, 0)
         for m in range(0, m_max + 1):
             coeffs = grover_coefficients(m, N)
-            analytic = conversion_coefficient(m, N, eps, k)
+            analytic = conversion_coefficient(coeffs, eps, k)
             measured = float(measured_all[m])
             residual = abs(analytic - measured)
             worst = max(worst, residual)
@@ -165,9 +165,9 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     }
 
 
-def _spectrum_pipeline(cfg: SpectrumConfig) -> tuple[PipelineConfig, int]:
-    """The configured pipeline with its excitation and reconversion
-    unitaries, and the oracle calls they consume."""
+def spectrum_unitaries(cfg: SpectrumConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The preset's excitation and reconversion unitaries U and V, and the
+    oracle calls they consume."""
     if cfg.preset == "identity":
         u = np.eye(2**cfg.n, dtype=complex)
         v = np.eye(2**cfg.n, dtype=complex)
@@ -179,7 +179,7 @@ def _spectrum_pipeline(cfg: SpectrumConfig) -> tuple[PipelineConfig, int]:
     else:
         u, v = _cross_peak_unitaries(cfg)
         calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
-    return replace(cfg.pipe, u_seq=u, v_seq=v), calls
+    return u, v, calls
 
 
 def _cross_peak_unitaries(cfg: SpectrumConfig):
@@ -191,12 +191,10 @@ def _cross_peak_unitaries(cfg: SpectrumConfig):
     zero-quantum lines at multiples of 40 Hz.
     """
     n = cfg.n
-    dsx = projector_x_basis(cfg.marked)
-    h_s = phase_cycle_project(dsx, cfg.N1, 0)
     ry_a = product_rotation(n, "y", [np.pi / 2, np.pi / 2, 0.0, 0.0])
     dr_a = np.kron(diag_projector(MarkedState(s=0, n=2)), np.eye(4))
-    h_r = cfg.dominance * phase_cycle_project(ry_a @ dr_a @ ry_a.conj().T, cfg.N1, 0)
-    h_zq = h_s + h_r
+    f_r = cfg.dominance * (ry_a @ dr_a @ ry_a.conj().T)
+    h_zq = cross_zq_hamiltonian(projector_x_basis(cfg.marked), f_r, cfg.N1)
 
     u = expm_unitary(h_zq, cfg.tau_u)
     ry = product_rotation(n, "y", np.pi / 2)
@@ -206,12 +204,13 @@ def _cross_peak_unitaries(cfg: SpectrumConfig):
 
 
 def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
-    pipe, calls = _spectrum_pipeline(cfg)
-    label_omega = cfg.label_omega
+    u, v, calls = spectrum_unitaries(cfg)
+    pipe, label_omega = cfg.pipe, cfg.label_omega
+    p, q = transfer_pair(u, v, cfg.rho0, pipe.detect_axis)
     inphase_ok, inphase_res = inphase_check(
-        pipe.u_seq, pipe.v_seq, pipe.phi, cfg.n, p_axis=cfg.p_axis, q_axis=pipe.detect_axis
+        u @ total_op(cfg.n, cfg.p_axis) @ u.conj().T, q, cfg.phi
     )
-    series = run_pipeline(cfg.rho0, pipe)
+    series = run_pipeline(p, q, pipe)
     times = np.arange(pipe.n_points) * pipe.dt
     write_csv(
         out / "timeseries.csv",

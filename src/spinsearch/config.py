@@ -36,7 +36,7 @@ T1_POINTS_MAX = 2**14  # 269 MB: run_pipeline holds a few points x 2**n phase ar
 COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest method
 GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
 COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
-CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.5 s: two phase cycles of N1 steps at n = 4
+CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.13 s: one phase cycle of N1 steps at n = 4
 # Magnitude bounds on float keys, far from where a sweep saw overflow (README)
 VALUE_MAX = 1e12  # times, angles, frequencies, couplings and polarizations
 # Smallest nonzero dwell time, label frequency or polarization: peak orders
@@ -311,7 +311,7 @@ class SpectrumConfig:
     seed: int = key(0, lo=0)
     marked: MarkedState | None = derived()
     rho0: np.ndarray = derived()
-    pipe: PipelineConfig = derived()  # without u_seq and v_seq, which are numerics
+    pipe: PipelineConfig = derived()
     label_omega: float | None = derived()
 
     def __post_init__(self):
@@ -319,18 +319,17 @@ class SpectrumConfig:
         if self.preset == "cross-peak-demo":
             # the demo fixes everything but its own keys: 2+2 spins at 100 Hz and 60 Hz
             require_order_separation(CROSS_PEAK_N, self.N1)
-            _set(self, n=CROSS_PEAK_N, p_axis="z", label_omega=CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B)
+            omega = CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B
+            _set(self, n=CROSS_PEAK_N, p_axis="z", phi=0.0, label_omega=omega)
             offsets = [CROSS_PEAK_OMEGA_A] * 2 + [CROSS_PEAK_OMEGA_B] * 2
             h_evol = SpinHamiltonian.weak_coupling(CROSS_PEAK_N, offsets)
             eps = np.array([1.0, 0.8, 1.2, 0.9])
-            pipe = PipelineConfig(None, None, h_evol, dt=1.0 / 1024, n_points=512)
+            pipe = PipelineConfig(h_evol, dt=1.0 / 1024, n_points=512)
         else:
             h_evol = self.hamiltonian.build(self.n)
             _set(self, label_omega=self.hamiltonian.omega)
             eps = _eps_vector(self.epsilons, self.n)
-            pipe = PipelineConfig(
-                None, None, h_evol, self.t1.dt, self.t1.points, self.detect_axis, self.phi
-            )
+            pipe = PipelineConfig(h_evol, self.t1.dt, self.t1.points, self.detect_axis)
         pipe.validate()
         marked = None if self.s is None else MarkedState(s=self.s, n=self.n)
         _set(self, marked=marked, pipe=pipe, rho0=initial_state(self.n, eps, self.p_axis))

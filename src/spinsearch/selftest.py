@@ -270,11 +270,10 @@ def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000) -> float:
         for _ in range(count):
             u = random_unitary(rng, dim)
             v = random_unitary(rng, dim)
-            cfg = spectroscopy.PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1 / 256, n_points=128)
+            cfg = spectroscopy.PipelineConfig(h_evol=h, dt=1 / 256, n_points=128)
             rho0 = sequences.initial_state(n, rng.uniform(0.5, 1.5, n), "y")
-            series = spectroscopy.run_pipeline(rho0, cfg)
-            p = u @ rho0 @ u.conj().T
-            q = v.conj().T @ total_op(n, "z") @ v
+            p, q = spectroscopy.transfer_pair(u, v, rho0)
+            series = spectroscopy.run_pipeline(p, q, cfg)
             om, amps = spectroscopy.eigen_expand(p, q, h)
             resum = spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
             worst = max(worst, float(np.abs(series - resum).max()))

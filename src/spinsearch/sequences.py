@@ -412,13 +412,14 @@ def gamma_coefficients(alpha, N: int) -> tuple[complex, ...]:
     return (g1, g2, g3, g4, a1, a1.conjugate(), a4, a4.conjugate())
 
 
-def conversion_coefficient(m: int, N: int, epsilons, k: int) -> float:
-    """Analytic fraction of spin-k longitudinal magnetization surviving m
-    iterations: 1 + (g5 + g6)/N - (2/N) (sum_l eps_l / eps_k) g1."""
+def conversion_coefficient(coeffs: GroverCoefficients, epsilons, k: int) -> float:
+    """Analytic fraction of spin-k longitudinal magnetization surviving the
+    coeffs.m iterations: 1 + (g5 + g6)/N - (2/N) (sum_l eps_l / eps_k) g1,
+    with N and the gamma set read from coeffs."""
     epsilons = np.asarray(epsilons, dtype=float)
     if epsilons[k - 1] == 0:
         raise ValueError("polarization of the read spin must be nonzero")
-    g = grover_coefficients(m, N).gamma
+    g, N = coeffs.gamma, coeffs.N
     ratio = float(np.sum(epsilons) / epsilons[k - 1])
     return float(np.real(1 + (g[4] + g[5]) / N - (2 / N) * ratio * g[0]))
 

@@ -7,6 +7,9 @@ component, Fourier transform over t1.  The signal is
     s(t1) = Tr{ Q exp(-i H t1) P exp(+i H t1) },   P = U rho0 U+,
                                                    Q = V+ F_q V.
 
+Excitation and reconversion enter only through the transfer pair (P, Q),
+which `transfer_pair` forms once; the t1 series, the line expansion, the
+inphase check and the order intensities all take that same pair.
 H is diagonal in the product basis and stored as its real diagonal w, so
 t1 evolution is the phase vector exp(-i w t1) and no diagonalization runs.
 Every spectral line sits at a transition frequency w_j - w_k with complex
@@ -79,15 +82,12 @@ class SpinHamiltonian:
 
 @dataclass
 class PipelineConfig:
-    """Excitation/reconversion unitaries plus the t1 grid and detection."""
+    """The t1 grid, the labeling Hamiltonian and the detected axis."""
 
-    u_seq: np.ndarray
-    v_seq: np.ndarray
     h_evol: SpinHamiltonian
     dt: float
     n_points: int
     detect_axis: str = "z"
-    phi: float = 0.0
 
     def validate(self):
         if self.dt <= 0:
@@ -104,18 +104,23 @@ class PipelineConfig:
             )
 
 
-def run_pipeline(rho0: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    """Complex signal s(t1) on the grid, evaluated in the product basis;
-    rho0 is the initial deviation matrix.
+def transfer_pair(
+    u: np.ndarray, v: np.ndarray, rho0: np.ndarray, detect_axis: str = "z"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Excite and reconvert: P = U rho0 U+ and Q = V+ F_q V."""
+    f_q = total_op(n_qubits(rho0), detect_axis)
+    return u @ rho0 @ u.conj().T, v.conj().T @ f_q @ v
+
+
+def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Complex signal s(t1) of the transfer pair on the grid, evaluated in
+    the product basis.
 
     H is the diagonal w, so exp(-i H t1) is the phase vector
     e(t1) = exp(-i w t1) and the trace is e^T (Q^T * P) conj(e): O(dim^2)
     per point, with no diagonalization.
     """
     cfg.validate()
-    f_q = total_op(n_qubits(rho0), cfg.detect_axis)
-    p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
-    q = cfg.v_seq.conj().T @ f_q @ cfg.v_seq
     e = np.exp(-1j * np.outer(np.arange(cfg.n_points) * cfg.dt, cfg.h_evol.diagonal))
     return ((e @ (q.T * p)) * e.conj()).sum(axis=1)
 
@@ -131,24 +136,14 @@ def resum_lines(omegas: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.n
     return np.exp(-1j * np.outer(times, omegas)) @ amps
 
 
-def inphase_check(
-    u_seq: np.ndarray,
-    v_seq: np.ndarray,
-    phi: float,
-    n: int,
-    p_axis: str = "z",
-    q_axis: str = "z",
-    tol: float = 1e-9,
-) -> tuple[bool, float]:
+def inphase_check(p: np.ndarray, q: np.ndarray, phi: float, tol: float = 1e-9) -> tuple[bool, float]:
     """Does the reconversion mirror the excitation up to a z rotation?
 
     Checks Q = exp(-i phi Fz) P exp(+i phi Fz) with P = U F_p U+ and
     Q = V+ F_q V.  When it holds, every order-m line has amplitude
     |P_jk|^2 exp(i m phi), so lines of one order share a single phase.
     """
-    p = u_seq @ total_op(n, p_axis) @ u_seq.conj().T
-    q = v_seq.conj().T @ total_op(n, q_axis) @ v_seq
-    rz = np.exp(-1j * magnetic_quantum_numbers(n) * phi)  # exp(-i phi Fz) is diagonal
+    rz = np.exp(-1j * magnetic_quantum_numbers(n_qubits(p)) * phi)  # exp(-i phi Fz) is diagonal
     target = rz[:, None] * p * rz.conj()[None, :]
     residual = float(np.abs(q.conj().T - target).max())
     return residual <= tol, residual

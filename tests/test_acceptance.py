@@ -24,7 +24,13 @@ from spinsearch.sequences import (
     measured_conversion_coefficients,
     simple_search,
 )
-from spinsearch.spectroscopy import PipelineConfig, SpinHamiltonian, run_pipeline, spectrum
+from spinsearch.spectroscopy import (
+    PipelineConfig,
+    SpinHamiltonian,
+    run_pipeline,
+    spectrum,
+    transfer_pair,
+)
 from spinsearch.composition import (
     cross_interaction,
     cross_interaction_target,
@@ -145,15 +151,9 @@ def test_criterion_08_spectroscopy_consistency():
 
     n, omega = 3, 2 * np.pi * 10
     u = grover_propagator(MarkedState(s=3, n=n), 2)
-    cfg = PipelineConfig(
-        u_seq=u,
-        v_seq=u.conj().T,
-        h_evol=SpinHamiltonian.uniform_fz(n, omega),
-        dt=1 / 256,
-        n_points=256,
-    )
-    rho0 = initial_state(n, np.ones(n), "z")
-    spec = spectrum(run_pipeline(rho0, cfg), cfg.dt, label_omega=omega)
+    cfg = PipelineConfig(h_evol=SpinHamiltonian.uniform_fz(n, omega), dt=1 / 256, n_points=256)
+    p, q = transfer_pair(u, u.conj().T, initial_state(n, np.ones(n), "z"))
+    spec = spectrum(run_pipeline(p, q, cfg), cfg.dt, label_omega=omega)
     freqs = {round(p.frequency / omega) for p in spec.peaks}
     assert 1 <= len(spec.peaks) <= 2 * n + 1
     for p in spec.peaks:

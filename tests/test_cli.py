@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, spectroscopy
+from spinsearch import cli, mqalgebra, spectroscopy
 from spinsearch.cli import main
 from spinsearch.selftest import INVARIANT_GROUPS
 
@@ -383,6 +383,37 @@ def test_labelling_path_runs_no_diagonalization(tmp_path, monkeypatch, name, eig
         cfg_path.write_text(json.dumps(N8_SPECTRUM))
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"eigh": eigh_calls, "eigvalsh": 0, "eigvals": 0, "expm_unitary": 0}
+
+
+def count_calls(monkeypatch, name, owners):
+    """Route every binding of `name` in `owners` through one counter; an
+    owner that does not bind the name gets one, which no code reads."""
+    calls = []
+    real = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted, raising=False)
+    return calls
+
+
+def test_spectrum_forms_each_collective_operator_once(tmp_path, monkeypatch):
+    # F_q for Q = V+ F_q V and F_p for the inphase check's P = U F_p U+
+    calls = count_calls(monkeypatch, "total_op", (spectroscopy, cli))
+    cfg_path = CONFIG_DIR / "spectrum_uniform.json"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+
+
+def test_cross_peak_demo_runs_one_phase_cycle(tmp_path, monkeypatch):
+    # the zero-quantum part of f_s + f_r, projected once
+    calls = count_calls(monkeypatch, "phase_cycle_project", (mqalgebra, spectroscopy, cli))
+    cfg_path = CONFIG_DIR / "cross_peak_demo.json"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_import_does_not_load_scipy():

@@ -44,7 +44,8 @@ NUMERICS = (
     "measured_conversion_coefficients",
     "grover_propagator",
     "run_pipeline",
-    "phase_cycle_project",
+    "transfer_pair",
+    "cross_zq_hamiltonian",
     "trotter_product",
     "commutator_product",
     "symmetric_sandwich",

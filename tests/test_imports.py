@@ -44,7 +44,6 @@ def test_no_unused_module_imports(path):
 # subject of a selftest group or move into tests/ as a reference.
 UNREFERENCED_ENTRY_POINTS = {
     "order_intensities",
-    "cross_zq_hamiltonian",
     "interaction_frame",
     "spin_echo_hamiltonian",
 }

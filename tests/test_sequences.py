@@ -533,10 +533,10 @@ class TestExtractAlpha:
 
 class TestConversionCoefficient:
     def test_no_iterations_no_transfer(self):
-        assert conversion_coefficient(0, 8, np.ones(3), 1) == 1.0
+        assert conversion_coefficient(grover_coefficients(0, 8), np.ones(3), 1) == 1.0
 
     def test_analytic_matches_brute_force(self):
-        analytic = conversion_coefficient(1, 4, np.ones(2), 1)
+        analytic = conversion_coefficient(grover_coefficients(1, 4), np.ones(2), 1)
         measured = measured_conversion_coefficients(MarkedState(s=0, n=2), 1, np.ones(2), 1)[1]
         assert abs(analytic - measured) <= 1e-8
 
@@ -544,9 +544,23 @@ class TestConversionCoefficient:
         eps = np.array([0.7, 1.3, 0.9])
         for m in (1, 2, 5, 9):
             for k in (1, 2, 3):
-                analytic = conversion_coefficient(m, 8, eps, k)
+                analytic = conversion_coefficient(grover_coefficients(m, 8), eps, k)
                 measured = measured_conversion_coefficients(MarkedState(s=5, n=3), m, eps, k)[m]
                 assert abs(analytic - measured) <= 1e-8
+
+    def test_precomputed_coefficients_need_no_closed_form(self, monkeypatch):
+        # N and the gamma set come from the GroverCoefficients handed in
+        eps = np.array([0.7, 1.3, 0.9])
+        coeffs = grover_coefficients(5, 8)
+        expected = conversion_coefficient(coeffs, eps, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form was evaluated again")
+
+        monkeypatch.setattr(sequences, "grover_coefficients", forbidden)
+        with pytest.raises(AssertionError, match="evaluated again"):  # the patch is live
+            sequences.grover_coefficients(5, 8)
+        assert conversion_coefficient(coeffs, eps, 2) == expected
 
     def test_trajectory_matches_dense_reference(self):
         rng = np.random.default_rng(2002)
@@ -560,7 +574,10 @@ class TestConversionCoefficient:
                 traj = measured_conversion_coefficients(marked, m_max, eps, k)
                 assert traj.shape == (m_max + 1,)
                 assert maxabs(traj - dense[:, k - 1]) <= 1e-12
-                analytic = [conversion_coefficient(m, N, eps, k) for m in range(m_max + 1)]
+                analytic = [
+                    conversion_coefficient(grover_coefficients(m, N), eps, k)
+                    for m in range(m_max + 1)
+                ]
                 assert maxabs(traj - np.array(analytic)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -581,7 +598,7 @@ class TestConversionCoefficient:
     def test_trajectory_at_n8_never_reads_the_closed_form(self, monkeypatch):
         marked, eps = MarkedState(s=173, n=8), np.linspace(0.6, 1.4, 8)
         expected = measured_conversion_coefficients(marked, 65, eps, 3)
-        analytic = [conversion_coefficient(m, 256, eps, 3) for m in range(66)]
+        analytic = [conversion_coefficient(grover_coefficients(m, 256), eps, 3) for m in range(66)]
         assert maxabs(expected - np.array(analytic)) <= 1e-9
 
         def forbidden(*args, **kwargs):
@@ -598,7 +615,7 @@ class TestConversionCoefficient:
         for name in names:
             monkeypatch.setattr(sequences, name, forbidden)
         with pytest.raises(AssertionError, match="closed form"):  # the patch is live
-            conversion_coefficient(1, 256, eps, 3)
+            conversion_coefficient(sequences.grover_coefficients(1, 256), eps, 3)
         got = measured_conversion_coefficients(marked, 65, eps, 3)
         assert np.array_equal(got, expected)
 
@@ -626,7 +643,7 @@ class TestConversionCoefficient:
     def test_zero_read_polarization_rejected(self):
         eps = np.array([1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="read spin must be nonzero"):
-            conversion_coefficient(2, 8, eps, 2)
+            conversion_coefficient(grover_coefficients(2, 8), eps, 2)
         with pytest.raises(ValueError, match="read spin must be nonzero"):
             measured_conversion_coefficients(MarkedState(s=1, n=3), 2, eps, 2)
         # a zero elsewhere is fine: only the read spin is divided by

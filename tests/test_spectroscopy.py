@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,20 +16,24 @@ from spinsearch.spectroscopy import (
     order_intensities,
     run_pipeline,
     spectrum,
+    transfer_pair,
 )
 
 from conftest import CHECK, maxabs, random_hermitian, random_unitary
 
 
-def uniform_cfg(n, u, v, omega=2 * np.pi * 10, dt=1e-3, points=64, detect="z"):
+def uniform_cfg(n, omega=2 * np.pi * 10, dt=1e-3, points=64, detect="z"):
     return PipelineConfig(
-        u_seq=u,
-        v_seq=v,
         h_evol=SpinHamiltonian.uniform_fz(n, omega),
         dt=dt,
         n_points=points,
         detect_axis=detect,
     )
+
+
+def signal(rho0, u, v, cfg):
+    """The t1 series of excitation U and reconversion V."""
+    return run_pipeline(*transfer_pair(u, v, rho0, cfg.detect_axis), cfg)
 
 
 class TestSpinHamiltonian:
@@ -88,14 +90,14 @@ class TestSpinHamiltonian:
                 SpinHamiltonian(bad)
 
 
-def dense_pipeline(rho0, h, cfg):
+def dense_pipeline(rho0, h, u, v, cfg):
     """Reference signal for a dense, non-diagonal H (cfg.h_evol unused):
     conjugate P by expm_unitary(H, t1), which diagonalizes H, and trace,
     point by point."""
     assert maxabs(h - np.diag(np.diag(h))) > 0  # expm_unitary's eigh branch
     n = int(round(np.log2(rho0.shape[0])))
-    p = cfg.u_seq @ rho0 @ cfg.u_seq.conj().T
-    q = cfg.v_seq.conj().T @ total_op(n, cfg.detect_axis) @ cfg.v_seq
+    p = u @ rho0 @ u.conj().T
+    q = v.conj().T @ total_op(n, cfg.detect_axis) @ v
     out = np.empty(cfg.n_points, dtype=complex)
     for j in range(cfg.n_points):
         u_t = expm_unitary(h, j * cfg.dt)
@@ -103,13 +105,12 @@ def dense_pipeline(rho0, h, cfg):
     return out
 
 
-def framed_reference(rho0, cfg, w):
+def framed_reference(rho0, u, v, cfg, w):
     """dense_pipeline in the frame W where the diagonal H is dense:
     W diag(h) W+ with excitation W U and reconversion V W+ give the same
     signal as diag(h) with U and V."""
     h = (w * cfg.h_evol.diagonal) @ w.conj().T
-    framed = replace(cfg, u_seq=w @ cfg.u_seq, v_seq=cfg.v_seq @ w.conj().T)
-    return dense_pipeline(rho0, h, framed)
+    return dense_pipeline(rho0, h, w @ u, v @ w.conj().T, cfg)
 
 
 class TestRunPipeline:
@@ -117,7 +118,7 @@ class TestRunPipeline:
         n = 2
         rho0 = initial_state(n, np.ones(n), "z")
         eye = np.eye(2**n, dtype=complex)
-        series = run_pipeline(rho0, uniform_cfg(n, eye, eye))
+        series = signal(rho0, eye, eye, uniform_cfg(n))
         fz = total_op(n, "z")
         expected = np.trace(fz @ fz)
         assert maxabs(series - expected) <= 1e-12
@@ -127,7 +128,7 @@ class TestRunPipeline:
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
         rho0 = initial_state(n, np.ones(n), "x")
-        series = run_pipeline(rho0, uniform_cfg(n, u, v))
+        series = signal(rho0, u, v, uniform_cfg(n))
         p = u @ rho0 @ u.conj().T
         q = v.conj().T @ total_op(n, "z") @ v
         assert abs(series[0] - np.trace(q @ p)) <= 1e-12
@@ -144,10 +145,8 @@ class TestRunPipeline:
         u, v, w = (random_unitary(rng, dim) for _ in range(3))
         rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
         h = SpinHamiltonian(rng.uniform(-100.0, 100.0, dim))
-        cfg = PipelineConfig(
-            u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64, detect_axis=detect
-        )
-        assert maxabs(run_pipeline(rho0, cfg) - framed_reference(rho0, cfg, w)) <= 1e-11
+        cfg = PipelineConfig(h_evol=h, dt=1e-3, n_points=64, detect_axis=detect)
+        assert maxabs(signal(rho0, u, v, cfg) - framed_reference(rho0, u, v, cfg, w)) <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_h_matches_dense_conjugation(self, n, rng):
@@ -157,16 +156,16 @@ class TestRunPipeline:
         u, v, w = (random_unitary(rng, dim) for _ in range(3))
         rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
         h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
-        cfg = PipelineConfig(u_seq=u, v_seq=v, h_evol=h, dt=1e-3, n_points=64)
-        assert maxabs(run_pipeline(rho0, cfg) - framed_reference(rho0, cfg, w)) <= 1e-11
+        cfg = PipelineConfig(h_evol=h, dt=1e-3, n_points=64)
+        assert maxabs(signal(rho0, u, v, cfg) - framed_reference(rho0, u, v, cfg, w)) <= 1e-11
 
     def test_nyquist_guard(self):
         n = 2
         eye = np.eye(4, dtype=complex)
-        cfg = uniform_cfg(n, eye, eye, omega=2 * np.pi * 600, dt=1e-3)
+        cfg = uniform_cfg(n, omega=2 * np.pi * 600, dt=1e-3)
         rho0 = initial_state(n, np.ones(n), "z")
         with pytest.raises(NyquistError):
-            run_pipeline(rho0, cfg)
+            signal(rho0, eye, eye, cfg)
 
     def test_nyquist_guard_rejects_nan_frequency(self):
         # a diagonal holding NaN spreads NaN, which no comparison with the
@@ -176,14 +175,14 @@ class TestRunPipeline:
             h = SpinHamiltonian(np.array(diagonal))
             assert str(h.max_transition_frequency) == spread
             with pytest.raises(NyquistError, match=spread):
-                PipelineConfig(u_seq=eye, v_seq=eye, h_evol=h, dt=1e-3, n_points=8).validate()
+                PipelineConfig(h_evol=h, dt=1e-3, n_points=8).validate()
 
     def test_power_of_two_guard(self):
         eye = np.eye(4, dtype=complex)
-        cfg = uniform_cfg(2, eye, eye, points=100)
+        cfg = uniform_cfg(2, points=100)
         rho0 = initial_state(2, np.ones(2), "z")
         with pytest.raises(ValueError, match="power of two"):
-            run_pipeline(rho0, cfg)
+            signal(rho0, eye, eye, cfg)
 
 
 class TestEigenExpand:
@@ -231,13 +230,12 @@ class TestInphase:
         n, phi = 2, 0.6
         u = random_unitary(rng, 4)
         v = self._constructed_v(u, phi, n)
-        ok, residual = inphase_check(u, v, phi, n)
+        ok, residual = inphase_check(*transfer_pair(u, v, total_op(n, "z")), phi)
         assert ok and residual <= 1e-9
 
     def test_generic_pair_fails(self, rng):
-        ok, residual = inphase_check(
-            random_unitary(rng, 4), random_unitary(rng, 4), 0.3, 2
-        )
+        u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+        ok, residual = inphase_check(*transfer_pair(u, v, total_op(2, "z")), 0.3)
         assert not ok and residual > 1e-3
 
     def test_same_order_lines_share_phase(self, rng):
@@ -286,9 +284,9 @@ class TestSpectrum:
         n = 3
         omega = 2 * np.pi * 10
         u = grover_propagator(MarkedState(s=5, n=n), 2)
-        cfg = uniform_cfg(n, u, u.conj().T, omega=omega, dt=1 / 256, points=256)
+        cfg = uniform_cfg(n, omega=omega, dt=1 / 256, points=256)
         rho0 = initial_state(n, np.ones(n), "z")
-        series = run_pipeline(rho0, cfg)
+        series = signal(rho0, u, u.conj().T, cfg)
         spec = spectrum(series, cfg.dt, label_omega=omega)
         assert 1 <= len(spec.peaks) <= 2 * n + 1
         for p in spec.peaks:
@@ -323,9 +321,9 @@ class TestOrderIntensities:
         omega = 2 * np.pi * 20
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
-        cfg = uniform_cfg(n, u, v, omega=omega, dt=1 / 128, points=128)
+        cfg = uniform_cfg(n, omega=omega, dt=1 / 128, points=128)
         rho0 = initial_state(n, np.ones(n), "z")
-        series = run_pipeline(rho0, cfg)
+        series = signal(rho0, u, v, cfg)
         spec = spectrum(series, cfg.dt, label_omega=omega, rel_threshold=1e-9)
         p = u @ rho0 @ u.conj().T
         q = v.conj().T @ total_op(n, "z") @ v
@@ -339,18 +337,16 @@ class TestOrderIntensities:
         u = random_unitary(rng, 4)
         v = random_unitary(rng, 4)
         rho0 = initial_state(n, np.ones(n), "y")
-        cfg_a = uniform_cfg(n, u, v, omega=2 * np.pi * 10)
+        cfg_a = uniform_cfg(n, omega=2 * np.pi * 10)
         cfg_b = PipelineConfig(
-            u_seq=u,
-            v_seq=v,
             h_evol=SpinHamiltonian.weak_coupling(
                 n, [2 * np.pi * 7, 2 * np.pi * 13], {(1, 2): 2.0}
             ),
             dt=1e-3,
             n_points=64,
         )
-        sa = run_pipeline(rho0, cfg_a)
-        sb = run_pipeline(rho0, cfg_b)
+        sa = signal(rho0, u, v, cfg_a)
+        sb = signal(rho0, u, v, cfg_b)
         assert abs(sa[0] - sb[0]) <= 1e-12
 
 
