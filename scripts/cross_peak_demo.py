@@ -8,19 +8,20 @@ a marked-state zero-quantum term with a stronger oracle-independent term
 on subsystem A; this script sweeps that dominance factor and reports the
 cross-peak amplitudes relative to the 0 Hz line.  Only ratios are
 reported; whether a given ratio is "strong enough" is left to the reader.
+The transfer pair comes from `spinsearch.cli.spectrum_transfer`, as in the
+`spectrum` command: this preset forms its U and V as dense matrices.
 """
 
 import numpy as np
 
-from spinsearch.cli import spectrum_unitaries
+from spinsearch.cli import spectrum_transfer
 from spinsearch.config import SpectrumConfig, parse
-from spinsearch.spectroscopy import run_pipeline, spectrum, transfer_pair
+from spinsearch.spectroscopy import run_pipeline, spectrum
 
 
 def peak_table(dominance):
     cfg = parse(SpectrumConfig, {"preset": "cross-peak-demo", "dominance": dominance})
-    u, v, _ = spectrum_unitaries(cfg)
-    p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
+    p, q, _, _ = spectrum_transfer(cfg)
     spec = spectrum(run_pipeline(p, q, cfg.pipe), cfg.pipe.dt, label_omega=cfg.label_omega)
     return spec.peaks, cfg.label_omega / (2 * np.pi)
 

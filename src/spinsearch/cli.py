@@ -54,7 +54,7 @@ from .sequences import (
     conversion_coefficient,
     gamma1_first_peak,
     grover_coefficients,
-    grover_propagator,
+    grover_conjugate,
     measured_conversion_coefficients,
     projector_x_basis,
     simple_search,
@@ -165,51 +165,43 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     }
 
 
-def spectrum_unitaries(cfg: SpectrumConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """The preset's excitation and reconversion unitaries U and V, and the
-    oracle calls they consume."""
-    if cfg.preset == "identity":
-        u = np.eye(2**cfg.n, dtype=complex)
-        v = np.eye(2**cfg.n, dtype=complex)
-        calls = 0
-    elif cfg.preset == "grover-excitation":
-        u = grover_propagator(cfg.marked, cfg.iterations)
-        v = u.conj().T
-        calls = 2 * UF_CALLS_PER_UO * cfg.iterations
-    else:
-        u, v = _cross_peak_unitaries(cfg)
-        calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
-    return u, v, calls
+def spectrum_transfer(cfg: SpectrumConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The preset's transfer pair P = U rho0 U+ and Q = V+ F_q V, the
+    inphase check's U F_p U+, and the oracle calls they consume.
 
-
-def _cross_peak_unitaries(cfg: SpectrumConfig):
-    """Fixed 2+2 demo: subsystem A labeled at 100 Hz, B at 60 Hz.
-
-    The excitation generator is the zero-quantum part of a marked-state
-    operator function plus a dominant oracle-independent zero-quantum term
-    on subsystem A; cross terms between the subsystems put all nonzero
-    zero-quantum lines at multiples of 40 Hz.
+    identity has U = V = I, so these are rho0, F_q and F_p as they are.
+    grover-excitation has V = U+ and conjugates each distinct operator by
+    grover_conjugate, without forming U.  cross-peak-demo forms U and V for a
+    fixed 2+2 split, A labeled at 100 Hz and B at 60 Hz: the zero-quantum part
+    of a marked-state operator function plus a dominant oracle-independent
+    term on A excites, so every nonzero zero-quantum line sits at k x 40 Hz.
     """
-    n = cfg.n
-    ry_a = product_rotation(n, "y", [np.pi / 2, np.pi / 2, 0.0, 0.0])
-    dr_a = np.kron(diag_projector(MarkedState(s=0, n=2)), np.eye(4))
-    f_r = cfg.dominance * (ry_a @ dr_a @ ry_a.conj().T)
-    h_zq = cross_zq_hamiltonian(projector_x_basis(cfg.marked), f_r, cfg.N1)
+    if cfg.preset == "cross-peak-demo":
+        ry_a = product_rotation(cfg.n, "y", [np.pi / 2, np.pi / 2, 0.0, 0.0])
+        dr_a = np.kron(diag_projector(MarkedState(s=0, n=2)), np.eye(4))
+        f_r = cfg.dominance * (ry_a @ dr_a @ ry_a.conj().T)
+        h_zq = cross_zq_hamiltonian(projector_x_basis(cfg.marked), f_r, cfg.N1)
+        u = expm_unitary(h_zq, cfg.tau_u)
+        ry = product_rotation(cfg.n, "y", np.pi / 2)
+        v = expm_unitary(ry @ h_zq @ ry.conj().T, cfg.tau_v)
+        p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
+        calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
+        return p, q, u @ total_op(cfg.n, cfg.p_axis) @ u.conj().T, calls
+    identity = cfg.preset == "identity"
 
-    u = expm_unitary(h_zq, cfg.tau_u)
-    ry = product_rotation(n, "y", np.pi / 2)
-    h_x_frame = ry @ h_zq @ ry.conj().T
-    v = expm_unitary(h_x_frame, cfg.tau_v)
-    return u, v
+    def conjugate(x):
+        return x if identity else grover_conjugate(cfg.marked, cfg.iterations, x)
+
+    q = conjugate(total_op(cfg.n, cfg.pipe.detect_axis))
+    p_inphase = q if cfg.p_axis == cfg.pipe.detect_axis else conjugate(total_op(cfg.n, cfg.p_axis))
+    calls = 0 if identity else 2 * UF_CALLS_PER_UO * cfg.iterations
+    return conjugate(cfg.rho0), q, p_inphase, calls
 
 
 def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
-    u, v, calls = spectrum_unitaries(cfg)
+    p, q, p_inphase, calls = spectrum_transfer(cfg)
     pipe, label_omega = cfg.pipe, cfg.label_omega
-    p, q = transfer_pair(u, v, cfg.rho0, pipe.detect_axis)
-    inphase_ok, inphase_res = inphase_check(
-        u @ total_op(cfg.n, cfg.p_axis) @ u.conj().T, q, cfg.phi
-    )
+    inphase_ok, inphase_res = inphase_check(p_inphase, q, cfg.phi)
     series = run_pipeline(p, q, pipe)
     times = np.arange(pipe.n_points) * pipe.dt
     write_csv(

@@ -34,7 +34,7 @@ from .spectroscopy import NyquistError, PipelineConfig, SpinHamiltonian
 N_MAX = 8  # work qubits; the explicit-oracle search runs on 2**(n+2) states
 T1_POINTS_MAX = 2**14  # 269 MB: run_pipeline holds a few points x 2**n phase arrays
 COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest method
-GROVER_M_MAX = 4096  # 38 MB, 3.5 s: the trajectory carries one rho across m
+GROVER_M_MAX = 4096  # scan 37 MB, 0.3 s; spectrum 39 MB, 0.44 s: one N x N operator stepped across m
 COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
 CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.13 s: one phase cycle of N1 steps at n = 4
 # Magnitude bounds on float keys, far from where a sweep saw overflow (README)

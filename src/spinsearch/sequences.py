@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -249,29 +250,62 @@ def x_basis_state(marked: MarkedState) -> np.ndarray:
 
 
 def grover_propagator(marked: MarkedState, m: int) -> np.ndarray:
-    """[exp(-i pi D_last) exp(-i pi D_s^x)]^m, one reflection step at a time.
-
-    Each step applies S = (I - 2 D_last)(I - 2 |x_s><x_s|) from the left.
-    Both factors are rank-1 reflections: I - 2 |x_s><x_s| is one
-    vector-matrix product v = x_s^T U and a rank-1 update U - x_s (2v)^T,
-    written into a second N x N buffer allocated once (the two swap roles
-    each step); I - 2 D_last flips the sign of the last row.  O(N^2) per
-    step, against O(N^3) for a dense product, and no N x N temporary per
-    step.
-    """
+    """[exp(-i pi D_last) exp(-i pi D_s^x)]^m as a dense matrix: the reference
+    grover_conjugate is checked against.  Each step applies
+    S = (I - 2 D_last)(I - 2 |x_s><x_s|) from the left, as the rank-1 update
+    U - x_s (2 x_s^T U)^T and a sign flip of the last row."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     xs = x_basis_state(marked)
     u = np.eye(2**marked.n, dtype=complex)
-    buf = np.empty_like(u)
     for _ in range(m):
-        np.outer(xs, 2 * (xs @ u), out=buf)
-        # the difference goes to the other buffer: with 2 OpenBLAS threads an
-        # in-place u -= buf right after x_s^T u measured 1.3-1.6x slower
-        np.subtract(u, buf, out=buf)
-        u, buf = buf, u
+        u = u - np.outer(xs, 2 * (xs @ u))
         u[-1] *= -1
     return u
+
+
+def _two_sided_steps(rho: np.ndarray, xs: np.ndarray, antisymmetric: bool = False):
+    """Yield rho, then rho after each step rho <- S rho S^T written into it,
+    for S = (I - 2 D_last)(I - 2 |x_s><x_s|) and a real symmetric (or
+    antisymmetric) rho, which keeps its symmetry as S is real.  O(N^2) per
+    step, with no N x N temporary:
+
+    * with y = rho x_s and z = 2 (y - (x_s^T y) x_s), the x_s reflection is
+      rho - x_s z^T - z x_s^T; for antisymmetric rho, x_s^T rho = -y^T and
+      it is rho + x_s z^T - z x_s^T, where the (x_s^T y) terms cancel.  One
+      K = 2 matmul writes the update into a buffer allocated once;
+    * I - 2 D_last on both sides negates the last row and the last column."""
+    cols = np.empty((len(xs), 2))  # [x_s, z]
+    rows = np.empty((2, len(xs)))  # [+-z; x_s]
+    cols[:, 0] = rows[1] = xs
+    buf = np.empty_like(rho)
+    while True:
+        yield rho
+        y = rho @ xs
+        cols[:, 1] = rows[0] = 2 * (y - (xs @ y) * xs)
+        if antisymmetric:
+            rows[0] *= -1
+        np.matmul(cols, rows, out=buf)
+        rho -= buf
+        rho[-1] *= -1
+        rho[:, -1] *= -1
+
+
+def grover_conjugate(marked: MarkedState, m: int, x: np.ndarray) -> np.ndarray:
+    """U x U^dagger for U = grover_propagator(marked, m) and a Hermitian x,
+    by m two-sided steps; U is never formed.  U is real, so the real
+    symmetric and the imaginary antisymmetric part of x are conjugated
+    apart, each on a real copy, and a part that is all zero is skipped."""
+    if m < 0:
+        raise ValueError("iteration count must be >= 0")
+    xs = x_basis_state(marked)
+    re, im = (
+        next(islice(_two_sided_steps(part.copy(), xs, anti), m, None)) if part.any() else part
+        for part, anti in ((x.real, False), (x.imag, True))
+    )
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
 def sign_flip_frame(marked: MarkedState) -> np.ndarray:
@@ -427,23 +461,10 @@ def conversion_coefficient(coeffs: GroverCoefficients, epsilons, k: int) -> floa
 def measured_conversion_coefficients(
     marked: MarkedState, m_max: int, epsilons, k: int
 ) -> np.ndarray:
-    """Brute-force counterpart for m = 0..m_max: propagate sum eps_l I_lz.
-
-    The dense density matrix is carried once along the trajectory
-    rho <- S rho S^T, S = (I - 2 D_last)(I - 2 |x_s><x_s|), and the I_kz
-    projection is read off its diagonal.  S is real, so rho stays real and
-    symmetric, and each step is the two-sided form of both reflections:
-
-    * with y = rho x_s and z = 2 (y - (x_s^T y) x_s), the x_s reflection is
-      the rank-2 update R rho R = rho - x_s z^T - z x_s^T, written by one
-      K = 2 matmul [x_s, z] [z; x_s] into a buffer allocated once and
-      subtracted in place;
-    * I - 2 D_last on both sides negates the last row and the last column
-      (their shared corner twice, so it keeps its sign).
-
-    O(N^2) per step and no N x N temporary per step.  Nothing here reads
-    the closed-form coefficients this trajectory is checked against.
-    """
+    """Brute-force counterpart for m = 0..m_max: carry sum eps_l I_lz along
+    rho <- S rho S^T by the in-place steps grover_conjugate also takes, and
+    read the I_kz projection off the diagonal after each.  Nothing here
+    reads the closed-form coefficients this trajectory is checked against."""
     n = marked.n
     epsilons = np.asarray(epsilons, dtype=float)
     if m_max < 0:
@@ -456,21 +477,8 @@ def measured_conversion_coefficients(
         raise ValueError("polarization of the read spin must be nonzero")
     iz = iz_diagonals(n)
     rho = np.diag(sum(e * z for e, z in zip(epsilons, iz)))
-    xs = x_basis_state(marked)
-    cols = np.empty((2**n, 2))  # [x_s, z]
-    rows = np.empty((2, 2**n))  # [z; x_s]
-    cols[:, 0] = rows[1] = xs
-    buf = np.empty_like(rho)
-    traces = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        if m:
-            y = rho @ xs
-            cols[:, 1] = rows[0] = 2 * (y - (xs @ y) * xs)
-            np.matmul(cols, rows, out=buf)
-            rho -= buf
-            rho[-1] *= -1
-            rho[:, -1] *= -1
-        traces[m] = rho.diagonal() @ iz[k - 1]
+    steps = _two_sided_steps(rho, x_basis_state(marked))
+    traces = np.array([next(steps).diagonal() @ iz[k - 1] for _ in range(m_max + 1)])
     return traces / (2**n / 4) / epsilons[k - 1]
 
 

@@ -8,8 +8,8 @@ component, Fourier transform over t1.  The signal is
                                                    Q = V+ F_q V.
 
 Excitation and reconversion enter only through the transfer pair (P, Q),
-which `transfer_pair` forms once; the t1 series, the line expansion, the
-inphase check and the order intensities all take that same pair.
+formed once (`transfer_pair` from dense U and V; sequences.grover_conjugate
+in place, without U); every stage below takes that same pair.
 H is diagonal in the product basis and stored as its real diagonal w, so
 t1 evolution is the phase vector exp(-i w t1) and no diagonalization runs.
 Every spectral line sits at a transition frequency w_j - w_k with complex

@@ -2,17 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, mqalgebra, spectroscopy
+from spinsearch import cli, mqalgebra, sequences, spectroscopy
 from spinsearch.cli import main
+from spinsearch.config import SpectrumConfig, parse
+from spinsearch.linalg import total_op
+from spinsearch.oracle import MarkedState
 from spinsearch.selftest import INVARIANT_GROUPS
+from spinsearch.sequences import grover_propagator
 
-from conftest import strict_json
+from conftest import maxabs, strict_json
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -401,11 +406,84 @@ def count_calls(monkeypatch, name, owners):
 
 
 def test_spectrum_forms_each_collective_operator_once(tmp_path, monkeypatch):
-    # F_q for Q = V+ F_q V and F_p for the inphase check's P = U F_p U+
+    # F_q for Q = V+ F_q V; with p_axis = detect_axis it is also the inphase check's F_p
     calls = count_calls(monkeypatch, "total_op", (spectroscopy, cli))
     cfg_path = CONFIG_DIR / "spectrum_uniform.json"
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def transfer_cfg(**keys):
+    cfg = {**N8_SPECTRUM, "n": 3, "s": 5, "epsilons": [0.6, 1.4, 0.9], **keys}
+    return parse(SpectrumConfig, {k: v for k, v in cfg.items() if v is not None})
+
+
+def test_identity_transfer_is_rho0_and_f_q_as_they_are():
+    for p_axis, detect_axis in (("x", "x"), ("z", "y")):
+        cfg = transfer_cfg(preset="identity", s=None, iterations=None,
+                           p_axis=p_axis, detect_axis=detect_axis)
+        p, q, p_inphase, calls = cli.spectrum_transfer(cfg)
+        assert np.array_equal(p, cfg.rho0) and np.array_equal(q, total_op(3, detect_axis))
+        assert np.array_equal(p_inphase, total_op(3, p_axis)) and calls == 0
+
+
+@pytest.mark.parametrize("p_axis", ["x", "y", "z"])
+@pytest.mark.parametrize("detect_axis", ["x", "y", "z"])
+def test_grover_transfer_matches_dense_propagator(p_axis, detect_axis):
+    cfg = transfer_cfg(iterations=3, p_axis=p_axis, detect_axis=detect_axis)
+    u = grover_propagator(cfg.marked, 3)
+    p, q, p_inphase, calls = cli.spectrum_transfer(cfg)
+    assert maxabs(p - u @ cfg.rho0 @ u.conj().T) <= 1e-12
+    assert maxabs(q - u @ total_op(3, detect_axis) @ u.conj().T) <= 1e-12
+    assert maxabs(p_inphase - u @ total_op(3, p_axis) @ u.conj().T) <= 1e-12
+    assert calls == 2 * 2 * 3
+
+
+# the dense propagator and every closed form the grover-excitation path must not reach
+NOT_ON_THE_SPECTRUM_PATH = (
+    "grover_propagator",
+    "expm_unitary",
+    "grover_coefficients",
+    "grover_coefficients_recursion",
+    "gamma_coefficients",
+    "conversion_coefficient",
+    "grover_core",
+    "extract_alpha_from_matrix",
+)
+
+
+def test_n8_grover_spectrum_forms_no_propagator(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spectrum reached a dense propagator or a closed form")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "spinsearch"]
+    for module in modules:
+        for name in NOT_ON_THE_SPECTRUM_PATH:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="closed form"):  # the patch is live
+        sequences.grover_propagator(MarkedState(s=1, n=2), 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(N8_SPECTRUM))
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    report = strict_json((tmp_path / "out" / "report.json").read_text())
+    assert report["payload"]["inphase"]["holds"]
+
+
+def test_n8_grover_transfer_peak_memory():
+    # Q, and P assembled from its conjugated real part: no U, no 256-dim
+    # complex temporary (measured 2.50 MiB; 7.0 MiB with a dense U)
+    dim = 2**8
+    bound = (2 * np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
+    cfg = parse(SpectrumConfig, N8_SPECTRUM)
+    cli.spectrum_transfer(cfg)
+    tracemalloc.start()
+    try:
+        cli.spectrum_transfer(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
 
 
 def test_cross_peak_demo_runs_one_phase_cycle(tmp_path, monkeypatch):

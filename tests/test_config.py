@@ -42,7 +42,7 @@ from conftest import strict_json
 NUMERICS = (
     "simple_search",
     "measured_conversion_coefficients",
-    "grover_propagator",
+    "grover_conjugate",
     "run_pipeline",
     "transfer_pair",
     "cross_zq_hamiltonian",

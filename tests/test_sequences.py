@@ -32,6 +32,7 @@ from spinsearch.sequences import (
     grover_coefficients,
     grover_core,
     grover_basis,
+    grover_conjugate,
     grover_propagator,
     initial_state,
     measured_conversion_coefficients,
@@ -460,6 +461,39 @@ class TestGroverPropagator:
                 m = MarkedState(s=s, n=n)
                 assert maxabs(projector_x_basis(m) - dense_projector_x_basis(m)) <= 1e-12
                 assert maxabs(sign_flip_frame(m) - dense_sign_flip_frame(m)) <= 1e-12
+
+
+class TestGroverConjugate:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_reference(self, n):
+        # rho0 and F on every axis: real symmetric (x, z) and imaginary antisymmetric (y)
+        rng = np.random.default_rng(1300 + n)
+        eps = rng.uniform(0.5, 1.5, size=n)
+        operators = [total_op(n, a, w) for a in ("x", "y", "z") for w in (eps, 1.0)]
+        for s in sorted({0, 2**n - 1, (2 * 2**n) // 3}):
+            marked = MarkedState(s=s, n=n)
+            for m in (0, 1, 2, 7):
+                u = grover_propagator(marked, m)
+                for x in operators:
+                    assert maxabs(grover_conjugate(marked, m, x) - u @ x @ u.conj().T) <= 1e-12
+
+    def test_mixed_hermitian_operator(self):
+        rng = np.random.default_rng(14)
+        marked = MarkedState(s=5, n=3)
+        x = random_hermitian(rng, 8)
+        for m in (0, 1, 3):
+            u = grover_propagator(marked, m)
+            assert maxabs(grover_conjugate(marked, m, x) - u @ x @ u.conj().T) <= 1e-12
+
+    def test_leaves_its_input_alone(self):
+        x = total_op(3, "y", [0.5, 1.0, 1.5]) + total_op(3, "x")
+        before = x.copy()
+        grover_conjugate(MarkedState(s=6, n=3), 4, x)
+        assert np.array_equal(x, before)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            grover_conjugate(MarkedState(s=1, n=2), -1, total_op(2, "z"))
 
 
 class TestGroverCoefficients:
