@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, mqalgebra, sequences, spectroscopy
+from spinsearch import cli, mqalgebra, spectroscopy
 from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
-from spinsearch.oracle import MarkedState
 from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_propagator
 
 from conftest import maxabs, strict_json
+from reference import N8_SPECTRUM
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -344,18 +344,6 @@ def test_shipped_config_runs(tmp_path, name):
     assert (out / "report.json").is_file()
 
 
-# an n = 8 grover-excitation spectrum shaped like the benchmark's
-N8_SPECTRUM = {
-    "preset": "grover-excitation",
-    "n": 8,
-    "s": 173,
-    "iterations": 2,
-    "epsilons": [0.6, 1.4, 0.9, 1.1, 0.7, 1.3, 0.8, 1.2],
-    "p_axis": "z",
-    "detect_axis": "z",
-    "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ},
-    "t1": {"dt": 1 / 256, "points": 256},
-}
 # what the labelling path must not call, and where it would be looked up
 DIAGONALIZERS = {
     "eigh": np.linalg, "eigvalsh": np.linalg, "eigvals": np.linalg, "expm_unitary": spectroscopy,
@@ -437,37 +425,6 @@ def test_grover_transfer_matches_dense_propagator(p_axis, detect_axis):
     assert maxabs(q - u @ total_op(3, detect_axis) @ u.conj().T) <= 1e-12
     assert maxabs(p_inphase - u @ total_op(3, p_axis) @ u.conj().T) <= 1e-12
     assert calls == 2 * 2 * 3
-
-
-# the dense propagator and every closed form the grover-excitation path must not reach
-NOT_ON_THE_SPECTRUM_PATH = (
-    "grover_propagator",
-    "expm_unitary",
-    "grover_coefficients",
-    "grover_coefficients_recursion",
-    "gamma_coefficients",
-    "conversion_coefficient",
-    "grover_core",
-    "extract_alpha_from_matrix",
-)
-
-
-def test_n8_grover_spectrum_forms_no_propagator(tmp_path, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the spectrum reached a dense propagator or a closed form")
-
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "spinsearch"]
-    for module in modules:
-        for name in NOT_ON_THE_SPECTRUM_PATH:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    with pytest.raises(AssertionError, match="closed form"):  # the patch is live
-        sequences.grover_propagator(MarkedState(s=1, n=2), 1)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(N8_SPECTRUM))
-    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    report = strict_json((tmp_path / "out" / "report.json").read_text())
-    assert report["payload"]["inphase"]["holds"]
 
 
 def test_n8_grover_transfer_peak_memory():

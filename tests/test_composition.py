@@ -19,6 +19,7 @@ from spinsearch.composition import (
 )
 
 from conftest import CHECK, maxabs, random_hermitian
+from reference import agreement
 
 IX = spin_op(1, 1, "x")
 IY = spin_op(1, 1, "y")
@@ -94,47 +95,7 @@ class TestCommutatorProduct:
         assert res.fitted_order >= 0.8  # order in 1/sqrt(m)
 
 
-def sequential_power(step, reps):
-    """step^reps by reps plain products: the reference for repeated squaring."""
-    u = np.eye(step.shape[0], dtype=complex)
-    for _ in range(reps):
-        u = step @ u
-    return u
-
-
-def sequential_trotter(h_list, t, slices):
-    step = np.eye(h_list[0].shape[0], dtype=complex)
-    for h in h_list:
-        step = step @ expm_unitary(h, t / slices)
-    return sequential_power(step, slices)
-
-
-def sequential_commutator(a, b, reps):
-    r = 1 / np.sqrt(reps)
-    step = (
-        expm_unitary(a, -r) @ expm_unitary(b, -r) @ expm_unitary(a, r) @ expm_unitary(b, r)
-    )
-    return sequential_power(step, reps)
-
-
-@pytest.mark.parametrize("m", [1, 3, 16, 100])
-@pytest.mark.parametrize("dim", [2, 4, 16])
-def test_ladders_match_the_sequential_product(dim, m):
-    rng = np.random.default_rng(1000 * dim + m)
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
-    w, v = np.linalg.eigh(1j * comm(a, b))
-    cases = [
-        (trotter_product([a, b], 0.8, m), [m, 2 * m, 4 * m],
-         lambda s: sequential_trotter([a, b], 0.8, s), expm_unitary(a + b, 0.8)),
-        (commutator_product(a, b, m), [m, 4 * m, 16 * m],
-         lambda s: sequential_commutator(a, b, s), (v * np.exp(1j * w)) @ v.conj().T),
-    ]
-    for res, ladder, reference, target in cases:
-        refs = [reference(s) for s in ladder]
-        assert maxabs(res.propagator - refs[0]) <= 1e-12
-        for err, ref in zip(res.step_errors, refs):
-            assert abs(err - np.linalg.norm(ref - target, 2)) <= 1e-12
+test_ladders_match_the_sequential_product = agreement("trotter-commutator-ladders")
 
 
 P1 = 1 / (2 - 2 ** (1 / 3))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsearch.linalg import (
-    PAULI_HALF,
     BranchCutError,
     comm,
     expm_unitary,
@@ -20,9 +19,9 @@ from spinsearch.linalg import (
     unitarity_defect,
 )
 from spinsearch.sequences import initial_state
-from spinsearch.spectroscopy import SpinHamiltonian
 
 from conftest import maxabs, random_hermitian, random_unitary
+from reference import KRON_SHAPES, agreement, kron_draw, kron_fold
 
 
 class TestNQubits:
@@ -85,40 +84,15 @@ class TestTotalOp:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-def kron_fold(factors):
-    """Reference: kron_all as a left fold of np.kron."""
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 class TestKronAll:
-    SHAPES = [(2, 2), (1, 2), (2, 1), (3, 3), (4, 4)]
-
-    @staticmethod
-    def draw(rng, shape, complex_entries):
-        f = rng.normal(size=shape)
-        return f + 1j * rng.normal(size=shape) if complex_entries else f
-
-    @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_bit_identical_to_kron_fold(self, rng, complex_entries):
-        for shape in self.SHAPES:
-            factors = [self.draw(rng, shape, complex_entries)]
-            assert np.array_equal(kron_all(factors), kron_fold(factors))
-        for _ in range(20):
-            count = int(rng.integers(1, 5))
-            picks = rng.choice(len(self.SHAPES), size=count)
-            factors = [self.draw(rng, self.SHAPES[i], complex_entries) for i in picks]
-            got, ref = kron_all(factors), kron_fold(factors)
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    test_bit_identical_to_kron_fold = agreement("kron_all")
 
     def test_mixed_real_and_complex_factors(self, rng):
-        factors = [self.draw(rng, s, k % 2 == 1) for k, s in enumerate(self.SHAPES)]
+        factors = [kron_draw(rng, s, k % 2 == 1) for k, s in enumerate(KRON_SHAPES)]
         assert np.array_equal(kron_all(factors), kron_fold(factors))
 
     def test_generator_argument(self, rng):
-        factors = [self.draw(rng, (2, 2), True) for _ in range(4)]
+        factors = [kron_draw(rng, (2, 2), True) for _ in range(4)]
         assert np.array_equal(kron_all(f for f in factors), kron_fold(factors))
 
     def test_empty_is_one_by_one_identity(self):
@@ -126,32 +100,9 @@ class TestKronAll:
         assert got.dtype == complex and np.array_equal(got, kron_fold([]))
 
 
-def kron_fold_spin_sum(n, axis, weights):
-    """Reference: sum_k w_k I_k_axis as n dense kron-fold terms summed in k
-    order, the way the builders summed them before they indexed entries."""
-    eye = np.eye(2, dtype=complex)
-    terms = (
-        w * kron_fold([eye] * (k - 1) + [PAULI_HALF[axis]] + [eye] * (n - k))
-        for k, w in enumerate(np.broadcast_to(weights, (n,)), start=1)
-    )
-    return sum(terms)
-
-
 class TestSingleSpinSums:
-    @pytest.mark.parametrize("axis", ["x", "y", "z"])
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_bit_identical_to_kron_fold_sums(self, n, axis):
-        rng = np.random.default_rng(10 * n + ord(axis))
-        signed = rng.uniform(0.2, 2.0, n) * rng.choice([-1, 1], size=n)
-        for weights in (signed, -1.7, 1.0):
-            ref = kron_fold_spin_sum(n, axis, weights)
-            got = total_op(n, axis, weights)
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert np.array_equal(total_op(n, axis), kron_fold_spin_sum(n, axis, 1.0))
-        ref = kron_fold_spin_sum(n, axis, signed)
-        assert np.array_equal(initial_state(n, signed, axis), ref)
-        if axis == "z":
-            assert np.array_equal(SpinHamiltonian.weak_coupling(n, signed).diagonal, np.diag(ref).real)
+    # total_op, initial_state and the weak-coupling diagonal
+    test_bit_identical_to_kron_fold_sums = agreement("total_op")
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_iz_diagonals_are_the_spin_op_diagonals(self, n):
@@ -215,13 +166,7 @@ class TestExpmUnitary:
 
 
 class TestProductRotation:
-    @pytest.mark.parametrize("axis", ["x", "y", "z"])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_eigh_of_collective_operator(self, n, axis):
-        rng = np.random.default_rng(100 * n + ord(axis))
-        for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=3):
-            ref = expm_unitary(total_op(n, axis), angle)
-            assert maxabs(product_rotation(n, axis, angle) - ref) <= 1e-12
+    test_matches_eigh_of_collective_operator = agreement("product_rotation")
 
     def test_per_qubit_angles(self, rng):
         n = 4

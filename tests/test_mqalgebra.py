@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from spinsearch.linalg import (
     comm,
-    expm_unitary,
-    kron_all,
     product_rotation,
     spin_op,
     total_op,
@@ -24,6 +22,7 @@ from spinsearch.mqalgebra import (
 from spinsearch.oracle import MarkedState, diag_projector
 
 from conftest import CHECK, maxabs, random_hermitian, support
+from reference import agreement
 
 
 def flip_flop(n=2):
@@ -124,30 +123,8 @@ class TestLomsoTransform:
             assert maxabs(diag_projector(marked) - total / 8) <= 1e-12
 
 
-def expm_phase_cycle_project(f_op, n1, target_order):
-    """Reference: each phase step as expm_unitary of the dense diagonal Fz."""
-    n = int(np.log2(f_op.shape[0]))
-    fz = total_op(n, "z")
-    out = np.zeros_like(f_op, dtype=complex)
-    for k in range(n1):
-        phi = 2 * np.pi * k / n1
-        r = expm_unitary(fz, phi)
-        out += np.exp(1j * phi * target_order) * (r @ f_op @ r.conj().T)
-    return out / n1
-
-
 class TestPhaseCycling:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_bit_identical_to_expm_steps(self, n):
-        rng = np.random.default_rng(4000 + n)
-        for _ in range(6):
-            f = random_hermitian(rng, 2**n)
-            if rng.integers(2):
-                f = f + 1j * random_hermitian(rng, 2**n)  # not Hermitian
-            n1 = int(rng.integers(2 * n + 1, 2 * n + 6))
-            target = int(rng.integers(-n, n + 1))
-            got = phase_cycle_project(f, n1, target)
-            assert np.array_equal(got, expm_phase_cycle_project(f, n1, target))
+    test_bit_identical_to_expm_steps = agreement("phase_cycle_project")
 
     def test_zero_quantum_fixed_point(self):
         op = flip_flop()
@@ -176,23 +153,6 @@ class TestPhaseCycling:
         assert CHECK["phase-cycling-vs-grading"](n_values=(n,), count=1, seed=seed) <= 1e-11
 
 
-def mq_generator_expanded(n, l_indices):
-    """Reference: the four-term raising/lowering product expansion of the
-    generator, each term a tensor product of pure raising or lowering
-    factors on the chosen qubits and (E/2 +- I_z) projectors on the rest."""
-    chosen = sorted(set(l_indices))
-    e2 = np.eye(2, dtype=complex)
-    ip = np.array([[0, 1], [0, 0]], dtype=complex)   # I_x + i I_y
-    im = np.array([[0, 0], [1, 0]], dtype=complex)   # I_x - i I_y
-    up = 0.5 * e2 + np.diag([0.5, -0.5]).astype(complex)
-    dn = 0.5 * e2 - np.diag([0.5, -0.5]).astype(complex)
-
-    def term(ladder, proj):
-        return kron_all(ladder if k in chosen else proj for k in range(1, n + 1))
-
-    return 0.5j * (term(im, up) - term(ip, dn) - term(ip, up) + term(im, dn))
-
-
 class TestMqGenerators:
     def test_two_spin_comm_orders(self):
         g = mq_generator(2, (1, 2))
@@ -202,9 +162,7 @@ class TestMqGenerators:
         g = mq_generator(3, (1, 3))
         assert maxabs(g - g.conj().T) <= 1e-13
 
-    def test_matches_four_term_expansion(self):
-        g = mq_generator(3, (1, 2))
-        assert maxabs(g - mq_generator_expanded(3, (1, 2))) <= 1e-12
+    test_matches_four_term_expansion = agreement("mq_generator")
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_support_at_plus_minus_l(self, l):

@@ -17,13 +17,7 @@ from spinsearch.oracle import (
 )
 
 from conftest import maxabs
-
-
-def basis_projector(index: int, dim: int) -> np.ndarray:
-    """diag(0,...,1,...,0) with the 1 at the given basis index."""
-    d = np.zeros(dim, dtype=complex)
-    d[index] = 1.0
-    return np.diag(d)
+from reference import agreement, basis_projector
 
 
 class TestSignVector:
@@ -128,30 +122,8 @@ class TestExplicitOracle:
                 assert maxabs(out - sign * ket) < 1e-15
 
 
-def loop_uf(marked):
-    """U_f built entry by entry from |x>|a>|b> -> |x>|a xor f(x)>|b>."""
-    dim = 2 ** (marked.n + 2)
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        x, ab = divmod(idx, 4)
-        if x == marked.s:
-            ab ^= 0b10
-        u[x * 4 + ab, idx] = 1.0
-    return u
-
-
 class TestUfPermutation:
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_matches_dense_oracle_for_every_s(self, n):
-        cols = np.arange(2 ** (n + 2))
-        for s in range(2**n):
-            marked = MarkedState(s=s, n=n)
-            p = uf_permutation(marked)
-            ref = loop_uf(marked)
-            assert np.array_equal(np.argmax(ref, axis=0), p)
-            assert np.array_equal(ref[p, cols], np.ones(len(cols)))
-            assert np.array_equal(oracle_uf(marked), ref)
-            assert np.array_equal(p[p], cols)
+    test_matches_dense_oracle_for_every_s = agreement("uf_permutation")
 
     def test_indexing_equals_dense_conjugation(self, rng):
         marked = MarkedState(s=6, n=3)

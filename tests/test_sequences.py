@@ -19,15 +19,12 @@ from spinsearch.oracle import (
     MarkedState,
     aux_pure_state,
     diag_projector,
-    oracle_uo,
-    selective_phase,
     sign_vector,
 )
 from spinsearch.sequences import (
     AmbiguousReadoutError,
     conjugate_multi_selective,
     conversion_coefficient,
-    extract_alpha_from_matrix,
     gamma1_first_peak,
     grover_coefficients,
     grover_core,
@@ -37,110 +34,13 @@ from spinsearch.sequences import (
     initial_state,
     measured_conversion_coefficients,
     projector_x_basis,
-    sign_flip_frame,
     simple_search,
     spin_echo_hamiltonian,
     x_basis_state,
 )
 
 from conftest import maxabs, random_hermitian, random_unitary
-
-
-def brute_conjugate(rho, marked, theta):
-    c = selective_phase(marked, theta)
-    return c @ rho @ c.conj().T
-
-
-def eigh_pulse(n, axis, angle):
-    """exp(-i angle F_axis) through the eigendecomposition of the collective operator."""
-    return expm_unitary(total_op(n, axis), angle)
-
-
-def dense_projector_x_basis(marked):
-    """D_s^x with the pi/2 y pulse built from an eigh of Fy."""
-    ry = eigh_pulse(marked.n, "y", np.pi / 2)
-    return ry @ diag_projector(marked) @ ry.conj().T
-
-
-def dense_sign_flip_frame(marked):
-    """W from eigh-built collective and per-spin x rotations."""
-    n = marked.n
-    w = eigh_pulse(n, "x", np.pi / 2)
-    for k in range(1, n + 1):
-        w = w @ expm_unitary(marked.signs[k - 1] * spin_op(n, k, "x"), -np.pi / 2)
-    return w
-
-
-def dense_search_signal(marked, epsilons, theta, aux_mode):
-    """Per-qubit z coefficients of the search sequence, all dense.
-
-    The oracle is the dense U_o = U_f V_S U_f (or C_s), the pulse comes from
-    an eigh of the collective Fy on the full space, and each coefficient is
-    a trace against a dense I_kz.
-    """
-    n = marked.n
-    rho = initial_state(n, epsilons, "y")
-    fy = total_op(n, "y")
-    if aux_mode == "selective-cs":
-        u = selective_phase(marked, theta)
-    else:
-        u = oracle_uo(marked, theta)
-        rho = np.kron(rho, aux_pure_state())
-        fy = np.kron(fy, np.eye(4))
-    rho = u @ rho @ u.conj().T
-    pulse = expm_unitary(fy, np.pi / 2)
-    rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
-    if aux_mode == "explicit-uf":
-        rho = np.einsum("iaja->ij", rho.reshape(2**n, 4, 2**n, 4))
-    return np.array(
-        [
-            np.real(np.trace(rho @ spin_op(n, k, "z"))) / (2**n / 4)
-            for k in range(1, n + 1)
-        ]
-    )
-
-
-def allocating_grover_propagator(marked, m):
-    """The propagator by the allocating one-sided step: a fresh outer
-    product, its double and the difference per step."""
-    xs = x_basis_state(marked)
-    u = np.eye(2**marked.n, dtype=complex)
-    for _ in range(m):
-        u = u - 2 * np.outer(xs, xs @ u)
-        u[-1] *= -1
-    return u
-
-
-def dense_grover_step(marked):
-    """One Grover step as a dense matrix, from the eigh-built D_s^x."""
-    dim = 2**marked.n
-    d_last = diag_projector(MarkedState(s=dim - 1, n=marked.n))
-    return (np.eye(dim) - 2 * d_last) @ (np.eye(dim) - 2 * dense_projector_x_basis(marked))
-
-
-def dense_grover_trajectory(marked, m_max):
-    """Reference propagators U_0..U_m_max by dense products U <- step @ U."""
-    step = dense_grover_step(marked)
-    u = np.eye(2**marked.n, dtype=complex)
-    out = [u]
-    for _ in range(m_max):
-        u = step @ u
-        out.append(u)
-    return out
-
-
-def dense_conversion_coefficients(marked, m_max, epsilons):
-    """Reference C_m for every read spin k: rows m = 0..m_max, columns k = 1..n,
-    from rho = U rho0 U^dagger and trace(rho I_kz)."""
-    n = marked.n
-    ikz = [spin_op(n, k, "z") for k in range(1, n + 1)]
-    rho0 = sum(e * op for e, op in zip(epsilons, ikz))
-    out = np.empty((m_max + 1, n))
-    for m, u in enumerate(dense_grover_trajectory(marked, m_max)):
-        rho = u @ rho0 @ u.conj().T
-        for k in range(n):
-            out[m, k] = np.real(np.einsum("ij,ji->", rho, ikz[k])) / (2**n / 4) / epsilons[k]
-    return out
+from reference import agreement, brute_conjugate, dense_conjugate, dense_conversion_coefficients
 
 
 class TestInitialState:
@@ -178,25 +78,7 @@ class TestConjugateSelective:
         rho = random_hermitian(rng, 8)
         m = MarkedState(s=5, n=3)
         got = conjugate_selective(rho, m, 0.7)
-        assert maxabs(got - brute_conjugate(rho, m, 0.7)) <= 1e-11
-
-    def test_closed_form_builds_no_projector_or_phase_shift(self, rng, monkeypatch):
-        rho = random_hermitian(rng, 16)
-        ms = [MarkedState(s=s, n=4) for s in (9, 2, 14)]
-        thetas = [0.4, -2.1, 3.0]
-        u = np.eye(16, dtype=complex)
-        for mk, th in zip(ms, thetas):
-            u = u @ selective_phase(mk, th)
-        expected = u @ rho @ u.conj().T
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the closed form reached the brute-force side")
-
-        monkeypatch.setattr(oracle, "diag_projector", forbidden)
-        monkeypatch.setattr(oracle, "selective_phase", forbidden)
-        monkeypatch.setattr(sequences, "diag_projector", forbidden)
-        got = conjugate_multi_selective(rho, ms, thetas)
-        assert maxabs(got - expected) <= 1e-12
+        assert maxabs(got - brute_conjugate(rho, [m], [0.7])) <= 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**31), grid=st.integers(0, 7))
@@ -206,7 +88,7 @@ class TestConjugateSelective:
         m = MarkedState(s=int(rng.integers(2**n)), n=n)
         theta = 2 * np.pi * grid / 8
         got = conjugate_selective(rho, m, theta)
-        assert maxabs(got - brute_conjugate(rho, m, theta)) <= 1e-10
+        assert maxabs(got - brute_conjugate(rho, [m], [theta])) <= 1e-10
 
 
 class TestConjugateMultiSelective:
@@ -220,8 +102,7 @@ class TestConjugateMultiSelective:
         ms = [MarkedState(s=1, n=2), MarkedState(s=2, n=2)]
         thetas = [np.pi / 3, np.pi / 5]
         got = conjugate_multi_selective(rho, ms, thetas)
-        u = selective_phase(ms[0], thetas[0]) @ selective_phase(ms[1], thetas[1])
-        assert maxabs(got - u @ rho @ u.conj().T) <= 1e-10
+        assert maxabs(got - brute_conjugate(rho, ms, thetas)) <= 1e-10
 
     def test_duplicate_indices_rejected(self, rng):
         rho = random_hermitian(rng, 4)
@@ -239,11 +120,8 @@ class TestConjugateMultiSelective:
         picks = rng.choice(dim, size=count, replace=False)
         thetas = rng.uniform(0, 2 * np.pi, size=count)
         ms = [MarkedState(s=int(p), n=n) for p in picks]
-        u = np.eye(dim, dtype=complex)
-        for mk, th in zip(ms, thetas):
-            u = u @ selective_phase(mk, th)
         got = conjugate_multi_selective(rho, ms, thetas)
-        assert maxabs(got - u @ rho @ u.conj().T) <= 1e-10
+        assert maxabs(got - brute_conjugate(rho, ms, thetas)) <= 1e-10
 
 
 class TestSimpleSearch:
@@ -294,18 +172,7 @@ class TestSimpleSearch:
         with pytest.raises(ValueError, match="nonzero"):
             simple_search(MarkedState(s=1, n=2), [1.0, 0.0])
 
-    @pytest.mark.parametrize("aux_mode", ["selective-cs", "explicit-uf"])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_dense_reference(self, n, aux_mode):
-        rng = np.random.default_rng(1000 * n + len(aux_mode))
-        for _ in range(3):
-            marked = MarkedState(s=int(rng.integers(2**n)), n=n)
-            theta = float(rng.choice([-1, 1]) * rng.uniform(0.3, np.pi - 0.3))
-            eps = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1, 1], size=n)
-            res = simple_search(marked, eps, theta, aux_mode)
-            ref = dense_search_signal(marked, eps, theta, aux_mode)
-            assert maxabs(res.per_qubit_signal - ref) <= 1e-12
-            assert res.recovered_s == marked.s
+    test_matches_dense_reference = agreement("simple_search-selective-cs", "simple_search-explicit-uf")
 
     def test_explicit_oracle_at_n8_builds_no_dense_operator(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -430,22 +297,8 @@ class TestGroverPropagator:
     def test_unitary(self):
         assert unitarity_defect(grover_propagator(MarkedState(s=5, n=3), 7)) <= 1e-10
 
-    def test_matches_dense_loop(self):
-        rng = np.random.default_rng(11)
-        for n in range(1, 7):
-            marked = MarkedState(s=int(rng.integers(2**n)), n=n)
-            dense = dense_grover_trajectory(marked, 9)
-            for m in range(10):
-                assert maxabs(grover_propagator(marked, m) - dense[m]) <= 1e-12
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_bit_identical_to_allocating_step(self, n):
-        rng = np.random.default_rng(1200 + n)
-        for s in sorted({0, 2**n - 1, int(rng.integers(2**n))}):
-            marked = MarkedState(s=s, n=n)
-            for m in (0, 1, 2, 7):
-                got = grover_propagator(marked, m)
-                assert np.array_equal(got, allocating_grover_propagator(marked, m))
+    # n = 1..8, one draw each from seed 11
+    test_matches_dense_loop = agreement("grover_propagator")
 
     def test_x_basis_state_projector(self):
         for n in range(1, 5):
@@ -455,35 +308,18 @@ class TestGroverPropagator:
                 assert xs.dtype == float and abs(xs @ xs - 1) <= 1e-15
                 assert maxabs(np.outer(xs, xs) - projector_x_basis(m)) <= 1e-14
 
-    def test_product_pulse_frames_match_eigh_built(self):
-        for n in range(1, 5):
-            for s in range(2**n):
-                m = MarkedState(s=s, n=n)
-                assert maxabs(projector_x_basis(m) - dense_projector_x_basis(m)) <= 1e-12
-                assert maxabs(sign_flip_frame(m) - dense_sign_flip_frame(m)) <= 1e-12
+    test_product_pulse_frames_match_eigh_built = agreement("projector_x_basis")
 
 
 class TestGroverConjugate:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_dense_reference(self, n):
-        # rho0 and F on every axis: real symmetric (x, z) and imaginary antisymmetric (y)
-        rng = np.random.default_rng(1300 + n)
-        eps = rng.uniform(0.5, 1.5, size=n)
-        operators = [total_op(n, a, w) for a in ("x", "y", "z") for w in (eps, 1.0)]
-        for s in sorted({0, 2**n - 1, (2 * 2**n) // 3}):
-            marked = MarkedState(s=s, n=n)
-            for m in (0, 1, 2, 7):
-                u = grover_propagator(marked, m)
-                for x in operators:
-                    assert maxabs(grover_conjugate(marked, m, x) - u @ x @ u.conj().T) <= 1e-12
+    test_matches_dense_reference = agreement("grover_conjugate")
 
     def test_mixed_hermitian_operator(self):
         rng = np.random.default_rng(14)
         marked = MarkedState(s=5, n=3)
         x = random_hermitian(rng, 8)
         for m in (0, 1, 3):
-            u = grover_propagator(marked, m)
-            assert maxabs(grover_conjugate(marked, m, x) - u @ x @ u.conj().T) <= 1e-12
+            assert maxabs(grover_conjugate(marked, m, x) - dense_conjugate(marked, m, x)) <= 1e-12
 
     def test_leaves_its_input_alone(self):
         x = total_op(3, "y", [0.5, 1.0, 1.5]) + total_op(3, "x")
@@ -521,36 +357,8 @@ class TestGroverCoefficients:
                 assert maxabs(grover_core(n, m) - recon) <= 1e-9
 
 
-def per_m_extraction(n, m):
-    """Reference: the least-squares fit of G(m) built afresh for one m."""
-    basis = grover_basis(n)
-    g = grover_core(n, m)
-    gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
-    rhs = np.array([np.trace(b.conj().T @ g) for b in basis])
-    coeffs = np.linalg.solve(gram, rhs)
-    recon = sum(c * b for c, b in zip(coeffs, basis))
-    return coeffs, float(np.abs(g - recon).max())
-
-
 class TestExtractAlpha:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_per_m_fit(self, n):
-        fits = extract_alpha_from_matrix(n, 25)
-        assert len(fits) == 26
-        for m, (coeffs, residual) in enumerate(fits):
-            ref_coeffs, ref_residual = per_m_extraction(n, m)
-            assert maxabs(coeffs - ref_coeffs) <= 1e-12
-            assert abs(residual - ref_residual) <= 1e-12
-
-    def test_fit_never_reads_the_closed_form(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the matrix fit reached a closed-form coefficient")
-
-        for name in ("grover_coefficients", "grover_coefficients_recursion", "gamma_coefficients"):
-            monkeypatch.setattr(sequences, name, forbidden)
-        fits = extract_alpha_from_matrix(4, 25)
-        assert len(fits) == 26
-        assert max(abs(coeffs[0] - 1) for coeffs, _ in fits) <= 1e-12
+    test_matches_per_m_fit = agreement("extract_alpha_from_matrix")
 
     def test_three_way_check_builds_the_basis_once_per_n(self, monkeypatch):
         calls = []
@@ -614,44 +422,7 @@ class TestConversionCoefficient:
                 ]
                 assert maxabs(traj - np.array(analytic)) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "n,s", [(n, s) for n in range(2, 7) for s in (0, 2**n - 1)] + [(8, 255)]
-    )
-    def test_edge_marks_match_dense_reference(self, n, s):
-        # s = 2^n - 1 is D_last's own index: the row/column flip and the
-        # x_s reflection overlap there
-        rng = np.random.default_rng(3100 + n)
-        m_max = int(4 * np.sqrt(2**n)) + 1
-        marked = MarkedState(s=s, n=n)
-        eps = rng.uniform(0.5, 1.5, n)
-        dense = dense_conversion_coefficients(marked, m_max, eps)
-        for k in range(1, n + 1):
-            traj = measured_conversion_coefficients(marked, m_max, eps, k)
-            assert maxabs(traj - dense[:, k - 1]) <= 1e-12
-
-    def test_trajectory_at_n8_never_reads_the_closed_form(self, monkeypatch):
-        marked, eps = MarkedState(s=173, n=8), np.linspace(0.6, 1.4, 8)
-        expected = measured_conversion_coefficients(marked, 65, eps, 3)
-        analytic = [conversion_coefficient(grover_coefficients(m, 256), eps, 3) for m in range(66)]
-        assert maxabs(expected - np.array(analytic)) <= 1e-9
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the measured trajectory reached a closed form")
-
-        names = (
-            "grover_coefficients",
-            "grover_coefficients_recursion",
-            "gamma_coefficients",
-            "conversion_coefficient",
-            "grover_core",
-            "extract_alpha_from_matrix",
-        )
-        for name in names:
-            monkeypatch.setattr(sequences, name, forbidden)
-        with pytest.raises(AssertionError, match="closed form"):  # the patch is live
-            conversion_coefficient(sequences.grover_coefficients(1, 256), eps, 3)
-        got = measured_conversion_coefficients(marked, 65, eps, 3)
-        assert np.array_equal(got, expected)
+    test_edge_marks_match_dense_reference = agreement("measured_conversion_coefficients")
 
     def test_trajectory_at_n8_peak_memory(self):
         # rho and one update buffer, 2 N^2 doubles, plus vectors: a per-step

@@ -19,7 +19,8 @@ from spinsearch.spectroscopy import (
     transfer_pair,
 )
 
-from conftest import CHECK, maxabs, random_hermitian, random_unitary
+from conftest import maxabs, random_hermitian, random_unitary
+from reference import agreement, framed_reference
 
 
 def uniform_cfg(n, omega=2 * np.pi * 10, dt=1e-3, points=64, detect="z"):
@@ -90,29 +91,6 @@ class TestSpinHamiltonian:
                 SpinHamiltonian(bad)
 
 
-def dense_pipeline(rho0, h, u, v, cfg):
-    """Reference signal for a dense, non-diagonal H (cfg.h_evol unused):
-    conjugate P by expm_unitary(H, t1), which diagonalizes H, and trace,
-    point by point."""
-    assert maxabs(h - np.diag(np.diag(h))) > 0  # expm_unitary's eigh branch
-    n = int(round(np.log2(rho0.shape[0])))
-    p = u @ rho0 @ u.conj().T
-    q = v.conj().T @ total_op(n, cfg.detect_axis) @ v
-    out = np.empty(cfg.n_points, dtype=complex)
-    for j in range(cfg.n_points):
-        u_t = expm_unitary(h, j * cfg.dt)
-        out[j] = np.trace(q @ u_t @ p @ u_t.conj().T)
-    return out
-
-
-def framed_reference(rho0, u, v, cfg, w):
-    """dense_pipeline in the frame W where the diagonal H is dense:
-    W diag(h) W+ with excitation W U and reconversion V W+ give the same
-    signal as diag(h) with U and V."""
-    h = (w * cfg.h_evol.diagonal) @ w.conj().T
-    return dense_pipeline(rho0, h, w @ u, v @ w.conj().T, cfg)
-
-
 class TestRunPipeline:
     def test_commuting_everything_is_constant(self):
         n = 2
@@ -133,20 +111,8 @@ class TestRunPipeline:
         q = v.conj().T @ total_op(n, "z") @ v
         assert abs(series[0] - np.trace(q @ p)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_line_expansion(self, n):
-        assert CHECK["pipeline-vs-line-expansion"](n_values=(n,), count=4, seed=20240817) <= 1e-9
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("detect", ["x", "y", "z"])
-    def test_matches_dense_reference(self, n, detect, rng):
-        # a random real diagonal, against the reference in a random frame W
-        dim = 2**n
-        u, v, w = (random_unitary(rng, dim) for _ in range(3))
-        rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
-        h = SpinHamiltonian(rng.uniform(-100.0, 100.0, dim))
-        cfg = PipelineConfig(h_evol=h, dt=1e-3, n_points=64, detect_axis=detect)
-        assert maxabs(signal(rho0, u, v, cfg) - framed_reference(rho0, u, v, cfg, w)) <= 1e-11
+    test_matches_line_expansion = agreement("run_pipeline-line-expansion")
+    test_matches_dense_reference = agreement("run_pipeline-dense-frame")
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_h_matches_dense_conjugation(self, n, rng):
