@@ -396,10 +396,10 @@ def line_expansion(p, q, cfg):
     return resum_lines(*eigen_expand(p, q, cfg.h_evol), np.arange(cfg.n_points) * cfg.dt)
 
 
-def line_expansion_cases(n):
+def line_expansion_cases(param):
     # pipeline-vs-line-expansion's cases, at count 4 and the fixture seed
+    n, h = param
     rng = np.random.default_rng(FIXTURE_SEED + n)
-    h = SpinHamiltonian.uniform_fz(n, 2 * np.pi * 10)
     for _ in range(4):
         u, v = random_unitary(rng, 2**n), random_unitary(rng, 2**n)
         cfg = PipelineConfig(h_evol=h, dt=1 / 256, n_points=128)
@@ -430,6 +430,11 @@ def framed_reference(rho0, u, v, cfg, w):
     return dense_pipeline(rho0, h, w @ u, v @ w.conj().T, cfg)
 
 
+def framed_signal(rho0, u, v, cfg, w):
+    """The pipeline on excitation U and reconversion V (the frame W is the reference's)."""
+    return run_pipeline(*transfer_pair(u, v, rho0, cfg.detect_axis), cfg)
+
+
 def dense_frame_cases(param):
     # a random real diagonal, against the reference in a random frame W
     n, detect = param
@@ -438,6 +443,15 @@ def dense_frame_cases(param):
     rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
     h = SpinHamiltonian(rng.uniform(-100.0, 100.0, 2**n))
     return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64, detect_axis=detect), w)]
+
+
+def weak_coupling_frame_cases(n):
+    # the weak-coupling diagonal with random offsets, drawn as from the rng fixture
+    rng = np.random.default_rng(FIXTURE_SEED)
+    u, v, w = (random_unitary(rng, 2**n) for _ in range(3))
+    rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
+    h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
+    return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64), w)]
 
 
 # an n = 8 grover-excitation spectrum shaped like the benchmark's
@@ -529,6 +543,10 @@ def ladder_cases(param):
 # ---------------------------------------------------------------------------
 # the table: Row(fast, reference, forbidden, cases, tol, params, guard)
 
+# the pipeline groups by the diagonal's values: never by coherence order or n
+PIPELINE_FORBIDDEN = (
+    "eigen_expand", "resum_lines", "order_matrix", "order_intensities", "magnetic_quantum_numbers",
+) + DIAGONALIZERS
 GRID_N_AXIS = {f"{n}-{a}": (n, a) for n in range(1, 9) for a in "xyz"}
 TABLE: dict[str, Row] = {
     "kron_all": Row(kron_all, kron_fold, ("numpy.kron",), kron_cases, 0, {"False": False, "True": True}),
@@ -590,14 +608,28 @@ TABLE: dict[str, Row] = {
         GROVER_CLOSED_FORMS[:4], lambda n: [(n, 25)], 1e-12, {str(n): n for n in (2, 3, 4)},
     ),
     "run_pipeline-line-expansion": Row(
-        run_pipeline, line_expansion,
-        ("eigen_expand", "resum_lines", "order_matrix", "order_intensities") + DIAGONALIZERS,
-        line_expansion_cases, 1e-9, {"2": 2, "3": 3},
+        run_pipeline, line_expansion, PIPELINE_FORBIDDEN, line_expansion_cases, 1e-9,
+        {
+            "2": (2, SpinHamiltonian.uniform_fz(2, 2 * np.pi * 10)),
+            "3": (3, SpinHamiltonian.uniform_fz(3, 2 * np.pi * 10)),
+            # 1 < K < 2^n distinct frequencies: spins 1 and 2 tie, K = 12
+            "4-tied-offsets": (4, SpinHamiltonian.weak_coupling(
+                4, 2 * np.pi * np.array([10.0, 10.0, 15.0, 20.0]), {(1, 2): 3.0, (3, 4): 5.0}
+            )),
+            "2-zero-omega": (2, SpinHamiltonian.uniform_fz(2, 0.0)),  # K = 1
+            # values 1e-6 rad/s apart stay distinct: K = 2^n
+            "3-offsets-1e-6-apart": (3, SpinHamiltonian.weak_coupling(
+                3, [2 * np.pi * 10, 2 * np.pi * 10 + 1e-6, 2 * np.pi * 15]
+            )),
+        },
     ),
     "run_pipeline-dense-frame": Row(
-        lambda rho0, u, v, cfg, w: run_pipeline(*transfer_pair(u, v, rho0, cfg.detect_axis), cfg),
-        framed_reference, ("eigen_expand", "resum_lines") + DIAGONALIZERS, dense_frame_cases, 1e-11,
+        framed_signal, framed_reference, PIPELINE_FORBIDDEN, dense_frame_cases, 1e-11,
         {f"{d}-{n}": (n, d) for d in "xyz" for n in (1, 2, 3, 4)},
+    ),
+    "run_pipeline-weak-coupling-frame": Row(
+        framed_signal, framed_reference, PIPELINE_FORBIDDEN, weak_coupling_frame_cases, 1e-11,
+        {"2": 2, "3": 3},
     ),
     "spectrum": Row(  # the whole command, against the dense propagator
         spectrum_command, dense_spectrum_series,

@@ -15,6 +15,7 @@ from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_propagator
+from spinsearch.spectroscopy import run_pipeline
 
 from conftest import maxabs, strict_json
 from reference import N8_SPECTRUM
@@ -300,17 +301,29 @@ class TestDeterminism:
             assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
     def test_spectrum_determinism(self, tmp_path):
-        cfg = {
+        uniform = {
             "preset": "grover-excitation",
             "n": 2,
             "s": 2,
             "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ},
             "t1": {"dt": 1 / 128, "points": 128},
         }
-        _, out1, _ = run(tmp_path, "spectrum", cfg, subdir="a")
-        _, out2, _ = run(tmp_path, "spectrum", cfg, subdir="b")
-        for name in ("timeseries.csv", "spectrum.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # spins 1 and 2 tie: 6 distinct values of 8, grouped in a fixed order
+        tied = {
+            **uniform,
+            "n": 3,
+            "s": 5,
+            "hamiltonian": {
+                "kind": "weak-coupling",
+                "offsets": [OMEGA_10HZ / 2, OMEGA_10HZ / 2, 0.8 * OMEGA_10HZ],
+                "couplings": [[1, 2, 2.0]],
+            },
+        }
+        for label, cfg in (("uniform", uniform), ("tied", tied)):
+            _, out1, _ = run(tmp_path, "spectrum", cfg, subdir=f"{label}-a")
+            _, out2, _ = run(tmp_path, "spectrum", cfg, subdir=f"{label}-b")
+            for name in ("timeseries.csv", "spectrum.csv"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_report_stable_apart_from_duration(self, tmp_path):
         cfg = {"n": 2, "s": 3}
@@ -437,6 +450,23 @@ def test_n8_grover_transfer_peak_memory():
     tracemalloc.start()
     try:
         cli.spectrum_transfer(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+
+
+def test_n8_spectrum_pipeline_peak_memory():
+    # Q^T * P, its block index and one real part at a time; the K = 9
+    # phases are small (measured 2.00 MiB; 3.00 MiB with the T x 256 GEMM)
+    dim = 2**8
+    bound = (np.dtype(complex).itemsize + 2.5 * np.dtype(float).itemsize) * dim**2
+    cfg = parse(SpectrumConfig, N8_SPECTRUM)
+    p, q, _, _ = cli.spectrum_transfer(cfg)
+    run_pipeline(p, q, cfg.pipe)
+    tracemalloc.start()
+    try:
+        run_pipeline(p, q, cfg.pipe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
