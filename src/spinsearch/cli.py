@@ -1,7 +1,8 @@
 """Command-line driver: JSON config in, CSV/JSON results out.
 
-Exit codes: 0 ok, 1 selftest failure, 2 config error, 3 ambiguous search
-readout, 4 sampling (Nyquist) error, 5 matrix-logarithm branch error.
+Exit codes: 0 ok, 1 selftest failure, 2 config error (or an --out that
+is not a usable directory), 3 ambiguous search readout, 4 sampling
+(Nyquist) error, 5 matrix-logarithm branch error.
 
 Each command reads a typed config that spinsearch.config builds from the
 JSON file; every config defect is found there, before any numerics, and
@@ -69,19 +70,31 @@ from .spectroscopy import (
 )
 
 
-def fmt(value) -> str:
-    """CSV field formatting: 17 significant digits for floats."""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, (np.floating,)):
-        return f"{float(value):.17g}"
-    return str(value)
+def write_csv(path: Path, columns: dict):
+    """Write named columns (numpy arrays or lists, one value per row) as CSV.
 
-
-def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    A header row, then one row per index: floats as %.17g (so inf, nan and
+    -0 appear as such), integers in decimal, anything else by str; LF line
+    endings.  Each column becomes Python values by one .tolist() and every
+    row is formatted by one % template.
+    """
+    convs, values = [], []
+    for name, col in columns.items():
+        if isinstance(col, np.ndarray):
+            kind = col.dtype.kind
+            col = col.tolist()
+        else:
+            floats = {isinstance(v, (float, np.floating)) for v in col}
+            if len(floats) > 1:
+                raise ValueError(f"column {name!r} mixes floats with other values")
+            kind = "f" if floats == {True} else "O"
+        convs.append("%.17g" if kind == "f" else "%d" if kind in "iu" else "%s")
+        values.append(col)
+    if len({len(col) for col in values}) > 1:
+        raise ValueError("columns differ in length")
+    template = ",".join(convs) + "\n"
+    text = ",".join(columns) + "\n" + "".join(template % row for row in zip(*values))
+    path.write_text(text, encoding="ascii", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +106,17 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
     result = simple_search(cfg.marked, eps, cfg.theta, cfg.aux_mode)
     write_csv(
         out / "search.csv",
-        ["qubit", "epsilon", "z_coefficient", "sign"],
-        [
-            (k + 1, eps[k], result.per_qubit_signal[k], result.signs[k])
-            for k in range(n)
-        ],
+        {
+            "qubit": np.arange(1, n + 1),
+            "epsilon": eps,
+            "z_coefficient": result.per_qubit_signal,
+            "sign": result.signs,
+        },
     )
     return {
         "payload": {
             "recovered_s": result.recovered_s,
-            "per_qubit_signal": [float(c) for c in result.per_qubit_signal],
+            "per_qubit_signal": result.per_qubit_signal.tolist(),
             "confidence": result.confidence,
             "theta": result.theta,
             "prefactor_measured": result.measured_prefactor,
@@ -120,38 +134,36 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
 
 def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     k = cfg.k
-    rows = []
+    blocks = []
     summary = []
     worst = 0.0
     total_calls = 0
     for marked, eps, m_max in cfg.plan:
         n, N = marked.n, 2**marked.n
-        measured_all = measured_conversion_coefficients(marked, m_max, eps, k)
-        best = (0.0, 0)
-        for m in range(0, m_max + 1):
-            coeffs = grover_coefficients(m, N)
-            analytic = conversion_coefficient(coeffs, eps, k)
-            measured = float(measured_all[m])
-            residual = abs(analytic - measured)
-            worst = max(worst, residual)
-            total_calls += UF_CALLS_PER_UO * m
-            if 1 - measured > best[0]:
-                best = (1 - measured, m)
-            rows.append(
-                (n, N, m)
-                + tuple(float(np.real(a)) for a in coeffs.alpha)
-                + tuple(float(np.real(g)) for g in coeffs.gamma)
-                + (analytic, measured, residual)
-            )
+        m = np.arange(m_max + 1)
+        measured = measured_conversion_coefficients(marked, m_max, eps, k)
+        coeffs = [grover_coefficients(j, N) for j in range(m_max + 1)]
+        analytic = np.array([conversion_coefficient(c, eps, k) for c in coeffs])
+        residual = np.abs(analytic - measured)
+        worst = max(worst, float(residual.max()))
+        total_calls += UF_CALLS_PER_UO * m_max * (m_max + 1) // 2
+        transfer = 1 - measured
+        j = int(np.argmax(transfer))  # the first m of largest transfer
+        best = (float(transfer[j]), j) if transfer[j] > 0 else (0.0, 0)
         summary.append({"n": n, "max_transfer": best[0], "m_at_max": best[1]})
+        alpha = np.real([c.alpha for c in coeffs])
+        gamma = np.real([c.gamma for c in coeffs])
+        blocks.append(
+            {"n": np.full_like(m, n), "N": np.full_like(m, N), "m": m}
+            | {f"alpha{i}": alpha[:, i - 1] for i in (1, 2, 3, 4)}
+            | {f"gamma{i}": gamma[:, i - 1] for i in range(1, 9)}
+            | {"c_analytic": analytic, "c_measured": measured, "residual": residual}
+        )
 
-    header = (
-        ["n", "N", "m"]
-        + [f"alpha{i}" for i in (1, 2, 3, 4)]
-        + [f"gamma{i}" for i in range(1, 9)]
-        + ["c_analytic", "c_measured", "residual"]
+    write_csv(
+        out / "grover_scan.csv",
+        {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]},
     )
-    write_csv(out / "grover_scan.csv", header, rows)
     return {
         "payload": {
             "per_n": summary,
@@ -204,25 +216,23 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     inphase_ok, inphase_res = inphase_check(p_inphase, q, cfg.phi)
     series = run_pipeline(p, q, pipe)
     times = np.arange(pipe.n_points) * pipe.dt
-    write_csv(
-        out / "timeseries.csv",
-        ["t1", "re", "im"],
-        [(float(t), float(z.real), float(z.imag)) for t, z in zip(times, series)],
-    )
+    write_csv(out / "timeseries.csv", {"t1": times, "re": series.real, "im": series.imag})
     spec = spectrum(series, pipe.dt, label_omega=label_omega)
     order = np.argsort(spec.frequencies)
+    freqs, amps = spec.frequencies[order], spec.amplitudes[order]
     write_csv(
         out / "spectrum.csv",
-        ["frequency_rad_s", "re", "im", "order"],
-        [
-            (
-                float(spec.frequencies[i]),
-                float(spec.amplitudes[i].real),
-                float(spec.amplitudes[i].imag),
-                int(round(spec.frequencies[i] / label_omega)) if label_omega else "",
-            )
-            for i in order
-        ],
+        {
+            "frequency_rad_s": freqs,
+            "re": amps.real,
+            "im": amps.imag,
+            # Python ints: an order past 2**63 (omega near VALUE_MIN) stays exact
+            "order": (
+                [int(round(f / label_omega)) for f in freqs.tolist()]
+                if label_omega
+                else [""] * len(freqs)
+            ),
+        },
     )
     peaks = [
         {
@@ -278,8 +288,13 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
 
     write_csv(
         out / "compose_bench.csv",
-        ["method", "x_or_m", "error_norm", "fitted_order", "oracle_calls"],
-        [(method, x_or_m, res.error_norm, res.fitted_order, res.oracle_calls)],
+        {
+            "method": [method],
+            "x_or_m": [x_or_m],
+            "error_norm": [res.error_norm],
+            "fitted_order": [res.fitted_order],
+            "oracle_calls": [res.oracle_calls],
+        },
     )
     return {
         "payload": {
@@ -299,8 +314,12 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
     results = run_selftest()
     write_csv(
         out / "selftest.csv",
-        ["invariant", "residual", "tolerance", "passed"],
-        [(r.name, r.residual, r.tolerance, int(r.passed)) for r in results],
+        {
+            "invariant": [r.name for r in results],
+            "residual": [r.residual for r in results],
+            "tolerance": [r.tolerance for r in results],
+            "passed": [int(r.passed) for r in results],
+        },
     )
     return {
         "payload": {
@@ -369,7 +388,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"output error: cannot use --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         raw = load_config(args.config)

@@ -158,8 +158,14 @@ def inphase_check(p: np.ndarray, q: np.ndarray, phi: float, tol: float = 1e-9) -
     |P_jk|^2 exp(i m phi), so lines of one order share a single phase.
     """
     rz = np.exp(-1j * magnetic_quantum_numbers(n_qubits(p)) * phi)  # exp(-i phi Fz) is diagonal
-    target = rz[:, None] * p * rz.conj()[None, :]
-    residual = float(np.abs(q.conj().T - target).max())
+    # |Q+ - target| as |conj(target) - Q^T| in one buffer; conj distributes
+    # exactly over * and -, and each product keeps the operand order of
+    # rz[:, None] * p * conj(rz)[None, :]
+    buf = np.conjugate(p)
+    np.multiply(rz.conj()[:, None], buf, out=buf)
+    np.multiply(buf, rz[None, :], out=buf)
+    np.subtract(buf, q.T, out=buf)
+    residual = float(np.abs(buf).max())
     return residual <= tol, residual
 
 
@@ -201,17 +207,25 @@ def spectrum(
         raise ValueError("series length must be a power of two")
     amps = np.fft.ifft(series)
     freqs = 2 * np.pi * np.fft.fftfreq(m, d=dt)
-    mags = np.abs(amps)
-    thr = rel_threshold * mags.max()
-    peaks = []
-    for k in range(m):
-        if mags[k] <= thr:
-            continue
-        if mags[k] >= mags[(k - 1) % m] and mags[k] >= mags[(k + 1) % m]:
-            order = int(round(freqs[k] / label_omega)) if label_omega else None
-            peaks.append(Peak(frequency=float(freqs[k]), amplitude=complex(amps[k]), order=order))
-    peaks.sort(key=lambda p: p.frequency)
+    peaks = _pick_peaks(amps, freqs, label_omega, rel_threshold)
     return Spectrum(frequencies=freqs, amplitudes=amps, peaks=peaks)
+
+
+def _pick_peaks(amps, freqs, label_omega, rel_threshold) -> list[Peak]:
+    """Local maxima of |amps| (>= both cyclic neighbours, so every bin of a
+    plateau) above rel_threshold times the largest, by frequency."""
+    mags = np.abs(amps)
+    picked = mags > rel_threshold * mags.max()
+    picked &= mags >= np.roll(mags, 1)
+    picked &= mags >= np.roll(mags, -1)
+    peaks = []
+    for k in np.flatnonzero(picked).tolist():
+        f = float(freqs[k])
+        # round of a Python float: an order past 2**63 stays exact
+        order = int(round(f / label_omega)) if label_omega else None
+        peaks.append(Peak(frequency=f, amplitude=complex(amps[k]), order=order))
+    peaks.sort(key=lambda p: p.frequency)
+    return peaks
 
 
 def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:

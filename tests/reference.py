@@ -37,8 +37,8 @@ from spinsearch import cli
 from spinsearch.composition import commutator_product, trotter_product
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import (
-    PAULI_HALF, comm, expm_unitary, kron_all, product_rotation, random_hermitian, random_unitary,
-    spin_op, total_op,
+    PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, product_rotation,
+    random_hermitian, random_unitary, spin_op, total_op,
 )
 from spinsearch.mqalgebra import gradient_crush, mq_generator, phase_cycle_project, zq_dephase
 from spinsearch.oracle import (
@@ -51,7 +51,8 @@ from spinsearch.sequences import (
     projector_x_basis, sign_flip_frame, simple_search,
 )
 from spinsearch.spectroscopy import (
-    PipelineConfig, SpinHamiltonian, eigen_expand, resum_lines, run_pipeline, transfer_pair,
+    PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
+    run_pipeline, transfer_pair,
 )
 
 FIXTURE_SEED = 20240817  # the `rng` fixture's seed, for cases first drawn from it
@@ -488,6 +489,114 @@ def dense_spectrum_series(cfg: dict) -> np.ndarray:
     return run_pipeline(p, q, spec.pipe)
 
 
+def loop_peaks(amps, freqs, label_omega, rel_threshold):
+    """Reference: peak picking bin by bin, each bin against its cyclic neighbours."""
+    m = len(amps)
+    mags = np.abs(amps)
+    thr = rel_threshold * mags.max()
+    peaks = []
+    for k in range(m):
+        if mags[k] <= thr:
+            continue
+        if mags[k] >= mags[(k - 1) % m] and mags[k] >= mags[(k + 1) % m]:
+            order = int(round(freqs[k] / label_omega)) if label_omega else None
+            peaks.append((float(freqs[k]), complex(amps[k]), order))
+    peaks.sort(key=lambda p: p[0])
+    return peaks
+
+
+def picked_peaks(amps, freqs, label_omega, rel_threshold):
+    peaks = _pick_peaks(amps, freqs, label_omega, rel_threshold)
+    return [(p.frequency, p.amplitude, p.order) for p in peaks]
+
+
+def peak_cases(_):
+    freqs = 2 * np.pi * np.fft.fftfreq(16, d=1 / 256)
+    plateaus = [0, 1, 3, 3, 1, 0, 2, 2, 2, 0, 0, 5, 5, 0, 1, 1]  # two- and three-bin plateaus
+    wrap_first = [6, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4]  # a peak at k = 0
+    wrap_last = [1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 6]  # a peak at k = m - 1
+    # local maxima exactly at the threshold 0.25 x 1 (not picked) and one ulp above it
+    at_threshold = [1, 0, 0.25, 0, np.nextafter(0.25, 1), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    phases = np.array([1, 1j, -1, -1j])[np.arange(16) % 4]  # |mag x phase| = mag exactly
+    for mags in (plateaus, wrap_first, wrap_last):
+        for label_omega in (None, 2 * np.pi * 10, 1e-24):  # orders past 2**63 at 1e-24
+            yield np.asarray(mags) * phases, freqs, label_omega, 1e-6
+    yield np.asarray(at_threshold, dtype=complex), freqs, 2 * np.pi * 10, 0.25
+    yield np.zeros(16, dtype=complex), freqs, 2 * np.pi * 10, 1e-6  # an all-zero series
+    yield np.array([1.0 + 0j, 1.0 + 0j]), freqs[[0, 8]], 2 * np.pi * 10, 1e-6  # m = 2
+    rng = np.random.default_rng(FIXTURE_SEED)
+    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+    yield amps, 2 * np.pi * np.fft.fftfreq(64, 0.01), 2.0, 0.1
+
+
+def dense_inphase_check(p, q, phi, tol=1e-9):
+    """Reference: the residual |Q+ - exp(-i phi Fz) P exp(+i phi Fz)| as the
+    dense expression of fresh temporaries."""
+    rz = np.exp(-1j * magnetic_quantum_numbers(int(np.log2(p.shape[0]))) * phi)
+    target = rz[:, None] * p * rz.conj()[None, :]
+    residual = float(np.abs(q.conj().T - target).max())
+    return residual <= tol, residual
+
+
+def inphase_cases(_):
+    """Three pairs, in this order: one that holds at phi != 0 (V = U+ exp(i
+    phi Fz), dense), a random reconversion that fails, and a grover-excitation
+    pair with V = U+ and phi = 0, which holds."""
+    n, phi = 3, 0.6
+    rng = np.random.default_rng(FIXTURE_SEED)
+    u = random_unitary(rng, 2**n)
+    fz = total_op(n, "z")
+    yield *transfer_pair(u, u.conj().T @ expm_unitary(fz, -phi), fz), phi
+    yield *transfer_pair(u, random_unitary(rng, 2**n), fz), phi
+    grover = {**N8_SPECTRUM, "n": 4, "s": 9, "epsilons": "uniform"}
+    _, q, p_inphase, _ = cli.spectrum_transfer(parse(SpectrumConfig, grover))
+    yield p_inphase, q, 0.0
+
+
+# ---------------------------------------------------------------------------
+# the CLI's CSV writer
+
+
+def fmt(value) -> str:
+    """The per-value CSV formatter: 17 significant digits for floats."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, np.floating):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def rowwise_csv(columns: dict) -> bytes:
+    """Reference: the header, then each row value by value through fmt."""
+    lines = [",".join(columns)] + [",".join(fmt(v) for v in row) for row in zip(*columns.values())]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def written_csv(columns: dict) -> bytes:
+    """The bytes cli.write_csv writes for the columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        cli.write_csv(path, columns)
+        return path.read_bytes()
+
+
+SPECIAL_FLOATS = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e308, 0.1, -2.5]
+
+
+def csv_cases(_):
+    floats = np.array(SPECIAL_FLOATS)
+    float32 = np.array(SPECIAL_FLOATS[:4] + [1e-45, 3e38, 0.1, -2.5], dtype=np.float32)
+    yield {"array": floats, "list": SPECIAL_FLOATS, "float32": float32,
+           "scalars": list(floats)},  # numpy float scalars in a list
+    yield {"int64": np.arange(-3, 5), "int32": np.arange(8, dtype=np.int32),
+           "python": [2**70, -(2**64), 0, 1, -1, 7, 10**19, 3], "str": list("abcdefgh")},
+    m = 8  # a weak-coupling spectrum: no label frequency, an all-empty order column
+    yield {"frequency_rad_s": np.fft.fftfreq(m), "re": floats, "im": -floats, "order": [""] * m},
+    yield {"method": ["trotter"], "x_or_m": [3], "error_norm": [1e-9],  # a single row
+           "fitted_order": [float("inf")], "oracle_calls": [np.int64(0)]},
+    yield {"t1": np.array([]), "re": []},  # a header alone
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -631,6 +740,9 @@ TABLE: dict[str, Row] = {
         framed_signal, framed_reference, PIPELINE_FORBIDDEN, weak_coupling_frame_cases, 1e-11,
         {"2": 2, "3": 3},
     ),
+    "pick_peaks": Row(picked_peaks, loop_peaks, (), peak_cases, 0),
+    "inphase_check": Row(inphase_check, dense_inphase_check, (), inphase_cases, 0),
+    "write_csv": Row(written_csv, rowwise_csv, (), csv_cases, 0),
     "spectrum": Row(  # the whole command, against the dense propagator
         spectrum_command, dense_spectrum_series,
         ("grover_propagator", "expm_unitary") + GROVER_CLOSED_FORMS, lambda _: [(N8_SPECTRUM,)], 1e-11,

@@ -18,7 +18,7 @@ from spinsearch.sequences import grover_propagator
 from spinsearch.spectroscopy import run_pipeline
 
 from conftest import maxabs, strict_json
-from reference import N8_SPECTRUM
+from reference import N8_SPECTRUM, agreement
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -35,6 +35,35 @@ def run(tmp_path, command, cfg=None, subdir="out"):
     if (out / "report.json").is_file():
         report = strict_json((out / "report.json").read_text())
     return code, out, report
+
+
+class TestWriteCsv:
+    test_matches_value_by_value_formatting = agreement("write_csv")
+
+    def test_rejects_a_column_mixing_floats_with_other_values(self, tmp_path):
+        with pytest.raises(ValueError, match="mixes floats"):
+            cli.write_csv(tmp_path / "x.csv", {"x_or_m": [0.5, 3]})
+
+    def test_rejects_columns_of_different_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            cli.write_csv(tmp_path / "x.csv", {"t1": np.arange(3.0), "re": [1.0, 2.0]})
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_unusable_out_exits_2_before_numerics(tmp_path, monkeypatch, capsys, command, where):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if where == "file" else taken / "out"
+
+    def no_numerics(*args, **kwargs):
+        raise AssertionError("numerics ran with an unusable --out")
+
+    monkeypatch.setitem(cli.COMMANDS, command, no_numerics)
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
 
 
 class TestSearchCommand:
