@@ -300,7 +300,7 @@ class SpectrumConfig:
     iterations: int | None = key(None, lo=0, hi=GROVER_M_MAX)
     epsilons: Literal["uniform"] | list[float] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     p_axis: Literal["x", "y", "z"] | None = key(None)
-    detect_axis: str | None = key(None)
+    detect_axis: Literal["x", "y", "z"] | None = key(None)
     phi: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     hamiltonian: HamiltonianConfig | None = key(None)
     t1: T1Config | None = key(None)

@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinsearch import cli
 from spinsearch.linalg import random_hermitian, random_unitary  # noqa: F401  (shared by the test modules)
 from spinsearch.selftest import INVARIANT_GROUPS
+
+from reference import patch_forbidden
 
 # the registry's checks by name, for tests that run one with their own cases
 CHECK = {name: check for name, check, _tolerance in INVARIANT_GROUPS}
@@ -23,6 +27,18 @@ def maxabs(a):
     return float(np.abs(a).max())
 
 
+def assert_peak_at_most(bound: float, fn, *args, **kwargs) -> None:
+    """fn(*args, **kwargs), warmed up once, peaks at most bound bytes traced."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+
+
 def support(components: dict, tol: float = 1e-12) -> list[int]:
     """The coherence orders of a decompose_orders result with a component
     larger than tol."""
@@ -32,3 +48,33 @@ def support(components: dict, tol: float = 1e-12) -> list[int]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_cli(tmp_path, command, cfg=None, subdir="out"):
+    """cli.main on cfg (written to a file) with --out tmp_path/subdir:
+    (exit code, output directory, the parsed report.json or None)."""
+    out = tmp_path / subdir
+    args = [command, "--out", str(out)]
+    if cfg is not None:
+        cfg_path = tmp_path / f"{subdir}_cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args += ["--config", str(cfg_path)]
+    code = cli.main(args)
+    report = None
+    if (out / "report.json").is_file():
+        report = strict_json((out / "report.json").read_text())
+    return code, out, report
+
+
+# every numerics entry point the commands reach
+NUMERICS = (
+    "simple_search", "measured_conversion_coefficients", "grover_conjugate", "run_pipeline",
+    "transfer_pair", "cross_zq_hamiltonian", "trotter_product", "commutator_product",
+    "symmetric_sandwich", "cross_interaction", "fractal_compose", "run_selftest",
+)
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Every binding of every NUMERICS name raises: nothing is computed."""
+    patch_forbidden(monkeypatch, NUMERICS)

@@ -18,12 +18,16 @@ A forbidden name is a function name bound in spinsearch modules, or a
 dotted numpy path such as "numpy.linalg.eigh"; one that resolves nowhere
 fails the test instead of leaving it vacuous.  A new fast path adds a row
 here, not a private helper in its test module.
+
+Every test that counts or forbids calls uses patch_counted or patch_forbidden,
+which resolve names this way and patch every binding: a module that imports
+a function by name holds its own binding, which a patch of the defining
+module alone misses.  tests/test_imports.py fails on a hand-made patch.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -54,6 +58,8 @@ from spinsearch.spectroscopy import (
     PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
     run_pipeline, transfer_pair,
 )
+
+import conftest  # run_cli; conftest imports this module, so its names are read at call time
 
 FIXTURE_SEED = 20240817  # the `rng` fixture's seed, for cases first drawn from it
 
@@ -238,8 +244,21 @@ def brute_conjugate(rho, markeds, thetas):
 
 
 def conjugation_cases(_):
-    rho = random_hermitian(np.random.default_rng(FIXTURE_SEED), 16)
-    return [(rho, [MarkedState(s=s, n=4) for s in (9, 2, 14)], [0.4, -2.1, 3.0])]
+    """Three marks at n = 4, one and two fixed marks, then per n = 2..4 one
+    random mark at each theta 2 pi k / 8 (twice) and random sets of one to
+    four marks at random angles."""
+    rng = np.random.default_rng(FIXTURE_SEED)
+    yield random_hermitian(rng, 16), [MarkedState(s=s, n=4) for s in (9, 2, 14)], [0.4, -2.1, 3.0]
+    yield random_hermitian(rng, 8), [MarkedState(s=5, n=3)], [0.7]
+    yield random_hermitian(rng, 4), [MarkedState(s=1, n=2), MarkedState(s=2, n=2)], [np.pi / 3, np.pi / 5]
+    for n in (2, 3, 4):
+        dim = 2**n
+        for k in list(range(8)) * 2:
+            yield random_hermitian(rng, dim), [MarkedState(s=int(rng.integers(dim)), n=n)], [2 * np.pi * k / 8]
+        for _ in range(9):
+            picks = rng.choice(dim, size=int(rng.integers(1, min(4, dim) + 1)), replace=False)
+            marks = [MarkedState(s=int(s), n=n) for s in picks]
+            yield random_hermitian(rng, dim), marks, rng.uniform(0, 2 * np.pi, size=len(picks))
 
 
 def dense_search_signal(marked, epsilons, theta, aux_mode):
@@ -371,9 +390,14 @@ def trajectories(marked, m_max, eps):
     return np.column_stack([measured_conversion_coefficients(marked, m_max, eps, k) for k in ks])
 
 
-def edge_mark_cases(param):
+def conversion_cases(param):
     n, s = param
-    eps = np.random.default_rng(3100 + n).uniform(0.5, 1.5, n)
+    if s is None:  # s and eps drawn for n = 2, 3, .. n in turn from one generator
+        rng = np.random.default_rng(2002)
+        for k in range(2, n + 1):
+            s, eps = int(rng.integers(2**k)), rng.uniform(0.5, 1.5, k)
+    else:
+        eps = np.random.default_rng(3100 + n).uniform(0.5, 1.5, n)
     return [(MarkedState(s=s, n=n), int(4 * np.sqrt(2**n)) + 1, eps)]
 
 
@@ -472,10 +496,9 @@ N8_SPECTRUM = {
 def spectrum_command(cfg: dict) -> np.ndarray:
     """The t1 series the whole `spectrum` command writes for cfg."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli.main(["spectrum", "--config", str(cfg_path), "--out", tmp]) == 0
-        rows = np.loadtxt(Path(tmp) / "timeseries.csv", delimiter=",", skiprows=1)
+        code, out, _ = conftest.run_cli(Path(tmp), "spectrum", cfg)
+        assert code == 0
+        rows = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
     return rows[:, 1] + 1j * rows[:, 2]
 
 
@@ -705,10 +728,11 @@ TABLE: dict[str, Row] = {
     ),
     "measured_conversion_coefficients": Row(
         trajectories, dense_conversion_coefficients, ("grover_propagator",) + GROVER_CLOSED_FORMS,
-        edge_mark_cases, 1e-12,
+        conversion_cases, 1e-12,
         # s = 2^n - 1 is D_last's own index: the row/column flip and the
         # x_s reflection overlap there
-        {f"{n}-{s}": (n, s) for n in range(2, 7) for s in (0, 2**n - 1)} | {"8-255": (8, 255)},
+        {f"{n}-{s}": (n, s) for n in range(2, 7) for s in (0, 2**n - 1)} | {"8-255": (8, 255)}
+        | {f"{n}-drawn": (n, None) for n in range(2, 9)},
         lambda: [(MarkedState(s=173, n=8), 65, np.linspace(0.6, 1.4, 8))],
     ),
     "extract_alpha_from_matrix": Row(
@@ -806,9 +830,9 @@ class Forbidden(AssertionError):
 
 
 def forbidden_bindings(name: str) -> list[tuple[object, str]]:
-    """Every (module, attribute) binding of a forbidden name: a dotted name
-    in its numpy module, a bare one in every loaded spinsearch module.
-    LookupError if nothing binds it."""
+    """Every (module, attribute) binding of a name: a dotted name in its
+    numpy module, a bare one in every loaded spinsearch module.  LookupError
+    if nothing binds it."""
     if "." in name:
         module, _, attr = name.rpartition(".")
         owners = [importlib.import_module(module)]
@@ -817,18 +841,43 @@ def forbidden_bindings(name: str) -> list[tuple[object, str]]:
         owners = [m for key, m in sorted(sys.modules.items()) if key.split(".")[0] == "spinsearch"]
     bindings = [(owner, attr) for owner in owners if hasattr(owner, attr)]
     if not bindings:
-        raise LookupError(f"forbidden name {name!r} resolves nowhere: the row is stale")
+        raise LookupError(f"name {name!r} resolves nowhere: the row or guard is stale")
     return bindings
+
+
+def patch_bindings(monkeypatch, names, stand_in) -> list[tuple[object, str]]:
+    """Patch every binding of every name to stand_in(name, real, where),
+    once all names have resolved."""
+    bindings = [(name, b) for name in names for b in forbidden_bindings(name)]
+    for name, (owner, attr) in bindings:
+        monkeypatch.setattr(owner, attr, stand_in(name, getattr(owner, attr), f"{owner.__name__}.{attr}"))
+    return [b for _, b in bindings]
 
 
 def patch_forbidden(monkeypatch, names) -> list[tuple[object, str]]:
-    """Patch every binding of every name to raise Forbidden, once all names
-    have resolved."""
-    bindings = [b for name in names for b in forbidden_bindings(name)]
-    for owner, attr in bindings:
+    """Patch every binding of every name to raise Forbidden."""
 
-        def forbidden(*args, _where=f"{owner.__name__}.{attr}", **kwargs):
-            raise Forbidden(f"the fast path reached {_where}")
+    def stand_in(name, real, where):
+        def forbidden(*args, **kwargs):
+            raise Forbidden(f"the fast path reached {where}")
 
-        monkeypatch.setattr(owner, attr, forbidden)
-    return bindings
+        return forbidden
+
+    return patch_bindings(monkeypatch, names, stand_in)
+
+
+def patch_counted(monkeypatch, names) -> dict[str, list[tuple]]:
+    """Record the positional arguments of every call of every name, through
+    any of its bindings, by name; each call still runs the function it
+    replaced."""
+    calls = {name: [] for name in names}
+
+    def stand_in(name, real, where):
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return counted
+
+    patch_bindings(monkeypatch, names, stand_in)
+    return calls

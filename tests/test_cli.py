@@ -2,14 +2,13 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, mqalgebra, spectroscopy
+from spinsearch import cli
 from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
@@ -17,24 +16,10 @@ from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_propagator
 from spinsearch.spectroscopy import run_pipeline
 
-from conftest import maxabs, strict_json
-from reference import N8_SPECTRUM, agreement
+from conftest import assert_peak_at_most, maxabs, run_cli
+from reference import DIAGONALIZERS, N8_SPECTRUM, agreement, patch_counted
 
 OMEGA_10HZ = 2 * np.pi * 10
-
-
-def run(tmp_path, command, cfg=None, subdir="out"):
-    out = tmp_path / subdir
-    args = [command, "--out", str(out)]
-    if cfg is not None:
-        cfg_path = tmp_path / f"{subdir}_cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        args += ["--config", str(cfg_path)]
-    code = main(args)
-    report = None
-    if (out / "report.json").is_file():
-        report = strict_json((out / "report.json").read_text())
-    return code, out, report
 
 
 class TestWriteCsv:
@@ -68,7 +53,7 @@ def test_unusable_out_exits_2_before_numerics(tmp_path, monkeypatch, capsys, com
 
 class TestSearchCommand:
     def test_three_qubit_recovery(self, tmp_path):
-        code, out, report = run(tmp_path, "search", {"n": 3, "s": 5})
+        code, out, report = run_cli(tmp_path, "search", {"n": 3, "s": 5})
         assert code == 0
         assert report["payload"]["recovered_s"] == 5
         assert report["oracle_calls"] == 2
@@ -78,12 +63,12 @@ class TestSearchCommand:
         assert len(body) == 4
 
     def test_single_qubit(self, tmp_path):
-        code, _, report = run(tmp_path, "search", {"n": 1, "s": 0})
+        code, _, report = run_cli(tmp_path, "search", {"n": 1, "s": 0})
         assert code == 0
         assert report["payload"]["recovered_s"] == 0
 
     def test_prefactor_documented(self, tmp_path):
-        code, _, report = run(tmp_path, "search", {"n": 2, "s": 1})
+        code, _, report = run_cli(tmp_path, "search", {"n": 2, "s": 1})
         payload = report["payload"]
         assert "prefactor_measured" in payload
         assert "prefactor_reference_2_over_N" in payload
@@ -93,18 +78,18 @@ class TestSearchCommand:
         )
 
     def test_malformed_config_exits_2(self, tmp_path):
-        code, _, _ = run(tmp_path, "search", {"n": 3})  # missing s
+        code, _, _ = run_cli(tmp_path, "search", {"n": 3})  # missing s
         assert code == 2
-        code, _, _ = run(tmp_path, "search", {"n": "three", "s": 0})
+        code, _, _ = run_cli(tmp_path, "search", {"n": "three", "s": 0})
         assert code == 2
-        code, _, _ = run(tmp_path, "search", {"n": 2, "s": 9})
+        code, _, _ = run_cli(tmp_path, "search", {"n": 2, "s": 9})
         assert code == 2
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["search", "--out", str(tmp_path / "x")]) == 2
 
     def test_ambiguous_readout_exits_3(self, tmp_path):
-        code, _, _ = run(tmp_path, "search", {"n": 2, "s": 1, "theta": 0.0})
+        code, _, _ = run_cli(tmp_path, "search", {"n": 2, "s": 1, "theta": 0.0})
         assert code == 3
 
     @pytest.mark.parametrize(
@@ -117,12 +102,8 @@ class TestSearchCommand:
         ],
         ids=["zero-epsilon", "zero-epsilon-explicit", "misspelt-aux_mode", "misspelt-theta"],
     )
-    def test_bad_config_exits_2_before_numerics(self, tmp_path, monkeypatch, cfg, capsys):
-        def no_numerics(*args, **kwargs):
-            raise AssertionError("numerics ran before the config was rejected")
-
-        monkeypatch.setattr(cli, "simple_search", no_numerics)
-        code, out, report = run(tmp_path, "search", cfg)
+    def test_bad_config_exits_2_before_numerics(self, tmp_path, no_numerics, cfg, capsys):
+        code, out, report = run_cli(tmp_path, "search", cfg)
         assert code == 2
         assert report is None and not (out / "search.csv").exists()
         assert "config error" in capsys.readouterr().err
@@ -130,9 +111,7 @@ class TestSearchCommand:
 
 class TestGroverScanCommand:
     def test_scan_rows(self, tmp_path):
-        code, out, report = run(
-            tmp_path, "grover-scan", {"n_values": [2], "m_max": 3}
-        )
+        code, out, report = run_cli(tmp_path, "grover-scan", {"n_values": [2], "m_max": 3})
         assert code == 0
         lines = (out / "grover_scan.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -146,15 +125,13 @@ class TestGroverScanCommand:
         assert np.allclose(alpha, [-2, -2, 0, 4], atol=1e-12)
 
     def test_per_n_transfer_decreases(self, tmp_path):
-        code, _, report = run(
-            tmp_path, "grover-scan", {"n_values": [2, 3, 4], "m_max": "auto"}
-        )
+        code, _, report = run_cli(tmp_path, "grover-scan", {"n_values": [2, 3, 4], "m_max": "auto"})
         assert code == 0
         txs = [row["max_transfer"] for row in report["payload"]["per_n"]]
         assert txs[0] > txs[1] > txs[2]
 
     def test_residual_small(self, tmp_path):
-        code, _, report = run(tmp_path, "grover-scan", {"n_values": [3], "m_max": 10})
+        code, _, report = run_cli(tmp_path, "grover-scan", {"n_values": [3], "m_max": 10})
         assert report["max_residual"] <= 1e-8
 
     @pytest.mark.parametrize(
@@ -178,22 +155,18 @@ class TestGroverScanCommand:
             "s-out-of-range-for-second-n",
         ],
     )
-    def test_bad_config_exits_2_before_numerics(self, tmp_path, monkeypatch, cfg):
-        def no_numerics(*args, **kwargs):
-            raise AssertionError("numerics ran before the config was rejected")
-
-        monkeypatch.setattr(cli, "measured_conversion_coefficients", no_numerics)
-        code, out, report = run(tmp_path, "grover-scan", cfg)
+    def test_bad_config_exits_2_before_numerics(self, tmp_path, no_numerics, cfg):
+        code, out, report = run_cli(tmp_path, "grover-scan", cfg)
         assert code == 2
         assert report is None and not (out / "grover_scan.csv").exists()
 
     def test_integral_float_m_max_runs(self, tmp_path):
-        code, out, report = run(tmp_path, "grover-scan", {"n_values": [2], "m_max": 4.0})
+        code, out, report = run_cli(tmp_path, "grover-scan", {"n_values": [2], "m_max": 4.0})
         assert code == 0
         assert len((out / "grover_scan.csv").read_text().splitlines()) == 1 + 5
 
     def test_zero_epsilon_off_read_spin_runs(self, tmp_path):
-        code, _, report = run(
+        code, _, report = run_cli(
             tmp_path, "grover-scan", {"n_values": [2], "m_max": 4, "epsilons": [1.0, 0.0]}
         )
         assert code == 0
@@ -209,7 +182,7 @@ class TestSpectrumCommand:
             "t1": {"dt": 1 / 256, "points": 256},
             "p_axis": "z",
         }
-        code, out, report = run(tmp_path, "spectrum", cfg)
+        code, out, report = run_cli(tmp_path, "spectrum", cfg)
         assert code == 0
         peaks = report["payload"]["peaks"]
         assert len(peaks) == 1
@@ -226,7 +199,7 @@ class TestSpectrumCommand:
             "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ},
             "t1": {"dt": 1 / 256, "points": 256},
         }
-        code, _, report = run(tmp_path, "spectrum", cfg)
+        code, _, report = run_cli(tmp_path, "spectrum", cfg)
         assert code == 0
         peaks = report["payload"]["peaks"]
         assert 1 <= len(peaks) <= 7
@@ -236,7 +209,7 @@ class TestSpectrumCommand:
         assert report["payload"]["inphase"]["holds"] is True
 
     def test_cross_peak_demo_combination_lines(self, tmp_path):
-        code, _, report = run(tmp_path, "spectrum", {"preset": "cross-peak-demo"})
+        code, _, report = run_cli(tmp_path, "spectrum", {"preset": "cross-peak-demo"})
         assert code == 0
         delta = 2 * np.pi * report["payload"]["delta_hz"]
         for p in report["payload"]["peaks"]:
@@ -252,14 +225,14 @@ class TestSpectrumCommand:
             "hamiltonian": {"kind": "uniform-fz", "omega": 2 * np.pi * 600},
             "t1": {"dt": 1e-3, "points": 64},
         }
-        code, _, _ = run(tmp_path, "spectrum", cfg)
+        code, _, _ = run_cli(tmp_path, "spectrum", cfg)
         assert code == 4
 
 
 class TestComposeBenchCommand:
     def test_trotter_commuting_error_zero(self, tmp_path):
         cfg = {"method": "trotter", "operators": "commuting", "m": 4, "t": 0.9}
-        code, out, report = run(tmp_path, "compose-bench", cfg)
+        code, out, report = run_cli(tmp_path, "compose-bench", cfg)
         assert code == 0
         assert report["payload"]["error_norm"] <= 1e-12
         lines = (out / "compose_bench.csv").read_text().splitlines()
@@ -269,13 +242,13 @@ class TestComposeBenchCommand:
 
     def test_sandwich_order_three(self, tmp_path):
         cfg = {"method": "sandwich", "operators": "random", "x": 0.2, "seed": 3}
-        code, _, report = run(tmp_path, "compose-bench", cfg)
+        code, _, report = run_cli(tmp_path, "compose-bench", cfg)
         assert code == 0
         assert report["payload"]["fitted_order"] == pytest.approx(3.0, abs=0.2)
 
     def test_cross_interaction_order_five(self, tmp_path):
         cfg = {"method": "cross-interaction", "operators": "su2-zx", "x": 0.1, "level": 2}
-        code, _, report = run(tmp_path, "compose-bench", cfg)
+        code, _, report = run_cli(tmp_path, "compose-bench", cfg)
         assert code == 0
         assert report["payload"]["fitted_order"] == pytest.approx(5.0, abs=0.5)
 
@@ -296,14 +269,14 @@ class TestComposeBenchCommand:
             "dim": dim,
             "x": np.pi / lam,
         }
-        code, _, _ = run(tmp_path, "compose-bench", cfg)
+        code, _, _ = run_cli(tmp_path, "compose-bench", cfg)
         assert code == 5
 
 
 class TestSelftestCommand:
     def test_fresh_build_passes(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SPINSEARCH_TOL_SCALE", raising=False)
-        code, out, report = run(tmp_path, "selftest")
+        code, out, report = run_cli(tmp_path, "selftest")
         assert code == 0
         names = [name for name, _check, _tolerance in INVARIANT_GROUPS]
         assert len(names) == 18
@@ -314,7 +287,7 @@ class TestSelftestCommand:
 
     def test_perturbed_tolerance_fails(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINSEARCH_TOL_SCALE", "1e-16")
-        code, _, report = run(tmp_path, "selftest")
+        code, _, report = run_cli(tmp_path, "selftest")
         assert code == 1
         assert len(report["payload"]["failing"]) > 0
 
@@ -325,8 +298,8 @@ class TestDeterminism:
             ("grover-scan", {"n_values": [2, 3], "m_max": 5, "s": 1}, "grover_scan.csv"),
             ("selftest", None, "selftest.csv"),
         ):
-            _, out1, _ = run(tmp_path, command, cfg, subdir=f"{command}-a")
-            _, out2, _ = run(tmp_path, command, cfg, subdir=f"{command}-b")
+            _, out1, _ = run_cli(tmp_path, command, cfg, subdir=f"{command}-a")
+            _, out2, _ = run_cli(tmp_path, command, cfg, subdir=f"{command}-b")
             assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
     def test_spectrum_determinism(self, tmp_path):
@@ -349,15 +322,15 @@ class TestDeterminism:
             },
         }
         for label, cfg in (("uniform", uniform), ("tied", tied)):
-            _, out1, _ = run(tmp_path, "spectrum", cfg, subdir=f"{label}-a")
-            _, out2, _ = run(tmp_path, "spectrum", cfg, subdir=f"{label}-b")
+            _, out1, _ = run_cli(tmp_path, "spectrum", cfg, subdir=f"{label}-a")
+            _, out2, _ = run_cli(tmp_path, "spectrum", cfg, subdir=f"{label}-b")
             for name in ("timeseries.csv", "spectrum.csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_report_stable_apart_from_duration(self, tmp_path):
         cfg = {"n": 2, "s": 3}
-        _, _, r1 = run(tmp_path, "search", cfg, subdir="a")
-        _, _, r2 = run(tmp_path, "search", cfg, subdir="b")
+        _, _, r1 = run_cli(tmp_path, "search", cfg, subdir="a")
+        _, _, r2 = run_cli(tmp_path, "search", cfg, subdir="b")
         r1.pop("duration_s")
         r2.pop("duration_s")
         assert r1 == r2
@@ -386,61 +359,35 @@ def test_shipped_config_runs(tmp_path, name):
     assert (out / "report.json").is_file()
 
 
-# what the labelling path must not call, and where it would be looked up
-DIAGONALIZERS = {
-    "eigh": np.linalg, "eigvalsh": np.linalg, "eigvals": np.linalg, "expm_unitary": spectroscopy,
-}
+def shipped(name):
+    return json.loads((CONFIG_DIR / name).read_text())
 
 
 @pytest.mark.parametrize(
-    "name, eigh_calls",
+    "name, expm_calls",
     [
         ("n8-grover-excitation", 0),
         ("spectrum_uniform.json", 0),
         ("spectrum_weak_coupling.json", 0),
-        # the demo's non-diagonal excitation and reconversion generators
+        # the demo's non-diagonal excitation and reconversion generators, U and V
         ("cross_peak_demo.json", 2),
     ],
 )
-def test_labelling_path_runs_no_diagonalization(tmp_path, monkeypatch, name, eigh_calls):
-    calls = dict.fromkeys(DIAGONALIZERS, 0)
-    for fn, owner in DIAGONALIZERS.items():
-
-        def counted(*args, _fn=fn, _real=getattr(owner, fn), **kwargs):
-            calls[_fn] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, fn, counted)
-    if name in SHIPPED_CONFIGS:
-        cfg_path = CONFIG_DIR / name
-    else:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(N8_SPECTRUM))
-    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"eigh": eigh_calls, "eigvalsh": 0, "eigvals": 0, "expm_unitary": 0}
-
-
-def count_calls(monkeypatch, name, owners):
-    """Route every binding of `name` in `owners` through one counter; an
-    owner that does not bind the name gets one, which no code reads."""
-    calls = []
-    real = getattr(owners[0], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for owner in owners:
-        monkeypatch.setattr(owner, name, counted, raising=False)
-    return calls
+def test_labelling_path_runs_no_diagonalization(tmp_path, monkeypatch, name, expm_calls):
+    names = DIAGONALIZERS + ("numpy.linalg.eigvalsh", "numpy.linalg.eigvals")
+    calls = patch_counted(monkeypatch, names)
+    cfg = shipped(name) if name in SHIPPED_CONFIGS else N8_SPECTRUM
+    assert run_cli(tmp_path, "spectrum", cfg)[0] == 0
+    # each expm_unitary is one eigh; the labelling itself diagonalizes nothing
+    assert [len(calls[name]) for name in names] == [expm_calls, expm_calls, 0, 0]
 
 
 def test_spectrum_forms_each_collective_operator_once(tmp_path, monkeypatch):
-    # F_q for Q = V+ F_q V; with p_axis = detect_axis it is also the inphase check's F_p
-    calls = count_calls(monkeypatch, "total_op", (spectroscopy, cli))
-    cfg_path = CONFIG_DIR / "spectrum_uniform.json"
-    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    # rho0 at parse, and F_q for Q = V+ F_q V; with p_axis = detect_axis
+    # F_q is also the inphase check's F_p, which is not formed again
+    calls = patch_counted(monkeypatch, ["total_op"])
+    assert run_cli(tmp_path, "spectrum", shipped("spectrum_uniform.json"))[0] == 0
+    assert len(calls["total_op"]) == 2
 
 
 def transfer_cfg(**keys):
@@ -474,15 +421,7 @@ def test_n8_grover_transfer_peak_memory():
     # complex temporary (measured 2.50 MiB; 7.0 MiB with a dense U)
     dim = 2**8
     bound = (2 * np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
-    cfg = parse(SpectrumConfig, N8_SPECTRUM)
-    cli.spectrum_transfer(cfg)
-    tracemalloc.start()
-    try:
-        cli.spectrum_transfer(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+    assert_peak_at_most(bound, cli.spectrum_transfer, parse(SpectrumConfig, N8_SPECTRUM))
 
 
 def test_n8_spectrum_pipeline_peak_memory():
@@ -492,22 +431,14 @@ def test_n8_spectrum_pipeline_peak_memory():
     bound = (np.dtype(complex).itemsize + 2.5 * np.dtype(float).itemsize) * dim**2
     cfg = parse(SpectrumConfig, N8_SPECTRUM)
     p, q, _, _ = cli.spectrum_transfer(cfg)
-    run_pipeline(p, q, cfg.pipe)
-    tracemalloc.start()
-    try:
-        run_pipeline(p, q, cfg.pipe)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+    assert_peak_at_most(bound, run_pipeline, p, q, cfg.pipe)
 
 
 def test_cross_peak_demo_runs_one_phase_cycle(tmp_path, monkeypatch):
     # the zero-quantum part of f_s + f_r, projected once
-    calls = count_calls(monkeypatch, "phase_cycle_project", (mqalgebra, spectroscopy, cli))
-    cfg_path = CONFIG_DIR / "cross_peak_demo.json"
-    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    calls = patch_counted(monkeypatch, ["phase_cycle_project"])
+    assert run_cli(tmp_path, "spectrum", shipped("cross_peak_demo.json"))[0] == 0
+    assert len(calls["phase_cycle_project"]) == 1
 
 
 def test_cli_import_does_not_load_scipy():

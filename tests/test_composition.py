@@ -8,7 +8,6 @@ from spinsearch.linalg import (
     spin_op,
     unitarity_defect,
 )
-from spinsearch import composition
 from spinsearch.composition import (
     commutator_product,
     cross_interaction,
@@ -19,7 +18,7 @@ from spinsearch.composition import (
 )
 
 from conftest import CHECK, maxabs, random_hermitian
-from reference import agreement
+from reference import agreement, patch_counted
 
 IX = spin_op(1, 1, "x")
 IY = spin_op(1, 1, "y")
@@ -115,18 +114,9 @@ BUILDER_CALLS = {
 @pytest.mark.parametrize("name", sorted(BUILDER_CALLS))
 def test_each_rung_is_built_once(monkeypatch, rng, name):
     builder, expm_calls, log_calls = BUILDER_CALLS[name]
-    counts = {"expm_unitary": 0, "matrix_log_skew": 0}
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            counts[fn.__name__] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for fn in (expm_unitary, composition.matrix_log_skew):
-        monkeypatch.setattr(composition, fn.__name__, counted(fn))
+    calls = patch_counted(monkeypatch, ["expm_unitary", "matrix_log_skew"])
     builder(0.5 * random_hermitian(rng, 4), 0.5 * random_hermitian(rng, 4))
-    assert (counts["expm_unitary"], counts["matrix_log_skew"]) == (expm_calls, log_calls)
+    assert (len(calls["expm_unitary"]), len(calls["matrix_log_skew"])) == (expm_calls, log_calls)
 
 
 class TestSymmetricSandwich:

@@ -1,14 +1,13 @@
 """Config schemas: every defect exits 2 before any numerics run.
 
-Each bad config runs through cli.main in process with every numerics
-entry point of the CLI replaced by a function that fails the test, so an
-exit code of 2 with no output files shows that the config was rejected
-before anything was computed.
+Each bad config runs through cli.main in process with every binding of
+every numerics entry point replaced by a function that fails the test
+(conftest's no_numerics), so an exit code of 2 with no output files shows
+that the config was rejected before anything was computed.
 """
 
 import contextlib
 import io
-import json
 import math
 import tempfile
 from dataclasses import fields
@@ -37,22 +36,7 @@ from spinsearch.config import (
 )
 from spinsearch.selftest import InvariantResult
 
-from conftest import strict_json
-
-NUMERICS = (
-    "simple_search",
-    "measured_conversion_coefficients",
-    "grover_conjugate",
-    "run_pipeline",
-    "transfer_pair",
-    "cross_zq_hamiltonian",
-    "trotter_product",
-    "commutator_product",
-    "symmetric_sandwich",
-    "cross_interaction",
-    "fractal_compose",
-    "run_selftest",
-)
+from conftest import run_cli
 
 UNIFORM_H = {"kind": "uniform-fz", "omega": 2 * math.pi * 10}
 GROVER = {
@@ -70,24 +54,8 @@ WEAK = {
 }
 
 
-@pytest.fixture
-def no_numerics(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("numerics ran before the config was rejected")
-
-    for name in NUMERICS:
-        monkeypatch.setattr(cli, name, fail)
-
-
-def run_main(tmp_path, command, cfg):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    return cli.main([command, "--config", str(path), "--out", str(out)]), out
-
-
 def assert_rejected(tmp_path, capsys, command, cfg):
-    code, out = run_main(tmp_path, command, cfg)
+    code, out, _ = run_cli(tmp_path, command, cfg)
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "Traceback" not in err
@@ -164,7 +132,7 @@ def test_every_command_declares_seed(command):
 
 def test_seed_is_accepted(tmp_path):
     assert parse(SelftestConfig, {"seed": 4}).seed == 4
-    code, _ = run_main(tmp_path, "spectrum", {**GROVER, "seed": 4})
+    code, _, _ = run_cli(tmp_path, "spectrum", {**GROVER, "seed": 4})
     assert code == 0
 
 
@@ -313,9 +281,8 @@ def test_float_over_bound_exits_2_before_numerics(tmp_path, capsys, no_command, 
 def test_float_at_bound_runs_clean(tmp_path, name, sign):
     at_bound = {**float_keys(sign * VALUE_MAX, sign * DOMINANCE_MAX), **floor_keys(sign * VALUE_MIN)}
     command, cfg = at_bound[name]
-    code, out = run_main(tmp_path, command, cfg)
-    assert code == 0
-    strict_json((out / "report.json").read_text())
+    code, out, report = run_cli(tmp_path, command, cfg)
+    assert code == 0 and report is not None
     for csv in out.glob("*.csv"):
         assert "nan" not in csv.read_text().lower()
 
@@ -348,8 +315,13 @@ def test_variant_defaults_are_filled():
     assert (demo.s, demo.N1, demo.n, demo.p_axis) == (5, 9, 4, "z")
 
 
+def test_axis_keys_name_their_choices():
+    with pytest.raises(ConfigError, match="'detect_axis' must be 'x' or 'y' or 'z', got 'q'"):
+        parse(SpectrumConfig, {**GROVER, "detect_axis": "q"})
+
+
 def test_nyquist_violation_at_parse_keeps_exit_4(tmp_path, capsys, no_numerics):
-    code, out = run_main(tmp_path, "spectrum", {**GROVER, "t1": {"dt": 0.1, "points": 64}})
+    code, out, _ = run_cli(tmp_path, "spectrum", {**GROVER, "t1": {"dt": 0.1, "points": 64}})
     assert code == 4
     assert "sampling error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
@@ -439,14 +411,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(command, data):
     cfg = data.draw(mutated(SMALL_VALID[command], keys))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_selftest", _fake_selftest):
-        path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = Path(tmp) / "out"
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([command, "--config", str(path), "--out", str(out)])
-        wrote_report = (out / "report.json").exists()
-        if wrote_report:
-            strict_json((out / "report.json").read_text())
+            code, _, report = run_cli(Path(tmp), command, cfg)
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
-    assert wrote_report == (code == 0)
+    assert (report is not None) == (code == 0)

@@ -1,9 +1,11 @@
-"""AST guards over the package sources.
+"""AST guards over the package sources and the tests.
 
 Every name a package module imports at module level is used in it, and
 every function or method the package defines is read by other package
 code, apart from the paper entry points still waiting for a registry
-group or a move into tests/.
+group or a move into tests/.  No test module patches a package module or
+numpy.linalg by hand: counting and forbidding go through reference.py's
+helpers, which patch every binding of a name.
 """
 
 import ast
@@ -73,3 +75,74 @@ def test_every_member_has_a_caller_in_the_package():
     referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
     defined = set().union(*(defined_members(tree) for tree in trees.values()))
     assert defined - referenced == UNREFERENCED_ENTRY_POINTS
+
+
+# patches that substitute a function rather than count or forbid its calls
+SUBSTITUTIONS = {
+    ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
+}
+
+
+def hand_patches(source: str) -> list[tuple[int, str]]:
+    """(line, target) of every monkeypatch.setattr or mock.patch.object call
+    whose target is a spinsearch module, numpy.linalg or a local name, which
+    could hold either."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> dotted module path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                root = a.name.split(".")[0]  # what `import a.b` binds
+                aliases[a.asname or root] = a.name if a.asname else root
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases |= {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+
+    def dotted(expr) -> str:
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id, f"<local {expr.id}>")
+        if isinstance(expr, ast.Attribute):
+            return f"{dotted(expr.value)}.{expr.attr}"
+        return expr.value if isinstance(expr, ast.Constant) and isinstance(expr.value, str) else ""
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "setattr" or dotted(node.func) == "unittest.mock.patch.object":
+            target = dotted(node.args[0])
+            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                target += f".{node.args[1].value}"
+            if (target + ".").startswith(("spinsearch.", "numpy.linalg.", "<local")):
+                found.append((node.lineno, target))
+    return found
+
+
+def test_no_test_patches_a_package_binding_by_hand():
+    hits = [
+        f"{path.name}:{line} patches {target}"
+        for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        for line, target in hand_patches(path.read_text())
+        if (path.name, target.rpartition(".")[2]) not in SUBSTITUTIONS
+    ]
+    assert hits == [], "use reference.patch_counted or patch_forbidden:\n" + "\n".join(hits)
+
+
+def test_hand_patches_are_found():
+    source = """
+import numpy as np
+from unittest import mock
+from spinsearch import cli, oracle
+monkeypatch.setattr(oracle, "oracle_uf", forbidden)
+monkeypatch.setattr(np.linalg, "eigh", forbidden)
+monkeypatch.setattr("spinsearch.linalg.total_op", forbidden)
+mock.patch.object(cli, "run_selftest", fake)
+for owner in (np.linalg, oracle):
+    monkeypatch.setattr(owner, name, counted)
+"""
+    assert hand_patches(source) == [
+        (5, "spinsearch.oracle.oracle_uf"),
+        (6, "numpy.linalg.eigh"),
+        (7, "spinsearch.linalg.total_op"),
+        (8, "spinsearch.cli.run_selftest"),
+        (10, "<local owner>"),
+    ]

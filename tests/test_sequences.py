@@ -1,11 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from spinsearch import linalg, oracle, selftest, sequences
+from spinsearch import selftest, sequences
 from spinsearch.linalg import (
     expm_unitary,
     kron_all,
@@ -39,8 +35,8 @@ from spinsearch.sequences import (
     x_basis_state,
 )
 
-from conftest import maxabs, random_hermitian, random_unitary
-from reference import agreement, brute_conjugate, dense_conjugate, dense_conversion_coefficients
+from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unitary
+from reference import DIAGONALIZERS, Forbidden, agreement, dense_conjugate, patch_counted, patch_forbidden
 
 
 class TestInitialState:
@@ -62,33 +58,12 @@ class TestInitialState:
         assert abs(np.trace(rho)) <= 1e-14
 
 
-def conjugate_selective(rho, marked, theta):
-    """The closed form for a single selective phase shift."""
-    return conjugate_multi_selective(rho, [marked], [theta])
-
-
 class TestConjugateSelective:
     def test_zero_and_full_turn(self, rng):
         rho = random_hermitian(rng, 8)
-        m = MarkedState(s=3, n=3)
-        assert maxabs(conjugate_selective(rho, m, 0.0) - rho) == 0
-        assert maxabs(conjugate_selective(rho, m, 2 * np.pi) - rho) <= 1e-14
-
-    def test_against_brute_force(self, rng):
-        rho = random_hermitian(rng, 8)
-        m = MarkedState(s=5, n=3)
-        got = conjugate_selective(rho, m, 0.7)
-        assert maxabs(got - brute_conjugate(rho, [m], [0.7])) <= 1e-11
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 4), seed=st.integers(0, 2**31), grid=st.integers(0, 7))
-    def test_identity_on_theta_grid(self, n, seed, grid):
-        rng = np.random.default_rng(seed)
-        rho = random_hermitian(rng, 2**n)
-        m = MarkedState(s=int(rng.integers(2**n)), n=n)
-        theta = 2 * np.pi * grid / 8
-        got = conjugate_selective(rho, m, theta)
-        assert maxabs(got - brute_conjugate(rho, [m], [theta])) <= 1e-10
+        m = [MarkedState(s=3, n=3)]
+        assert maxabs(conjugate_multi_selective(rho, m, [0.0]) - rho) == 0
+        assert maxabs(conjugate_multi_selective(rho, m, [2 * np.pi]) - rho) <= 1e-14
 
 
 class TestConjugateMultiSelective:
@@ -97,31 +72,11 @@ class TestConjugateMultiSelective:
         ms = [MarkedState(s=0, n=2), MarkedState(s=3, n=2)]
         assert maxabs(conjugate_multi_selective(rho, ms, [0, 0]) - rho) == 0
 
-    def test_two_states_vs_brute_force(self, rng):
-        rho = random_hermitian(rng, 4)
-        ms = [MarkedState(s=1, n=2), MarkedState(s=2, n=2)]
-        thetas = [np.pi / 3, np.pi / 5]
-        got = conjugate_multi_selective(rho, ms, thetas)
-        assert maxabs(got - brute_conjugate(rho, ms, thetas)) <= 1e-10
-
     def test_duplicate_indices_rejected(self, rng):
         rho = random_hermitian(rng, 4)
         ms = [MarkedState(s=1, n=2), MarkedState(s=1, n=2)]
         with pytest.raises(ValueError, match="distinct"):
             conjugate_multi_selective(rho, ms, [0.1, 0.2])
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 4), seed=st.integers(0, 2**31))
-    def test_random_sets_vs_brute_force(self, n, seed):
-        rng = np.random.default_rng(seed)
-        dim = 2**n
-        rho = random_hermitian(rng, dim)
-        count = int(rng.integers(1, min(4, dim) + 1))
-        picks = rng.choice(dim, size=count, replace=False)
-        thetas = rng.uniform(0, 2 * np.pi, size=count)
-        ms = [MarkedState(s=int(p), n=n) for p in picks]
-        got = conjugate_multi_selective(rho, ms, thetas)
-        assert maxabs(got - brute_conjugate(rho, ms, thetas)) <= 1e-10
 
 
 class TestSimpleSearch:
@@ -175,14 +130,8 @@ class TestSimpleSearch:
     test_matches_dense_reference = agreement("simple_search-selective-cs", "simple_search-explicit-uf")
 
     def test_explicit_oracle_at_n8_builds_no_dense_operator(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the explicit-uf search reached a dense builder")
-
-        monkeypatch.setattr(linalg, "expm_unitary", forbidden)
-        monkeypatch.setattr(linalg, "total_op", forbidden)
-        monkeypatch.setattr(oracle, "oracle_uo", forbidden)
-        monkeypatch.setattr(oracle, "oracle_uf", forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        # total_op is allowed: it builds the 256-dim initial state
+        patch_forbidden(monkeypatch, ("oracle_uo", "oracle_uf") + DIAGONALIZERS)
         eps = np.linspace(0.6, 1.4, 8)
         res = simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
         assert res.recovered_s == 173
@@ -190,14 +139,10 @@ class TestSimpleSearch:
         assert maxabs(res.per_qubit_signal - expected) <= 1e-12
 
     def test_explicit_oracle_at_n8_never_reaches_the_closed_form(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the explicit-uf search reached the aux-free closed form")
-
-        monkeypatch.setattr(sequences, "conjugate_multi_selective", forbidden)
-        monkeypatch.setattr(oracle, "selective_phase", forbidden)
+        patch_forbidden(monkeypatch, ["conjugate_multi_selective", "selective_phase"])
         eps = np.linspace(-1.4, 1.3, 8)
         marked = MarkedState(s=90, n=8)
-        with pytest.raises(AssertionError, match="closed form"):  # the patch is live
+        with pytest.raises(Forbidden, match="conjugate_multi_selective"):  # the patch is live
             simple_search(marked, eps, aux_mode="selective-cs")
         for theta in (-np.pi / 2, 0.9):
             res = simple_search(marked, eps, theta, aux_mode="explicit-uf")
@@ -210,14 +155,7 @@ class TestSimpleSearch:
         # may exist, but no full-space pulse or second copy of the state
         bound = 2 * 1024**2 * np.dtype(complex).itemsize
         eps = np.linspace(0.6, 1.4, 8)
-        simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
-        tracemalloc.start()
-        try:
-            simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB above {bound / 2**20:.0f} MiB"
+        assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
 
 
 def trace_out_aux(rho, n):
@@ -361,16 +299,9 @@ class TestExtractAlpha:
     test_matches_per_m_fit = agreement("extract_alpha_from_matrix")
 
     def test_three_way_check_builds_the_basis_once_per_n(self, monkeypatch):
-        calls = []
-        original = sequences.grover_basis
-
-        def counting(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(sequences, "grover_basis", counting)
+        calls = patch_counted(monkeypatch, ["grover_basis"])
         selftest._check_grover_three_way()
-        assert calls == [2, 3, 4]
+        assert calls["grover_basis"] == [(2,), (3,), (4,)]
 
 
 class TestConversionCoefficient:
@@ -395,27 +326,23 @@ class TestConversionCoefficient:
         eps = np.array([0.7, 1.3, 0.9])
         coeffs = grover_coefficients(5, 8)
         expected = conversion_coefficient(coeffs, eps, 2)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the closed form was evaluated again")
-
-        monkeypatch.setattr(sequences, "grover_coefficients", forbidden)
-        with pytest.raises(AssertionError, match="evaluated again"):  # the patch is live
+        patch_forbidden(monkeypatch, ["grover_coefficients"])
+        with pytest.raises(Forbidden):  # the patch is live
             sequences.grover_coefficients(5, 8)
         assert conversion_coefficient(coeffs, eps, 2) == expected
 
     def test_trajectory_matches_dense_reference(self):
+        # the closed form on every read spin; the dense reference runs on
+        # these cases as the measured_conversion_coefficients row's n-drawn params
         rng = np.random.default_rng(2002)
         for n in range(2, 9):
             N = 2**n
             m_max = int(4 * np.sqrt(N)) + 1
             marked = MarkedState(s=int(rng.integers(N)), n=n)
             eps = rng.uniform(0.5, 1.5, n)
-            dense = dense_conversion_coefficients(marked, m_max, eps)
             for k in range(1, n + 1):
                 traj = measured_conversion_coefficients(marked, m_max, eps, k)
                 assert traj.shape == (m_max + 1,)
-                assert maxabs(traj - dense[:, k - 1]) <= 1e-12
                 analytic = [
                     conversion_coefficient(grover_coefficients(m, N), eps, k)
                     for m in range(m_max + 1)
@@ -429,14 +356,7 @@ class TestConversionCoefficient:
         # N x N temporary would add a third
         bound = 1.25 * 2**20
         marked, eps = MarkedState(s=173, n=8), np.linspace(0.6, 1.4, 8)
-        measured_conversion_coefficients(marked, 65, eps, 1)
-        tracemalloc.start()
-        try:
-            measured_conversion_coefficients(marked, 65, eps, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+        assert_peak_at_most(bound, measured_conversion_coefficients, marked, 65, eps, 1)
 
     def test_single_m_is_trajectory_entry(self):
         # a shorter trajectory ends on the same value as a longer one at that m

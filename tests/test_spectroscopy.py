@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from spinsearch import cli
 from spinsearch.config import SpectrumConfig, parse
-from spinsearch.linalg import expm_unitary, spin_op, total_op
+from spinsearch.linalg import spin_op, total_op
 from spinsearch.mqalgebra import decompose_orders
 from spinsearch.oracle import MarkedState
 from spinsearch.sequences import grover_propagator, initial_state
@@ -23,7 +21,7 @@ from spinsearch.spectroscopy import (
     transfer_pair,
 )
 
-from conftest import maxabs, random_hermitian, random_unitary
+from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unitary
 from reference import N8_SPECTRUM, TABLE, agreement
 
 
@@ -187,45 +185,12 @@ class TestInphase:
         dim = 2**8
         bound = (np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
         _, q, p, _ = cli.spectrum_transfer(parse(SpectrumConfig, N8_SPECTRUM))
-        inphase_check(p, q, 0.4)
-        tracemalloc.start()
-        try:
-            inphase_check(p, q, 0.4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB above {bound / 2**20:.2f} MiB"
+        assert_peak_at_most(bound, inphase_check, p, q, 0.4)
 
-    def _constructed_v(self, u, phi, n, p_axis="z", q_axis="z"):
-        # V+ = exp(-i phi Fz) U R with R mapping F_q onto F_p by conjugation
-        if (p_axis, q_axis) == ("z", "z"):
-            r = np.eye(2**n, dtype=complex)
-        elif (p_axis, q_axis) == ("x", "z"):
-            r = expm_unitary(total_op(n, "y"), np.pi / 2)
-        else:
-            raise NotImplementedError
-        rz = expm_unitary(total_op(n, "z"), phi)
-        v_dag = rz @ u @ r
-        return v_dag.conj().T
-
-    def test_constructed_reconversion_passes(self, rng):
-        n, phi = 2, 0.6
-        u = random_unitary(rng, 4)
-        v = self._constructed_v(u, phi, n)
-        ok, residual = inphase_check(*transfer_pair(u, v, total_op(n, "z")), phi)
-        assert ok and residual <= 1e-9
-
-    def test_generic_pair_fails(self, rng):
-        u, v = random_unitary(rng, 4), random_unitary(rng, 4)
-        ok, residual = inphase_check(*transfer_pair(u, v, total_op(2, "z")), 0.3)
-        assert not ok and residual > 1e-3
-
-    def test_same_order_lines_share_phase(self, rng):
-        n, phi = 2, 0.815
-        u = random_unitary(rng, 4)
-        v = self._constructed_v(u, phi, n)
-        p = u @ total_op(n, "z") @ u.conj().T
-        q = v.conj().T @ total_op(n, "z") @ v
+    def test_same_order_lines_share_phase(self):
+        # the reference case that holds at phi != 0: V = U+ exp(i phi Fz)
+        p, q, _ = next(iter(TABLE["inphase_check"].cases(None)))
+        n = int(np.log2(len(p)))
         mm = np.diag(total_op(n, "z")).real
         amps = q.conj() * p
         for m in range(-n, n + 1):
