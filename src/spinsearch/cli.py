@@ -377,11 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinsearch",
         description="spin-ensemble oracle search, spectroscopy and composition runner",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
     return parser
 
 

@@ -46,16 +46,6 @@ def order_component(a: np.ndarray, m: int) -> np.ndarray:
     return np.where(mask, a, 0.0)
 
 
-def gradient_crush(rho: np.ndarray) -> np.ndarray:
-    """Idealized z-gradient dephasing: keep only the order-0 part."""
-    return order_component(rho, 0)
-
-
-def zq_dephase(rho: np.ndarray) -> np.ndarray:
-    """Idealized zero-quantum dephasing: keep only the computational diagonal."""
-    return np.diag(np.diag(rho))
-
-
 @dataclass
 class LomsoBasis:
     """Diagonal product-operator basis {Z_l} with the projector transform.

@@ -26,7 +26,6 @@ from itertools import islice
 import numpy as np
 
 from .linalg import iz_diagonals, product_rotation, total_op
-from .mqalgebra import gradient_crush, zq_dephase
 from .oracle import (
     UF_CALLS_PER_UO,
     MarkedState,
@@ -115,15 +114,18 @@ def simple_search(
 
     Pipeline: transverse initial state (y axis) -> oracle phase shift ->
     pi/2 pulse about y on the work qubits -> gradient crush -> zero-quantum
-    dephase -> per-qubit z projection.  With aux_mode="explicit-uf" the
-    oracle runs on the full work + auxiliary density matrix, so the
-    equivalence of the two oracle realizations is computed, not assumed,
-    and the auxiliary pair is traced out right after it (exact, see
-    _apply_explicit_oracle).  The surviving state is proportional
-    to sum_k eps_k a_k I_kz; the sign pattern recovers s once the known
-    sign of sin(theta) is divided out.  The measured proportionality
-    constant is reported next to the 2/N reference value, which omits the
-    sin(theta) dependence seen in the matrix computation.
+    dephase -> per-qubit z projection.  The crush and the dephase keep the
+    computational diagonal, and the z projection reads nothing else, so
+    only the populations diag(P rho P^+) of the pulsed state are computed.
+    With aux_mode="explicit-uf" the oracle runs on the full work +
+    auxiliary density matrix, so the equivalence of the two oracle
+    realizations is computed, not assumed, and the auxiliary pair is traced
+    out right after it (exact, see _apply_explicit_oracle).  The surviving
+    state is proportional to sum_k eps_k a_k I_kz; the sign pattern
+    recovers s once the known sign of sin(theta) is divided out.  The
+    measured proportionality constant is reported next to the 2/N reference
+    value, which omits the sin(theta) dependence seen in the matrix
+    computation.
     """
     n = marked.n
     epsilons = np.asarray(epsilons, dtype=float)
@@ -136,17 +138,16 @@ def simple_search(
         rho = initial_state(n, epsilons, "y")
         rho = conjugate_multi_selective(rho, [marked], [theta])
     elif aux_mode == "explicit-uf":
-        rho = np.kron(initial_state(n, epsilons, "y"), aux_pure_state())
-        rho = _apply_explicit_oracle(rho, marked, theta).reshape(2**n, 4, 2**n, 4)
+        rho = _apply_explicit_oracle(_with_aux(initial_state(n, epsilons, "y")), marked, theta)
         rho = np.einsum("iaja->ij", rho)  # trace out the auxiliary pair
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
     pulse = product_rotation(n, "y", np.pi / 2)
-    rho = zq_dephase(gradient_crush(pulse @ rho @ pulse.conj().T))
+    populations = np.einsum("ij,ij->i", pulse @ rho, pulse.conj()).real
 
     dim = 2**n
-    coeffs = iz_diagonals(n) @ np.diag(rho).real / (dim / 4)
+    coeffs = iz_diagonals(n) @ populations / (dim / 4)
 
     mags = np.abs(coeffs)
     # relative threshold, with an absolute floor so an all-roundoff readout
@@ -177,27 +178,43 @@ def simple_search(
     )
 
 
+def _with_aux(rho: np.ndarray) -> np.ndarray:
+    """rho x aux_pure_state() as an (N, 4, N, 4) array, the full state
+    indexed [x, aux, x', aux']: rho times aux[a, b] is written into each
+    block where aux is nonzero, and every other block stays zero."""
+    aux = aux_pure_state()
+    out = np.zeros((len(rho), 4, len(rho), 4), dtype=complex)
+    for a, b in zip(*np.nonzero(aux)):
+        np.multiply(rho, aux[a, b], out=out[:, a, :, b])
+    return out
+
+
 def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
-    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, written into rho.
+    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, written into the
+    (N, 4, N, 4) state rho.
 
     U_f swaps the rows, then the columns, of the indices uf_permutation
-    moves; V_S scales only the rows, then the columns, where v != 1.  The
-    search's only step on the auxiliary pair: the pair is traced out next,
-    exact for any aux content as Tr_aux[(u x I) rho (u x I)^+] =
-    u Tr_aux[rho] u^+ and the z readout reads only aux-diagonal entries.
+    moves.  The phases of V_S depend on the auxiliary state alone, so V_S
+    scales one row slab rho[:, c], then one column slab rho[..., c], per
+    auxiliary state c whose phase is not 1: strided multiplies in place,
+    with no gathered copy.  The search's only step on the auxiliary pair:
+    the pair is traced out next, exact for any aux content as
+    Tr_aux[(u x I) rho (u x I)^+] = u Tr_aux[rho] u^+ and the z readout
+    reads only aux-diagonal entries.
     """
+    flat = rho.reshape(4 * len(rho), -1)  # a view: the 2-D full-space matrix
     p = uf_permutation(marked)
     moved = np.flatnonzero(p != np.arange(len(p)))
-    v = aux_phase_vector(marked.n, theta)
+    v = aux_phase_vector(marked.n, theta)[:4]  # the phase of each auxiliary state
     phased = np.flatnonzero(v != 1)
-    rho[moved] = rho[p[moved]]  # U_f
-    rho[:, moved] = rho[:, p[moved]]
-    for i in phased:  # V_S, a row or column at a time: no gathered copy
-        rho[i] *= v[i]
-    for i in phased:
-        rho[:, i] *= v[i].conjugate()
-    rho[moved] = rho[p[moved]]  # U_f again
-    rho[:, moved] = rho[:, p[moved]]
+    flat[moved] = flat[p[moved]]  # U_f
+    flat[:, moved] = flat[:, p[moved]]
+    for c in phased:  # V_S
+        rho[:, c] *= v[c]
+    for c in phased:
+        rho[..., c] *= v[c].conjugate()
+    flat[moved] = flat[p[moved]]  # U_f again
+    flat[:, moved] = flat[:, p[moved]]
     return rho
 
 

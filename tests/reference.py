@@ -44,7 +44,7 @@ from spinsearch.linalg import (
     PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, product_rotation,
     random_hermitian, random_unitary, spin_op, total_op,
 )
-from spinsearch.mqalgebra import gradient_crush, mq_generator, phase_cycle_project, zq_dephase
+from spinsearch.mqalgebra import mq_generator, order_component, phase_cycle_project
 from spinsearch.oracle import (
     MarkedState, aux_pure_state, diag_projector, oracle_uf, oracle_uo, selective_phase,
     uf_permutation,
@@ -261,12 +261,23 @@ def conjugation_cases(_):
             yield random_hermitian(rng, dim), marks, rng.uniform(0, 2 * np.pi, size=len(picks))
 
 
+def gradient_crush(rho):
+    """Idealized z-gradient dephasing: keep only the order-0 part."""
+    return order_component(rho, 0)
+
+
+def zq_dephase(rho):
+    """Idealized zero-quantum dephasing: keep only the computational diagonal."""
+    return np.diag(np.diag(rho))
+
+
 def dense_search_signal(marked, epsilons, theta, aux_mode):
     """Per-qubit z coefficients of the search sequence, all dense.
 
     The oracle is the dense U_o = U_f V_S U_f (or C_s), the pulse comes from
-    an eigh of the collective Fy on the full space, and each coefficient is
-    a trace against a dense I_kz.
+    an eigh of the collective Fy on the full space, the gradient crush and
+    the zero-quantum dephase run on the whole pulsed matrix, and each
+    coefficient is a trace against a dense I_kz.
     """
     n = marked.n
     rho = initial_state(n, epsilons, "y")

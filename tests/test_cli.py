@@ -35,6 +35,31 @@ class TestWriteCsv:
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_parses(command):
+    parse = cli._build_parser().parse_args
+    assert vars(parse([command])) == {"command": command, "config": None, "out": "."}
+    args = parse(["--out", "o", command, "--config", "c.json"])
+    assert vars(args) == {"command": command, "config": "c.json", "out": "o"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--config", "c.json"], "the following arguments are required: command"),
+        (["serach"], "argument command: invalid choice"),
+    ],
+)
+def test_missing_or_unknown_command_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:  # argparse's usage error, not a crash
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spinsearch") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 @pytest.mark.parametrize("where", ["file", "below-a-file"])
 def test_unusable_out_exits_2_before_numerics(tmp_path, monkeypatch, capsys, command, where):
     taken = tmp_path / "taken"

@@ -12,17 +12,15 @@ from spinsearch.linalg import (
 from spinsearch.mqalgebra import (
     AliasingError,
     decompose_orders,
-    gradient_crush,
     lomso_transform,
     mq_generator,
     phase_cycle_project,
     x_product_op,
-    zq_dephase,
 )
 from spinsearch.oracle import MarkedState, diag_projector
 
 from conftest import CHECK, maxabs, random_hermitian, support
-from reference import agreement
+from reference import agreement, gradient_crush, zq_dephase
 
 
 def flip_flop(n=2):

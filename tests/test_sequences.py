@@ -10,7 +10,6 @@ from spinsearch.linalg import (
     total_op,
     unitarity_defect,
 )
-from spinsearch.mqalgebra import gradient_crush, zq_dephase
 from spinsearch.oracle import (
     MarkedState,
     aux_pure_state,
@@ -36,7 +35,10 @@ from spinsearch.sequences import (
 )
 
 from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unitary
-from reference import DIAGONALIZERS, Forbidden, agreement, dense_conjugate, patch_counted, patch_forbidden
+from reference import (
+    Forbidden, agreement, dense_conjugate, explicit_search_n8, gradient_crush, patch_counted,
+    patch_forbidden, zq_dephase,
+)
 
 
 class TestInitialState:
@@ -129,33 +131,27 @@ class TestSimpleSearch:
 
     test_matches_dense_reference = agreement("simple_search-selective-cs", "simple_search-explicit-uf")
 
-    def test_explicit_oracle_at_n8_builds_no_dense_operator(self, monkeypatch):
-        # total_op is allowed: it builds the 256-dim initial state
-        patch_forbidden(monkeypatch, ("oracle_uo", "oracle_uf") + DIAGONALIZERS)
-        eps = np.linspace(0.6, 1.4, 8)
-        res = simple_search(MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
-        assert res.recovered_s == 173
-        expected = np.sin(res.theta) * (2 / 2**8) * eps * sign_vector(173, 8)
-        assert maxabs(res.per_qubit_signal - expected) <= 1e-12
-
-    def test_explicit_oracle_at_n8_never_reaches_the_closed_form(self, monkeypatch):
-        patch_forbidden(monkeypatch, ["conjugate_multi_selective", "selective_phase"])
-        eps = np.linspace(-1.4, 1.3, 8)
-        marked = MarkedState(s=90, n=8)
-        with pytest.raises(Forbidden, match="conjugate_multi_selective"):  # the patch is live
-            simple_search(marked, eps, aux_mode="selective-cs")
-        for theta in (-np.pi / 2, 0.9):
+    def test_explicit_oracle_at_n8_gives_the_closed_form_signal(self):
+        # the cases of the simple_search-explicit-uf row's independence guard
+        for marked, eps, theta in explicit_search_n8():
             res = simple_search(marked, eps, theta, aux_mode="explicit-uf")
-            assert res.recovered_s == 90
-            expected = np.sin(theta) * (2 / 2**8) * eps * sign_vector(90, 8)
+            assert res.recovered_s == marked.s
+            expected = np.sin(theta) * (2 / 2**8) * eps * sign_vector(marked.s, 8)
             assert maxabs(res.per_qubit_signal - expected) <= 1e-12
 
     def test_explicit_oracle_at_n8_peak_memory(self):
-        # two full work + auxiliary complex matrices: one 1024-dim state
-        # may exist, but no full-space pulse or second copy of the state
-        bound = 2 * 1024**2 * np.dtype(complex).itemsize
+        # one full work + auxiliary state and two 256-dim complex matrices:
+        # no full-space pulse, no second copy of the state, no gathered slab
+        bound = (1024**2 + 2 * 256**2) * np.dtype(complex).itemsize
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
+
+    def test_selective_search_at_n8_peak_memory(self):
+        # four 256-dim complex matrices (state, pulse, its conjugate, the
+        # pulsed product) and half of one: no second pulsed product
+        bound = 4.5 * 256**2 * np.dtype(complex).itemsize
+        eps = np.linspace(0.6, 1.4, 8)
+        assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="selective-cs")
 
 
 def trace_out_aux(rho, n):
