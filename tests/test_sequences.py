@@ -139,6 +139,15 @@ class TestSimpleSearch:
             expected = np.sin(theta) * (2 / 2**8) * eps * sign_vector(marked.s, 8)
             assert maxabs(res.per_qubit_signal - expected) <= 1e-12
 
+    def test_explicit_oracle_at_n8_never_reaches_the_closed_form(self, monkeypatch):
+        patch_forbidden(monkeypatch, ["conjugate_multi_selective", "selective_phase"])
+        marked, eps, theta = next(explicit_search_n8())
+        with pytest.raises(Forbidden, match="conjugate_multi_selective"):  # the patch is live
+            simple_search(marked, eps, theta, aux_mode="selective-cs")
+        for marked, eps, theta in explicit_search_n8():
+            res = simple_search(marked, eps, theta, aux_mode="explicit-uf")
+            assert res.recovered_s == marked.s
+
     def test_explicit_oracle_at_n8_peak_memory(self):
         # one full work + auxiliary state and two 256-dim complex matrices:
         # no full-space pulse, no second copy of the state, no gathered slab
