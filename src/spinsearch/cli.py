@@ -260,15 +260,16 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
 
 def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
     method, dim = cfg.method, cfg.dim
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.operators == "su2-zx":
+    if cfg.operators == "su2-zx":  # draws nothing: numpy.random stays unloaded
         a, b = spin_op(1, 1, "z"), spin_op(1, 1, "x")
-    elif cfg.operators == "random":
-        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-    else:  # commuting
+    else:
+        rng = np.random.default_rng(cfg.seed)
         a = random_hermitian(rng, dim)
-        _, v = np.linalg.eigh(a)
-        b = (v * rng.normal(size=dim)) @ v.conj().T
+        if cfg.operators == "random":
+            b = random_hermitian(rng, dim)
+        else:  # commuting
+            _, v = np.linalg.eigh(a)
+            b = (v * rng.normal(size=dim)) @ v.conj().T
 
     if method == "trotter":
         res = trotter_product([a, b], cfg.t, cfg.m)

@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import iz_diagonals, product_rotation, total_op
+from .linalg import iz_diagonals, kron_all, product_rotation, total_op
 from .oracle import (
     UF_CALLS_PER_UO,
     MarkedState,
@@ -117,6 +117,10 @@ def simple_search(
     dephase -> per-qubit z projection.  The crush and the dephase keep the
     computational diagonal, and the z projection reads nothing else, so
     only the populations diag(P rho P^+) of the pulsed state are computed.
+    They are computed in real arithmetic, exactly: the pulse P is real
+    orthogonal, so Re[(P rho P^T)_ii] = (P Re(rho) P^T)_ii and Im rho
+    never reaches the readout.  A pulse with a nonzero imaginary part
+    raises ValueError, so the real pulse is checked, not assumed.
     With aux_mode="explicit-uf" the oracle runs on the full work +
     auxiliary density matrix, so the equivalence of the two oracle
     realizations is computed, not assumed, and the auxiliary pair is traced
@@ -134,17 +138,22 @@ def simple_search(
     if np.any(epsilons == 0):
         raise ValueError("polarizations must be nonzero")
 
+    # Re rho as a contiguous copy, so the complex state can go: matmul on a
+    # strided .real view leaves BLAS
     if aux_mode == "selective-cs":
-        rho = initial_state(n, epsilons, "y")
-        rho = conjugate_multi_selective(rho, [marked], [theta])
+        rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta])
+        rho = np.ascontiguousarray(rho.real)
     elif aux_mode == "explicit-uf":
         rho = _apply_explicit_oracle(_with_aux(initial_state(n, epsilons, "y")), marked, theta)
-        rho = np.einsum("iaja->ij", rho)  # trace out the auxiliary pair
+        rho = np.einsum("iaja->ij", rho.real)  # a new array: trace out the auxiliary pair
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
     pulse = product_rotation(n, "y", np.pi / 2)
-    populations = np.einsum("ij,ij->i", pulse @ rho, pulse.conj()).real
+    if pulse.imag.any():
+        raise ValueError("the pi/2 y pulse has an imaginary part: the real readout needs a real pulse")
+    pulse = np.ascontiguousarray(pulse.real)
+    populations = np.einsum("ij,ij->i", pulse @ rho, pulse)
 
     dim = 2**n
     coeffs = iz_diagonals(n) @ populations / (dim / 4)
@@ -200,7 +209,9 @@ def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -
     with no gathered copy.  The search's only step on the auxiliary pair:
     the pair is traced out next, exact for any aux content as
     Tr_aux[(u x I) rho (u x I)^+] = u Tr_aux[rho] u^+ and the z readout
-    reads only aux-diagonal entries.
+    reads only aux-diagonal entries.  The trace takes the real part of
+    the returned state alone: the partial trace is linear, so it commutes
+    with Re, and the readout after the real pulse reads Re rho only.
     """
     flat = rho.reshape(4 * len(rho), -1)  # a view: the 2-D full-space matrix
     p = uf_permutation(marked)
@@ -256,14 +267,13 @@ def x_basis_state(marked: MarkedState) -> np.ndarray:
     """|x_s> = exp(-i pi/2 Fy)|s>, the real unit vector with D_s^x = |x_s><x_s|.
 
     A Kronecker product of one column of the single-qubit rotation
-    exp(-i pi/2 I_y) per qubit, so no 2^n eigendecomposition is needed.
+    exp(-i pi/2 I_y) per qubit, so no 2^n eigendecomposition is needed:
+    one kron_all fold over the columns as 1 x 2 rows.  Their entries are
+    real, so the fold's imaginary part is exactly zero.
     """
     r = math.sqrt(0.5)
-    ry_columns = {1: np.array([r, r]), -1: np.array([-r, r])}
-    out = np.ones(1)
-    for a in marked.signs:
-        out = np.kron(out, ry_columns[a])
-    return out
+    ry_columns = {1: [[r, r]], -1: [[-r, r]]}
+    return np.ascontiguousarray(kron_all(ry_columns[a] for a in marked.signs)[0].real)
 
 
 def grover_propagator(marked: MarkedState, m: int) -> np.ndarray:

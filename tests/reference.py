@@ -52,7 +52,7 @@ from spinsearch.oracle import (
 from spinsearch.sequences import (
     conjugate_multi_selective, extract_alpha_from_matrix, grover_basis, grover_conjugate,
     grover_core, grover_propagator, initial_state, measured_conversion_coefficients,
-    projector_x_basis, sign_flip_frame, simple_search,
+    projector_x_basis, sign_flip_frame, simple_search, x_basis_state,
 )
 from spinsearch.spectroscopy import (
     PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
@@ -301,7 +301,7 @@ def dense_search_signal(marked, epsilons, theta, aux_mode):
     )
 
 
-def search_row(aux_mode, forbidden, guard=None):
+def search_row(aux_mode, forbidden, n_max, guard=None):
     def cases(n):
         rng = np.random.default_rng(1000 * n + len(aux_mode))
         for _ in range(3):
@@ -316,7 +316,7 @@ def search_row(aux_mode, forbidden, guard=None):
     def reference(marked, eps, theta):
         return dense_search_signal(marked, eps, theta, aux_mode), marked.s
 
-    params = {f"{n}-{aux_mode}": n for n in range(1, 7)}
+    params = {f"{n}-{aux_mode}": n for n in range(1, n_max + 1)}
     return Row(fast, reference, forbidden + DIAGONALIZERS, cases, 1e-12, params, guard)
 
 
@@ -340,6 +340,16 @@ def dense_sign_flip_frame(marked):
     for k in range(1, n + 1):
         w = w @ expm_unitary(marked.signs[k - 1] * spin_op(n, k, "x"), -np.pi / 2)
     return w
+
+
+def kron_fold_x_basis_state(marked):
+    """Reference: |x_s> as a left fold of np.kron over the real columns of exp(-i pi/2 I_y)."""
+    r = np.sqrt(0.5)
+    columns = {1: np.array([r, r]), -1: np.array([-r, r])}
+    out = np.ones(1)
+    for a in marked.signs:
+        out = np.kron(out, columns[a])
+    return out
 
 
 def dense_grover_step(marked):
@@ -715,11 +725,15 @@ TABLE: dict[str, Row] = {
         conjugation_cases, 1e-12,
     ),
     "simple_search-selective-cs": search_row(
-        "selective-cs", ("oracle_uo", "oracle_uf", "selective_phase", "diag_projector")
+        "selective-cs", ("oracle_uo", "oracle_uf", "selective_phase", "diag_projector"), 8
     ),
     "simple_search-explicit-uf": search_row(
-        "explicit-uf", ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"),
+        "explicit-uf", ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"), 6,
         explicit_search_n8,
+    ),
+    "x_basis_state": Row(
+        x_basis_state, kron_fold_x_basis_state, ("numpy.kron",),
+        lambda n: [(MarkedState(s=s, n=n),) for s in range(2**n)], 0, {str(n): n for n in range(1, 9)},
     ),
     "projector_x_basis": Row(  # with sign_flip_frame
         lambda marked: (projector_x_basis(marked), sign_flip_frame(marked)),

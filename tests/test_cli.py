@@ -466,13 +466,28 @@ def test_cross_peak_demo_runs_one_phase_cycle(tmp_path, monkeypatch):
     assert len(calls["phase_cycle_project"]) == 1
 
 
-def test_cli_import_does_not_load_scipy():
+LAZY_MODULES = ("scipy", "numpy.random", "numpy.fft")
+
+
+def loaded_after(statements: str) -> list[str]:
+    """The LAZY_MODULES that a fresh interpreter has loaded after running statements."""
     src_dir = str(Path(spinsearch.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    probe = "import sys, spinsearch.cli; print('scipy' in sys.modules)"
+    probe = f"import sys\n{statements}\nprint(*[m for m in {LAZY_MODULES!r} if m in sys.modules])"
     res = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert res.stdout.strip() == "False"
+    return res.stdout.split()
+
+
+def test_cli_import_does_not_load_scipy():
+    # nor numpy.random or numpy.fft, which would load inside every run's setup
+    assert loaded_after("import spinsearch.cli") == []
+
+
+def test_su2_zx_compose_bench_draws_nothing(tmp_path):
+    # the shipped config's operators are fixed: its timed run does not load numpy.random
+    argv = ["compose-bench", "--config", str(CONFIG_DIR / "compose_bench.json"), "--out", str(tmp_path)]
+    assert loaded_after(f"from spinsearch.cli import main\nassert main({argv!r}) == 0") == []
 

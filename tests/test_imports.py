@@ -80,6 +80,7 @@ def test_every_member_has_a_caller_in_the_package():
 # patches that substitute a function rather than count or forbid its calls
 SUBSTITUTIONS = {
     ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
+    ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
 }
 
 

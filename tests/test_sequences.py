@@ -156,11 +156,23 @@ class TestSimpleSearch:
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
 
     def test_selective_search_at_n8_peak_memory(self):
-        # four 256-dim complex matrices (state, pulse, its conjugate, the
-        # pulsed product) and half of one: no second pulsed product
-        bound = 4.5 * 256**2 * np.dtype(complex).itemsize
+        # two 256-dim complex matrices (the state and the pulse) and two
+        # real ones (their real parts): the pulsed product is real too
+        # (measured 2.01 MiB; 4.01 MiB with the complex readout)
+        bound = (2 * np.dtype(complex).itemsize + 2 * np.dtype(float).itemsize) * 256**2
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="selective-cs")
+
+    @pytest.mark.parametrize("aux_mode", ["selective-cs", "explicit-uf"])
+    def test_a_pulse_with_an_imaginary_part_is_refused(self, monkeypatch, aux_mode):
+        # a global phase leaves diag(P rho P^+) as it is, but not the real
+        # readout, which takes Re P: the pulse is checked real, not assumed
+        real_pulse = sequences.product_rotation
+        monkeypatch.setattr(
+            sequences, "product_rotation", lambda *args: np.exp(0.3j) * real_pulse(*args)
+        )
+        with pytest.raises(ValueError, match="imaginary part"):
+            simple_search(MarkedState(s=5, n=3), np.ones(3), aux_mode=aux_mode)
 
 
 def trace_out_aux(rho, n):
@@ -250,6 +262,8 @@ class TestGroverPropagator:
                 xs = x_basis_state(m)
                 assert xs.dtype == float and abs(xs @ xs - 1) <= 1e-15
                 assert maxabs(np.outer(xs, xs) - projector_x_basis(m)) <= 1e-14
+
+    test_x_basis_state_bit_identical_to_kron_fold = agreement("x_basis_state")
 
     test_product_pulse_frames_match_eigh_built = agreement("projector_x_basis")
 
