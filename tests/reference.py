@@ -17,7 +17,9 @@ a case generator and a tolerance.  Two tests run over the table:
 A forbidden name is a function name bound in spinsearch modules, or a
 dotted numpy path such as "numpy.linalg.eigh"; one that resolves nowhere
 fails the test instead of leaving it vacuous.  A new fast path adds a row
-here, not a private helper in its test module.
+here, not a private helper in its test module.  run_cli, the in-process
+CLI call the tests share, lives here too, so this module imports nothing
+from conftest.py.
 
 Every test that counts or forbids calls uses patch_counted or patch_forbidden,
 which resolve names this way and patch every binding: a module that imports
@@ -28,6 +30,7 @@ module alone misses.  tests/test_imports.py fails on a hand-made patch.
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -50,16 +53,41 @@ from spinsearch.oracle import (
     uf_permutation,
 )
 from spinsearch.sequences import (
-    conjugate_multi_selective, extract_alpha_from_matrix, grover_basis, grover_conjugate,
-    grover_core, grover_propagator, initial_state, measured_conversion_coefficients,
-    projector_x_basis, sign_flip_frame, simple_search, x_basis_state,
+    _apply_explicit_oracle, _with_aux, conjugate_multi_selective, extract_alpha_from_matrix,
+    grover_basis, grover_conjugate, grover_core, grover_propagator, initial_state,
+    measured_conversion_coefficients, projector_x_basis, sign_flip_frame, simple_search,
+    x_basis_state,
 )
 from spinsearch.spectroscopy import (
     PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
     run_pipeline, transfer_pair,
 )
 
-import conftest  # run_cli; conftest imports this module, so its names are read at call time
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and +-Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def run_cli(tmp_path, command, cfg=None, subdir="out"):
+    """cli.main on cfg (written to a file) with --out tmp_path/subdir:
+    (exit code, output directory, the parsed report.json or None)."""
+    out = tmp_path / subdir
+    args = [command, "--out", str(out)]
+    if cfg is not None:
+        cfg_path = tmp_path / f"{subdir}_cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args += ["--config", str(cfg_path)]
+    code = cli.main(args)
+    report = None
+    if (out / "report.json").is_file():
+        report = strict_json((out / "report.json").read_text())
+    return code, out, report
+
 
 FIXTURE_SEED = 20240817  # the `rng` fixture's seed, for cases first drawn from it
 
@@ -301,14 +329,17 @@ def dense_search_signal(marked, epsilons, theta, aux_mode):
     )
 
 
-def search_row(aux_mode, forbidden, n_max, guard=None):
-    def cases(n):
-        rng = np.random.default_rng(1000 * n + len(aux_mode))
-        for _ in range(3):
-            marked = MarkedState(s=int(rng.integers(2**n)), n=n)
-            theta = float(rng.choice([-1, 1]) * rng.uniform(0.3, np.pi - 0.3))
-            yield marked, rng.uniform(0.5, 1.5, size=n) * rng.choice([-1, 1], size=n), theta
+def search_cases(n, aux_mode):
+    """(marked, epsilons, theta) cases at n: signed polarizations, and
+    oracle phases away from 0 and pi."""
+    rng = np.random.default_rng(1000 * n + len(aux_mode))
+    for _ in range(3):
+        marked = MarkedState(s=int(rng.integers(2**n)), n=n)
+        theta = float(rng.choice([-1, 1]) * rng.uniform(0.3, np.pi - 0.3))
+        yield marked, rng.uniform(0.5, 1.5, size=n) * rng.choice([-1, 1], size=n), theta
 
+
+def search_row(aux_mode, forbidden, n_max, guard=None):
     def fast(marked, eps, theta):
         res = simple_search(marked, eps, theta, aux_mode)
         return res.per_qubit_signal, res.recovered_s
@@ -317,7 +348,25 @@ def search_row(aux_mode, forbidden, n_max, guard=None):
         return dense_search_signal(marked, eps, theta, aux_mode), marked.s
 
     params = {f"{n}-{aux_mode}": n for n in range(1, n_max + 1)}
-    return Row(fast, reference, forbidden + DIAGONALIZERS, cases, 1e-12, params, guard)
+    return Row(
+        fast, reference, forbidden + DIAGONALIZERS, lambda n: search_cases(n, aux_mode), 1e-12, params,
+        guard,
+    )
+
+
+def explicit_oracle_state(marked, epsilons, theta):
+    """The real full-space array the explicit search carries out of the
+    oracle, as a 2-D matrix."""
+    full = _apply_explicit_oracle(_with_aux(initial_state(marked.n, epsilons, "y")), marked, theta)
+    return full.reshape(4 * len(full), -1)
+
+
+def dense_explicit_oracle_state(marked, epsilons, theta):
+    """Reference: Re[U_o rho U_o^dagger] with the dense U_o = U_f V_S U_f
+    and rho the complex work state times the auxiliary state."""
+    u = oracle_uo(marked, theta)
+    rho = np.kron(initial_state(marked.n, epsilons, "y"), aux_pure_state())
+    return (u @ rho @ u.conj().T).real
 
 
 def explicit_search_n8():
@@ -517,7 +566,7 @@ N8_SPECTRUM = {
 def spectrum_command(cfg: dict) -> np.ndarray:
     """The t1 series the whole `spectrum` command writes for cfg."""
     with tempfile.TemporaryDirectory() as tmp:
-        code, out, _ = conftest.run_cli(Path(tmp), "spectrum", cfg)
+        code, out, _ = run_cli(Path(tmp), "spectrum", cfg)
         assert code == 0
         rows = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
     return rows[:, 1] + 1j * rows[:, 2]
@@ -730,6 +779,11 @@ TABLE: dict[str, Row] = {
     "simple_search-explicit-uf": search_row(
         "explicit-uf", ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"), 6,
         explicit_search_n8,
+    ),
+    "explicit_oracle": Row(
+        explicit_oracle_state, dense_explicit_oracle_state,
+        ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"),
+        lambda n: search_cases(n, "explicit-uf"), 1e-12, {f"n{n}": n for n in range(1, 5)},
     ),
     "x_basis_state": Row(
         x_basis_state, kron_fold_x_basis_state, ("numpy.kron",),

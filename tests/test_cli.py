@@ -16,8 +16,8 @@ from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_propagator
 from spinsearch.spectroscopy import run_pipeline
 
-from conftest import assert_peak_at_most, maxabs, run_cli
-from reference import DIAGONALIZERS, N8_SPECTRUM, agreement, patch_counted
+from conftest import assert_peak_at_most, maxabs
+from reference import DIAGONALIZERS, N8_SPECTRUM, agreement, patch_counted, run_cli, spectrum_command
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -232,6 +232,26 @@ class TestSpectrumCommand:
             assert p["order"] is not None
         # mirror-image reconversion with matching axes is inphase by construction
         assert report["payload"]["inphase"]["holds"] is True
+
+    def test_z_excitation_and_z_detection_carry_no_s(self):
+        # U_s = Z_s U_0 Z_s for the diagonal +-1 sign frame Z_s, which
+        # commutes with rho0, F_z and the labeling: every s gives one series
+        cfg = {
+            "preset": "grover-excitation",
+            "n": 3,
+            "iterations": 2,
+            "epsilons": [0.7, 1.3, 0.9],
+            "p_axis": "z",
+            "detect_axis": "z",
+            "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ},
+            "t1": {"dt": 1 / 256, "points": 256},
+        }
+        first, *rest = [spectrum_command(dict(cfg, s=s)) for s in (0, 3, 5, 7)]
+        assert maxabs(first) > 0.1
+        for series in rest:
+            assert maxabs(series - first) <= 1e-14
+        x_series = [spectrum_command(dict(cfg, s=s, p_axis="x")) for s in (0, 3)]
+        assert maxabs(x_series[1] - x_series[0]) > 0.1  # x excitation does carry s
 
     def test_cross_peak_demo_combination_lines(self, tmp_path):
         code, _, report = run_cli(tmp_path, "spectrum", {"preset": "cross-peak-demo"})

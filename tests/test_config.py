@@ -36,7 +36,7 @@ from spinsearch.config import (
 )
 from spinsearch.selftest import InvariantResult
 
-from conftest import run_cli
+from reference import run_cli
 
 UNIFORM_H = {"kind": "uniform-fz", "omega": 2 * math.pi * 10}
 GROVER = {

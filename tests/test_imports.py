@@ -5,10 +5,14 @@ every function or method the package defines is read by other package
 code, apart from the paper entry points still waiting for a registry
 group or a move into tests/.  No test module patches a package module or
 numpy.linalg by hand: counting and forbidding go through reference.py's
-helpers, which patch every binding of a name.
+helpers, which patch every binding of a name.  The test helpers import
+in either order: reference.py does not import conftest.py.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,16 @@ def imported_names(tree: ast.Module) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
     return names
+
+
+def test_reference_imports_first_in_a_fresh_interpreter():
+    tests = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import reference, conftest"],
+        cwd=tests, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_sources_found():
@@ -81,6 +95,9 @@ def test_every_member_has_a_caller_in_the_package():
 SUBSTITUTIONS = {
     ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
     ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
+    ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
+    ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",
+    ("test_scripts.py", "readout_with_extras"): "a readout off its prediction, which the demo must refuse",
 }
 
 

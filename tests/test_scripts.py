@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -36,3 +38,11 @@ def test_signal_enhancement_demo(capsys):
     assert "n=3, marked s=5, signs [-1  1 -1]" in out
     for label in ("r=4: agrees", "r=4 and r=7", "r=2 (complement of s)", "r=0..3: crowd"):
         assert label in out
+
+
+def test_signal_enhancement_demo_asserts_the_prediction(monkeypatch):
+    demo = load("signal_enhancement_demo")
+    readout = demo.readout_with_extras
+    monkeypatch.setattr(demo, "readout_with_extras", lambda extras: readout(extras) + 1e-11 * len(extras))
+    with pytest.raises(AssertionError, match="r=4: agrees.*miss the sum-vector prediction by 1.00e-11"):
+        demo.main()

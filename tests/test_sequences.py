@@ -130,6 +130,8 @@ class TestSimpleSearch:
             simple_search(MarkedState(s=1, n=2), [1.0, 0.0])
 
     test_matches_dense_reference = agreement("simple_search-selective-cs", "simple_search-explicit-uf")
+    # the whole real array out of the explicit oracle, zero blocks included
+    test_explicit_oracle_state = agreement("explicit_oracle")
 
     def test_explicit_oracle_at_n8_gives_the_closed_form_signal(self):
         # the cases of the simple_search-explicit-uf row's independence guard
@@ -149,9 +151,11 @@ class TestSimpleSearch:
             assert res.recovered_s == marked.s
 
     def test_explicit_oracle_at_n8_peak_memory(self):
-        # one full work + auxiliary state and two 256-dim complex matrices:
-        # no full-space pulse, no second copy of the state, no gathered slab
-        bound = (1024**2 + 2 * 256**2) * np.dtype(complex).itemsize
+        # one real full work + auxiliary state and two 256-dim complex
+        # matrices: no complex full state, no full-space pulse, no second
+        # copy of the state, no gathered slab (measured 9.07 MiB; 17.13 MiB
+        # with the complex full state)
+        bound = 1024**2 * np.dtype(float).itemsize + 2 * 256**2 * np.dtype(complex).itemsize
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
 
@@ -173,6 +177,23 @@ class TestSimpleSearch:
         )
         with pytest.raises(ValueError, match="imaginary part"):
             simple_search(MarkedState(s=5, n=3), np.ones(3), aux_mode=aux_mode)
+
+    def test_explicit_oracle_refuses_a_work_state_with_a_real_part(self, monkeypatch):
+        # the real full state holds Im rho: a real part would be dropped, so
+        # the imaginary work state is checked, not assumed
+        y_state = sequences.initial_state
+        monkeypatch.setattr(
+            sequences, "initial_state", lambda *args: y_state(*args) + 0.1 * np.eye(8)
+        )
+        simple_search(MarkedState(s=5, n=3), np.ones(3), aux_mode="selective-cs")
+        with pytest.raises(ValueError, match="work state has a real part"):
+            simple_search(MarkedState(s=5, n=3), np.ones(3), aux_mode="explicit-uf")
+
+    def test_explicit_oracle_refuses_an_auxiliary_state_with_an_imaginary_part(self, monkeypatch):
+        real_aux = sequences.aux_pure_state
+        monkeypatch.setattr(sequences, "aux_pure_state", lambda: np.exp(0.3j) * real_aux())
+        with pytest.raises(ValueError, match="auxiliary state has an imaginary part"):
+            simple_search(MarkedState(s=5, n=3), np.ones(3), aux_mode="explicit-uf")
 
 
 def trace_out_aux(rho, n):
