@@ -8,15 +8,15 @@ a marked-state zero-quantum term with a stronger oracle-independent term
 on subsystem A; this script sweeps that dominance factor and reports the
 cross-peak amplitudes relative to the 0 Hz line.  Only ratios are
 reported; whether a given ratio is "strong enough" is left to the reader.
-The transfer pair comes from `spinsearch.cli.spectrum_transfer`, as in the
-`spectrum` command: this preset forms its U and V as dense matrices.
+The transfer pair comes from `spinsearch.spectroscopy.spectrum_transfer`,
+as in the `spectrum` command: this preset forms its U and V as dense
+matrices.
 """
 
 import numpy as np
 
-from spinsearch.cli import spectrum_transfer
 from spinsearch.config import SpectrumConfig, parse
-from spinsearch.spectroscopy import run_pipeline, spectrum
+from spinsearch.spectroscopy import run_pipeline, spectrum, spectrum_transfer
 
 
 def peak_table(dominance):

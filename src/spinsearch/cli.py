@@ -40,34 +40,18 @@ from .config import (
     SpectrumConfig,
     parse,
 )
-from .linalg import (
-    BranchCutError,
-    expm_unitary,
-    product_rotation,
-    random_hermitian,
-    spin_op,
-    total_op,
-)
-from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
-from .selftest import run_selftest, tolerance_scale
+from .linalg import BranchCutError, random_hermitian, spin_op
+from .oracle import UF_CALLS_PER_UO
+from .selftest import run_selftest
 from .sequences import (
     AmbiguousReadoutError,
     conversion_coefficient,
     gamma1_first_peak,
     grover_coefficients,
-    grover_conjugate,
     measured_conversion_coefficients,
-    projector_x_basis,
     simple_search,
 )
-from .spectroscopy import (
-    NyquistError,
-    cross_zq_hamiltonian,
-    inphase_check,
-    run_pipeline,
-    spectrum,
-    transfer_pair,
-)
+from .spectroscopy import NyquistError, inphase_check, run_pipeline, spectrum, spectrum_transfer
 
 
 def write_csv(path: Path, columns: dict):
@@ -177,39 +161,6 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     }
 
 
-def spectrum_transfer(cfg: SpectrumConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The preset's transfer pair P = U rho0 U+ and Q = V+ F_q V, the
-    inphase check's U F_p U+, and the oracle calls they consume.
-
-    identity has U = V = I, so these are rho0, F_q and F_p as they are.
-    grover-excitation has V = U+ and conjugates each distinct operator by
-    grover_conjugate, without forming U.  cross-peak-demo forms U and V for a
-    fixed 2+2 split, A labeled at 100 Hz and B at 60 Hz: the zero-quantum part
-    of a marked-state operator function plus a dominant oracle-independent
-    term on A excites, so every nonzero zero-quantum line sits at k x 40 Hz.
-    """
-    if cfg.preset == "cross-peak-demo":
-        ry_a = product_rotation(cfg.n, "y", [np.pi / 2, np.pi / 2, 0.0, 0.0])
-        dr_a = np.kron(diag_projector(MarkedState(s=0, n=2)), np.eye(4))
-        f_r = cfg.dominance * (ry_a @ dr_a @ ry_a.conj().T)
-        h_zq = cross_zq_hamiltonian(projector_x_basis(cfg.marked), f_r, cfg.N1)
-        u = expm_unitary(h_zq, cfg.tau_u)
-        ry = product_rotation(cfg.n, "y", np.pi / 2)
-        v = expm_unitary(ry @ h_zq @ ry.conj().T, cfg.tau_v)
-        p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
-        calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
-        return p, q, u @ total_op(cfg.n, cfg.p_axis) @ u.conj().T, calls
-    identity = cfg.preset == "identity"
-
-    def conjugate(x):
-        return x if identity else grover_conjugate(cfg.marked, cfg.iterations, x)
-
-    q = conjugate(total_op(cfg.n, cfg.pipe.detect_axis))
-    p_inphase = q if cfg.p_axis == cfg.pipe.detect_axis else conjugate(total_op(cfg.n, cfg.p_axis))
-    calls = 0 if identity else 2 * UF_CALLS_PER_UO * cfg.iterations
-    return conjugate(cfg.rho0), q, p_inphase, calls
-
-
 def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     p, q, p_inphase, calls = spectrum_transfer(cfg)
     pipe, label_omega = cfg.pipe, cfg.label_omega
@@ -218,20 +169,15 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     times = np.arange(pipe.n_points) * pipe.dt
     write_csv(out / "timeseries.csv", {"t1": times, "re": series.real, "im": series.imag})
     spec = spectrum(series, pipe.dt, label_omega=label_omega)
-    order = np.argsort(spec.frequencies)
-    freqs, amps = spec.frequencies[order], spec.amplitudes[order]
+    by_freq = np.argsort(spec.frequencies)
+    freqs, amps = spec.frequencies[by_freq], spec.amplitudes[by_freq]
     write_csv(
         out / "spectrum.csv",
         {
             "frequency_rad_s": freqs,
             "re": amps.real,
             "im": amps.imag,
-            # Python ints: an order past 2**63 (omega near VALUE_MIN) stays exact
-            "order": (
-                [int(round(f / label_omega)) for f in freqs.tolist()]
-                if label_omega
-                else [""] * len(freqs)
-            ),
+            "order": [""] * len(freqs) if spec.orders is None else [spec.orders[k] for k in by_freq],
         },
     )
     peaks = [
@@ -335,7 +281,6 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
             ],
             "n_groups": len(results),
             "failing": [r.name for r in results if not r.passed],
-            "tolerance_scale": tolerance_scale(),
         },
         "oracle_calls": 0,
         "max_residual": max(r.residual for r in results),
@@ -366,8 +311,8 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path!r} not found")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, undecodable or too deep
+        raise ConfigError(f"cannot read config {path!r} as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg

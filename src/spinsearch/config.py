@@ -27,7 +27,19 @@ from .composition import palindromic_weights
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
 from .sequences import initial_state
-from .spectroscopy import NyquistError, PipelineConfig, SpinHamiltonian
+from .spectroscopy import (
+    CROSS_PEAK_A,
+    CROSS_PEAK_B,
+    CROSS_PEAK_DT,
+    CROSS_PEAK_EPSILONS,
+    CROSS_PEAK_N,
+    CROSS_PEAK_OMEGA_A,
+    CROSS_PEAK_OMEGA_B,
+    CROSS_PEAK_POINTS,
+    NyquistError,
+    PipelineConfig,
+    SpinHamiltonian,
+)
 
 # Size bounds, checked before anything is allocated, with the peak RSS of
 # the largest accepted config at n = 8 (2 CPUs, numpy 2.4, OpenBLAS 0.3.31).
@@ -270,10 +282,6 @@ class T1Config:
     points: int = key(hi=T1_POINTS_MAX)
 
 
-CROSS_PEAK_N = 4
-CROSS_PEAK_OMEGA_A = 2 * np.pi * 100.0
-CROSS_PEAK_OMEGA_B = 2 * np.pi * 60.0
-
 _LABELED = {
     "n": REQUIRED,
     "epsilons": "uniform",
@@ -317,14 +325,14 @@ class SpectrumConfig:
     def __post_init__(self):
         _variant(self, f"preset {self.preset!r}", SPECTRUM_PRESETS[self.preset])
         if self.preset == "cross-peak-demo":
-            # the demo fixes everything but its own keys: 2+2 spins at 100 Hz and 60 Hz
+            # the demo fixes everything but its own keys (spectroscopy.CROSS_PEAK_*)
             require_order_separation(CROSS_PEAK_N, self.N1)
             omega = CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B
             _set(self, n=CROSS_PEAK_N, p_axis="z", phi=0.0, label_omega=omega)
-            offsets = [CROSS_PEAK_OMEGA_A] * 2 + [CROSS_PEAK_OMEGA_B] * 2
+            offsets = [CROSS_PEAK_OMEGA_A] * CROSS_PEAK_A + [CROSS_PEAK_OMEGA_B] * CROSS_PEAK_B
             h_evol = SpinHamiltonian.weak_coupling(CROSS_PEAK_N, offsets)
-            eps = np.array([1.0, 0.8, 1.2, 0.9])
-            pipe = PipelineConfig(h_evol, dt=1.0 / 1024, n_points=512)
+            eps = np.array(CROSS_PEAK_EPSILONS)
+            pipe = PipelineConfig(h_evol, dt=CROSS_PEAK_DT, n_points=CROSS_PEAK_POINTS)
         else:
             h_evol = self.hamiltonian.build(self.n)
             _set(self, label_omega=self.hamiltonian.omega)

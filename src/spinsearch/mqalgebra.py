@@ -1,10 +1,12 @@
 """Coherence-order grading and multiple-quantum operator machinery.
 
 A matrix element <j|A|k> has coherence order m = M_j - M_k, where M is the
-collective z quantum number of the basis state.  Grading an operator by m
-is the bookkeeping behind gradient crushing (keep m = 0), zero-quantum
-dephasing (keep the diagonal), phase-cycling order selection, and the
-construction of multiple-quantum generators from diagonal projectors.
+collective z quantum number of the basis state: a difference of
+half-integers, so every order is an exact integer, compared with == or %.
+Grading an operator by m is the bookkeeping behind gradient crushing (keep
+m = 0), zero-quantum dephasing (keep the diagonal), phase-cycling order
+selection, and the construction of multiple-quantum generators from
+diagonal projectors.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ class AliasingError(ValueError):
 
 
 def order_matrix(n: int) -> np.ndarray:
-    """order_matrix[j, k] = M_j - M_k, the coherence order of element (j, k)."""
+    """order_matrix[j, k] = M_j - M_k, the integer coherence order of element (j, k)."""
     m = magnetic_quantum_numbers(n)
-    return m[:, None] - m[None, :]
+    return (m[:, None] - m[None, :]).astype(int)  # exact: a difference of half-integers
 
 
 def decompose_orders(a: np.ndarray) -> dict[int, np.ndarray]:
@@ -37,13 +39,12 @@ def decompose_orders(a: np.ndarray) -> dict[int, np.ndarray]:
     order m = -n..n; the components sum to the operator."""
     n = n_qubits(a)
     om = order_matrix(n)
-    return {m: np.where(np.abs(om - m) < 0.5, a, 0.0) for m in range(-n, n + 1)}
+    return {m: np.where(om == m, a, 0.0) for m in range(-n, n + 1)}
 
 
 def order_component(a: np.ndarray, m: int) -> np.ndarray:
     """Order-m component of an operator."""
-    mask = np.abs(order_matrix(n_qubits(a)) - m) < 0.5
-    return np.where(mask, a, 0.0)
+    return np.where(order_matrix(n_qubits(a)) == m, a, 0.0)
 
 
 @dataclass

@@ -8,8 +8,11 @@ component, Fourier transform over t1.  The signal is
                                                    Q = V+ F_q V.
 
 Excitation and reconversion enter only through the transfer pair (P, Q),
-formed once (`transfer_pair` from dense U and V; sequences.grover_conjugate
-in place, without U); every stage below takes that same pair.
+formed once per preset by `spectrum_transfer` (`transfer_pair` from dense U
+and V; sequences.grover_conjugate in place, without U); every stage below
+takes that same pair.  Coherence orders are exact integers: a matrix
+element's order comes from mqalgebra.order_matrix, and a spectral line's
+from the one rule in `_pick_peaks`, which the Spectrum carries per bin.
 H is diagonal in the product basis and stored as its real diagonal w, so
 t1 evolution is the phase vector exp(-i w t1) and no diagonalization runs.
 Every spectral line sits at a transition frequency w_j - w_k with complex
@@ -32,12 +35,26 @@ from .linalg import (
     iz_diagonals,
     magnetic_quantum_numbers,
     n_qubits,
+    product_rotation,
     qubit_weights,
     total_op,
 )
 from .mqalgebra import order_matrix, phase_cycle_project
+from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
+from .sequences import grover_conjugate, projector_x_basis
 
 PEAK_REL_THRESHOLD = 1e-6
+
+# The cross-peak demo, whose config keys leave these fixed: spins
+# 1..CROSS_PEAK_A form subsystem A and the next CROSS_PEAK_B form B, each
+# labeled at its own offset.
+CROSS_PEAK_A, CROSS_PEAK_B = 2, 2
+CROSS_PEAK_N = CROSS_PEAK_A + CROSS_PEAK_B
+CROSS_PEAK_OMEGA_A = 2 * np.pi * 100.0
+CROSS_PEAK_OMEGA_B = 2 * np.pi * 60.0
+CROSS_PEAK_EPSILONS = (1.0, 0.8, 1.2, 0.9)
+CROSS_PEAK_DT = 1.0 / 1024
+CROSS_PEAK_POINTS = 512
 
 
 class NyquistError(ValueError):
@@ -115,6 +132,41 @@ def transfer_pair(
     return u @ rho0 @ u.conj().T, v.conj().T @ f_q @ v
 
 
+def spectrum_transfer(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The preset's transfer pair P = U rho0 U+ and Q = V+ F_q V, the
+    inphase check's U F_p U+, and the oracle calls they consume, for a
+    parsed config.SpectrumConfig.
+
+    identity has U = V = I, so these are rho0, F_q and F_p as they are.
+    grover-excitation has V = U+ and conjugates each distinct operator by
+    grover_conjugate, without forming U.  cross-peak-demo forms U and V for
+    the A + B split: the zero-quantum part of a marked-state operator
+    function plus a dominant oracle-independent term on A excites, so every
+    nonzero zero-quantum line sits at a multiple of the A - B difference.
+    """
+    n = cfg.n
+    if cfg.preset == "cross-peak-demo":
+        ry_a = product_rotation(n, "y", [np.pi / 2] * CROSS_PEAK_A + [0.0] * CROSS_PEAK_B)
+        dr_a = np.kron(diag_projector(MarkedState(s=0, n=CROSS_PEAK_A)), np.eye(2**CROSS_PEAK_B))
+        f_r = cfg.dominance * (ry_a @ dr_a @ ry_a.conj().T)
+        h_zq = cross_zq_hamiltonian(projector_x_basis(cfg.marked), f_r, cfg.N1)
+        u = expm_unitary(h_zq, cfg.tau_u)
+        ry = product_rotation(n, "y", np.pi / 2)
+        v = expm_unitary(ry @ h_zq @ ry.conj().T, cfg.tau_v)
+        p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
+        calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
+        return p, q, u @ total_op(n, cfg.p_axis) @ u.conj().T, calls
+    identity = cfg.preset == "identity"
+
+    def conjugate(x):
+        return x if identity else grover_conjugate(cfg.marked, cfg.iterations, x)
+
+    q = conjugate(total_op(n, cfg.pipe.detect_axis))
+    p_inphase = q if cfg.p_axis == cfg.pipe.detect_axis else conjugate(total_op(n, cfg.p_axis))
+    calls = 0 if identity else 2 * UF_CALLS_PER_UO * cfg.iterations
+    return conjugate(cfg.rho0), q, p_inphase, calls
+
+
 def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Complex signal s(t1) of the transfer pair on the grid, evaluated in
     the product basis, one term per pair of distinct frequencies.
@@ -178,10 +230,12 @@ class Peak:
 
 @dataclass
 class Spectrum:
-    """Discrete spectrum with a picked peak table."""
+    """Discrete spectrum with the order of each bin (None without a label
+    frequency) and a picked peak table."""
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
+    orders: list[int] | None = None
     peaks: list[Peak] = field(default_factory=list)
 
     def parseval_defect(self, series: np.ndarray) -> float:
@@ -200,32 +254,32 @@ def spectrum(
 
     The transform is normalized so a unit tone exp(-i w t) gives a peak of
     amplitude 1 at +w.  No apodization or zero filling.  When label_omega
-    is given, peak orders are assigned as round(frequency / label_omega).
+    is given, each bin's order is round(frequency / label_omega).
     """
     m = len(series)
     if m < 2 or m & (m - 1):
         raise ValueError("series length must be a power of two")
     amps = np.fft.ifft(series)
     freqs = 2 * np.pi * np.fft.fftfreq(m, d=dt)
-    peaks = _pick_peaks(amps, freqs, label_omega, rel_threshold)
-    return Spectrum(frequencies=freqs, amplitudes=amps, peaks=peaks)
+    return _pick_peaks(amps, freqs, label_omega, rel_threshold)
 
 
-def _pick_peaks(amps, freqs, label_omega, rel_threshold) -> list[Peak]:
-    """Local maxima of |amps| (>= both cyclic neighbours, so every bin of a
+def _pick_peaks(amps, freqs, label_omega, rel_threshold) -> Spectrum:
+    """The Spectrum of amps at freqs: each bin's order, and as peaks the
+    local maxima of |amps| (>= both cyclic neighbours, so every bin of a
     plateau) above rel_threshold times the largest, by frequency."""
+    # round of a Python float: an order past 2**63 (omega near VALUE_MIN) stays exact
+    orders = [int(round(f / label_omega)) for f in freqs.tolist()] if label_omega else None
     mags = np.abs(amps)
     picked = mags > rel_threshold * mags.max()
     picked &= mags >= np.roll(mags, 1)
     picked &= mags >= np.roll(mags, -1)
-    peaks = []
-    for k in np.flatnonzero(picked).tolist():
-        f = float(freqs[k])
-        # round of a Python float: an order past 2**63 stays exact
-        order = int(round(f / label_omega)) if label_omega else None
-        peaks.append(Peak(frequency=f, amplitude=complex(amps[k]), order=order))
+    peaks = [
+        Peak(float(freqs[k]), complex(amps[k]), None if orders is None else orders[k])
+        for k in np.flatnonzero(picked).tolist()
+    ]
     peaks.sort(key=lambda p: p.frequency)
-    return peaks
+    return Spectrum(freqs, amps, orders, peaks)
 
 
 def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:
@@ -234,7 +288,7 @@ def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:
     Summing over all orders reproduces the t1 = 0 signal Tr(Q P).
     """
     n = n_qubits(p)
-    om = np.rint(order_matrix(n)).astype(int)
+    om = order_matrix(n)
     amps = q.conj() * p
     return {m: complex(amps[om == m].sum()) for m in range(-n, n + 1)}
 

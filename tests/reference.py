@@ -60,7 +60,7 @@ from spinsearch.sequences import (
 )
 from spinsearch.spectroscopy import (
     PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
-    run_pipeline, transfer_pair,
+    run_pipeline, spectrum_transfer, transfer_pair,
 )
 
 
@@ -583,24 +583,25 @@ def dense_spectrum_series(cfg: dict) -> np.ndarray:
 
 
 def loop_peaks(amps, freqs, label_omega, rel_threshold):
-    """Reference: peak picking bin by bin, each bin against its cyclic neighbours."""
+    """Reference: bin by bin, each bin's order, and the peaks picked
+    against their cyclic neighbours."""
     m = len(amps)
     mags = np.abs(amps)
     thr = rel_threshold * mags.max()
+    orders = [int(round(freqs[k] / label_omega)) for k in range(m)] if label_omega else None
     peaks = []
     for k in range(m):
         if mags[k] <= thr:
             continue
         if mags[k] >= mags[(k - 1) % m] and mags[k] >= mags[(k + 1) % m]:
-            order = int(round(freqs[k] / label_omega)) if label_omega else None
-            peaks.append((float(freqs[k]), complex(amps[k]), order))
+            peaks.append((float(freqs[k]), complex(amps[k]), None if orders is None else orders[k]))
     peaks.sort(key=lambda p: p[0])
-    return peaks
+    return peaks, orders
 
 
 def picked_peaks(amps, freqs, label_omega, rel_threshold):
-    peaks = _pick_peaks(amps, freqs, label_omega, rel_threshold)
-    return [(p.frequency, p.amplitude, p.order) for p in peaks]
+    spec = _pick_peaks(amps, freqs, label_omega, rel_threshold)
+    return [(p.frequency, p.amplitude, p.order) for p in spec.peaks], spec.orders
 
 
 def peak_cases(_):
@@ -642,7 +643,7 @@ def inphase_cases(_):
     yield *transfer_pair(u, u.conj().T @ expm_unitary(fz, -phi), fz), phi
     yield *transfer_pair(u, random_unitary(rng, 2**n), fz), phi
     grover = {**N8_SPECTRUM, "n": 4, "s": 9, "epsilons": "uniform"}
-    _, q, p_inphase, _ = cli.spectrum_transfer(parse(SpectrumConfig, grover))
+    _, q, p_inphase, _ = spectrum_transfer(parse(SpectrumConfig, grover))
     yield p_inphase, q, 0.0
 
 

@@ -4,7 +4,7 @@ Each test prints one line naming the criterion and the measured margin, so
 a full run doubles as a verification report.  Where a criterion is an
 invariant of the selftest registry, it runs that registry check with its
 own cases and asserts its own literal tolerance, independent of the
-selftest tolerances and of SPINSEARCH_TOL_SCALE.
+selftest tolerances.
 """
 
 import json

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli
+from spinsearch import cli, selftest
 from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_propagator
-from spinsearch.spectroscopy import run_pipeline
+from spinsearch.spectroscopy import run_pipeline, spectrum_transfer
 
 from conftest import assert_peak_at_most, maxabs
 from reference import DIAGONALIZERS, N8_SPECTRUM, agreement, patch_counted, run_cli, spectrum_command
@@ -319,8 +319,7 @@ class TestComposeBenchCommand:
 
 
 class TestSelftestCommand:
-    def test_fresh_build_passes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SPINSEARCH_TOL_SCALE", raising=False)
+    def test_fresh_build_passes(self, tmp_path):
         code, out, report = run_cli(tmp_path, "selftest")
         assert code == 0
         names = [name for name, _check, _tolerance in INVARIANT_GROUPS]
@@ -330,11 +329,13 @@ class TestSelftestCommand:
         assert [row.split(",")[0] for row in rows] == names
         assert report["payload"]["failing"] == []
 
-    def test_perturbed_tolerance_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPINSEARCH_TOL_SCALE", "1e-16")
+    def test_planted_failing_group_exits_1(self, tmp_path, monkeypatch, capsys):
+        planted = ("planted-residual-over-tolerance", lambda: 2e-12, 1e-12)
+        monkeypatch.setattr(selftest, "INVARIANT_GROUPS", INVARIANT_GROUPS + (planted,))
         code, _, report = run_cli(tmp_path, "selftest")
         assert code == 1
-        assert len(report["payload"]["failing"]) > 0
+        assert report["payload"]["failing"] == [planted[0]]
+        assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -444,7 +445,7 @@ def test_identity_transfer_is_rho0_and_f_q_as_they_are():
     for p_axis, detect_axis in (("x", "x"), ("z", "y")):
         cfg = transfer_cfg(preset="identity", s=None, iterations=None,
                            p_axis=p_axis, detect_axis=detect_axis)
-        p, q, p_inphase, calls = cli.spectrum_transfer(cfg)
+        p, q, p_inphase, calls = spectrum_transfer(cfg)
         assert np.array_equal(p, cfg.rho0) and np.array_equal(q, total_op(3, detect_axis))
         assert np.array_equal(p_inphase, total_op(3, p_axis)) and calls == 0
 
@@ -454,7 +455,7 @@ def test_identity_transfer_is_rho0_and_f_q_as_they_are():
 def test_grover_transfer_matches_dense_propagator(p_axis, detect_axis):
     cfg = transfer_cfg(iterations=3, p_axis=p_axis, detect_axis=detect_axis)
     u = grover_propagator(cfg.marked, 3)
-    p, q, p_inphase, calls = cli.spectrum_transfer(cfg)
+    p, q, p_inphase, calls = spectrum_transfer(cfg)
     assert maxabs(p - u @ cfg.rho0 @ u.conj().T) <= 1e-12
     assert maxabs(q - u @ total_op(3, detect_axis) @ u.conj().T) <= 1e-12
     assert maxabs(p_inphase - u @ total_op(3, p_axis) @ u.conj().T) <= 1e-12
@@ -466,7 +467,7 @@ def test_n8_grover_transfer_peak_memory():
     # complex temporary (measured 2.50 MiB; 7.0 MiB with a dense U)
     dim = 2**8
     bound = (2 * np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
-    assert_peak_at_most(bound, cli.spectrum_transfer, parse(SpectrumConfig, N8_SPECTRUM))
+    assert_peak_at_most(bound, spectrum_transfer, parse(SpectrumConfig, N8_SPECTRUM))
 
 
 def test_n8_spectrum_pipeline_peak_memory():
@@ -475,7 +476,7 @@ def test_n8_spectrum_pipeline_peak_memory():
     dim = 2**8
     bound = (np.dtype(complex).itemsize + 2.5 * np.dtype(float).itemsize) * dim**2
     cfg = parse(SpectrumConfig, N8_SPECTRUM)
-    p, q, _, _ = cli.spectrum_transfer(cfg)
+    p, q, _, _ = spectrum_transfer(cfg)
     assert_peak_at_most(bound, run_pipeline, p, q, cfg.pipe)
 
 

@@ -107,6 +107,25 @@ def test_bad_config_exits_2_before_numerics(tmp_path, capsys, no_numerics, name)
     assert_rejected(tmp_path, capsys, command, cfg)
 
 
+# files that fail before any schema check: undecodable, too deeply nested,
+# or holding an integer past Python's 4300-digit conversion limit
+UNREADABLE = {
+    "utf-16-bytes": b"\xff\xfe\x00{",
+    "nested-200000-deep": b"[" * 200_000 + b"]" * 200_000,
+    "integer-of-5000-digits": b'{"n": 3, "s": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_config_exits_2_before_numerics(tmp_path, capsys, no_numerics, name):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_bytes(UNREADABLE[name])
+    assert cli.main(["search", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 UNKNOWN_KEY = {
     "search": {"n": 2, "s": 1, "extra": 0},
     "grover-scan": {"n_values": [2], "extra": 0},

@@ -94,6 +94,7 @@ def test_every_member_has_a_caller_in_the_package():
 # patches that substitute a function rather than count or forbid its calls
 SUBSTITUTIONS = {
     ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
+    ("test_cli.py", "INVARIANT_GROUPS"): "the registry plus a failing group, which selftest must report",
     ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
     ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
     ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from spinsearch import cli
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import spin_op, total_op
 from spinsearch.mqalgebra import decompose_orders
 from spinsearch.oracle import MarkedState
 from spinsearch.sequences import grover_propagator, initial_state
 from spinsearch.spectroscopy import (
+    PEAK_REL_THRESHOLD,
     NyquistError,
     PipelineConfig,
     SpinHamiltonian,
@@ -18,6 +18,7 @@ from spinsearch.spectroscopy import (
     order_intensities,
     run_pipeline,
     spectrum,
+    spectrum_transfer,
     transfer_pair,
 )
 
@@ -184,7 +185,7 @@ class TestInphase:
         # 3.13 MiB with a fresh temporary per operation)
         dim = 2**8
         bound = (np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
-        _, q, p, _ = cli.spectrum_transfer(parse(SpectrumConfig, N8_SPECTRUM))
+        _, q, p, _ = spectrum_transfer(parse(SpectrumConfig, N8_SPECTRUM))
         assert_peak_at_most(bound, inphase_check, p, q, 0.4)
 
     def test_same_order_lines_share_phase(self):
@@ -280,6 +281,21 @@ class TestOrderIntensities:
         by_order = {pk.order: pk.amplitude for pk in spec.peaks}
         for m, amp in by_order.items():
             assert abs(amp - intens[m]) <= 1e-9
+
+    @pytest.mark.parametrize("p_axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("detect_axis", ["x", "y", "z"])
+    def test_n8_peaks_are_the_order_intensities(self, p_axis, detect_axis):
+        # omega dt points / 2 pi = 10: every order's line sits on a DFT bin,
+        # so the FFT route and the order sums over (P, Q) read the same amplitudes
+        cfg = parse(SpectrumConfig, {**N8_SPECTRUM, "p_axis": p_axis, "detect_axis": detect_axis})
+        p, q, _, _ = spectrum_transfer(cfg)
+        spec = spectrum(run_pipeline(p, q, cfg.pipe), cfg.pipe.dt, label_omega=cfg.label_omega)
+        intens = order_intensities(p, q)
+        scale = max(abs(v) for v in intens.values())
+        for pk in spec.peaks:
+            assert abs(pk.amplitude - intens[pk.order]) <= 1e-12 * scale
+        floor = PEAK_REL_THRESHOLD * max(abs(pk.amplitude) for pk in spec.peaks)
+        assert {m for m, v in intens.items() if abs(v) > floor} <= {pk.order for pk in spec.peaks}
 
     def test_t0_signal_independent_of_labeling(self, rng):
         n = 2
