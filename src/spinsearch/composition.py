@@ -12,9 +12,13 @@ inside this module; each builder evaluates the composition at a geometric
 ladder of step sizes and reports the fitted log-log slope, which the
 callers and the test suite judge.
 
-Every builder returns through one ladder driver, `_ladder`: it builds and
-scores each rung once, and rung 0 (the step size the caller asked for) is
-the reported propagator.  Step powers are taken by repeated squaring
+Each builder's composed propagator at one step size is a public function
+of its own (trotter_propagator, commutator_propagator,
+sandwich_propagator, cross_propagator, fractal_propagator), for callers
+that need the propagator without the diagnostics.  Every builder returns
+through one ladder function, `_ladder`: it calls that function once per rung
+and scores each rung once, and rung 0 (the step size the caller asked for)
+is the reported propagator.  Step powers are taken by repeated squaring
 (np.linalg.matrix_power, about 2 log2(reps) products), which is still a
 brute-force product of the dense step matrix, never the closed form it is
 checked against.
@@ -83,9 +87,10 @@ def _generator_error(target):
 
 
 def _ladder(build, error, ladder, steps, oracle_calls: int) -> CompositionResult:
-    """Build and score every rung once: build(rung) is the composed
-    propagator, error(u, rung) its (error, generator or None), and steps the
-    step size of each rung for the order fit.  Rung 0 is reported."""
+    """Build and score every rung once: build(rung) calls the builder's
+    propagator function, error(u, rung) is the rung's (error, generator or
+    None), and steps the step size of each rung for the order fit.  Rung 0
+    is reported."""
     runs = []
     for rung in ladder:
         u = build(rung)
@@ -103,55 +108,76 @@ def _ladder(build, error, ladder, steps, oracle_calls: int) -> CompositionResult
     )
 
 
+def trotter_propagator(h_list, t: float, m: int) -> np.ndarray:
+    """(prod_k exp(-i H_k t/m))^m."""
+    if m < 1:
+        raise ValueError("need at least one slice")
+    h_list = [np.asarray(h, dtype=complex) for h in h_list]
+    step = np.eye(len(h_list[0]), dtype=complex)
+    for h in h_list:
+        step = step @ expm_unitary(h, t / m)
+    return np.linalg.matrix_power(step, m)
+
+
 def trotter_product(h_list, t: float, m: int) -> CompositionResult:
-    """(prod_k exp(-i H_k t/m))^m against exp(-i sum_k H_k t).
+    """trotter_propagator against exp(-i sum_k H_k t).
 
     First-order splitting: the error decays like 1/m for non-commuting
     generators and vanishes for commuting ones.
     """
-    if m < 1:
-        raise ValueError("need at least one slice")
     h_list = [np.asarray(h, dtype=complex) for h in h_list]
-    h_tot = sum(h_list)
-    target = expm_unitary(h_tot, t)
-
-    def build(slices: int) -> np.ndarray:
-        step = np.eye(h_tot.shape[0], dtype=complex)
-        for h in h_list:
-            step = step @ expm_unitary(h, t / slices)
-        return np.linalg.matrix_power(step, slices)
-
+    target = expm_unitary(sum(h_list), t)
     ladder = [m, 2 * m, 4 * m]
-    return _ladder(build, _propagator_error(lambda _: target), ladder, [1 / s for s in ladder], m)
+    return _ladder(
+        lambda slices: trotter_propagator(h_list, t, slices),
+        _propagator_error(lambda _: target),
+        ladder,
+        [1 / s for s in ladder],
+        m,
+    )
+
+
+def commutator_propagator(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(exp(iA/sqrt m) exp(iB/sqrt m) exp(-iA/sqrt m) exp(-iB/sqrt m))^m."""
+    if m < 1:
+        raise ValueError("need at least one repetition")
+    r = 1 / np.sqrt(m)
+    step = _expi(a, r) @ _expi(b, r) @ _expi(a, -r) @ _expi(b, -r)
+    return np.linalg.matrix_power(step, m)
 
 
 def commutator_product(a: np.ndarray, b: np.ndarray, m: int) -> CompositionResult:
     """Group-commutator approximation of exp(-[A, B]).
 
-    (exp(iA/sqrt m) exp(iB/sqrt m) exp(-iA/sqrt m) exp(-iB/sqrt m))^m
-    converges to exp(-[A, B]); the measured error decays like 1/sqrt(m).
+    commutator_propagator converges to exp(-[A, B]); the measured error
+    decays like 1/sqrt(m).
     """
-    if m < 1:
-        raise ValueError("need at least one repetition")
     c = comm(a, b)                       # anti-Hermitian
     x_herm = (1j * c)                    # Hermitian, exp(-[A,B]) = exp(+i x_herm)
     w, v = np.linalg.eigh(x_herm)
     target = (v * np.exp(1j * w)) @ v.conj().T
-
-    def build(reps: int) -> np.ndarray:
-        r = 1 / np.sqrt(reps)
-        step = _expi(a, r) @ _expi(b, r) @ _expi(a, -r) @ _expi(b, -r)
-        return np.linalg.matrix_power(step, reps)
-
     ladder = [m, 4 * m, 16 * m]
     steps = [1 / np.sqrt(s) for s in ladder]
-    return _ladder(build, _propagator_error(lambda _: target), ladder, steps, 2 * m)
+    return _ladder(
+        lambda reps: commutator_propagator(a, b, reps),
+        _propagator_error(lambda _: target),
+        ladder,
+        steps,
+        2 * m,
+    )
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
     """exp(x A/2) exp(x B) exp(x A/2), x imaginary time."""
     half = _expi(a, x / 2)
     return half @ _expi(b, x) @ half
+
+
+def sandwich_propagator(
+    a: np.ndarray, b: np.ndarray, x: float, order_side: str = "A-outer"
+) -> np.ndarray:
+    """The symmetric sandwich S(x) with the order_side operator outside."""
+    return _sandwich(*_resolve_sides(a, b, order_side), x)
 
 
 def symmetric_sandwich(
@@ -166,7 +192,7 @@ def symmetric_sandwich(
     outer, inner = _resolve_sides(a, b, order_side)
     ladder = [x, x / 2, x / 4]
     return _ladder(
-        lambda xv: _sandwich(outer, inner, xv),
+        lambda xv: sandwich_propagator(a, b, xv, order_side),
         _generator_error(lambda xv: xv * (outer + inner)),
         ladder,
         ladder,
@@ -200,8 +226,16 @@ def _cross2_propagator(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
     return _symmetric_product(_sandwich(a, b, x), np.linalg.inv(_sandwich(b, a, x)))
 
 
-def _cross4_propagator(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
-    return _symmetric_product(_cross2_propagator(a, b, x), _cross2_propagator(b, a, x))
+def cross_propagator(a: np.ndarray, b: np.ndarray, x: float, level: int = 2) -> np.ndarray:
+    """The level-2 cross composition of the two sandwich orderings, or at
+    level 4 the same composition of the two level-2 orderings."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if level == 2:
+        return _cross2_propagator(a, b, x)
+    if level == 4:
+        return _symmetric_product(_cross2_propagator(a, b, x), _cross2_propagator(b, a, x))
+    raise ValueError(f"level must be 2 or 4, got {level}")
 
 
 def cross_interaction(
@@ -220,14 +254,14 @@ def cross_interaction(
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if level == 2:
-        propagator, target, calls = _cross2_propagator, cross_interaction_target, 4
+        target, calls = cross_interaction_target, 4
     elif level == 4:
-        propagator, target, calls = _cross4_propagator, lambda a, b, xv: 0, 13
+        target, calls = lambda a, b, xv: 0, 13
     else:
         raise ValueError(f"level must be 2 or 4, got {level}")
     ladder = [x, x / 2, x / 4]
     return _ladder(
-        lambda xv: propagator(a, b, xv),
+        lambda xv: cross_propagator(a, b, xv, level),
         _generator_error(lambda xv: target(a, b, xv)),
         ladder,
         ladder,
@@ -244,6 +278,34 @@ def palindromic_weights(p_list) -> list[float]:
     if any(abs(p_list[j] - p_list[-1 - j]) > 1e-12 for j in range(len(p_list))):
         raise ValueError("composition weights must be palindromic")
     return p_list
+
+
+def _fractal_side(o: np.ndarray, i: np.ndarray, x: float, p_list) -> np.ndarray:
+    """S(p_r x) ... S(p_1 x) with o outside each sandwich."""
+    u = np.eye(o.shape[0], dtype=complex)
+    for p in p_list:
+        u = _sandwich(o, i, p * x) @ u
+    return u
+
+
+def fractal_propagator(
+    a: np.ndarray,
+    b: np.ndarray,
+    x: float,
+    p_list,
+    order_side: str = "A-outer",
+    mode: str = "compose",
+) -> np.ndarray:
+    """The palindromic product of scaled sandwiches, or in mode "difference"
+    sqrt(f_B) f_A^-1 sqrt(f_B) from the two orderings."""
+    p_list = palindromic_weights(p_list)
+    outer, inner = _resolve_sides(a, b, order_side)
+    if mode == "compose":
+        return _fractal_side(outer, inner, x, p_list)
+    if mode == "difference":
+        f_a = _fractal_side(a, b, x, p_list)
+        return _symmetric_product(_fractal_side(b, a, x, p_list), np.linalg.inv(f_a))
+    raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")
 
 
 def fractal_compose(
@@ -267,28 +329,20 @@ def fractal_compose(
     """
     p_list = palindromic_weights(p_list)
     outer, inner = _resolve_sides(a, b, order_side)
-
-    def build_one_side(o, i, xv):
-        u = np.eye(o.shape[0], dtype=complex)
-        for p in p_list:
-            u = _sandwich(o, i, p * xv) @ u
-        return u
-
     if mode == "compose":
-        def build(xv):
-            return build_one_side(outer, inner, xv)
-
         error = _propagator_error(lambda xv: _expi(outer + inner, xv))
         calls = len(p_list)
     elif mode == "difference":
-        def build(xv):
-            f_a = build_one_side(a, b, xv)
-            return _symmetric_product(build_one_side(b, a, xv), np.linalg.inv(f_a))
-
         error = _generator_error(lambda _: 0)
         calls = 3 * len(p_list)
     else:
         raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")
 
     ladder = [x, x / 2, x / 4]
-    return _ladder(build, error, ladder, ladder, calls)
+    return _ladder(
+        lambda xv: fractal_propagator(a, b, xv, p_list, order_side, mode),
+        error,
+        ladder,
+        ladder,
+        calls,
+    )

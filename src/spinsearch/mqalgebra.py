@@ -19,9 +19,10 @@ from .linalg import magnetic_quantum_numbers, n_qubits, spin_op
 from .oracle import MarkedState, diag_projector
 
 
-# complex entries (64 KiB) per stacked phase-cycle batch: a stack of
-# 64 x 64 or larger slices multiplies slower than a loop of 2-D products
-PHASE_CYCLE_BATCH = 2**12
+# complex entries (256 KiB) per stacked batch, of phase-cycle (operator,
+# step) slices here and of the registry's stacked dense references: the
+# bound on the memory one stack takes
+PHASE_CYCLE_BATCH = 2**14
 
 
 class AliasingError(ValueError):
@@ -42,9 +43,11 @@ def decompose_orders(a: np.ndarray) -> dict[int, np.ndarray]:
     return {m: np.where(om == m, a, 0.0) for m in range(-n, n + 1)}
 
 
-def order_component(a: np.ndarray, m: int) -> np.ndarray:
-    """Order-m component of an operator."""
-    return np.where(order_matrix(n_qubits(a)) == m, a, 0.0)
+def order_component(a: np.ndarray, m) -> np.ndarray:
+    """Order-m component of an operator, or of each operator of a stack
+    (k, dim, dim) with one order m per operator."""
+    om = order_matrix(n_qubits(a[0] if a.ndim == 3 else a))
+    return np.where(om == np.reshape(m, np.shape(m) + (1, 1)), a, 0.0)
 
 
 @dataclass
@@ -94,31 +97,44 @@ def require_order_separation(n: int, n1: int) -> None:
         )
 
 
-def phase_cycle_project(f_op: np.ndarray, n1: int, target_order: int) -> np.ndarray:
+def phase_cycle_project(f_op: np.ndarray, n1: int, target_order) -> np.ndarray:
     """Select one coherence order by discrete Fourier phase cycling.
 
     Averages exp(-i phi Fz) f exp(+i phi Fz) over phi = 2 pi k / n1 with
     weights exp(+i phi * target_order).  Orders congruent to the target
-    modulo n1 alias onto it, hence the n1 >= 2n + 1 requirement.
+    modulo n1 alias onto it, hence the n1 >= 2n + 1 requirement.  f_op may
+    be a stack (k, dim, dim) with one target order per operator; each
+    operator's projection is bit for bit its own call's.
     """
-    n = n_qubits(f_op)
+    stack = f_op if f_op.ndim == 3 else f_op[None]
+    targets = np.reshape(target_order, -1)
+    if len(targets) != len(stack):
+        raise ValueError(f"{len(stack)} operators need as many target orders, got {len(targets)}")
+    n = n_qubits(stack[0])
     require_order_separation(n, n1)
     mz = -1j * magnetic_quantum_numbers(n)  # Fz is diagonal: -i M per basis state
     dim = len(mz)
-    out = np.zeros_like(f_op, dtype=complex)
+    out = np.zeros(stack.shape, dtype=complex)
     # the steps run as batched r @ f @ r+ over stacks of dense diagonal r
-    # = exp(-i phi Fz), PHASE_CYCLE_BATCH entries per stack; the weighted
-    # slices are summed in step order
-    batch = max(1, PHASE_CYCLE_BATCH // f_op.size)
-    for start in range(0, n1, batch):
-        phis = 2 * np.pi * np.arange(start, min(start + batch, n1)) / n1
+    # = exp(-i phi Fz), at most PHASE_CYCLE_BATCH entries per (operator,
+    # step) stack; each operator's weighted slices are summed in step order
+    stride = max(1, PHASE_CYCLE_BATCH // (dim * dim))
+    ops_per = min(len(stack), stride)
+    steps_per = min(n1, max(1, stride // ops_per))
+    for start in range(0, n1, steps_per):
+        phis = 2 * np.pi * np.arange(start, min(start + steps_per, n1)) / n1
         r = np.zeros((len(phis), dim, dim), dtype=complex)
         r[:, np.arange(dim), np.arange(dim)] = np.exp(mz * phis[:, None])
-        steps = r @ f_op
-        steps = steps @ np.conjugate(r, out=r).transpose(0, 2, 1)  # r+ in r's buffer
-        for phi, step in zip(phis.tolist(), steps):
-            out += np.exp(1j * phi * target_order) * step
-    return out / n1
+        r_dagger = r.conj().transpose(0, 2, 1)
+        weights = np.exp(1j * phis * targets[:, None])[:, :, None, None]
+        for first in range(0, len(stack), ops_per):
+            ops = slice(first, first + ops_per)
+            steps = r @ stack[ops, None] @ r_dagger
+            np.multiply(weights[ops], steps, out=steps)  # weight first: the product's operand order
+            acc = out[ops]
+            for j in range(len(phis)):
+                acc += steps[:, j]
+    return (out / n1).reshape(f_op.shape)
 
 
 def x_product_op(n: int, qubits) -> np.ndarray:

@@ -90,9 +90,9 @@ def diag_projector(marked: MarkedState) -> np.ndarray:
 
 def selective_phase(marked: MarkedState, theta: float) -> np.ndarray:
     """C_s(theta) = E + (exp(-i theta) - 1) |s><s|, diagonal and unitary."""
-    d = np.ones(2**marked.n, dtype=complex)
-    d[marked.s] = np.exp(-1j * theta)
-    return np.diag(d)
+    c = np.eye(2**marked.n, dtype=complex)
+    c[marked.s, marked.s] = np.exp(-1j * theta)
+    return c
 
 
 def uf_permutation(marked: MarkedState) -> np.ndarray:
@@ -131,8 +131,7 @@ def oracle_uo(marked: MarkedState, theta: float) -> np.ndarray:
 
 def restrict_to_aux01(u: np.ndarray) -> np.ndarray:
     """Block of a full-system operator on the auxiliary |0>|1> sector."""
-    idx = np.arange(u.shape[0] // 4) * 4 + 0b01
-    return u[np.ix_(idx, idx)]
+    return u[0b01::4, 0b01::4].copy()  # index x * 4 + aux, aux = 0b01
 
 
 def aux_pure_state() -> np.ndarray:

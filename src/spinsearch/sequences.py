@@ -71,15 +71,19 @@ def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
     idx = [m.s for m in markeds]
     if len(set(idx)) != len(idx):
         raise ValueError("marked indices must be distinct")
-    u = np.array([1.0 - math.cos(t) for t in thetas])
-    v = np.array([math.sin(t) for t in thetas])
+    idx = np.array(idx, dtype=int)
+    uv = np.array([[1.0 - math.cos(t) for t in thetas], [math.sin(t) for t in thetas]])
+    u, v = uv
+    iv = 1j * v
+    outer = uv[:, None, :, None] * uv[None, :, None, :]  # outer[a, b] = outer(uv[a], uv[b])
+    w = outer[0, 0] + outer[1, 1] + 1j * (outer[1, 0] - outer[0, 1])
 
     out = rho.astype(complex)
-    out[:, idx] -= rho[:, idx] * (u - 1j * v)  # rho D_u - i rho D_v
-    out[idx, :] -= (u + 1j * v)[:, None] * rho[idx, :]  # D_u rho + i D_v rho
-    w = np.outer(u, u) + np.outer(v, v) + 1j * (np.outer(v, u) - np.outer(u, v))
-    block = np.ix_(idx, idx)
-    out[block] += w * rho[block]
+    cols = rho[:, idx]
+    out[:, idx] = cols - cols * (u - iv)  # rho - (rho D_u - i rho D_v) on the marked columns
+    rows = rho[idx]
+    out[idx] -= (u + iv)[:, None] * rows  # D_u rho + i D_v rho
+    out[idx[:, None], idx] += w * rows[:, idx]
     return out
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, selftest
+from spinsearch import cli, composition, linalg, mqalgebra, oracle, selftest, sequences, spectroscopy
 from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
@@ -336,6 +337,52 @@ class TestSelftestCommand:
         assert code == 1
         assert report["payload"]["failing"] == [planted[0]]
         assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
+
+
+def same_call(first: tuple, second: tuple) -> bool:
+    return len(first) == len(second) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in zip(first, second)
+    )
+
+
+LAYER_FUNCTIONS = sorted(
+    name
+    for module in (linalg, oracle, mqalgebra, sequences, spectroscopy, composition)
+    for name, obj in vars(module).items()
+    if inspect.isfunction(obj) and not name.startswith("_") and obj.__module__ == module.__name__
+)
+# the kernels the registry's stacked references and closed forms run through
+REGISTRY_KERNELS = (
+    "expm_unitary", "matrix_log_skew", "phase_cycle_project", "conjugate_multi_selective",
+    "simple_search", "order_matrix",
+)
+
+
+class TestSelftestState:
+    def test_registry_keeps_no_state(self, monkeypatch):
+        # two runs make the same calls: the same count of every public
+        # function of the layers, and the same arguments to each registry
+        # kernel.  A cache that outlives a call (of order_matrix, a pulse
+        # per n) skips its callees on the second run.
+        calls = patch_counted(monkeypatch, LAYER_FUNCTIONS)
+        runs = []
+        for _ in range(2):
+            before = {name: len(made) for name, made in calls.items()}
+            selftest.run_selftest()
+            runs.append({name: made[before[name]:] for name, made in calls.items()})
+        first, second = runs
+        assert {name: len(made) for name, made in first.items()} == {
+            name: len(made) for name, made in second.items()
+        }
+        for name in REGISTRY_KERNELS:
+            assert all(map(same_call, first[name], second[name])), name
+        assert all(first[name] for name in REGISTRY_KERNELS if name != "matrix_log_skew")
+
+    def test_peak_memory(self):
+        # stacked references in chunks of at most PHASE_CYCLE_BATCH complex
+        # entries (measured 1.60 MiB; 6.07 MiB with one unbounded stack per
+        # case set, 0.33 MiB with one case at a time)
+        assert_peak_at_most(2.0 * 2**20, selftest.run_selftest)
 
 
 class TestDeterminism:

@@ -10,11 +10,16 @@ from spinsearch.linalg import (
 )
 from spinsearch.composition import (
     commutator_product,
+    commutator_propagator,
     cross_interaction,
     cross_interaction_target,
+    cross_propagator,
     fractal_compose,
+    fractal_propagator,
+    sandwich_propagator,
     symmetric_sandwich,
     trotter_product,
+    trotter_propagator,
 )
 
 from conftest import CHECK, maxabs, random_hermitian
@@ -117,6 +122,41 @@ def test_each_rung_is_built_once(monkeypatch, rng, name):
     calls = patch_counted(monkeypatch, ["expm_unitary", "matrix_log_skew"])
     builder(0.5 * random_hermitian(rng, 4), 0.5 * random_hermitian(rng, 4))
     assert (len(calls["expm_unitary"]), len(calls["matrix_log_skew"])) == (expm_calls, log_calls)
+
+
+P3 = [P1, 1 - 2 * P1, P1]
+# (builder, its propagator function at the builder's own step size)
+BUILDER_PROPAGATORS = {
+    "trotter": (
+        lambda a, b: trotter_product([a, b], 0.7, 8), lambda a, b: trotter_propagator([a, b], 0.7, 8)
+    ),
+    "commutator": (lambda a, b: commutator_product(a, b, 16), lambda a, b: commutator_propagator(a, b, 16)),
+    "sandwich-A-outer": (
+        lambda a, b: symmetric_sandwich(a, b, 0.3), lambda a, b: sandwich_propagator(a, b, 0.3)
+    ),
+    "sandwich-B-outer": (
+        lambda a, b: symmetric_sandwich(a, b, 0.3, "B-outer"),
+        lambda a, b: sandwich_propagator(a, b, 0.3, "B-outer"),
+    ),
+    "cross-level-2": (lambda a, b: cross_interaction(a, b, 0.2), lambda a, b: cross_propagator(a, b, 0.2)),
+    "cross-level-4": (
+        lambda a, b: cross_interaction(a, b, 0.2, level=4), lambda a, b: cross_propagator(a, b, 0.2, 4)
+    ),
+    "fractal-compose": (
+        lambda a, b: fractal_compose(a, b, 0.3, P3), lambda a, b: fractal_propagator(a, b, 0.3, P3)
+    ),
+    "fractal-difference": (
+        lambda a, b: fractal_compose(a, b, 0.3, P3, "B-outer", "difference"),
+        lambda a, b: fractal_propagator(a, b, 0.3, P3, "B-outer", "difference"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_PROPAGATORS))
+def test_reported_propagator_is_the_propagator_function(rng, name):
+    builder, propagator = BUILDER_PROPAGATORS[name]
+    a, b = 0.5 * random_hermitian(rng, 4), 0.5 * random_hermitian(rng, 4)
+    assert np.array_equal(builder(a, b).propagator, propagator(a, b))
 
 
 class TestSymmetricSandwich:

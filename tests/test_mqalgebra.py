@@ -10,6 +10,7 @@ from spinsearch.linalg import (
     total_op,
 )
 from spinsearch.mqalgebra import (
+    PHASE_CYCLE_BATCH,
     AliasingError,
     decompose_orders,
     lomso_transform,
@@ -144,6 +145,26 @@ class TestPhaseCycling:
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             phase_cycle_project(flip_flop(), 4, 0)
+        with pytest.raises(AliasingError):
+            phase_cycle_project(np.array([flip_flop()] * 3), 4, [0, 1, -1])
+
+    def test_stack_is_bit_identical_to_per_operator_calls(self, rng):
+        # more operators than one PHASE_CYCLE_BATCH chunk holds at n = 4,
+        # half of them not Hermitian, with every target order present
+        n, n1 = 4, 9
+        count = PHASE_CYCLE_BATCH // 4**n + 3
+        ops = np.array([
+            random_hermitian(rng, 2**n) + (1j * random_hermitian(rng, 2**n) if k % 2 else 0)
+            for k in range(count)
+        ])
+        targets = [int(t) for t in rng.permutation(np.arange(count) % (2 * n + 1) - n)]
+        stacked = phase_cycle_project(ops, n1, targets)
+        for op, target, got in zip(ops, targets, stacked):
+            assert np.array_equal(got, phase_cycle_project(op, n1, target))
+
+    def test_stack_needs_one_target_per_operator(self):
+        with pytest.raises(ValueError, match="target orders"):
+            phase_cycle_project(np.array([flip_flop()] * 3), 5, [0, 1])
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**31))
