@@ -42,7 +42,7 @@ from .config import (
 )
 from .linalg import BranchCutError, random_hermitian, spin_op
 from .oracle import UF_CALLS_PER_UO
-from .selftest import run_selftest
+from .selftest import max_residual, run_selftest
 from .sequences import (
     AmbiguousReadoutError,
     conversion_coefficient,
@@ -283,7 +283,7 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
             "failing": [r.name for r in results if not r.passed],
         },
         "oracle_calls": 0,
-        "max_residual": max(r.residual for r in results),
+        "max_residual": max_residual(*(r.residual for r in results)),
     }
 
 

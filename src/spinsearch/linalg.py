@@ -1,6 +1,10 @@
-"""Dense complex linear algebra for small spin-1/2 systems.
+"""Dense linear algebra for small spin-1/2 systems.
 
-Everything downstream works on plain complex ndarrays of dimension 2**n.
+Everything downstream works on plain ndarrays of dimension 2**n: real
+float64 where an operator's imaginary part is exactly zero (the x and z
+spin sums of total_op, and so the states initial_state builds on those
+axes), complex otherwise.  A real operator takes part in complex products
+as itself plus 0j, so keeping it real changes no complex result.
 Conventions, fixed once here:
 
 * hbar = 1 and Iz = diag(1, -1)/2, so |0> is the M = +1/2 state.
@@ -105,11 +109,15 @@ def qubit_weights(n: int, weights) -> np.ndarray:
 
 def total_op(n: int, axis: str, weights=1.0) -> np.ndarray:
     """sum_k w_k I_k_axis for one weight w or n of them, accumulated
-    entrywise in k order: bit for bit the sum of the dense terms."""
+    entrywise in k order: bit for bit the sum of the dense terms.  Real
+    for x and z, whose entries have imaginary part exactly zero, and
+    complex for y."""
     cols, vals = single_spin_entries(n, axis)
+    if not vals.imag.any():
+        vals = vals.real
     weights = qubit_weights(n, weights)
     rows = np.arange(2**n)
-    out = np.zeros((2**n, 2**n), dtype=complex)
+    out = np.zeros((2**n, 2**n), dtype=vals.dtype)
     for w, c, v in zip(weights, cols, vals):
         out[rows, c] += w * v
     return out

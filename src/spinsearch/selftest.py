@@ -21,6 +21,7 @@ the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,6 +53,12 @@ class InvariantResult:
         return self.residual <= self.tolerance
 
 
+def max_residual(*residuals: float) -> float:
+    """The largest residual, NaN when any is NaN: max itself keeps a NaN
+    only as its first argument, so a NaN case would pass on the others."""
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
 def _chunks(count: int, entries: int):
     """Consecutive slices of count cases, each case stacking `entries`
     complex entries, at most PHASE_CYCLE_BATCH entries per slice."""
@@ -73,11 +80,12 @@ def _check_spin_commutators(*, n_values=(2, 3, 4)) -> float:
         for rows in _chunks(len(ops), ops.size):
             a = ops[rows, None]
             c = a @ ops - ops @ a
-            worst = max(worst, float(np.abs(c[spins[rows, None] != spins]).max(initial=0.0)))
+            off_spin = c[spins[rows, None] != spins]
+            worst = max_residual(worst, float(np.abs(off_spin).max(initial=0.0)))
     # su(2) algebra on one spin: [Ix, Iy] = i Iz and cyclic, on spins 1 and 2
     x, y, z = (np.array([spin_op(2, k, ax) for k in (1, 2)]) for ax in "xyz")
     a, b, c = (np.concatenate(triple) for triple in ((x, y, z), (y, z, x), (z, x, y)))
-    worst = max(worst, float(np.abs(a @ b - b @ a - 1j * c).max()))
+    worst = max_residual(worst, float(np.abs(a @ b - b @ a - 1j * c).max()))
     return worst
 
 
@@ -86,9 +94,9 @@ def _check_expm_unitary(*, n_values=(1, 2, 3, 4), seed=11) -> float:
     worst = 0.0
     for n in n_values:
         h = random_hermitian(rng, 2**n)
-        worst = max(worst, unitarity_defect(expm_unitary(h, 0.37)))
+        worst = max_residual(worst, unitarity_defect(expm_unitary(h, 0.37)))
         u = expm_unitary(h, 0.2) @ expm_unitary(h, 0.55)
-        worst = max(worst, float(np.abs(u - expm_unitary(h, 0.75)).max()))
+        worst = max_residual(worst, float(np.abs(u - expm_unitary(h, 0.75)).max()))
     return worst
 
 
@@ -96,10 +104,10 @@ def _check_fz_eigenvalues(*, n_values=(1, 2, 3, 4)) -> float:
     worst = 0.0
     for n in n_values:
         fz = total_op(n, "z")
-        worst = max(
+        worst = max_residual(
             worst, float(np.abs(np.diag(fz).real - magnetic_quantum_numbers(n)).max())
         )
-        worst = max(worst, float(np.abs(fz - np.diag(np.diag(fz))).max()))
+        worst = max_residual(worst, float(np.abs(fz - np.diag(np.diag(fz))).max()))
     return worst
 
 
@@ -112,7 +120,7 @@ def _check_oracle_equivalence(*, n_values=(1, 2, 3)) -> float:
             for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
                 blocks.append(oracle.restrict_to_aux01(oracle.oracle_uo(marked, theta)))
                 cs.append(oracle.selective_phase(marked, theta))
-        worst = max(worst, float(np.abs(np.array(blocks) - np.array(cs)).max()))
+        worst = max_residual(worst, float(np.abs(np.array(blocks) - np.array(cs)).max()))
     return worst
 
 
@@ -123,7 +131,7 @@ def _check_projector_frame_relation(*, n_values=(1, 2, 3)) -> float:
         markeds = [MarkedState(s=s, n=n) for s in range(2**n)]
         w = np.array([sequences.sign_flip_frame(marked) for marked in markeds])
         ds = np.array([oracle.diag_projector(marked) for marked in markeds])
-        worst = max(worst, float(np.abs(ds - w @ d0 @ _dagger(w)).max()))
+        worst = max_residual(worst, float(np.abs(ds - w @ d0 @ _dagger(w)).max()))
     return worst
 
 
@@ -155,11 +163,12 @@ def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000) ->
                 factors.append(phases + [eye] * (4 - len(phases)))
             rho = np.array(rhos)
             c = np.array(cs)
-            worst = max(worst, float(np.abs(np.array(ones) - c @ rho @ _dagger(c)).max()))
+            worst = max_residual(worst, float(np.abs(np.array(ones) - c @ rho @ _dagger(c)).max()))
             u = eye
             for slot in zip(*factors):
                 u = u @ np.array(slot)
-            worst = max(worst, float(np.abs(np.array(multis) - u @ rho @ _dagger(u)).max()))
+            multi_res = float(np.abs(np.array(multis) - u @ rho @ _dagger(u)).max())
+            worst = max_residual(worst, multi_res)
     return worst
 
 
@@ -171,7 +180,9 @@ def _check_search_recovery(*, n_values=(1, 2, 3, 4)) -> float:
         eps = np.ones(n)
         for s in range(2**n):
             res = sequences.simple_search(MarkedState(s=s, n=n), eps)
-            worst = max(worst, float(abs(res.recovered_s - s)), float(abs(res.oracle_uf_calls - 2)))
+            worst = max_residual(
+                worst, float(abs(res.recovered_s - s)), float(abs(res.oracle_uf_calls - 2))
+            )
     return worst
 
 
@@ -179,13 +190,13 @@ def _check_lomso_reconstruction(*, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
         basis = mqalgebra.lomso_transform(n)
-        worst = max(
+        worst = max_residual(
             worst,
             float(np.abs(basis.a @ basis.a_inv - np.eye(2**n)).max()),
         )
         for k in range(2**n):
             d = oracle.diag_projector(MarkedState(s=k, n=n))
-            worst = max(
+            worst = max_residual(
                 worst, float(np.abs(d - mqalgebra.lomso_expand_projector(basis, k)).max())
             )
     return worst
@@ -205,7 +216,8 @@ def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000) -> float:
                 targets.append(int(rng.integers(-n, n + 1)))
             f = np.array(fs)
             proj = mqalgebra.phase_cycle_project(f, 2 * n + 1, targets)
-            worst = max(worst, float(np.abs(proj - mqalgebra.order_component(f, targets)).max()))
+            graded = mqalgebra.order_component(f, targets)
+            worst = max_residual(worst, float(np.abs(proj - graded).max()))
     return worst
 
 
@@ -218,11 +230,11 @@ def _check_mq_generator_orders(*, n_values=(2, 3)) -> float:
         for qubits in subsets:
             l = len(qubits)
             g = mqalgebra.mq_generator(n, qubits)
-            worst = max(worst, float(np.abs(g - g.conj().T).max()))
+            worst = max_residual(worst, float(np.abs(g - g.conj().T).max()))
             dec = mqalgebra.decompose_orders(g)
             for m, a in dec.items():
                 if abs(m) != l:
-                    worst = max(worst, float(np.abs(a).max()))
+                    worst = max_residual(worst, float(np.abs(a).max()))
     return worst
 
 
@@ -238,7 +250,7 @@ def _check_zero_quantum_closure(*, n_values=(2, 3), count=6, seed=53) -> float:
             dec = mqalgebra.decompose_orders(moved)
             for m, a in dec.items():
                 if m != 0:
-                    worst = max(worst, float(np.abs(a).max()))
+                    worst = max_residual(worst, float(np.abs(a).max()))
     return worst
 
 
@@ -255,7 +267,7 @@ def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59) -> float:
             dec = mqalgebra.decompose_orders(moved)
             for m, a in dec.items():
                 if m % 2 != 0:
-                    worst = max(worst, float(np.abs(a).max()))
+                    worst = max_residual(worst, float(np.abs(a).max()))
     return worst
 
 
@@ -270,10 +282,10 @@ def _check_grover_three_way(*, n_values=(2, 3, 4), count=26) -> float:
         closed = np.array([sequences.grover_coefficients(m, N).alpha for m in ms])
         rec = np.array([sequences.grover_coefficients_recursion(m, N).alpha for m in ms])
         coeffs = np.array([c for c, _ in fits])
-        worst = max(worst, float(np.abs(closed - rec).max()))
-        worst = max(worst, *(float(abs(c[0] - 1.0)) for c, _ in fits))
-        worst = max(worst, float(np.abs(coeffs[:, 1:] - closed).max()))
-        worst = max(worst, *(recon_res for _, recon_res in fits))
+        worst = max_residual(worst, float(np.abs(closed - rec).max()))
+        worst = max_residual(worst, *(float(abs(c[0] - 1.0)) for c, _ in fits))
+        worst = max_residual(worst, float(np.abs(coeffs[:, 1:] - closed).max()))
+        worst = max_residual(worst, *(recon_res for _, recon_res in fits))
     return worst
 
 
@@ -285,7 +297,7 @@ def _check_grover_reexpression(*, n_values=(2, 3)) -> float:
             for m in (1, 3, 6):
                 direct = sequences.grover_propagator(marked, m)
                 factored = sequences.grover_propagator_factored(marked, m)
-                worst = max(worst, float(np.abs(direct - factored).max()))
+                worst = max_residual(worst, float(np.abs(direct - factored).max()))
     return worst
 
 
@@ -306,7 +318,7 @@ def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000) -> float:
             series = spectroscopy.run_pipeline(p, q, cfg)
             om, amps = spectroscopy.eigen_expand(p, q, h)
             resum = spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
-            worst = max(worst, float(np.abs(series - resum).max()))
+            worst = max_residual(worst, float(np.abs(series - resum).max()))
     return worst
 
 
@@ -315,12 +327,12 @@ def _check_composition_unitarity(*, seed=83) -> float:
     worst = 0.0
     a = random_hermitian(rng, 4)
     b = random_hermitian(rng, 4)
-    worst = max(worst, unitarity_defect(composition.trotter_propagator([a, b], 0.7, 8)))
-    worst = max(worst, unitarity_defect(composition.commutator_propagator(a, b, 16)))
-    worst = max(worst, unitarity_defect(composition.sandwich_propagator(a, b, 0.3)))
-    worst = max(worst, unitarity_defect(composition.cross_propagator(a, b, 0.2)))
+    worst = max_residual(worst, unitarity_defect(composition.trotter_propagator([a, b], 0.7, 8)))
+    worst = max_residual(worst, unitarity_defect(composition.commutator_propagator(a, b, 16)))
+    worst = max_residual(worst, unitarity_defect(composition.sandwich_propagator(a, b, 0.3)))
+    worst = max_residual(worst, unitarity_defect(composition.cross_propagator(a, b, 0.2)))
     p1 = 1 / (2 - 2 ** (1 / 3))
-    worst = max(
+    worst = max_residual(
         worst, unitarity_defect(composition.fractal_propagator(a, b, 0.3, [p1, 1 - 2 * p1, p1]))
     )
     return worst
@@ -334,7 +346,7 @@ def _check_sandwich_time_symmetry(*, seed=97) -> float:
     for x in (0.4, 0.15):
         s_pos = composition.sandwich_propagator(a, b, x)
         s_neg = composition.sandwich_propagator(a, b, -x)
-        worst = max(worst, float(np.abs(s_pos @ s_neg - np.eye(4)).max()))
+        worst = max_residual(worst, float(np.abs(s_pos @ s_neg - np.eye(4)).max()))
     return worst
 
 
@@ -347,7 +359,7 @@ def _check_projector_product_form(*, n_values=(1, 2, 3, 4)) -> float:
         for s in range(2**n):
             marked = MarkedState(s=s, n=n)
             product = kron_all(half + a * PAULI_HALF["z"] for a in marked.signs)
-            worst = max(worst, float(np.abs(product - oracle.diag_projector(marked)).max()))
+            worst = max_residual(worst, float(np.abs(product - oracle.diag_projector(marked)).max()))
     return worst
 
 

@@ -343,10 +343,14 @@ def grover_conjugate(marked: MarkedState, m: int, x: np.ndarray) -> np.ndarray:
     """U x U^dagger for U = grover_propagator(marked, m) and a Hermitian x,
     by m two-sided steps; U is never formed.  U is real, so the real
     symmetric and the imaginary antisymmetric part of x are conjugated
-    apart, each on a real copy, and a part that is all zero is skipped."""
+    apart, each on a real copy, and a part that is all zero is skipped.
+    A real x gives its real conjugate."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     xs = x_basis_state(marked)
+    if not np.iscomplexobj(x):
+        x = x.copy()
+        return next(islice(_two_sided_steps(x, xs), m, None)) if x.any() else x
     re, im = (
         next(islice(_two_sided_steps(part.copy(), xs, anti), m, None)) if part.any() else part
         for part, anti in ((x.real, False), (x.imag, True))

@@ -183,7 +183,10 @@ def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarra
     k = len(w)
     m = q.T * p
     block = (group[:, None] * k + group[None, :]).ravel()  # (row group, column group) of each entry
-    m_k = np.bincount(block, m.real.ravel(), k * k) + 1j * np.bincount(block, m.imag.ravel(), k * k)
+    if np.iscomplexobj(m):
+        m_k = np.bincount(block, m.real.ravel(), k * k) + 1j * np.bincount(block, m.imag.ravel(), k * k)
+    else:  # a real pair: one sum, and the blocks' imaginary parts are +0.0
+        m_k = np.bincount(block, m.ravel(), k * k).astype(complex)
     e = np.outer(np.arange(cfg.n_points) * cfg.dt, w) * -1j
     np.exp(e, out=e)
     g = e @ m_k.reshape(k, k)
@@ -212,8 +215,8 @@ def inphase_check(p: np.ndarray, q: np.ndarray, phi: float, tol: float = 1e-9) -
     rz = np.exp(-1j * magnetic_quantum_numbers(n_qubits(p)) * phi)  # exp(-i phi Fz) is diagonal
     # |Q+ - target| as |conj(target) - Q^T| in one buffer; conj distributes
     # exactly over * and -, and each product keeps the operand order of
-    # rz[:, None] * p * conj(rz)[None, :]
-    buf = np.conjugate(p)
+    # rz[:, None] * p * conj(rz)[None, :].  conj(P) is P for a real P.
+    buf = np.conjugate(p) if np.iscomplexobj(p) else p.astype(complex)
     np.multiply(rz.conj()[:, None], buf, out=buf)
     np.multiply(buf, rz[None, :], out=buf)
     np.subtract(buf, q.T, out=buf)

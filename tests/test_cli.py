@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,11 +15,13 @@ from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
-from spinsearch.sequences import grover_propagator
-from spinsearch.spectroscopy import run_pipeline, spectrum_transfer
+from spinsearch.sequences import grover_conjugate, grover_propagator
+from spinsearch.spectroscopy import inphase_check, run_pipeline, spectrum_transfer
 
-from conftest import assert_peak_at_most, maxabs
-from reference import DIAGONALIZERS, N8_SPECTRUM, agreement, patch_counted, run_cli, spectrum_command
+from conftest import CHECK, assert_peak_at_most, maxabs
+from reference import (
+    DIAGONALIZERS, N8_SPECTRUM, agreement, patch_bindings, patch_counted, run_cli, spectrum_command,
+)
 
 OMEGA_10HZ = 2 * np.pi * 10
 
@@ -319,6 +322,15 @@ class TestComposeBenchCommand:
         assert code == 5
 
 
+# a registry group, the fast path it checks, and the call of it whose
+# result gets a NaN entry: the fifth conjugation, and the second stacked
+# phase cycle
+PLANTED_NAN = {
+    "selective-conjugation-identities": ("conjugate_multi_selective", 4),
+    "phase-cycling-vs-grading": ("phase_cycle_project", 1),
+}
+
+
 class TestSelftestCommand:
     def test_fresh_build_passes(self, tmp_path):
         code, out, report = run_cli(tmp_path, "selftest")
@@ -337,6 +349,38 @@ class TestSelftestCommand:
         assert code == 1
         assert report["payload"]["failing"] == [planted[0]]
         assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
+
+    def test_max_residual_keeps_nan(self):
+        # max(0.0, nan) is 0.0: a plain max would pass a NaN case
+        assert math.isnan(selftest.max_residual(1e-15, math.nan, 0.0))
+        assert math.isnan(selftest.max_residual(math.nan, 1e-15))
+        assert selftest.max_residual(1e-15, 3e-15, 0.0) == 3e-15
+
+    @pytest.mark.parametrize("group", sorted(PLANTED_NAN))
+    def test_planted_nan_fails_its_group(self, tmp_path, monkeypatch, capsys, group):
+        name, index = PLANTED_NAN[group]
+        calls = []
+
+        def stand_in(_name, real, _where):
+            def planted(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append(name)
+                if len(calls) == index + 1:
+                    out.flat[0] = np.nan  # one entry of one case
+                return out
+
+            return planted
+
+        patch_bindings(monkeypatch, [name], stand_in)
+        assert math.isnan(CHECK[group]())
+        calls.clear()
+        out = tmp_path / "out"
+        assert main(["selftest", "--out", str(out)]) == 1
+        assert f"selftest failed: {group}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())  # NaN is not strict JSON
+        assert report["payload"]["failing"] == [group] and math.isnan(report["max_residual"])
+        rows = [row.split(",") for row in (out / "selftest.csv").read_text().splitlines()]
+        assert [row[1::2] for row in rows if row[0] == group] == [["nan", "0"]]
 
 
 def same_call(first: tuple, second: tuple) -> bool:
@@ -509,19 +553,73 @@ def test_grover_transfer_matches_dense_propagator(p_axis, detect_axis):
     assert calls == 2 * 2 * 3
 
 
+def complex_total_op(monkeypatch):
+    """Every binding of total_op returns its sum plus 0j: complex operators
+    with imaginary parts +0.0, which take the complex arithmetic throughout."""
+
+    def stand_in(_name, real, _where):
+        return lambda *args, **kwargs: real(*args, **kwargs) + 0j
+
+    patch_bindings(monkeypatch, ["total_op"], stand_in)
+
+
+REAL_PATH_CASES = {
+    **{f"3-{p}{d}": {**N8_SPECTRUM, "n": 3, "s": 5, "epsilons": [0.6, 1.4, 0.9],
+                     "p_axis": p, "detect_axis": d} for p in "xyz" for d in "xyz"},
+    "n8-grover-excitation": N8_SPECTRUM,
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_PATH_CASES))
+def test_real_path_equals_complex_path(tmp_path, monkeypatch, name):
+    # each stage, and the whole command, on the operators as built and on
+    # the same operators plus 0j
+    raw = REAL_PATH_CASES[name]
+    cfg = parse(SpectrumConfig, raw)
+    p, q, p_inphase, _ = spectrum_transfer(cfg)
+    for op, axis in ((cfg.rho0, cfg.p_axis), (p, cfg.p_axis), (p_inphase, cfg.p_axis),
+                     (q, cfg.pipe.detect_axis)):
+        assert op.dtype == (np.complex128 if axis == "y" else np.float64)
+    for x in (cfg.rho0, total_op(cfg.n, cfg.pipe.detect_axis)):
+        real, cplx = (grover_conjugate(cfg.marked, cfg.iterations, a) for a in (x, x + 0j))
+        assert np.array_equal(real, cplx)
+    series = run_pipeline(p, q, cfg.pipe)
+    assert np.array_equal(series, run_pipeline(p + 0j, q + 0j, cfg.pipe))
+    assert inphase_check(p_inphase, q, cfg.phi) == inphase_check(p_inphase + 0j, q + 0j, cfg.phi)
+
+    outs = [run_cli(tmp_path, "spectrum", raw, "real")]
+    complex_total_op(monkeypatch)
+    assert all(op.dtype == complex for op in spectrum_transfer(parse(SpectrumConfig, raw))[:3])
+    outs.append(run_cli(tmp_path, "spectrum", raw, "complex"))
+    (code, real_out, real_report), (code_c, cplx_out, cplx_report) = outs
+    assert code == code_c == 0
+    for csv in ("timeseries.csv", "spectrum.csv"):
+        assert (real_out / csv).read_bytes() == (cplx_out / csv).read_bytes()
+    for report in (real_report, cplx_report):
+        del report["duration_s"]
+    assert real_report == cplx_report
+
+
+def test_n8_spectrum_parse_peak_memory():
+    # rho0 of the z axis as one real N x N array (measured 0.56 MiB;
+    # 1.06 MiB as a complex array)
+    bound = 1.25 * np.dtype(float).itemsize * (2**8) ** 2
+    assert_peak_at_most(bound, parse, SpectrumConfig, N8_SPECTRUM)
+
+
 def test_n8_grover_transfer_peak_memory():
-    # Q, and P assembled from its conjugated real part: no U, no 256-dim
-    # complex temporary (measured 2.50 MiB; 7.0 MiB with a dense U)
-    dim = 2**8
-    bound = (2 * np.dtype(complex).itemsize + 1.5 * np.dtype(float).itemsize) * dim**2
+    # real Q and P of the z axes and the two-sided steps' one real buffer:
+    # no U, no complex copy (measured 1.52 MiB; 2.50 MiB with complex Q
+    # and P, 7.0 MiB with a dense U)
+    bound = 3.5 * np.dtype(float).itemsize * (2**8) ** 2
     assert_peak_at_most(bound, spectrum_transfer, parse(SpectrumConfig, N8_SPECTRUM))
 
 
 def test_n8_spectrum_pipeline_peak_memory():
-    # Q^T * P, its block index and one real part at a time; the K = 9
-    # phases are small (measured 2.00 MiB; 3.00 MiB with the T x 256 GEMM)
-    dim = 2**8
-    bound = (np.dtype(complex).itemsize + 2.5 * np.dtype(float).itemsize) * dim**2
+    # the real Q^T * P and its block index, summed in one pass; the K = 9
+    # phases are small (measured 1.13 MiB; 2.00 MiB with a complex pair,
+    # 3.00 MiB with the T x 256 GEMM)
+    bound = 2.5 * np.dtype(float).itemsize * (2**8) ** 2
     cfg = parse(SpectrumConfig, N8_SPECTRUM)
     p, q, _, _ = spectrum_transfer(cfg)
     assert_peak_at_most(bound, run_pipeline, p, q, cfg.pipe)

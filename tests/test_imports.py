@@ -6,7 +6,8 @@ code, apart from the paper entry points still waiting for a registry
 group or a move into tests/.  No test module patches a package module or
 numpy.linalg by hand: counting and forbidding go through reference.py's
 helpers, which patch every binding of a name.  The test helpers import
-in either order: reference.py does not import conftest.py.
+in either order: reference.py does not import conftest.py.  No matrix
+product in the package takes a strided .real or .imag view as an operand.
 """
 
 import ast
@@ -165,3 +166,56 @@ for owner in (np.linalg, oracle):
         (8, "spinsearch.cli.run_selftest"),
         (10, "<local owner>"),
     ]
+
+
+def strided_products(source: str) -> list[int]:
+    """Lines of every @, @=, np.matmul, np.dot or .dot product with an
+    operand that is a .real or .imag view, or a transpose or slice of one:
+    numpy runs such a strided operand outside BLAS, many times slower than
+    a contiguous copy."""
+
+    def strided(expr) -> bool:
+        while isinstance(expr, (ast.Attribute, ast.Subscript)):
+            if isinstance(expr, ast.Attribute) and expr.attr in ("real", "imag"):
+                return True
+            expr = expr.value
+        return False
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        operands = []
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            numpy_call = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+            if numpy_call and func.attr in ("matmul", "dot"):
+                operands = node.args[:2]
+            elif func.attr == "dot":
+                operands = [func.value, *node.args[:1]]
+        if any(map(strided, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_blas_product_on_a_strided_part():
+    hits = [
+        f"{path.name}:{line}" for path in SOURCES for line in strided_products(path.read_text())
+    ]
+    assert hits == [], "copy the .real or .imag part before the product:\n" + "\n".join(hits)
+
+
+def test_strided_products_are_found():
+    source = """
+import numpy as np
+populations = pulse.real @ rho
+np.matmul(a, b.imag, out=c)
+np.dot(x.real.T, y)
+rho @= u.imag[:, :4]
+u.real.dot(v)
+fine = np.ascontiguousarray(pulse.real) @ rho + pulse.real.copy() @ rho
+np.dot(a, b).real
+"""
+    assert strided_products(source) == [3, 4, 5, 6, 7]
