@@ -32,6 +32,7 @@ from .composition import (
     trotter_product,
 )
 from .config import (
+    COMPOSE_METHODS,
     ComposeBenchConfig,
     ConfigError,
     GroverScanConfig,
@@ -204,6 +205,15 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     }
 
 
+COMPOSE_BUILDERS = {
+    "trotter": lambda a, b, t, m: trotter_product([a, b], t, m),
+    "commutator": commutator_product,
+    "sandwich": symmetric_sandwich,
+    "cross-interaction": cross_interaction,
+    "fractal": fractal_compose,
+}
+
+
 def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
     method, dim = cfg.method, cfg.dim
     if cfg.operators == "su2-zx":  # draws nothing: numpy.random stays unloaded
@@ -217,21 +227,9 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
             _, v = np.linalg.eigh(a)
             b = (v * rng.normal(size=dim)) @ v.conj().T
 
-    if method == "trotter":
-        res = trotter_product([a, b], cfg.t, cfg.m)
-        x_or_m = cfg.m
-    elif method == "commutator":
-        res = commutator_product(a, b, cfg.m)
-        x_or_m = cfg.m
-    elif method == "sandwich":
-        res = symmetric_sandwich(a, b, cfg.x, cfg.order_side)
-        x_or_m = cfg.x
-    elif method == "cross-interaction":
-        res = cross_interaction(a, b, cfg.x, cfg.level)
-        x_or_m = cfg.x
-    else:  # fractal
-        res = fractal_compose(a, b, cfg.x, cfg.p_list, cfg.order_side, cfg.mode)
-        x_or_m = cfg.x
+    params = COMPOSE_METHODS[method]  # the keys the method reads
+    res = COMPOSE_BUILDERS[method](a, b, **{name: getattr(cfg, name) for name in params})
+    x_or_m = cfg.m if "m" in params else cfg.x
 
     write_csv(
         out / "compose_bench.csv",
@@ -247,8 +245,7 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
         "payload": {
             "method": method,
             "error_norm": res.error_norm,
-            # an exact composition fits order inf, which strict JSON cannot hold
-            "fitted_order": res.fitted_order if np.isfinite(res.fitted_order) else None,
+            "fitted_order": res.fitted_order,
             "steps": list(res.steps),
             "step_errors": list(res.step_errors),
         },
@@ -363,7 +360,9 @@ def main(argv=None) -> int:
         "max_residual": result["max_residual"],
         "duration_s": time.perf_counter() - started,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    strict = json.loads(json.dumps(report), parse_constant=lambda _: None)  # NaN, +-inf as null
+    text = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     if args.command == "selftest":
         for r in result["payload"]["groups"]:
             status = "pass" if r["passed"] else "FAIL"

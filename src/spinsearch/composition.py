@@ -192,7 +192,7 @@ def symmetric_sandwich(
     outer, inner = _resolve_sides(a, b, order_side)
     ladder = [x, x / 2, x / 4]
     return _ladder(
-        lambda xv: sandwich_propagator(a, b, xv, order_side),
+        lambda xv: _sandwich(outer, inner, xv),
         _generator_error(lambda xv: xv * (outer + inner)),
         ladder,
         ladder,
@@ -222,20 +222,20 @@ def cross_interaction_target(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarr
     return -(x**3 / 8) * k
 
 
-def _cross2_propagator(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
-    return _symmetric_product(_sandwich(a, b, x), np.linalg.inv(_sandwich(b, a, x)))
+# level -> (leading generator of the cross composition, oracle calls)
+_CROSS_LEVELS = {2: (cross_interaction_target, 4), 4: (lambda a, b, x: 0, 13)}
 
 
 def cross_propagator(a: np.ndarray, b: np.ndarray, x: float, level: int = 2) -> np.ndarray:
-    """The level-2 cross composition of the two sandwich orderings, or at
+    """The level-2 cross composition of the two sandwich orderings (the
+    one-weight difference of fractal_propagator, operands swapped), or at
     level 4 the same composition of the two level-2 orderings."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if level == 2:
-        return _cross2_propagator(a, b, x)
+    if level not in _CROSS_LEVELS:
+        raise ValueError(f"level must be 2 or 4, got {level}")
+    u = _difference(a, b, x, [1.0])
     if level == 4:
-        return _symmetric_product(_cross2_propagator(a, b, x), _cross2_propagator(b, a, x))
-    raise ValueError(f"level must be 2 or 4, got {level}")
+        u = _symmetric_product(u, _difference(b, a, x, [1.0]))
+    return u
 
 
 def cross_interaction(
@@ -251,14 +251,7 @@ def cross_interaction(
     The reported oracle_calls counts the exp(xB)-type factors consumed:
     4 at level 2 and 13 at level 4 (the (3^(m+1) -+ 1)/2 pattern).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if level == 2:
-        target, calls = cross_interaction_target, 4
-    elif level == 4:
-        target, calls = lambda a, b, xv: 0, 13
-    else:
-        raise ValueError(f"level must be 2 or 4, got {level}")
+    target, calls = _CROSS_LEVELS.get(level, (None, 0))  # cross_propagator rejects others
     ladder = [x, x / 2, x / 4]
     return _ladder(
         lambda xv: cross_propagator(a, b, xv, level),
@@ -267,6 +260,10 @@ def cross_interaction(
         ladder,
         calls,
     )
+
+
+_P1 = 1 / (2 - 2 ** (1 / 3))
+FOURTH_ORDER_WEIGHTS = (_P1, 1 - 2 * _P1, _P1)  # palindromic (p1, 1 - 2 p1, p1)
 
 
 def palindromic_weights(p_list) -> list[float]:
@@ -288,6 +285,14 @@ def _fractal_side(o: np.ndarray, i: np.ndarray, x: float, p_list) -> np.ndarray:
     return u
 
 
+def _difference(a: np.ndarray, b: np.ndarray, x: float, p_list) -> np.ndarray:
+    """The two-ordering difference sqrt(f_A) f_B^-1 sqrt(f_A), f_O the
+    fractal product with O outside each sandwich."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    f_a = _fractal_side(a, b, x, p_list)
+    return _symmetric_product(f_a, np.linalg.inv(_fractal_side(b, a, x, p_list)))
+
+
 def fractal_propagator(
     a: np.ndarray,
     b: np.ndarray,
@@ -297,14 +302,13 @@ def fractal_propagator(
     mode: str = "compose",
 ) -> np.ndarray:
     """The palindromic product of scaled sandwiches, or in mode "difference"
-    sqrt(f_B) f_A^-1 sqrt(f_B) from the two orderings."""
+    sqrt(f_B) f_A^-1 sqrt(f_B) from both orderings, whatever order_side."""
     p_list = palindromic_weights(p_list)
     outer, inner = _resolve_sides(a, b, order_side)
     if mode == "compose":
         return _fractal_side(outer, inner, x, p_list)
     if mode == "difference":
-        f_a = _fractal_side(a, b, x, p_list)
-        return _symmetric_product(_fractal_side(b, a, x, p_list), np.linalg.inv(f_a))
+        return _difference(b, a, x, p_list)
     raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")
 
 
@@ -327,17 +331,11 @@ def fractal_compose(
     orderings, leaving only the high-order cross-interaction generator; its
     residual order is reported as measured.
     """
-    p_list = palindromic_weights(p_list)
-    outer, inner = _resolve_sides(a, b, order_side)
-    if mode == "compose":
-        error = _propagator_error(lambda xv: _expi(outer + inner, xv))
-        calls = len(p_list)
-    elif mode == "difference":
-        error = _generator_error(lambda _: 0)
-        calls = 3 * len(p_list)
+    # fractal_propagator checks p_list, order_side and mode on rung 0
+    if mode == "difference":
+        error, calls = _generator_error(lambda _: 0), 3 * len(p_list)
     else:
-        raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")
-
+        error, calls = _propagator_error(lambda xv: _expi(a + b, xv)), len(p_list)
     ladder = [x, x / 2, x / 4]
     return _ladder(
         lambda xv: fractal_propagator(a, b, xv, p_list, order_side, mode),

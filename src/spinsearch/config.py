@@ -23,7 +23,7 @@ from typing import Literal, Union, get_args, get_origin
 
 import numpy as np
 
-from .composition import palindromic_weights
+from .composition import FOURTH_ORDER_WEIGHTS, palindromic_weights
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
 from .sequences import initial_state
@@ -343,13 +343,12 @@ class SpectrumConfig:
         _set(self, marked=marked, pipe=pipe, rho0=initial_state(self.n, eps, self.p_axis))
 
 
-_P1 = 1 / (2 - 2 ** (1 / 3))  # fourth-order palindromic weights (p1, 1 - 2 p1, p1)
 COMPOSE_METHODS = {
     "trotter": {"t": 1.0, "m": 16},
     "commutator": {"m": 100},
     "sandwich": {"x": 0.2, "order_side": "A-outer"},
     "cross-interaction": {"x": 0.1, "level": 2},
-    "fractal": {"x": 0.2, "p_list": (_P1, 1 - 2 * _P1, _P1), "order_side": "A-outer", "mode": "compose"},
+    "fractal": {"x": 0.2, "p_list": FOURTH_ORDER_WEIGHTS, "order_side": "A-outer", "mode": "compose"},
 }
 
 

@@ -331,10 +331,8 @@ def _check_composition_unitarity(*, seed=83) -> float:
     worst = max_residual(worst, unitarity_defect(composition.commutator_propagator(a, b, 16)))
     worst = max_residual(worst, unitarity_defect(composition.sandwich_propagator(a, b, 0.3)))
     worst = max_residual(worst, unitarity_defect(composition.cross_propagator(a, b, 0.2)))
-    p1 = 1 / (2 - 2 ** (1 / 3))
-    worst = max_residual(
-        worst, unitarity_defect(composition.fractal_propagator(a, b, 0.3, [p1, 1 - 2 * p1, p1]))
-    )
+    weights = composition.FOURTH_ORDER_WEIGHTS
+    worst = max_residual(worst, unitarity_defect(composition.fractal_propagator(a, b, 0.3, weights)))
     return worst
 
 

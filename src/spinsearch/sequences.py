@@ -38,6 +38,7 @@ from .oracle import (
 
 DEFAULT_SEARCH_THETA = -np.pi / 2
 READOUT_REL_THRESHOLD = 1e-9
+GAMMA1_PEAK_REL_TOL = 0.01  # how near the maximum gamma1_first_peak's first peak must come
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -534,18 +535,18 @@ def measured_conversion_coefficients(
     return traces / (2**n / 4) / epsilons[k - 1]
 
 
-def gamma1_first_peak(N: int, rel_tol: float = 0.01) -> tuple[int, float]:
+def gamma1_first_peak(N: int) -> tuple[int, float]:
     """Location and height of the first near-maximal |gamma_1(m)| peak.
 
     |gamma_1| has near-degenerate replica peaks at odd multiples of the
     first one, so the global argmax over a wide window is a lattice
-    accident; the first m reaching within rel_tol of the global maximum is
-    the stable location.  Scans m in [1, 4 sqrt(N)].
+    accident; the first m within GAMMA1_PEAK_REL_TOL of the global maximum
+    is the stable location.  Scans m in [1, 4 sqrt(N)].
     """
     m_max = int(4 * math.sqrt(N)) + 1
     vals = np.array(
         [abs(grover_coefficients(m, N).gamma[0]) for m in range(1, m_max + 1)]
     )
     peak = vals.max()
-    first = int(np.argmax(vals >= (1 - rel_tol) * peak)) + 1
+    first = int(np.argmax(vals >= (1 - GAMMA1_PEAK_REL_TOL) * peak)) + 1
     return first, float(peak)

@@ -44,6 +44,7 @@ from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .sequences import grover_conjugate, projector_x_basis
 
 PEAK_REL_THRESHOLD = 1e-6
+INPHASE_TOL = 1e-9  # inphase_check's bound on |Q+ - exp(-i phi Fz) P exp(+i phi Fz)|
 
 # The cross-peak demo, whose config keys leave these fixed: spins
 # 1..CROSS_PEAK_A form subsystem A and the next CROSS_PEAK_B form B, each
@@ -205,7 +206,7 @@ def resum_lines(omegas: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.n
     return np.exp(-1j * np.outer(times, omegas)) @ amps
 
 
-def inphase_check(p: np.ndarray, q: np.ndarray, phi: float, tol: float = 1e-9) -> tuple[bool, float]:
+def inphase_check(p: np.ndarray, q: np.ndarray, phi: float) -> tuple[bool, float]:
     """Does the reconversion mirror the excitation up to a z rotation?
 
     Checks Q = exp(-i phi Fz) P exp(+i phi Fz) with P = U F_p U+ and
@@ -221,7 +222,7 @@ def inphase_check(p: np.ndarray, q: np.ndarray, phi: float, tol: float = 1e-9) -
     np.multiply(buf, rz[None, :], out=buf)
     np.subtract(buf, q.T, out=buf)
     residual = float(np.abs(buf).max())
-    return residual <= tol, residual
+    return residual <= INPHASE_TOL, residual
 
 
 @dataclass

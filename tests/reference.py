@@ -59,8 +59,8 @@ from spinsearch.sequences import (
     x_basis_state,
 )
 from spinsearch.spectroscopy import (
-    PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check, resum_lines,
-    run_pipeline, spectrum_transfer, transfer_pair,
+    INPHASE_TOL, PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check,
+    resum_lines, run_pipeline, spectrum_transfer, transfer_pair,
 )
 
 
@@ -628,13 +628,13 @@ def peak_cases(_):
     yield amps, 2 * np.pi * np.fft.fftfreq(64, 0.01), 2.0, 0.1
 
 
-def dense_inphase_check(p, q, phi, tol=1e-9):
+def dense_inphase_check(p, q, phi):
     """Reference: the residual |Q+ - exp(-i phi Fz) P exp(+i phi Fz)| as the
     dense expression of fresh temporaries."""
     rz = np.exp(-1j * magnetic_quantum_numbers(int(np.log2(p.shape[0]))) * phi)
     target = rz[:, None] * p * rz.conj()[None, :]
     residual = float(np.abs(q.conj().T - target).max())
-    return residual <= tol, residual
+    return residual <= INPHASE_TOL, residual
 
 
 def inphase_cases(_):

@@ -21,6 +21,7 @@ from spinsearch.spectroscopy import inphase_check, run_pipeline, spectrum_transf
 from conftest import CHECK, assert_peak_at_most, maxabs
 from reference import (
     DIAGONALIZERS, N8_SPECTRUM, agreement, patch_bindings, patch_counted, run_cli, spectrum_command,
+    strict_json,
 )
 
 OMEGA_10HZ = 2 * np.pi * 10
@@ -377,8 +378,8 @@ class TestSelftestCommand:
         out = tmp_path / "out"
         assert main(["selftest", "--out", str(out)]) == 1
         assert f"selftest failed: {group}" in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())  # NaN is not strict JSON
-        assert report["payload"]["failing"] == [group] and math.isnan(report["max_residual"])
+        report = strict_json((out / "report.json").read_text())  # NaN written as null
+        assert report["payload"]["failing"] == [group] and report["max_residual"] is None
         rows = [row.split(",") for row in (out / "selftest.csv").read_text().splitlines()]
         assert [row[1::2] for row in rows if row[0] == group] == [["nan", "0"]]
 

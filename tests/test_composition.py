@@ -9,6 +9,7 @@ from spinsearch.linalg import (
     unitarity_defect,
 )
 from spinsearch.composition import (
+    FOURTH_ORDER_WEIGHTS,
     commutator_product,
     commutator_propagator,
     cross_interaction,
@@ -102,7 +103,6 @@ class TestCommutatorProduct:
 test_ladders_match_the_sequential_product = agreement("trotter-commutator-ladders")
 
 
-P1 = 1 / (2 - 2 ** (1 / 3))
 # (expm_unitary calls, matrix_log_skew calls) with 4x4 operators: every
 # rung is built and scored once, and rung 0 is not rebuilt
 BUILDER_CALLS = {
@@ -124,7 +124,6 @@ def test_each_rung_is_built_once(monkeypatch, rng, name):
     assert (len(calls["expm_unitary"]), len(calls["matrix_log_skew"])) == (expm_calls, log_calls)
 
 
-P3 = [P1, 1 - 2 * P1, P1]
 # (builder, its propagator function at the builder's own step size)
 BUILDER_PROPAGATORS = {
     "trotter": (
@@ -143,11 +142,12 @@ BUILDER_PROPAGATORS = {
         lambda a, b: cross_interaction(a, b, 0.2, level=4), lambda a, b: cross_propagator(a, b, 0.2, 4)
     ),
     "fractal-compose": (
-        lambda a, b: fractal_compose(a, b, 0.3, P3), lambda a, b: fractal_propagator(a, b, 0.3, P3)
+        lambda a, b: fractal_compose(a, b, 0.3, FOURTH_ORDER_WEIGHTS),
+        lambda a, b: fractal_propagator(a, b, 0.3, FOURTH_ORDER_WEIGHTS),
     ),
     "fractal-difference": (
-        lambda a, b: fractal_compose(a, b, 0.3, P3, "B-outer", "difference"),
-        lambda a, b: fractal_propagator(a, b, 0.3, P3, "B-outer", "difference"),
+        lambda a, b: fractal_compose(a, b, 0.3, FOURTH_ORDER_WEIGHTS, "B-outer", "difference"),
+        lambda a, b: fractal_propagator(a, b, 0.3, FOURTH_ORDER_WEIGHTS, "B-outer", "difference"),
     ),
 }
 
@@ -157,6 +157,25 @@ def test_reported_propagator_is_the_propagator_function(rng, name):
     builder, propagator = BUILDER_PROPAGATORS[name]
     a, b = 0.5 * random_hermitian(rng, 4), 0.5 * random_hermitian(rng, 4)
     assert np.array_equal(builder(a, b).propagator, propagator(a, b))
+
+
+@pytest.mark.parametrize("x", [0.2, -0.2])
+@pytest.mark.parametrize("pair", ["random-2", "random-4", "random-16", "su2-zx", "real-4"])
+def test_one_weight_cases_are_the_fractal_builders(rng, pair, x):
+    # the sandwich is the one-weight fractal product, and the level-2 cross
+    # composition the one-weight fractal difference with its operands swapped
+    if pair == "su2-zx":
+        a, b = IZ, IX
+    else:
+        dim = int(pair.split("-")[1])
+        hs = [random_hermitian(rng, dim) for _ in range(2)]
+        if pair.startswith("real"):  # float64 operands take the same complex path
+            hs = [h.real for h in hs]
+        a, b = (h / np.linalg.norm(h, 2) for h in hs)  # |x (A + B)| <= 0.4, far from the log's cut
+    for side in ("A-outer", "B-outer"):
+        assert np.array_equal(sandwich_propagator(a, b, x, side), fractal_propagator(a, b, x, [1.0], side))
+    difference = fractal_propagator(b, a, x, [1.0], mode="difference")
+    assert np.array_equal(cross_propagator(a, b, x, 2), difference)
 
 
 class TestSymmetricSandwich:
@@ -256,8 +275,7 @@ class TestFractalCompose:
     def test_standard_triplet_reaches_fifth_order(self, rng):
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        p1 = 1 / (2 - 2 ** (1 / 3))
-        res = fractal_compose(a, b, 0.3, [p1, 1 - 2 * p1, p1])
+        res = fractal_compose(a, b, 0.3, FOURTH_ORDER_WEIGHTS)
         assert 4.5 <= res.fitted_order <= 5.5
 
     def test_palindrome_violation(self, rng):
@@ -273,8 +291,7 @@ class TestFractalCompose:
     def test_difference_mode_reports_residual(self, rng):
         a = random_hermitian(rng, 4, scale=0.5)
         b = random_hermitian(rng, 4, scale=0.5)
-        p1 = 1 / (2 - 2 ** (1 / 3))
-        res = fractal_compose(a, b, 0.2, [p1, 1 - 2 * p1, p1], mode="difference")
+        res = fractal_compose(a, b, 0.2, FOURTH_ORDER_WEIGHTS, mode="difference")
         # the leading x(A+B) term cancels between the two orderings
         assert maxabs(res.generator_estimate) <= 0.1 * maxabs(0.2 * (a + b))
         assert res.fitted_order > 3.0
@@ -283,8 +300,7 @@ class TestFractalCompose:
     def test_propagators_unitary(self, rng):
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        p1 = 1 / (2 - 2 ** (1 / 3))
-        res = fractal_compose(a, b, 0.4, [p1, 1 - 2 * p1, p1])
+        res = fractal_compose(a, b, 0.4, FOURTH_ORDER_WEIGHTS)
         assert unitarity_defect(res.propagator) <= 1e-10
 
 
