@@ -152,10 +152,7 @@ def commutator_product(a: np.ndarray, b: np.ndarray, m: int) -> CompositionResul
     commutator_propagator converges to exp(-[A, B]); the measured error
     decays like 1/sqrt(m).
     """
-    c = comm(a, b)                       # anti-Hermitian
-    x_herm = (1j * c)                    # Hermitian, exp(-[A,B]) = exp(+i x_herm)
-    w, v = np.linalg.eigh(x_herm)
-    target = (v * np.exp(1j * w)) @ v.conj().T
+    target = _expi(1j * comm(a, b))  # exp(-[A, B]): i [A, B] is Hermitian
     ladder = [m, 4 * m, 16 * m]
     steps = [1 / np.sqrt(s) for s in ladder]
     return _ladder(

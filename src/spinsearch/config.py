@@ -26,7 +26,7 @@ import numpy as np
 from .composition import FOURTH_ORDER_WEIGHTS, palindromic_weights
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
-from .sequences import initial_state
+from .sequences import auto_m_max, initial_state
 from .spectroscopy import (
     CROSS_PEAK_A,
     CROSS_PEAK_B,
@@ -246,7 +246,7 @@ class GroverScanConfig:
             eps = _eps_vector(self.epsilons, n)
             if eps[self.k - 1] == 0:
                 raise ValueError(f"epsilon of the read spin k={self.k} must be nonzero")
-            m_max = int(4 * np.sqrt(2**n)) + 1 if self.m_max == "auto" else self.m_max
+            m_max = auto_m_max(2**n) if self.m_max == "auto" else self.m_max
             plan.append((marked, eps, m_max))
         _set(self, plan=tuple(plan))
 

@@ -1,12 +1,15 @@
 """The invariant registry: every closed form checked against brute force.
 
-Each check computes a max residual over a deterministic case set that it
-takes as keyword arguments: the n values, a case count and, where it draws
-random cases, a seed.  The defaults are the quick budget that
-`spinsearch selftest` runs (n <= 4); the acceptance suite calls the same
-checks with its own cases and asserts its own contract tolerances.  The
-checks the acceptance suite shares draw from one generator per n, seeded
-at seed + n, so a smaller count checks a prefix of the same cases.
+Each group is a generator of differences: over a deterministic case set
+that it takes as keyword arguments (the n values, a case count and, where
+it draws random cases, a seed) it yields what it compares, as arrays or
+numbers.  The registry folds them once: the group residual is the largest
+magnitude of any yielded entry, and a NaN entry, or a check with no cases,
+makes it NaN, which fails the group.  The defaults are the quick budget
+that `spinsearch selftest` runs (n <= 4); the acceptance suite folds the
+same checks over its own cases and asserts its own contract tolerances.
+The checks it shares draw from one generator per n, seeded at seed + n,
+so a smaller count checks a prefix of the same cases.
 
 Where a group's cost is per-case dispatch, its dense references run as
 stacked products over consecutive chunks of its cases, drawn in the same
@@ -59,6 +62,20 @@ def max_residual(*residuals: float) -> float:
     return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
+def _magnitude(difference) -> float:
+    """The largest |entry| of one yielded difference; -inf when it has no entry."""
+    magnitude = np.abs(difference)
+    return float(magnitude.max()) if magnitude.size else -math.inf
+
+
+def _group_residual(check, **cases) -> float:
+    """The one fold of the registry: the largest magnitude of any entry that
+    check(**cases) yields, NaN when an entry is NaN or no entry is yielded.
+    map drops each difference before the check makes the next."""
+    largest = max_residual(-math.inf, *map(_magnitude, check(**cases)))
+    return math.nan if largest == -math.inf else largest
+
+
 def _chunks(count: int, entries: int):
     """Consecutive slices of count cases, each case stacking `entries`
     complex entries, at most PHASE_CYCLE_BATCH entries per slice."""
@@ -70,49 +87,38 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _check_spin_commutators(*, n_values=(2, 3, 4)) -> float:
+def _check_spin_commutators(*, n_values=(2, 3, 4)):
     """[a, b] = a b - b a over every ordered pair of spin operators on
     different spins, as stacked products over chunks of a."""
-    worst = 0.0
     for n in n_values:
         ops = np.array([spin_op(n, k, ax) for k in range(1, n + 1) for ax in "xyz"])
         spins = np.repeat(np.arange(n), 3)
         for rows in _chunks(len(ops), ops.size):
             a = ops[rows, None]
             c = a @ ops - ops @ a
-            off_spin = c[spins[rows, None] != spins]
-            worst = max_residual(worst, float(np.abs(off_spin).max(initial=0.0)))
+            yield c[spins[rows, None] != spins]
     # su(2) algebra on one spin: [Ix, Iy] = i Iz and cyclic, on spins 1 and 2
     x, y, z = (np.array([spin_op(2, k, ax) for k in (1, 2)]) for ax in "xyz")
     a, b, c = (np.concatenate(triple) for triple in ((x, y, z), (y, z, x), (z, x, y)))
-    worst = max_residual(worst, float(np.abs(a @ b - b @ a - 1j * c).max()))
-    return worst
+    yield a @ b - b @ a - 1j * c
 
 
-def _check_expm_unitary(*, n_values=(1, 2, 3, 4), seed=11) -> float:
+def _check_expm_unitary(*, n_values=(1, 2, 3, 4), seed=11):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for n in n_values:
         h = random_hermitian(rng, 2**n)
-        worst = max_residual(worst, unitarity_defect(expm_unitary(h, 0.37)))
-        u = expm_unitary(h, 0.2) @ expm_unitary(h, 0.55)
-        worst = max_residual(worst, float(np.abs(u - expm_unitary(h, 0.75)).max()))
-    return worst
+        yield unitarity_defect(expm_unitary(h, 0.37))
+        yield expm_unitary(h, 0.2) @ expm_unitary(h, 0.55) - expm_unitary(h, 0.75)
 
 
-def _check_fz_eigenvalues(*, n_values=(1, 2, 3, 4)) -> float:
-    worst = 0.0
+def _check_fz_eigenvalues(*, n_values=(1, 2, 3, 4)):
     for n in n_values:
         fz = total_op(n, "z")
-        worst = max_residual(
-            worst, float(np.abs(np.diag(fz).real - magnetic_quantum_numbers(n)).max())
-        )
-        worst = max_residual(worst, float(np.abs(fz - np.diag(np.diag(fz))).max()))
-    return worst
+        yield np.diag(fz).real - magnetic_quantum_numbers(n)
+        yield fz - np.diag(np.diag(fz))
 
 
-def _check_oracle_equivalence(*, n_values=(1, 2, 3)) -> float:
-    worst = 0.0
+def _check_oracle_equivalence(*, n_values=(1, 2, 3)):
     for n in n_values:
         blocks, cs = [], []
         for s in range(2**n):
@@ -120,27 +126,23 @@ def _check_oracle_equivalence(*, n_values=(1, 2, 3)) -> float:
             for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
                 blocks.append(oracle.restrict_to_aux01(oracle.oracle_uo(marked, theta)))
                 cs.append(oracle.selective_phase(marked, theta))
-        worst = max_residual(worst, float(np.abs(np.array(blocks) - np.array(cs)).max()))
-    return worst
+        yield np.array(blocks) - np.array(cs)
 
 
-def _check_projector_frame_relation(*, n_values=(1, 2, 3)) -> float:
-    worst = 0.0
+def _check_projector_frame_relation(*, n_values=(1, 2, 3)):
     for n in n_values:
         d0 = oracle.diag_projector(MarkedState(s=0, n=n))
         markeds = [MarkedState(s=s, n=n) for s in range(2**n)]
         w = np.array([sequences.sign_flip_frame(marked) for marked in markeds])
         ds = np.array([oracle.diag_projector(marked) for marked in markeds])
-        worst = max_residual(worst, float(np.abs(ds - w @ d0 @ _dagger(w)).max()))
-    return worst
+        yield ds - w @ d0 @ _dagger(w)
 
 
-def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000) -> float:
+def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000):
     """Per case: one random state conjugated by a selective phase at a
     random angle, and by a product of 2..4 of them.  The dense products run
     stacked over a chunk of cases; each U is padded to four factors with
     identities, whose products leave its entries exact."""
-    worst = 0.0
     for n in n_values:
         dim = 2**n
         eye = np.eye(dim, dtype=complex)
@@ -163,50 +165,36 @@ def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000) ->
                 factors.append(phases + [eye] * (4 - len(phases)))
             rho = np.array(rhos)
             c = np.array(cs)
-            worst = max_residual(worst, float(np.abs(np.array(ones) - c @ rho @ _dagger(c)).max()))
+            yield np.array(ones) - c @ rho @ _dagger(c)
             u = eye
             for slot in zip(*factors):
                 u = u @ np.array(slot)
-            multi_res = float(np.abs(np.array(multis) - u @ rho @ _dagger(u)).max())
-            worst = max_residual(worst, multi_res)
-    return worst
+            yield np.array(multis) - u @ rho @ _dagger(u)
 
 
-def _check_search_recovery(*, n_values=(1, 2, 3, 4)) -> float:
+def _check_search_recovery(*, n_values=(1, 2, 3, 4)):
     """Every marked index at uniform polarization: nonzero if a run misreads
     s or takes other than two calls of U_f."""
-    worst = 0.0
     for n in n_values:
         eps = np.ones(n)
         for s in range(2**n):
             res = sequences.simple_search(MarkedState(s=s, n=n), eps)
-            worst = max_residual(
-                worst, float(abs(res.recovered_s - s)), float(abs(res.oracle_uf_calls - 2))
-            )
-    return worst
+            yield res.recovered_s - s, res.oracle_uf_calls - 2
 
 
-def _check_lomso_reconstruction(*, n_values=(1, 2, 3)) -> float:
-    worst = 0.0
+def _check_lomso_reconstruction(*, n_values=(1, 2, 3)):
     for n in n_values:
         basis = mqalgebra.lomso_transform(n)
-        worst = max_residual(
-            worst,
-            float(np.abs(basis.a @ basis.a_inv - np.eye(2**n)).max()),
-        )
+        yield basis.a @ basis.a_inv - np.eye(2**n)
         for k in range(2**n):
             d = oracle.diag_projector(MarkedState(s=k, n=n))
-            worst = max_residual(
-                worst, float(np.abs(d - mqalgebra.lomso_expand_projector(basis, k)).max())
-            )
-    return worst
+            yield d - mqalgebra.lomso_expand_projector(basis, k)
 
 
-def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000) -> float:
+def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000):
     """Per case: one coherence order of a random operator, selected by
     2n + 1 phase steps and by the Fz grading; a chunk of cases runs as one
     stacked phase cycle."""
-    worst = 0.0
     for n in n_values:
         rng = np.random.default_rng(seed + n)
         for chunk in _chunks(count, 4**n):
@@ -215,150 +203,109 @@ def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000) -> float:
                 fs.append(random_hermitian(rng, 2**n))
                 targets.append(int(rng.integers(-n, n + 1)))
             f = np.array(fs)
-            proj = mqalgebra.phase_cycle_project(f, 2 * n + 1, targets)
-            graded = mqalgebra.order_component(f, targets)
-            worst = max_residual(worst, float(np.abs(proj - graded).max()))
-    return worst
+            yield mqalgebra.phase_cycle_project(f, 2 * n + 1, targets) - mqalgebra.order_component(f, targets)
 
 
-def _check_mq_generator_orders(*, n_values=(2, 3)) -> float:
+def _outside_orders(op: np.ndarray, allowed):
+    """The coherence-order components of op at every order m for which
+    allowed(m) is false."""
+    return (a for m, a in mqalgebra.decompose_orders(op).items() if not allowed(m))
+
+
+def _check_mq_generator_orders(*, n_values=(2, 3)):
     """The generator on each subset of two or more qubits that holds qubit 1
-    has no coherence order but +-(subset size)."""
-    worst = 0.0
+    is Hermitian and has no coherence order but +-(subset size)."""
     for n in n_values:
         subsets = [(1, *c) for size in range(1, n) for c in combinations(range(2, n + 1), size)]
         for qubits in subsets:
-            l = len(qubits)
             g = mqalgebra.mq_generator(n, qubits)
-            worst = max_residual(worst, float(np.abs(g - g.conj().T).max()))
-            dec = mqalgebra.decompose_orders(g)
-            for m, a in dec.items():
-                if abs(m) != l:
-                    worst = max_residual(worst, float(np.abs(a).max()))
-    return worst
+            yield g - g.conj().T
+            yield from _outside_orders(g, lambda m: abs(m) == len(qubits))
 
 
-def _check_zero_quantum_closure(*, n_values=(2, 3), count=6, seed=53) -> float:
+def _closure(allowed, t: float, *, n_values, count: int, seed: int):
+    """Per case: a random operator and a random generator G, both masked to
+    the orders allowed(order_matrix) admits; conjugation by exp(-i t G)
+    keeps the operator within those orders."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for n in n_values:
+        mask = allowed(mqalgebra.order_matrix(n))
         for _ in range(count):
-            h = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
-            zq_op = mqalgebra.order_component(random_hermitian(rng, 2**n), 0)
-            u = expm_unitary(zq_op, 0.9)
-            moved = u @ h @ u.conj().T
-            dec = mqalgebra.decompose_orders(moved)
-            for m, a in dec.items():
-                if m != 0:
-                    worst = max_residual(worst, float(np.abs(a).max()))
-    return worst
+            h = np.where(mask, random_hermitian(rng, 2**n), 0)
+            u = expm_unitary(np.where(mask, random_hermitian(rng, 2**n), 0), t)
+            yield from _outside_orders(u @ h @ u.conj().T, allowed)
 
 
-def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in n_values:
-        even_mask = mqalgebra.order_matrix(n) % 2 == 0
-        for _ in range(count):
-            h = np.where(even_mask, random_hermitian(rng, 2**n), 0)
-            gen = np.where(even_mask, random_hermitian(rng, 2**n), 0)
-            u = expm_unitary(gen, 0.8)
-            moved = u @ h @ u.conj().T
-            dec = mqalgebra.decompose_orders(moved)
-            for m, a in dec.items():
-                if m % 2 != 0:
-                    worst = max_residual(worst, float(np.abs(a).max()))
-    return worst
+def _check_zero_quantum_closure(*, n_values=(2, 3), count=6, seed=53):
+    yield from _closure(lambda m: m == 0, 0.9, n_values=n_values, count=count, seed=seed)
 
 
-def _check_grover_three_way(*, n_values=(2, 3, 4), count=26) -> float:
+def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59):
+    yield from _closure(lambda m: m % 2 == 0, 0.8, n_values=n_values, count=count, seed=seed)
+
+
+def _check_grover_three_way(*, n_values=(2, 3, 4), count=26):
     """Closed form, recursion and a least-squares fit of the dense core
     iteration agree on the coefficients for m = 0 .. count - 1."""
-    worst = 0.0
     for n in n_values:
-        N = 2**n
-        fits = sequences.extract_alpha_from_matrix(n, count - 1)
-        ms = range(len(fits))
-        closed = np.array([sequences.grover_coefficients(m, N).alpha for m in ms])
-        rec = np.array([sequences.grover_coefficients_recursion(m, N).alpha for m in ms])
-        coeffs = np.array([c for c, _ in fits])
-        worst = max_residual(worst, float(np.abs(closed - rec).max()))
-        worst = max_residual(worst, *(float(abs(c[0] - 1.0)) for c, _ in fits))
-        worst = max_residual(worst, float(np.abs(coeffs[:, 1:] - closed).max()))
-        worst = max_residual(worst, *(recon_res for _, recon_res in fits))
-    return worst
+        fits = sequences.extract_alpha_from_matrix(n, count - 1)  # fits m = 0 even at count 0
+        for m, (coeffs, recon_res) in zip(range(count), fits):
+            closed = np.array(sequences.grover_coefficients(m, 2**n).alpha)
+            yield closed - sequences.grover_coefficients_recursion(m, 2**n).alpha
+            yield coeffs[0] - 1.0, recon_res
+            yield coeffs[1:] - closed
 
 
-def _check_grover_reexpression(*, n_values=(2, 3)) -> float:
-    worst = 0.0
+def _check_grover_reexpression(*, n_values=(2, 3)):
     for n in n_values:
         for s in (0, 2**n - 1, 1):
             marked = MarkedState(s=s, n=n)
             for m in (1, 3, 6):
-                direct = sequences.grover_propagator(marked, m)
-                factored = sequences.grover_propagator_factored(marked, m)
-                worst = max_residual(worst, float(np.abs(direct - factored).max()))
-    return worst
+                yield sequences.grover_propagator(marked, m) - sequences.grover_propagator_factored(marked, m)
 
 
-def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000) -> float:
+def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000):
     """Per case: the t1 series of random excitation and reconversion
     unitaries around a 10 Hz Fz evolution, against its line expansion."""
-    worst = 0.0
     for n in n_values:
-        dim = 2**n
         rng = np.random.default_rng(seed + n)
         h = spectroscopy.SpinHamiltonian.uniform_fz(n, 2 * np.pi * 10)
         for _ in range(count):
-            u = random_unitary(rng, dim)
-            v = random_unitary(rng, dim)
+            u, v = (random_unitary(rng, 2**n) for _ in range(2))
             cfg = spectroscopy.PipelineConfig(h_evol=h, dt=1 / 256, n_points=128)
             rho0 = sequences.initial_state(n, rng.uniform(0.5, 1.5, n), "y")
             p, q = spectroscopy.transfer_pair(u, v, rho0)
             series = spectroscopy.run_pipeline(p, q, cfg)
             om, amps = spectroscopy.eigen_expand(p, q, h)
-            resum = spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
-            worst = max_residual(worst, float(np.abs(series - resum).max()))
-    return worst
+            yield series - spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
 
 
-def _check_composition_unitarity(*, seed=83) -> float:
+def _check_composition_unitarity(*, seed=83):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    worst = max_residual(worst, unitarity_defect(composition.trotter_propagator([a, b], 0.7, 8)))
-    worst = max_residual(worst, unitarity_defect(composition.commutator_propagator(a, b, 16)))
-    worst = max_residual(worst, unitarity_defect(composition.sandwich_propagator(a, b, 0.3)))
-    worst = max_residual(worst, unitarity_defect(composition.cross_propagator(a, b, 0.2)))
-    weights = composition.FOURTH_ORDER_WEIGHTS
-    worst = max_residual(worst, unitarity_defect(composition.fractal_propagator(a, b, 0.3, weights)))
-    return worst
+    a, b = (random_hermitian(rng, 4) for _ in range(2))
+    yield unitarity_defect(composition.trotter_propagator([a, b], 0.7, 8))
+    yield unitarity_defect(composition.commutator_propagator(a, b, 16))
+    yield unitarity_defect(composition.sandwich_propagator(a, b, 0.3))
+    yield unitarity_defect(composition.cross_propagator(a, b, 0.2))
+    yield unitarity_defect(composition.fractal_propagator(a, b, 0.3, composition.FOURTH_ORDER_WEIGHTS))
 
 
-def _check_sandwich_time_symmetry(*, seed=97) -> float:
+def _check_sandwich_time_symmetry(*, seed=97):
     rng = np.random.default_rng(seed)
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    worst = 0.0
+    a, b = (random_hermitian(rng, 4) for _ in range(2))
     for x in (0.4, 0.15):
-        s_pos = composition.sandwich_propagator(a, b, x)
-        s_neg = composition.sandwich_propagator(a, b, -x)
-        worst = max_residual(worst, float(np.abs(s_pos @ s_neg - np.eye(4)).max()))
-    return worst
+        yield composition.sandwich_propagator(a, b, x) @ composition.sandwich_propagator(a, b, -x) - np.eye(4)
 
 
-def _check_projector_product_form(*, n_values=(1, 2, 3, 4)) -> float:
+def _check_projector_product_form(*, n_values=(1, 2, 3, 4)):
     """|s><s| for every s against the product of single-spin projectors
     E/2 + a_k I_kz over the sign vector of s."""
     half = 0.5 * np.eye(2, dtype=complex)
-    worst = 0.0
     for n in n_values:
         for s in range(2**n):
             marked = MarkedState(s=s, n=n)
             product = kron_all(half + a * PAULI_HALF["z"] for a in marked.signs)
-            worst = max_residual(worst, float(np.abs(product - oracle.diag_projector(marked)).max()))
-    return worst
+            yield product - oracle.diag_projector(marked)
 
 
 INVARIANT_GROUPS = (
@@ -384,4 +331,4 @@ INVARIANT_GROUPS = (
 
 
 def run_selftest() -> list[InvariantResult]:
-    return [InvariantResult(name=name, residual=fn(), tolerance=tol) for name, fn, tol in INVARIANT_GROUPS]
+    return [InvariantResult(name, _group_residual(check), tol) for name, check, tol in INVARIANT_GROUPS]

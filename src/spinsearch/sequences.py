@@ -535,18 +535,21 @@ def measured_conversion_coefficients(
     return traces / (2**n / 4) / epsilons[k - 1]
 
 
+def auto_m_max(N: int) -> int:
+    """The last m of the auto window, int(4 sqrt N) + 1: the m_max that
+    grover-scan runs by default and the window gamma1_first_peak scans."""
+    return int(4 * math.sqrt(N)) + 1
+
+
 def gamma1_first_peak(N: int) -> tuple[int, float]:
     """Location and height of the first near-maximal |gamma_1(m)| peak.
 
     |gamma_1| has near-degenerate replica peaks at odd multiples of the
     first one, so the global argmax over a wide window is a lattice
     accident; the first m within GAMMA1_PEAK_REL_TOL of the global maximum
-    is the stable location.  Scans m in [1, 4 sqrt(N)].
+    is the stable location.  Scans m in [1, auto_m_max(N)].
     """
-    m_max = int(4 * math.sqrt(N)) + 1
-    vals = np.array(
-        [abs(grover_coefficients(m, N).gamma[0]) for m in range(1, m_max + 1)]
-    )
+    vals = np.array([abs(grover_coefficients(m, N).gamma[0]) for m in range(1, auto_m_max(N) + 1)])
     peak = vals.max()
     first = int(np.argmax(vals >= (1 - GAMMA1_PEAK_REL_TOL) * peak)) + 1
     return first, float(peak)

@@ -344,12 +344,33 @@ class TestSelftestCommand:
         assert report["payload"]["failing"] == []
 
     def test_planted_failing_group_exits_1(self, tmp_path, monkeypatch, capsys):
-        planted = ("planted-residual-over-tolerance", lambda: 2e-12, 1e-12)
+        planted = ("planted-residual-over-tolerance", lambda: [2e-12], 1e-12)
         monkeypatch.setattr(selftest, "INVARIANT_GROUPS", INVARIANT_GROUPS + (planted,))
         code, _, report = run_cli(tmp_path, "selftest")
         assert code == 1
         assert report["payload"]["failing"] == [planted[0]]
         assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
+
+    def test_planted_group_without_cases_exits_1(self, tmp_path, monkeypatch, capsys):
+        planted = ("planted-no-cases", lambda: [], 1e-12)
+        monkeypatch.setattr(selftest, "INVARIANT_GROUPS", INVARIANT_GROUPS + (planted,))
+        code, _, report = run_cli(tmp_path, "selftest")
+        assert code == 1
+        assert report["payload"]["failing"] == [planted[0]] and report["max_residual"] is None
+        assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "group, cases",
+        [
+            ("search-recovery", {"n_values": ()}),
+            ("zero-quantum-closure", {"n_values": ()}),
+            ("phase-cycling-vs-grading", {"count": 0}),
+            ("grover-coefficients-three-way", {"count": 0}),
+        ],
+    )
+    def test_a_check_without_cases_is_nan(self, group, cases):
+        # a check that compares nothing shows nothing: its residual fails
+        assert math.isnan(CHECK[group](**cases))
 
     def test_max_residual_keeps_nan(self):
         # max(0.0, nan) is 0.0: a plain max would pass a NaN case

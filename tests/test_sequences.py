@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsearch import selftest, sequences
+from spinsearch import sequences
 from spinsearch.linalg import (
     expm_unitary,
     kron_all,
@@ -34,7 +34,7 @@ from spinsearch.sequences import (
     x_basis_state,
 )
 
-from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unitary
+from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian, random_unitary
 from reference import (
     Forbidden, agreement, dense_conjugate, explicit_search_n8, gradient_crush, patch_counted,
     patch_forbidden, zq_dephase,
@@ -340,7 +340,7 @@ class TestExtractAlpha:
 
     def test_three_way_check_builds_the_basis_once_per_n(self, monkeypatch):
         calls = patch_counted(monkeypatch, ["grover_basis"])
-        selftest._check_grover_three_way()
+        CHECK["grover-coefficients-three-way"]()
         assert calls["grover_basis"] == [(2,), (3,), (4,)]
 
 
