@@ -1,8 +1,10 @@
 """Command-line driver: JSON config in, CSV/JSON results out.
 
-Exit codes: 0 ok, 1 selftest failure, 2 config error (or an --out that
-is not a usable directory), 3 ambiguous search readout, 4 sampling
-(Nyquist) error, 5 matrix-logarithm branch error.
+Exit codes: `EXIT_CODES` maps each error a run can end in to its code
+and stderr label: 2 config error, 3 ambiguous search readout, 4 sampling
+(Nyquist) error, 5 matrix-logarithm branch error.  An --out that is not
+a usable directory also exits 2.  A run that finishes exits 1 when its
+payload lists failing checks (selftest's `failing`), else 0.
 
 Each command reads a typed config that spinsearch.config builds from the
 JSON file; every config defect is found there, before any numerics, and
@@ -21,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -255,33 +258,19 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
 
 
 def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
-    results = run_selftest()
-    write_csv(
-        out / "selftest.csv",
-        {
-            "invariant": [r.name for r in results],
-            "residual": [r.residual for r in results],
-            "tolerance": [r.tolerance for r in results],
-            "passed": [int(r.passed) for r in results],
-        },
-    )
-    return {
-        "payload": {
-            "groups": [
-                {
-                    "name": r.name,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in results
-            ],
-            "n_groups": len(results),
-            "failing": [r.name for r in results if not r.passed],
-        },
-        "oracle_calls": 0,
-        "max_residual": max_residual(*(r.residual for r in results)),
-    }
+    groups = [vars(r) | {"passed": r.passed} for r in run_selftest()]  # name, residual, tolerance, passed
+    column = lambda key: [g[key] for g in groups]
+    passed = [int(p) for p in column("passed")]
+    write_csv(out / "selftest.csv", {"invariant": column("name"), "residual": column("residual"),
+                                     "tolerance": column("tolerance"), "passed": passed})
+    for g in groups:
+        status = "pass" if g["passed"] else "FAIL"
+        print(f"{status}  {g['name']}  residual={g['residual']:.3e}  tol={g['tolerance']:.3e}")
+    failing = [g["name"] for g in groups if not g["passed"]]
+    if failing:
+        print(f"selftest failed: {', '.join(failing)}", file=sys.stderr)
+    payload = {"groups": groups, "n_groups": len(groups), "failing": failing}
+    return {"payload": payload, "oracle_calls": 0, "max_residual": max_residual(*column("residual"))}
 
 
 COMMANDS = {
@@ -291,12 +280,14 @@ COMMANDS = {
     "compose-bench": cmd_compose_bench,
     "selftest": cmd_selftest,
 }
-SCHEMAS = {
-    "search": SearchConfig,
-    "grover-scan": GroverScanConfig,
-    "spectrum": SpectrumConfig,
-    "compose-bench": ComposeBenchConfig,
-    "selftest": SelftestConfig,
+SCHEMAS = {name: get_type_hints(command)["cfg"] for name, command in COMMANDS.items()}
+
+# the errors a run can end in: exception class -> (exit code, stderr label)
+EXIT_CODES = {
+    ConfigError: (2, "config error"),
+    AmbiguousReadoutError: (3, "ambiguous readout"),
+    NyquistError: (4, "sampling error"),
+    BranchCutError: (5, "numerical branch error"),
 }
 
 
@@ -337,20 +328,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         raw = load_config(args.config)
-        cfg = parse(SCHEMAS[args.command], raw)
-        result = COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AmbiguousReadoutError as exc:
-        print(f"ambiguous readout: {exc}", file=sys.stderr)
-        return 3
-    except NyquistError as exc:
-        print(f"sampling error: {exc}", file=sys.stderr)
-        return 4
-    except BranchCutError as exc:
-        print(f"numerical branch error: {exc}", file=sys.stderr)
-        return 5
+        result = COMMANDS[args.command](parse(SCHEMAS[args.command], raw), out)
+    except tuple(EXIT_CODES) as exc:
+        code, label = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
     report = {
         "command": args.command,
@@ -363,15 +345,7 @@ def main(argv=None) -> int:
     strict = json.loads(json.dumps(report), parse_constant=lambda _: None)  # NaN, +-inf as null
     text = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
     (out / "report.json").write_text(text + "\n")
-    if args.command == "selftest":
-        for r in result["payload"]["groups"]:
-            status = "pass" if r["passed"] else "FAIL"
-            print(f"{status}  {r['name']}  residual={r['residual']:.3e}  tol={r['tolerance']:.3e}")
-        failing = result["payload"]["failing"]
-        if failing:
-            print(f"selftest failed: {', '.join(failing)}", file=sys.stderr)
-            return 1
-    return 0
+    return 1 if result["payload"].get("failing") else 0
 
 
 if __name__ == "__main__":

@@ -259,7 +259,7 @@ HAMILTONIAN_KINDS = {
 
 @schema
 class HamiltonianConfig:
-    kind: Literal["uniform-fz", "weak-coupling"] = key()
+    kind: Literal[tuple(HAMILTONIAN_KINDS)] = key()
     omega: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     offsets: list[float] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     couplings: list[tuple[int, int, float]] | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)  # [k, l, J_hz]
@@ -292,8 +292,8 @@ _LABELED = {
     "t1": REQUIRED,
 }
 SPECTRUM_PRESETS = {
-    "identity": _LABELED,
     "grover-excitation": {**_LABELED, "s": REQUIRED, "iterations": 2},
+    "identity": _LABELED,
     "cross-peak-demo": {
         "s": 5, "N1": 2 * CROSS_PEAK_N + 1, "tau_u": 0.8, "tau_v": 0.6, "dominance": 5.0,
     },
@@ -302,7 +302,7 @@ SPECTRUM_PRESETS = {
 
 @schema
 class SpectrumConfig:
-    preset: Literal["grover-excitation", "identity", "cross-peak-demo"] = key("grover-excitation")
+    preset: Literal[tuple(SPECTRUM_PRESETS)] = key("grover-excitation")
     n: int | None = key(None, lo=1, hi=N_MAX)
     s: int | None = key(None)
     iterations: int | None = key(None, lo=0, hi=GROVER_M_MAX)
@@ -328,7 +328,7 @@ class SpectrumConfig:
             # the demo fixes everything but its own keys (spectroscopy.CROSS_PEAK_*)
             require_order_separation(CROSS_PEAK_N, self.N1)
             omega = CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B
-            _set(self, n=CROSS_PEAK_N, p_axis="z", phi=0.0, label_omega=omega)
+            _set(self, n=CROSS_PEAK_N, p_axis="z", detect_axis="z", phi=0.0, label_omega=omega)
             offsets = [CROSS_PEAK_OMEGA_A] * CROSS_PEAK_A + [CROSS_PEAK_OMEGA_B] * CROSS_PEAK_B
             h_evol = SpinHamiltonian.weak_coupling(CROSS_PEAK_N, offsets)
             eps = np.array(CROSS_PEAK_EPSILONS)
@@ -337,7 +337,7 @@ class SpectrumConfig:
             h_evol = self.hamiltonian.build(self.n)
             _set(self, label_omega=self.hamiltonian.omega)
             eps = _eps_vector(self.epsilons, self.n)
-            pipe = PipelineConfig(h_evol, self.t1.dt, self.t1.points, self.detect_axis)
+            pipe = PipelineConfig(h_evol, self.t1.dt, self.t1.points)
         pipe.validate()
         marked = None if self.s is None else MarkedState(s=self.s, n=self.n)
         _set(self, marked=marked, pipe=pipe, rho0=initial_state(self.n, eps, self.p_axis))
@@ -354,7 +354,7 @@ COMPOSE_METHODS = {
 
 @schema
 class ComposeBenchConfig:
-    method: Literal["trotter", "commutator", "sandwich", "cross-interaction", "fractal"] = key()
+    method: Literal[tuple(COMPOSE_METHODS)] = key()
     operators: Literal["random", "su2-zx", "commuting"] = key("random")
     dim: int | None = key(None, lo=1, hi=COMPOSE_DIM_MAX)
     t: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)

@@ -141,10 +141,10 @@ def product_rotation(n: int, axis: str, angle) -> np.ndarray:
     )
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random Hermitian matrix (z + z^dagger)/2 with Gaussian entries."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (z + z.conj().T) / 2
+    return (z + z.conj().T) / 2
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -182,7 +182,7 @@ def expm_unitary(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def matrix_log_skew(u: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
+def matrix_log_skew(u: np.ndarray) -> np.ndarray:
     """Hermitian h with u = exp(i*h) and eigenphases on the principal branch.
 
     The eigenphases are first rotated by a common angle so that the widest
@@ -190,9 +190,8 @@ def matrix_log_skew(u: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray
     unitary w, i (1 - w)(1 + w)^-1, is then a well-conditioned Hermitian
     matrix with the same eigenvectors, and its eigh gives an orthonormal
     eigenbasis even for (near-)degenerate eigenvalues, where a plain
-    eigendecomposition of a unitary may not.  Eigenphases within branch_tol
-    of +-pi are ambiguous and raise BranchCutError; pass branch_tol=0 to
-    override.
+    eigendecomposition of a unitary may not.  Eigenphases within BRANCH_TOL
+    of +-pi are ambiguous and raise BranchCutError.
     """
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
@@ -206,9 +205,8 @@ def matrix_log_skew(u: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray
     cayley = 1j * np.linalg.solve(eye + w, eye - w)
     lam, z = np.linalg.eigh((cayley + cayley.conj().T) / 2)
     phases = np.angle(np.exp(1j * (2 * np.arctan(lam) - alpha)))
-    if branch_tol > 0 and np.any(np.pi - np.abs(phases) < branch_tol):
+    if np.any(np.pi - np.abs(phases) < BRANCH_TOL):
         raise BranchCutError(
-            "eigenphase within "
-            f"{branch_tol:.1e} of the +-pi branch cut; logarithm is ambiguous"
+            f"eigenphase within {BRANCH_TOL:.1e} of the +-pi branch cut; logarithm is ambiguous"
         )
     return (z * phases) @ z.conj().T

@@ -248,8 +248,8 @@ def _check_grover_three_way(*, n_values=(2, 3, 4), count=26):
     """Closed form, recursion and a least-squares fit of the dense core
     iteration agree on the coefficients for m = 0 .. count - 1."""
     for n in n_values:
-        fits = sequences.extract_alpha_from_matrix(n, count - 1)  # fits m = 0 even at count 0
-        for m, (coeffs, recon_res) in zip(range(count), fits):
+        fits = sequences.extract_alpha_from_matrix(n, count - 1) if count >= 1 else []
+        for m, (coeffs, recon_res) in enumerate(fits):
             closed = np.array(sequences.grover_coefficients(m, 2**n).alpha)
             yield closed - sequences.grover_coefficients_recursion(m, 2**n).alpha
             yield coeffs[0] - 1.0, recon_res

@@ -415,6 +415,8 @@ def grover_coefficients(m: int, N: int) -> GroverCoefficients:
 
 def grover_coefficients_recursion(m: int, N: int) -> GroverCoefficients:
     """The same coefficients by iterating the linear recursion from zero."""
+    if m < 0:
+        raise ValueError("iteration count must be >= 0")
     a1 = a2 = a3 = a4 = 0.0 + 0j
     for _ in range(m):
         a1, a2, a3, a4 = (
@@ -437,6 +439,8 @@ def grover_basis(n: int) -> list[np.ndarray]:
 def _core_trajectory(basis: list[np.ndarray], m_max: int):
     """Yield G(0), G(1), ..., G(m_max) of the core iteration, each as the
     dense product step @ G(m - 1); basis is grover_basis(n)."""
+    if m_max < 0:
+        raise ValueError("iteration count must be >= 0")
     _, d0, d0x = basis[:3]
     dim = d0.shape[0]
     step = (np.eye(dim) - 2 * d0x) @ (np.eye(dim) - 2 * d0)

@@ -103,20 +103,17 @@ class SpinHamiltonian:
 
 @dataclass
 class PipelineConfig:
-    """The t1 grid, the labeling Hamiltonian and the detected axis."""
+    """The t1 grid and the labeling Hamiltonian."""
 
     h_evol: SpinHamiltonian
     dt: float
     n_points: int
-    detect_axis: str = "z"
 
     def validate(self):
         if self.dt <= 0:
             raise ValueError("dwell time must be positive")
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise ValueError("point count must be a power of two")
-        if self.detect_axis not in ("x", "y", "z"):
-            raise ValueError(f"detect axis must be x, y or z, got {self.detect_axis!r}")
         wmax = self.h_evol.max_transition_frequency
         nyquist = np.pi / self.dt
         if not wmax < nyquist:  # a NaN frequency fails too
@@ -154,7 +151,7 @@ def spectrum_transfer(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         u = expm_unitary(h_zq, cfg.tau_u)
         ry = product_rotation(n, "y", np.pi / 2)
         v = expm_unitary(ry @ h_zq @ ry.conj().T, cfg.tau_v)
-        p, q = transfer_pair(u, v, cfg.rho0, cfg.pipe.detect_axis)
+        p, q = transfer_pair(u, v, cfg.rho0, cfg.detect_axis)
         calls = UF_CALLS_PER_UO * cfg.N1  # oracle-function terms consumed by the phase cycle
         return p, q, u @ total_op(n, cfg.p_axis) @ u.conj().T, calls
     identity = cfg.preset == "identity"
@@ -162,8 +159,8 @@ def spectrum_transfer(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     def conjugate(x):
         return x if identity else grover_conjugate(cfg.marked, cfg.iterations, x)
 
-    q = conjugate(total_op(n, cfg.pipe.detect_axis))
-    p_inphase = q if cfg.p_axis == cfg.pipe.detect_axis else conjugate(total_op(n, cfg.p_axis))
+    q = conjugate(total_op(n, cfg.detect_axis))
+    p_inphase = q if cfg.p_axis == cfg.detect_axis else conjugate(total_op(n, cfg.p_axis))
     calls = 0 if identity else 2 * UF_CALLS_PER_UO * cfg.iterations
     return conjugate(cfg.rho0), q, p_inphase, calls
 

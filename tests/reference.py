@@ -507,14 +507,14 @@ def line_expansion_cases(param):
         yield *transfer_pair(u, v, rho0), cfg
 
 
-def dense_pipeline(rho0, h, u, v, cfg):
+def dense_pipeline(rho0, h, u, v, cfg, detect):
     """Reference signal for a dense, non-diagonal H (cfg.h_evol unused):
     conjugate P by expm_unitary(H, t1), which diagonalizes H, and trace,
     point by point."""
     assert np.abs(h - np.diag(np.diag(h))).max() > 0  # a dense H
     n = int(round(np.log2(rho0.shape[0])))
     p = u @ rho0 @ u.conj().T
-    q = v.conj().T @ total_op(n, cfg.detect_axis) @ v
+    q = v.conj().T @ total_op(n, detect) @ v
     out = np.empty(cfg.n_points, dtype=complex)
     for j in range(cfg.n_points):
         u_t = expm_unitary(h, j * cfg.dt)
@@ -522,17 +522,17 @@ def dense_pipeline(rho0, h, u, v, cfg):
     return out
 
 
-def framed_reference(rho0, u, v, cfg, w):
+def framed_reference(rho0, u, v, cfg, w, detect):
     """dense_pipeline in the frame W where the diagonal H is dense:
     W diag(h) W+ with excitation W U and reconversion V W+ give the same
     signal as diag(h) with U and V."""
     h = (w * cfg.h_evol.diagonal) @ w.conj().T
-    return dense_pipeline(rho0, h, w @ u, v @ w.conj().T, cfg)
+    return dense_pipeline(rho0, h, w @ u, v @ w.conj().T, cfg, detect)
 
 
-def framed_signal(rho0, u, v, cfg, w):
+def framed_signal(rho0, u, v, cfg, w, detect):
     """The pipeline on excitation U and reconversion V (the frame W is the reference's)."""
-    return run_pipeline(*transfer_pair(u, v, rho0, cfg.detect_axis), cfg)
+    return run_pipeline(*transfer_pair(u, v, rho0, detect), cfg)
 
 
 def dense_frame_cases(param):
@@ -542,7 +542,7 @@ def dense_frame_cases(param):
     u, v, w = (random_unitary(rng, 2**n) for _ in range(3))
     rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "x")
     h = SpinHamiltonian(rng.uniform(-100.0, 100.0, 2**n))
-    return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64, detect_axis=detect), w)]
+    return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64), w, detect)]
 
 
 def weak_coupling_frame_cases(n):
@@ -551,7 +551,7 @@ def weak_coupling_frame_cases(n):
     u, v, w = (random_unitary(rng, 2**n) for _ in range(3))
     rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
     h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
-    return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64), w)]
+    return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64), w, "z")]
 
 
 # an n = 8 grover-excitation spectrum shaped like the benchmark's
@@ -583,7 +583,7 @@ def dense_spectrum_series(cfg: dict) -> np.ndarray:
     spec = parse(SpectrumConfig, cfg)
     u = grover_propagator(spec.marked, spec.iterations)
     p = u @ spec.rho0 @ u.conj().T
-    q = u @ total_op(spec.n, spec.pipe.detect_axis) @ u.conj().T
+    q = u @ total_op(spec.n, spec.detect_axis) @ u.conj().T
     return run_pipeline(p, q, spec.pipe)
 
 

@@ -18,7 +18,7 @@ from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.sequences import grover_conjugate, grover_propagator
 from spinsearch.spectroscopy import inphase_check, run_pipeline, spectrum_transfer
 
-from conftest import CHECK, assert_peak_at_most, maxabs
+from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian
 from reference import (
     DIAGONALIZERS, N8_SPECTRUM, agreement, patch_bindings, patch_counted, run_cli, spectrum_command,
     strict_json,
@@ -107,37 +107,6 @@ class TestSearchCommand:
             np.sin(payload["theta"]), abs=1e-10
         )
 
-    def test_malformed_config_exits_2(self, tmp_path):
-        code, _, _ = run_cli(tmp_path, "search", {"n": 3})  # missing s
-        assert code == 2
-        code, _, _ = run_cli(tmp_path, "search", {"n": "three", "s": 0})
-        assert code == 2
-        code, _, _ = run_cli(tmp_path, "search", {"n": 2, "s": 9})
-        assert code == 2
-
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["search", "--out", str(tmp_path / "x")]) == 2
-
-    def test_ambiguous_readout_exits_3(self, tmp_path):
-        code, _, _ = run_cli(tmp_path, "search", {"n": 2, "s": 1, "theta": 0.0})
-        assert code == 3
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            {"n": 3, "s": 5, "epsilons": [0, 1, 1]},
-            {"n": 3, "s": 5, "epsilons": [1.0, 1.0, 0.0], "aux_mode": "explicit-uf"},
-            {"n": 3, "s": 5, "aux": "explicit-uf"},
-            {"n": 3, "s": 5, "Theta": 0.4},
-        ],
-        ids=["zero-epsilon", "zero-epsilon-explicit", "misspelt-aux_mode", "misspelt-theta"],
-    )
-    def test_bad_config_exits_2_before_numerics(self, tmp_path, no_numerics, cfg, capsys):
-        code, out, report = run_cli(tmp_path, "search", cfg)
-        assert code == 2
-        assert report is None and not (out / "search.csv").exists()
-        assert "config error" in capsys.readouterr().err
-
 
 class TestGroverScanCommand:
     def test_scan_rows(self, tmp_path):
@@ -163,32 +132,6 @@ class TestGroverScanCommand:
     def test_residual_small(self, tmp_path):
         code, _, report = run_cli(tmp_path, "grover-scan", {"n_values": [3], "m_max": 10})
         assert report["max_residual"] <= 1e-8
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            {"n_values": [2], "epsilons": [0.0, 1.0]},
-            {"n_values": [3], "k": 2, "epsilons": [1.0, 0.0, 1.0]},
-            {"n_values": [2], "m_max": -1},
-            {"n_values": [2], "m_max": "ten"},
-            {"n_values": [2], "m_max": 2.5},
-            {"n_values": []},
-            {"n_values": [3, 2], "s": 5},
-        ],
-        ids=[
-            "zero-epsilon",
-            "zero-epsilon-k2",
-            "negative-m_max",
-            "string-m_max",
-            "fractional-m_max",
-            "empty-n_values",
-            "s-out-of-range-for-second-n",
-        ],
-    )
-    def test_bad_config_exits_2_before_numerics(self, tmp_path, no_numerics, cfg):
-        code, out, report = run_cli(tmp_path, "grover-scan", cfg)
-        assert code == 2
-        assert report is None and not (out / "grover_scan.csv").exists()
 
     def test_integral_float_m_max_runs(self, tmp_path):
         code, out, report = run_cli(tmp_path, "grover-scan", {"n_values": [2], "m_max": 4.0})
@@ -268,16 +211,6 @@ class TestSpectrumCommand:
         orders = {p["order"] for p in report["payload"]["peaks"]}
         assert orders & {1, -1}  # cross zero-quantum lines are present
 
-    def test_nyquist_violation_exits_4(self, tmp_path):
-        cfg = {
-            "preset": "identity",
-            "n": 2,
-            "hamiltonian": {"kind": "uniform-fz", "omega": 2 * np.pi * 600},
-            "t1": {"dt": 1e-3, "points": 64},
-        }
-        code, _, _ = run_cli(tmp_path, "spectrum", cfg)
-        assert code == 4
-
 
 class TestComposeBenchCommand:
     def test_trotter_commuting_error_zero(self, tmp_path):
@@ -302,25 +235,38 @@ class TestComposeBenchCommand:
         assert code == 0
         assert report["payload"]["fitted_order"] == pytest.approx(5.0, abs=0.5)
 
-    def test_branch_failure_exits_5(self, tmp_path):
-        # commuting pair makes the sandwich generator exactly x(A+B); an x
-        # that parks the top eigenphase on pi hits the logarithm branch cut
-        seed, dim = 7, 4
-        rng = np.random.default_rng(seed)
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = (z + z.conj().T) / 2
-        _, v = np.linalg.eigh(a)
-        b = (v * rng.normal(size=dim)) @ v.conj().T
-        lam = np.abs(np.linalg.eigvalsh(a + b)).max()
-        cfg = {
-            "method": "sandwich",
-            "operators": "commuting",
-            "seed": seed,
-            "dim": dim,
-            "x": np.pi / lam,
-        }
-        code, _, _ = run_cli(tmp_path, "compose-bench", cfg)
-        assert code == 5
+
+def branch_cut_x(seed: int, dim: int) -> float:
+    """The compose-bench x at which the sandwich of a commuting pair, whose
+    generator is exactly x(A + B), parks its top eigenphase on pi."""
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, dim)
+    _, v = np.linalg.eigh(a)
+    b = (v * rng.normal(size=dim)) @ v.conj().T
+    return np.pi / np.abs(np.linalg.eigvalsh(a + b)).max()
+
+
+# a run ending in each error of cli.EXIT_CODES but the config error (see
+# test_config's BAD_CONFIGS): (its documented exit code, command, config)
+ERROR_RUNS = {
+    sequences.AmbiguousReadoutError: (3, "search", {"n": 2, "s": 1, "theta": 0.0}),
+    spectroscopy.NyquistError: (4, "spectrum", {
+        "preset": "identity", "n": 2, "hamiltonian": {"kind": "uniform-fz", "omega": 2 * np.pi * 600},
+        "t1": {"dt": 1e-3, "points": 64},
+    }),
+    linalg.BranchCutError: (5, "compose-bench", {
+        "method": "sandwich", "operators": "commuting", "seed": 7, "dim": 4, "x": branch_cut_x(7, 4),
+    }),
+}
+
+
+@pytest.mark.parametrize("error", list(ERROR_RUNS), ids=lambda error: error.__name__)
+def test_error_exits_with_its_code_and_label(tmp_path, capsys, error):
+    documented, command, cfg = ERROR_RUNS[error]
+    code, _, report = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert (code, err.partition(": ")[0]) == cli.EXIT_CODES[error] and code == documented
+    assert report is None and err.count("\n") == 1
 
 
 # a registry group, the fast path it checks, and the call of it whose
@@ -600,9 +546,9 @@ def test_real_path_equals_complex_path(tmp_path, monkeypatch, name):
     cfg = parse(SpectrumConfig, raw)
     p, q, p_inphase, _ = spectrum_transfer(cfg)
     for op, axis in ((cfg.rho0, cfg.p_axis), (p, cfg.p_axis), (p_inphase, cfg.p_axis),
-                     (q, cfg.pipe.detect_axis)):
+                     (q, cfg.detect_axis)):
         assert op.dtype == (np.complex128 if axis == "y" else np.float64)
-    for x in (cfg.rho0, total_op(cfg.n, cfg.pipe.detect_axis)):
+    for x in (cfg.rho0, total_op(cfg.n, cfg.detect_axis)):
         real, cplx = (grover_conjugate(cfg.marked, cfg.iterations, a) for a in (x, x + 0j))
         assert np.array_equal(real, cplx)
     series = run_pipeline(p, q, cfg.pipe)

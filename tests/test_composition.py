@@ -282,8 +282,8 @@ class TestFractalCompose:
             fractal_compose(a, a, 0.1, [0.5, 0.4])
 
     def test_difference_mode_reports_residual(self, rng):
-        a = random_hermitian(rng, 4, scale=0.5)
-        b = random_hermitian(rng, 4, scale=0.5)
+        a = 0.5 * random_hermitian(rng, 4)
+        b = 0.5 * random_hermitian(rng, 4)
         res = fractal_compose(a, b, 0.2, FOURTH_ORDER_WEIGHTS, mode="difference")
         # the leading x(A+B) term cancels between the two orderings
         assert maxabs(res.generator_estimate) <= 0.1 * maxabs(0.2 * (a + b))

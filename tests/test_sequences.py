@@ -334,6 +334,20 @@ class TestGroverCoefficients:
                 recon = basis[0] + sum(a * b for a, b in zip(alpha, basis[1:]))
                 assert maxabs(grover_core(n, m) - recon) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: grover_core(2, -2),
+            lambda: sequences.extract_alpha_from_matrix(2, -3),
+            lambda: sequences.grover_coefficients_recursion(-1, 4),
+        ],
+        ids=["grover_core", "extract_alpha_from_matrix", "grover_coefficients_recursion"],
+    )
+    def test_negative_count_raises(self, call):
+        # not the identity, nor one fit of m = 0, nor the coefficients of m = 0
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            call()
+
 
 class TestExtractAlpha:
     test_matches_per_m_fit = agreement("extract_alpha_from_matrix")

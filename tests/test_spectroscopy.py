@@ -26,18 +26,13 @@ from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unita
 from reference import N8_SPECTRUM, TABLE, agreement
 
 
-def uniform_cfg(n, omega=2 * np.pi * 10, dt=1e-3, points=64, detect="z"):
-    return PipelineConfig(
-        h_evol=SpinHamiltonian.uniform_fz(n, omega),
-        dt=dt,
-        n_points=points,
-        detect_axis=detect,
-    )
+def uniform_cfg(n, omega=2 * np.pi * 10, dt=1e-3, points=64):
+    return PipelineConfig(h_evol=SpinHamiltonian.uniform_fz(n, omega), dt=dt, n_points=points)
 
 
 def signal(rho0, u, v, cfg):
-    """The t1 series of excitation U and reconversion V."""
-    return run_pipeline(*transfer_pair(u, v, rho0, cfg.detect_axis), cfg)
+    """The t1 series of excitation U and reconversion V, detected on z."""
+    return run_pipeline(*transfer_pair(u, v, rho0), cfg)
 
 
 class TestSpinHamiltonian:
