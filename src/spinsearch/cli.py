@@ -1,17 +1,18 @@
 """Command-line driver: JSON config in, CSV/JSON results out.
 
 Exit codes: `EXIT_CODES` maps each error a run can end in to its code
-and stderr label: 2 config error, 3 ambiguous search readout, 4 sampling
-(Nyquist) error, 5 matrix-logarithm branch error.  An --out that is not
-a usable directory also exits 2.  A run that finishes exits 1 when its
-payload lists failing checks (selftest's `failing`), else 0.
+and stderr label: 2 config error or unusable --out, 3 ambiguous search
+readout, 4 sampling (Nyquist) error, 5 matrix-logarithm branch error.  A
+run that finishes exits 1 when one of its checks fails, else 0.
 
 Each command reads a typed config that spinsearch.config builds from the
 JSON file; every config defect is found there, before any numerics, and
-exits 2.
+exits 2.  Each command returns its checks (selftest.InvariantResult, each
+applicable or not by the config alone), and main derives from them, for
+every command, `failing`, `max_residual` and the "<command> failed:" line.
 
 Every run writes report.json (command, config echo, payload, oracle-call
-count, wall-clock duration, max residual) next to the command's CSV files.
+count, checks, wall-clock duration) next to the command's CSV files.
 CSV content is byte-identical across runs for identical config and seed;
 the report's duration field is the one intentionally volatile output.
 """
@@ -22,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -46,7 +48,7 @@ from .config import (
 )
 from .linalg import BranchCutError, random_hermitian, spin_op
 from .oracle import UF_CALLS_PER_UO
-from .selftest import max_residual, run_selftest
+from .selftest import InvariantResult, _fold, run_selftest
 from .sequences import (
     AmbiguousReadoutError,
     conversion_coefficient,
@@ -55,7 +57,7 @@ from .sequences import (
     measured_conversion_coefficients,
     simple_search,
 )
-from .spectroscopy import NyquistError, inphase_check, run_pipeline, spectrum, spectrum_transfer
+from .spectroscopy import INPHASE_TOL, NyquistError, inphase_check, run_pipeline, spectrum, spectrum_transfer
 
 
 def write_csv(path: Path, columns: dict):
@@ -88,6 +90,13 @@ def write_csv(path: Path, columns: dict):
 # ---------------------------------------------------------------------------
 # commands
 
+# the command checks' tolerances, each from the roundoff of its route
+MACHINE_EPS = np.finfo(float).eps
+RECOVERY_TOL = 0.5  # s is an integer: a misread is off by at least 1
+SCAN_ROUNDOFF = 16 * MACHINE_EPS  # per step and per term of 1 + sum|eps| / |eps_k|: a few roundings
+PARSEVAL_TOL = 64 * MACHINE_EPS  # the DFT and both energy sums round log2(T1_POINTS_MAX) = 14 times each
+COMPOSE_ORDER, ORDER_TOL = 5, 0.5  # level-2 cross-interaction: error O(x^5)
+
 
 def cmd_search(cfg: SearchConfig, out: Path) -> dict:
     n, eps = cfg.n, cfg.eps
@@ -116,15 +125,19 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
             ),
         },
         "oracle_calls": result.oracle_uf_calls,
-        "max_residual": result.prefactor_spread,
+        "checks": [
+            InvariantResult("recovered-s", _fold([result.recovered_s - cfg.s]), RECOVERY_TOL),
+            # the readout's N-term sums round signal k by up to N MACHINE_EPS max|eps| / |eps_k| of itself
+            InvariantResult("prefactor-spread", _fold([result.prefactor_spread / result.measured_prefactor]),
+                            2**n * MACHINE_EPS * np.abs(eps).max() / np.abs(eps).min()),
+        ],
     }
 
 
 def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     k = cfg.k
     blocks = []
-    summary = []
-    worst = 0.0
+    summary, checks = [], []
     total_calls = 0
     for marked, eps, m_max in cfg.plan:
         n, N = marked.n, 2**marked.n
@@ -133,7 +146,9 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         coeffs = [grover_coefficients(j, N) for j in range(m_max + 1)]
         analytic = np.array([conversion_coefficient(c, eps, k) for c in coeffs])
         residual = np.abs(analytic - measured)
-        worst = max(worst, float(residual.max()))
+        # the measured route takes m_max steps; the closed form's angle m theta rounds m times
+        bound = SCAN_ROUNDOFF * (m_max + 1) * (1 + np.abs(eps).sum() / abs(eps[k - 1]))
+        checks.append(InvariantResult(f"analytic-vs-measured-n{n}", _fold([residual]), bound))
         total_calls += UF_CALLS_PER_UO * m_max * (m_max + 1) // 2
         transfer = 1 - measured
         j = int(np.argmax(transfer))  # the first m of largest transfer
@@ -161,14 +176,14 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
             },
         },
         "oracle_calls": total_calls,
-        "max_residual": worst,
+        "checks": checks,
     }
 
 
 def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     p, q, p_inphase, calls = spectrum_transfer(cfg)
     pipe, label_omega = cfg.pipe, cfg.label_omega
-    inphase_ok, inphase_res = inphase_check(p_inphase, q, cfg.phi)
+    inphase = InvariantResult("inphase", _fold([inphase_check(p_inphase, q, cfg.phi)]), INPHASE_TOL)
     series = run_pipeline(p, q, pipe)
     times = np.arange(pipe.n_points) * pipe.dt
     write_csv(out / "timeseries.csv", {"t1": times, "re": series.real, "im": series.imag})
@@ -197,15 +212,16 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
     payload = {
         "peaks": peaks,
         "n_peaks": len(peaks),
-        "inphase": {"holds": inphase_ok, "residual": inphase_res},
+        "inphase": {"holds": inphase.passed, "residual": inphase.residual},
     }
     if cfg.preset == "cross-peak-demo":
         payload.update(delta_hz=float(label_omega / (2 * np.pi)), marked=cfg.s)
-    return {
-        "payload": payload,
-        "oracle_calls": calls,
-        "max_residual": spec.parseval_defect(series),
-    }
+    # the check holds by construction only where V = U+ exp(i phi Fz) and F_p = F_q
+    reason = ("the cross-peak demo builds its own V" if cfg.preset == "cross-peak-demo"
+              else "V = U+ is not U+ exp(i phi Fz) at phi != 0" if cfg.phi != 0
+              else "p_axis != detect_axis" if cfg.p_axis != cfg.detect_axis else None)
+    parseval = InvariantResult("parseval", _fold([spec.parseval_defect(series)]), PARSEVAL_TOL)
+    return {"payload": payload, "oracle_calls": calls, "checks": [parseval, replace(inphase, reason=reason)]}
 
 
 COMPOSE_BUILDERS = {
@@ -244,6 +260,9 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
             "oracle_calls": [res.oracle_calls],
         },
     )
+    reason = ("not level-2 cross-interaction" if (method, cfg.level) != ("cross-interaction", 2)
+              else "commuting operators compose exactly" if cfg.operators == "commuting" else None)
+    order = InvariantResult("cross-order", _fold([res.fitted_order - COMPOSE_ORDER]), ORDER_TOL, reason)
     return {
         "payload": {
             "method": method,
@@ -253,12 +272,13 @@ def cmd_compose_bench(cfg: ComposeBenchConfig, out: Path) -> dict:
             "step_errors": list(res.step_errors),
         },
         "oracle_calls": res.oracle_calls,
-        "max_residual": res.error_norm,
+        "checks": [order],
     }
 
 
 def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
-    groups = [vars(r) | {"passed": r.passed} for r in run_selftest()]  # name, residual, tolerance, passed
+    checks = run_selftest()
+    groups = [vars(r) | {"passed": r.passed} for r in checks]  # name, residual, tolerance, reason, passed
     column = lambda key: [g[key] for g in groups]
     passed = [int(p) for p in column("passed")]
     write_csv(out / "selftest.csv", {"invariant": column("name"), "residual": column("residual"),
@@ -266,11 +286,7 @@ def cmd_selftest(cfg: SelftestConfig, out: Path) -> dict:
     for g in groups:
         status = "pass" if g["passed"] else "FAIL"
         print(f"{status}  {g['name']}  residual={g['residual']:.3e}  tol={g['tolerance']:.3e}")
-    failing = [g["name"] for g in groups if not g["passed"]]
-    if failing:
-        print(f"selftest failed: {', '.join(failing)}", file=sys.stderr)
-    payload = {"groups": groups, "n_groups": len(groups), "failing": failing}
-    return {"payload": payload, "oracle_calls": 0, "max_residual": max_residual(*column("residual"))}
+    return {"payload": {"groups": groups, "n_groups": len(groups)}, "oracle_calls": 0, "checks": checks}
 
 
 COMMANDS = {
@@ -282,9 +298,15 @@ COMMANDS = {
 }
 SCHEMAS = {name: get_type_hints(command)["cfg"] for name, command in COMMANDS.items()}
 
+
+class OutputError(Exception):
+    """--out names a path that cannot be made a directory."""
+
+
 # the errors a run can end in: exception class -> (exit code, stderr label)
 EXIT_CODES = {
     ConfigError: (2, "config error"),
+    OutputError: (2, "output error"),
     AmbiguousReadoutError: (3, "ambiguous readout"),
     NyquistError: (4, "sampling error"),
     BranchCutError: (5, "numerical branch error"),
@@ -320,13 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
-        print(f"output error: cannot use --out {args.out!r}: {exc.strerror}", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise OutputError(f"cannot use --out {args.out!r}: {exc.strerror}") from exc
         raw = load_config(args.config)
         result = COMMANDS[args.command](parse(SCHEMAS[args.command], raw), out)
     except tuple(EXIT_CODES) as exc:
@@ -334,18 +355,24 @@ def main(argv=None) -> int:
         print(f"{label}: {exc}", file=sys.stderr)
         return code
 
+    checks = result["checks"]
+    failing = [c.name for c in checks if not c.passed]
+    if failing:
+        print(f"{args.command} failed: {', '.join(failing)}", file=sys.stderr)
     report = {
         "command": args.command,
         "config": raw,
         "payload": result["payload"],
         "oracle_calls": result["oracle_calls"],
-        "max_residual": result["max_residual"],
+        "checks": [vars(c) | {"passed": c.passed} for c in checks],
+        "failing": failing,
+        "max_residual": _fold(c.residual for c in checks if c.reason is None),  # NaN (null) if none apply
         "duration_s": time.perf_counter() - started,
     }
     strict = json.loads(json.dumps(report), parse_constant=lambda _: None)  # NaN, +-inf as null
     text = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
     (out / "report.json").write_text(text + "\n")
-    return 1 if result["payload"].get("failing") else 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 Each group is a generator of differences: over a deterministic case set
 that it takes as keyword arguments (the n values, a case count and, where
 it draws random cases, a seed) it yields what it compares, as arrays or
-numbers.  The registry folds them once: the group residual is the largest
-magnitude of any yielded entry, and a NaN entry, or a check with no cases,
-makes it NaN, which fails the group.  The defaults are the quick budget
-that `spinsearch selftest` runs (n <= 4); the acceptance suite folds the
-same checks over its own cases and asserts its own contract tolerances.
+numbers.  One fold, `_fold`, turns them into the group residual: the
+largest magnitude of any yielded entry, NaN when an entry is NaN or the
+check has no cases, which fails the group.  The CLI commands fold their
+own checks into the same record, InvariantResult.  The defaults are the
+quick budget that `spinsearch selftest` runs (n <= 4); the acceptance
+suite folds the same checks over its own cases and asserts its own
+contract tolerances.
 The checks it shares draw from one generator per n, seeded at seed + n,
 so a smaller count checks a prefix of the same cases.
 
@@ -46,14 +48,15 @@ from .oracle import MarkedState
 
 
 @dataclass
-class InvariantResult:
+class InvariantResult:  # the package's one check record
     name: str
     residual: float
     tolerance: float
+    reason: str | None = None  # why the check does not apply; None when it does
 
     @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+    def passed(self) -> bool:  # a check that does not apply passes; a NaN residual fails
+        return self.reason is not None or bool(self.residual <= self.tolerance)
 
 
 def max_residual(*residuals: float) -> float:
@@ -68,12 +71,17 @@ def _magnitude(difference) -> float:
     return float(magnitude.max()) if magnitude.size else -math.inf
 
 
-def _group_residual(check, **cases) -> float:
-    """The one fold of the registry: the largest magnitude of any entry that
-    check(**cases) yields, NaN when an entry is NaN or no entry is yielded.
-    map drops each difference before the check makes the next."""
-    largest = max_residual(-math.inf, *map(_magnitude, check(**cases)))
+def _fold(differences) -> float:
+    """The one fold of the package: the largest magnitude of any entry of
+    the differences, NaN when an entry is NaN or there is none.  map drops
+    each difference before a generator makes the next.  Private, so that a
+    trace of the public functions keeps a group's time in run_selftest."""
+    largest = max_residual(-math.inf, *map(_magnitude, differences))
     return math.nan if largest == -math.inf else largest
+
+
+def _group_residual(check, **cases) -> float:
+    return _fold(check(**cases))
 
 
 def _chunks(count: int, entries: int):

@@ -59,7 +59,7 @@ from spinsearch.sequences import (
     x_basis_state,
 )
 from spinsearch.spectroscopy import (
-    INPHASE_TOL, PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check,
+    PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check,
     resum_lines, run_pipeline, spectrum_transfer, transfer_pair,
 )
 
@@ -629,12 +629,12 @@ def peak_cases(_):
 
 
 def dense_inphase_check(p, q, phi):
-    """Reference: the residual |Q+ - exp(-i phi Fz) P exp(+i phi Fz)| as the
-    dense expression of fresh temporaries."""
+    """Reference: the difference Q+ - exp(-i phi Fz) P exp(+i phi Fz),
+    conjugated and negated entry by entry, as the dense expression of fresh
+    temporaries."""
     rz = np.exp(-1j * magnetic_quantum_numbers(int(np.log2(p.shape[0]))) * phi)
     target = rz[:, None] * p * rz.conj()[None, :]
-    residual = float(np.abs(q.conj().T - target).max())
-    return residual <= INPHASE_TOL, residual
+    return -np.conj(q.conj().T - target)
 
 
 def inphase_cases(_):

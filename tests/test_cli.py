@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,27 +247,33 @@ def branch_cut_x(seed: int, dim: int) -> float:
     return np.pi / np.abs(np.linalg.eigvalsh(a + b)).max()
 
 
-# a run ending in each error of cli.EXIT_CODES but the config error (see
-# test_config's BAD_CONFIGS): (its documented exit code, command, config)
+# a run ending in each error of cli.EXIT_CODES but the config and output
+# errors (see test_config's BAD_CONFIGS and test_unusable_out_exits_2_before_numerics):
+# (its documented exit code, command, config, whether the config is refused
+# at parse, before any numerics run)
 ERROR_RUNS = {
-    sequences.AmbiguousReadoutError: (3, "search", {"n": 2, "s": 1, "theta": 0.0}),
+    sequences.AmbiguousReadoutError: (3, "search", {"n": 2, "s": 1, "theta": 0.0}, False),
     spectroscopy.NyquistError: (4, "spectrum", {
         "preset": "identity", "n": 2, "hamiltonian": {"kind": "uniform-fz", "omega": 2 * np.pi * 600},
         "t1": {"dt": 1e-3, "points": 64},
-    }),
+    }, True),
     linalg.BranchCutError: (5, "compose-bench", {
         "method": "sandwich", "operators": "commuting", "seed": 7, "dim": 4, "x": branch_cut_x(7, 4),
-    }),
+    }, False),
 }
 
 
 @pytest.mark.parametrize("error", list(ERROR_RUNS), ids=lambda error: error.__name__)
-def test_error_exits_with_its_code_and_label(tmp_path, capsys, error):
-    documented, command, cfg = ERROR_RUNS[error]
-    code, _, report = run_cli(tmp_path, command, cfg)
+def test_error_exits_with_its_code_and_label(tmp_path, capsys, request, error):
+    documented, command, cfg, at_parse = ERROR_RUNS[error]
+    if at_parse:
+        request.getfixturevalue("no_numerics")
+    code, out, report = run_cli(tmp_path, command, cfg)
     err = capsys.readouterr().err
     assert (code, err.partition(": ")[0]) == cli.EXIT_CODES[error] and code == documented
     assert report is None and err.count("\n") == 1
+    if at_parse:
+        assert list(out.iterdir()) == []  # no report.json, no CSV
 
 
 # a registry group, the fast path it checks, and the call of it whose
@@ -287,14 +294,14 @@ class TestSelftestCommand:
         assert [g["name"] for g in report["payload"]["groups"]] == names
         rows = (out / "selftest.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == names
-        assert report["payload"]["failing"] == []
+        assert report["failing"] == [] and len(report["checks"]) == 18
 
     def test_planted_failing_group_exits_1(self, tmp_path, monkeypatch, capsys):
         planted = ("planted-residual-over-tolerance", lambda: [2e-12], 1e-12)
         monkeypatch.setattr(selftest, "INVARIANT_GROUPS", INVARIANT_GROUPS + (planted,))
         code, _, report = run_cli(tmp_path, "selftest")
         assert code == 1
-        assert report["payload"]["failing"] == [planted[0]]
+        assert report["failing"] == [planted[0]]
         assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
 
     def test_planted_group_without_cases_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -302,7 +309,7 @@ class TestSelftestCommand:
         monkeypatch.setattr(selftest, "INVARIANT_GROUPS", INVARIANT_GROUPS + (planted,))
         code, _, report = run_cli(tmp_path, "selftest")
         assert code == 1
-        assert report["payload"]["failing"] == [planted[0]] and report["max_residual"] is None
+        assert report["failing"] == [planted[0]] and report["max_residual"] is None
         assert f"selftest failed: {planted[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -346,7 +353,7 @@ class TestSelftestCommand:
         assert main(["selftest", "--out", str(out)]) == 1
         assert f"selftest failed: {group}" in capsys.readouterr().err
         report = strict_json((out / "report.json").read_text())  # NaN written as null
-        assert report["payload"]["failing"] == [group] and report["max_residual"] is None
+        assert report["failing"] == [group] and report["max_residual"] is None
         rows = [row.split(",") for row in (out / "selftest.csv").read_text().splitlines()]
         assert [row[1::2] for row in rows if row[0] == group] == [["nan", "0"]]
 
@@ -468,6 +475,85 @@ def shipped(name):
     return json.loads((CONFIG_DIR / name).read_text())
 
 
+def readout_row_times(factor):
+    """simple_search reads qubit 1's signal off row 0 of iz_diagonals: that row times factor."""
+
+    def plant(monkeypatch):
+        real = sequences.iz_diagonals
+        rows = lambda n: np.r_[factor, np.ones(n - 1)][:, None]
+        monkeypatch.setattr(sequences, "iz_diagonals", lambda n: real(n) * rows(n))
+
+    return plant
+
+
+def perturbed_gamma1(monkeypatch):
+    real = cli.grover_coefficients
+
+    def planted(m, N):
+        coeffs = real(m, N)
+        return replace(coeffs, gamma=(coeffs.gamma[0] * (1 + 1e-6), *coeffs.gamma[1:]))
+
+    monkeypatch.setattr(cli, "grover_coefficients", planted)
+
+
+def nan_measured(monkeypatch):
+    real = cli.measured_conversion_coefficients
+
+    def planted(*args):
+        measured = real(*args)
+        measured[3] = np.nan
+        return measured
+
+    monkeypatch.setattr(cli, "measured_conversion_coefficients", planted)
+
+
+def unnormalized_spectrum(monkeypatch):
+    # the DFT normalized by 1/sqrt(T) instead of 1/T
+    real = cli.spectrum
+    unnormalized = lambda series, *args, **kw: real(np.sqrt(len(series)) * series, *args, **kw)
+    monkeypatch.setattr(cli, "spectrum", unnormalized)
+
+
+def uneven_sandwich(monkeypatch):
+    # exp(0.45 x A) exp(x B) exp(0.55 x A): the sandwich loses its time symmetry
+    expi = composition._expi
+    uneven = lambda a, b, x: expi(a, 0.45 * x) @ expi(b, x) @ expi(a, 0.55 * x)
+    monkeypatch.setattr(composition, "_sandwich", uneven)
+
+
+# a defect planted in each command's checked quantity, and the one check
+# that must fail for it: (command, config, plant, failing check)
+PLANTED_DEFECTS = {
+    "search-flipped-readout-sign": ("search", {"n": 3, "s": 5}, readout_row_times(-1.0), "recovered-s"),
+    "search-one-scaled-coefficient": (
+        "search", {"n": 3, "s": 5}, readout_row_times(1 + 1e-6), "prefactor-spread",
+    ),
+    "grover-scan-perturbed-gamma1": (
+        "grover-scan", {"n_values": [3], "m_max": 10}, perturbed_gamma1, "analytic-vs-measured-n3",
+    ),
+    "grover-scan-nan-measured": (
+        "grover-scan", {"n_values": [3], "m_max": 10}, nan_measured, "analytic-vs-measured-n3",
+    ),
+    "spectrum-wrong-normalization": (
+        "spectrum", shipped("spectrum_uniform.json"), unnormalized_spectrum, "parseval",
+    ),
+    "compose-bench-wrong-slice-weight": (
+        "compose-bench", shipped("compose_bench.json"), uneven_sandwich, "cross-order",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_DEFECTS))
+def test_planted_defect_fails_its_check(tmp_path, monkeypatch, capsys, name):
+    command, cfg, plant, check = PLANTED_DEFECTS[name]
+    assert run_cli(tmp_path, command, cfg, "clean")[0] == 0
+    capsys.readouterr()
+    plant(monkeypatch)
+    code, _, report = run_cli(tmp_path, command, cfg, "planted")
+    assert code == 1 and report["failing"] == [check]
+    assert capsys.readouterr().err == f"{command} failed: {check}\n"
+
+
 @pytest.mark.parametrize(
     "name, expm_calls",
     [
@@ -553,7 +639,8 @@ def test_real_path_equals_complex_path(tmp_path, monkeypatch, name):
         assert np.array_equal(real, cplx)
     series = run_pipeline(p, q, cfg.pipe)
     assert np.array_equal(series, run_pipeline(p + 0j, q + 0j, cfg.pipe))
-    assert inphase_check(p_inphase, q, cfg.phi) == inphase_check(p_inphase + 0j, q + 0j, cfg.phi)
+    difference = inphase_check(p_inphase, q, cfg.phi)
+    assert np.array_equal(difference, inphase_check(p_inphase + 0j, q + 0j, cfg.phi))
 
     outs = [run_cli(tmp_path, "spectrum", raw, "real")]
     complex_total_op(monkeypatch)

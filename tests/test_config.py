@@ -312,13 +312,24 @@ def test_float_over_bound_exits_2_before_numerics(tmp_path, capsys, no_command, 
     assert_rejected(tmp_path, capsys, command, cfg)
 
 
+# the checks that fail at the bound, honestly: at |x| = 1e12 the level-2
+# target -(x^3/8)(...) dwarfs the composed unitary's bounded generator, so
+# the error is the target itself and fits order 3.0, not 5
+FAILING_AT_BOUND = {
+    "compose-x-cross-interaction": ["cross-order"],
+    "compose-x-cross-interaction-dim-64": ["cross-order"],
+}
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("name", sorted(float_keys(1.0, 1.0)) + sorted(floor_keys(1.0)))
-def test_float_at_bound_runs_clean(tmp_path, name, sign):
+def test_float_at_bound_runs_clean(tmp_path, capsys, name, sign):
     at_bound = {**float_keys(sign * VALUE_MAX, sign * DOMINANCE_MAX), **floor_keys(sign * VALUE_MIN)}
     command, cfg = at_bound[name]
     code, out, report = run_cli(tmp_path, command, cfg)
-    assert code == 0 and report is not None
+    failing = FAILING_AT_BOUND.get(name, [])
+    assert report is not None and report["failing"] == failing and code == (1 if failing else 0)
+    assert capsys.readouterr().err == (f"{command} failed: {', '.join(failing)}\n" if failing else "")
     for csv in out.glob("*.csv"):
         assert "nan" not in csv.read_text().lower()
 
@@ -354,13 +365,6 @@ def test_variant_defaults_are_filled():
 def test_axis_keys_name_their_choices():
     with pytest.raises(ConfigError, match="'detect_axis' must be 'x' or 'y' or 'z', got 'q'"):
         parse(SpectrumConfig, {**GROVER, "detect_axis": "q"})
-
-
-def test_nyquist_violation_at_parse_keeps_exit_4(tmp_path, capsys, no_numerics):
-    code, out, _ = run_cli(tmp_path, "spectrum", {**GROVER, "t1": {"dt": 0.1, "points": 64}})
-    assert code == 4
-    assert "sampling error" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +453,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(command, data):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run_selftest", _fake_selftest):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code, _, report = run_cli(Path(tmp), command, cfg)
-    assert code in {0, *(c for c, _label in cli.EXIT_CODES.values())}
     assert "Traceback" not in err.getvalue()
-    assert (report is not None) == (code == 0)
+    if report is None:  # an error exit writes no report
+        assert code in {c for c, _label in cli.EXIT_CODES.values()}
+    else:  # a finished run exits 1 exactly when it lists failing checks
+        assert code == (1 if report["failing"] else 0)

@@ -96,6 +96,11 @@ def test_every_member_has_a_caller_in_the_package():
 SUBSTITUTIONS = {
     ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
     ("test_cli.py", "INVARIANT_GROUPS"): "the registry plus a failing group, which selftest must report",
+    ("test_cli.py", "iz_diagonals"): "a readout row flipped or scaled, which search's checks must catch",
+    ("test_cli.py", "grover_coefficients"): "a perturbed gamma_1, which grover-scan's check must catch",
+    ("test_cli.py", "measured_conversion_coefficients"): "a NaN measured entry, which grover-scan's check must catch",
+    ("test_cli.py", "spectrum"): "a DFT normalized by 1/sqrt(T), which spectrum's parseval check must catch",
+    ("test_cli.py", "_sandwich"): "an uneven sandwich, whose cross composition compose-bench's check must catch",
     ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
     ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
     ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",
