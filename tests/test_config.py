@@ -312,7 +312,7 @@ def test_float_over_bound_exits_2_before_numerics(tmp_path, capsys, no_command, 
     assert_rejected(tmp_path, capsys, command, cfg)
 
 
-# the checks that fail at the bound, honestly: at |x| = 1e12 the level-2
+# the checks that fail at the bound, and rightly: at |x| = 1e12 the level-2
 # target -(x^3/8)(...) dwarfs the composed unitary's bounded generator, so
 # the error is the target itself and fits order 3.0, not 5
 FAILING_AT_BOUND = {
