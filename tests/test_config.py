@@ -367,6 +367,13 @@ def test_axis_keys_name_their_choices():
         parse(SpectrumConfig, {**GROVER, "detect_axis": "q"})
 
 
+def test_nyquist_violation_at_parse_keeps_exit_4(tmp_path, capsys, no_numerics):
+    code, out, _ = run_cli(tmp_path, "spectrum", {**GROVER, "t1": {"dt": 0.1, "points": 64}})
+    assert code == 4
+    assert "sampling error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # fuzzer: drawn configs keep the exit-code contract and never raise
 
