@@ -12,16 +12,16 @@ inside this module; each builder evaluates the composition at a geometric
 ladder of step sizes and reports the fitted log-log slope, which the
 callers and the test suite judge.
 
-Each builder's composed propagator at one step size is a public function
-of its own (trotter_propagator, commutator_propagator,
-sandwich_propagator, cross_propagator, fractal_propagator), for callers
-that need the propagator without the diagnostics.  Every builder returns
-through one ladder function, `_ladder`: it calls that function once per rung
-and scores each rung once, and rung 0 (the step size the caller asked for)
-is the reported propagator.  Step powers are taken by repeated squaring
-(np.linalg.matrix_power, about 2 log2(reps) products), which is still a
-brute-force product of the dense step matrix, never the closed form it is
-checked against.
+Four public functions give a builder's composed propagator at one step
+size, for callers that need it without the diagnostics:
+trotter_propagator, commutator_propagator, cross_propagator and
+fractal_propagator, whose one-weight product [1.0] is the symmetric
+sandwich.  Every builder returns through one ladder function, `_ladder`:
+it builds the propagator once per rung and scores each rung once, and
+rung 0 (the step size the caller asked for) is the reported propagator.
+Step powers are taken by repeated squaring (np.linalg.matrix_power, about
+2 log2(reps) products), which is still a brute-force product of the dense
+step matrix, never the closed form it is checked against.
 """
 
 from __future__ import annotations
@@ -168,13 +168,6 @@ def _sandwich(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
     """exp(x A/2) exp(x B) exp(x A/2), x imaginary time."""
     half = _expi(a, x / 2)
     return half @ _expi(b, x) @ half
-
-
-def sandwich_propagator(
-    a: np.ndarray, b: np.ndarray, x: float, order_side: str = "A-outer"
-) -> np.ndarray:
-    """The symmetric sandwich S(x) with the order_side operator outside."""
-    return _sandwich(*_resolve_sides(a, b, order_side), x)
 
 
 def symmetric_sandwich(

@@ -1,17 +1,18 @@
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
 
 from spinsearch.linalg import random_hermitian, random_unitary  # noqa: F401  (shared by the test modules)
-from spinsearch.selftest import INVARIANT_GROUPS, _group_residual
+from spinsearch.selftest import INVARIANT_GROUPS, _fold
 
 from reference import patch_forbidden
 
 # the registry's checks by name, each folded to its group residual as
 # run_selftest folds it, for tests that run one with their own cases
-CHECK = {name: partial(_group_residual, check) for name, check, _tolerance in INVARIANT_GROUPS}
+CHECK = {
+    name: lambda check=check, **cases: _fold(check(**cases)) for name, check, _tolerance in INVARIANT_GROUPS
+}
 
 
 def maxabs(a):

@@ -325,11 +325,11 @@ class TestSelftestCommand:
         # a check that compares nothing shows nothing: its residual fails
         assert math.isnan(CHECK[group](**cases))
 
-    def test_max_residual_keeps_nan(self):
+    def test_fold_keeps_nan(self):
         # max(0.0, nan) is 0.0: a plain max would pass a NaN case
-        assert math.isnan(selftest.max_residual(1e-15, math.nan, 0.0))
-        assert math.isnan(selftest.max_residual(math.nan, 1e-15))
-        assert selftest.max_residual(1e-15, 3e-15, 0.0) == 3e-15
+        assert math.isnan(selftest._fold([1e-15, math.nan, 0.0]))
+        assert math.isnan(selftest._fold([math.nan, 1e-15]))
+        assert selftest._fold([1e-15, 3e-15, 0.0]) == 3e-15
 
     @pytest.mark.parametrize("group", sorted(PLANTED_NAN))
     def test_planted_nan_fails_its_group(self, tmp_path, monkeypatch, capsys, group):
@@ -552,6 +552,63 @@ def test_planted_defect_fails_its_check(tmp_path, monkeypatch, capsys, name):
     code, _, report = run_cli(tmp_path, command, cfg, "planted")
     assert code == 1 and report["failing"] == [check]
     assert capsys.readouterr().err == f"{command} failed: {check}\n"
+
+
+GROVER_SPECTRUM = {
+    "n": 2, "s": 1, "iterations": 1,
+    "hamiltonian": {"kind": "uniform-fz", "omega": OMEGA_10HZ}, "t1": {"dt": 1 / 256, "points": 64},
+}
+LEVEL_2_CROSS = {"method": "cross-interaction", "operators": "su2-zx", "x": 0.1, "level": 2}
+# one config per reason a check does not apply, and two where cross-order
+# applies: (command, config, check, its reason or None, whether it passes)
+APPLICABILITY = {
+    "inphase-cross-peak-demo": (
+        "spectrum", {"preset": "cross-peak-demo"}, "inphase", "the cross-peak demo builds its own V", True,
+    ),
+    "inphase-phi": (
+        "spectrum", GROVER_SPECTRUM | {"phi": 0.3}, "inphase",
+        "V = U+ is not U+ exp(i phi Fz) at phi != 0", True,
+    ),
+    "inphase-other-axes": (
+        "spectrum", GROVER_SPECTRUM | {"p_axis": "x", "detect_axis": "z"}, "inphase",
+        "p_axis != detect_axis", True,
+    ),
+    "inphase-same-axes": (
+        "spectrum", GROVER_SPECTRUM | {"p_axis": "z", "detect_axis": "z"}, "inphase",
+        "p_axis = detect_axis: the inphase operand is Q", True,
+    ),
+    "cross-order-other-method": (
+        "compose-bench", {"method": "sandwich", "x": 0.2, "seed": 3}, "cross-order",
+        "not level-2 cross-interaction", True,
+    ),
+    "cross-order-level-4": (
+        "compose-bench", LEVEL_2_CROSS | {"level": 4}, "cross-order", "not level-2 cross-interaction", True,
+    ),
+    "cross-order-commuting": (
+        "compose-bench", LEVEL_2_CROSS | {"operators": "commuting"}, "cross-order",
+        "commuting operators compose exactly", True,
+    ),
+    "cross-order-x-0": (
+        "compose-bench", LEVEL_2_CROSS | {"x": 0.0}, "cross-order", "x = 0 composes exactly", True,
+    ),
+    "cross-order-applies": ("compose-bench", shipped("compose_bench.json"), "cross-order", None, True),
+    # step errors 5.5e-13, 1.7e-14 and 5.4e-16, under the order fit's 1e-13
+    # floor: a ladder the fit cannot resolve, not an exact composition
+    "cross-order-under-the-fit-floor": (
+        "compose-bench", LEVEL_2_CROSS | {"x": 0.01}, "cross-order", None, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLICABILITY))
+def test_applicability_is_stated_by_the_config(tmp_path, name):
+    # a check that does not apply passes with its reason; one that applies
+    # fails the run exactly when its residual is over its tolerance
+    command, cfg, check, reason, passed = APPLICABILITY[name]
+    code, _, report = run_cli(tmp_path, command, cfg)
+    assert code == (0 if passed else 1) and report["failing"] == ([] if passed else [check])
+    (entry,) = [c for c in report["checks"] if c["name"] == check]
+    assert entry["reason"] == reason and entry["passed"] is passed
 
 
 @pytest.mark.parametrize(

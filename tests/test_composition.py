@@ -17,7 +17,6 @@ from spinsearch.composition import (
     cross_propagator,
     fractal_compose,
     fractal_propagator,
-    sandwich_propagator,
     symmetric_sandwich,
     trotter_product,
     trotter_propagator,
@@ -131,11 +130,11 @@ BUILDER_PROPAGATORS = {
     ),
     "commutator": (lambda a, b: commutator_product(a, b, 16), lambda a, b: commutator_propagator(a, b, 16)),
     "sandwich-A-outer": (
-        lambda a, b: symmetric_sandwich(a, b, 0.3), lambda a, b: sandwich_propagator(a, b, 0.3)
+        lambda a, b: symmetric_sandwich(a, b, 0.3), lambda a, b: fractal_propagator(a, b, 0.3, [1.0])
     ),
     "sandwich-B-outer": (
         lambda a, b: symmetric_sandwich(a, b, 0.3, "B-outer"),
-        lambda a, b: sandwich_propagator(a, b, 0.3, "B-outer"),
+        lambda a, b: fractal_propagator(a, b, 0.3, [1.0], "B-outer"),
     ),
     "cross-level-2": (lambda a, b: cross_interaction(a, b, 0.2), lambda a, b: cross_propagator(a, b, 0.2)),
     "cross-level-4": (
@@ -173,7 +172,8 @@ def test_one_weight_cases_are_the_fractal_builders(rng, pair, x):
             hs = [h.real for h in hs]
         a, b = (h / np.linalg.norm(h, 2) for h in hs)  # |x (A + B)| <= 0.4, far from the log's cut
     for side in ("A-outer", "B-outer"):
-        assert np.array_equal(sandwich_propagator(a, b, x, side), fractal_propagator(a, b, x, [1.0], side))
+        sandwich = symmetric_sandwich(a, b, x, side).propagator
+        assert np.array_equal(sandwich, fractal_propagator(a, b, x, [1.0], side))
     difference = fractal_propagator(b, a, x, [1.0], mode="difference")
     assert np.array_equal(cross_propagator(a, b, x, 2), difference)
 
