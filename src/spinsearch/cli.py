@@ -56,7 +56,7 @@ from .sequences import (
     measured_conversion_coefficients,
     simple_search,
 )
-from .spectroscopy import INPHASE_TOL, NyquistError, inphase_check, run_pipeline, spectrum, spectrum_transfer
+from .spectroscopy import NyquistError, inphase_check, run_pipeline, spectrum, spectrum_transfer
 
 
 def write_csv(path: Path, columns: dict):
@@ -94,6 +94,7 @@ MACHINE_EPS = np.finfo(float).eps
 RECOVERY_TOL = 0.5  # s is an integer: a misread is off by at least 1
 SCAN_ROUNDOFF = 16 * MACHINE_EPS  # per step and per term of 1 + sum|eps| / |eps_k|: a few roundings
 PARSEVAL_TOL = 64 * MACHINE_EPS  # the DFT and both energy sums round log2(T1_POINTS_MAX) = 14 times each
+INPHASE_TOL = 1e-9  # over Q's roundoff n (2 iterations + 1) eps_mach: 1.5e-11 at n 8, iterations 4096
 COMPOSE_ORDER, ORDER_TOL = 5, 0.5  # level-2 cross-interaction: error O(x^5)
 
 

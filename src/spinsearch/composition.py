@@ -15,8 +15,10 @@ callers and the test suite judge.
 Four public functions give a builder's composed propagator at one step
 size, for callers that need it without the diagnostics:
 trotter_propagator, commutator_propagator, cross_propagator and
-fractal_propagator, whose one-weight product [1.0] is the symmetric
-sandwich.  Every builder returns through one ladder function, `_ladder`:
+fractal_propagator.  The symmetric sandwich has none of its own:
+symmetric_sandwich builds each rung as the one-weight fractal product
+fractal_propagator(a, b, x, [1.0], order_side), whose one S(x) factor is
+`_sandwich`.  Every builder returns through one ladder function, `_ladder`:
 it builds the propagator once per rung and scores each rung once, and
 rung 0 (the step size the caller asked for) is the reported propagator.
 Step powers are taken by repeated squaring (np.linalg.matrix_power, about
@@ -173,29 +175,21 @@ def _sandwich(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
 def symmetric_sandwich(
     a: np.ndarray, b: np.ndarray, x: float, order_side: str = "A-outer"
 ) -> CompositionResult:
-    """Second-order symmetric splitting of exp(x (A + B)).
+    """Second-order symmetric splitting of exp(x (A + B)): the one-weight
+    fractal product fractal_propagator(a, b, x, [1.0], order_side).
 
     The extracted generator deviates from x(A+B) at third order in x, with
     no even-order commutator content thanks to the time symmetry
     S(x) S(-x) = E.
     """
-    outer, inner = _resolve_sides(a, b, order_side)
     ladder = [x, x / 2, x / 4]
     return _ladder(
-        lambda xv: _sandwich(outer, inner, xv),
-        _generator_error(lambda xv: xv * (outer + inner)),
+        lambda xv: fractal_propagator(a, b, xv, [1.0], order_side),
+        _generator_error(lambda xv: xv * (a + b)),
         ladder,
         ladder,
         1,
     )
-
-
-def _resolve_sides(a, b, order_side):
-    if order_side == "A-outer":
-        return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if order_side == "B-outer":
-        return np.asarray(b, dtype=complex), np.asarray(a, dtype=complex)
-    raise ValueError(f"order_side must be 'A-outer' or 'B-outer', got {order_side!r}")
 
 
 def _symmetric_product(k: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -269,6 +263,7 @@ def palindromic_weights(p_list) -> list[float]:
 
 def _fractal_side(o: np.ndarray, i: np.ndarray, x: float, p_list) -> np.ndarray:
     """S(p_r x) ... S(p_1 x) with o outside each sandwich."""
+    o, i = np.asarray(o, dtype=complex), np.asarray(i, dtype=complex)
     u = np.eye(o.shape[0], dtype=complex)
     for p in p_list:
         u = _sandwich(o, i, p * x) @ u
@@ -278,7 +273,6 @@ def _fractal_side(o: np.ndarray, i: np.ndarray, x: float, p_list) -> np.ndarray:
 def _difference(a: np.ndarray, b: np.ndarray, x: float, p_list) -> np.ndarray:
     """The two-ordering difference sqrt(f_A) f_B^-1 sqrt(f_A), f_O the
     fractal product with O outside each sandwich."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     f_a = _fractal_side(a, b, x, p_list)
     return _symmetric_product(f_a, np.linalg.inv(_fractal_side(b, a, x, p_list)))
 
@@ -294,9 +288,11 @@ def fractal_propagator(
     """The palindromic product of scaled sandwiches, or in mode "difference"
     sqrt(f_B) f_A^-1 sqrt(f_B) from both orderings, whatever order_side."""
     p_list = palindromic_weights(p_list)
-    outer, inner = _resolve_sides(a, b, order_side)
+    sides = {"A-outer": (a, b), "B-outer": (b, a)}
+    if order_side not in sides:
+        raise ValueError(f"order_side must be 'A-outer' or 'B-outer', got {order_side!r}")
     if mode == "compose":
-        return _fractal_side(outer, inner, x, p_list)
+        return _fractal_side(*sides[order_side], x, p_list)
     if mode == "difference":
         return _difference(b, a, x, p_list)
     raise ValueError(f"mode must be 'compose' or 'difference', got {mode!r}")

@@ -27,19 +27,7 @@ from .composition import FOURTH_ORDER_WEIGHTS, palindromic_weights
 from .mqalgebra import require_order_separation
 from .oracle import MarkedState
 from .sequences import auto_m_max, initial_state
-from .spectroscopy import (
-    CROSS_PEAK_A,
-    CROSS_PEAK_B,
-    CROSS_PEAK_DT,
-    CROSS_PEAK_EPSILONS,
-    CROSS_PEAK_N,
-    CROSS_PEAK_OMEGA_A,
-    CROSS_PEAK_OMEGA_B,
-    CROSS_PEAK_POINTS,
-    NyquistError,
-    PipelineConfig,
-    SpinHamiltonian,
-)
+from .spectroscopy import CROSS_PEAK_A, CROSS_PEAK_B, CROSS_PEAK_N, NyquistError, PipelineConfig, SpinHamiltonian
 
 # Size bounds, checked before anything is allocated, with the peak RSS of
 # the largest accepted config at n = 8 (2 CPUs, numpy 2.4, OpenBLAS 0.3.31).
@@ -272,8 +260,7 @@ class HamiltonianConfig:
     def build(self, n: int) -> SpinHamiltonian:
         if self.kind == "uniform-fz":
             return SpinHamiltonian.uniform_fz(n, self.omega)
-        couplings = {(k, l): j for k, l, j in self.couplings}
-        return SpinHamiltonian.weak_coupling(n, self.offsets, couplings)
+        return SpinHamiltonian.weak_coupling(n, self.offsets, self.couplings)
 
 
 @schema
@@ -282,6 +269,22 @@ class T1Config:
     points: int = key(hi=T1_POINTS_MAX)
 
 
+# The cross-peak demo's fixed keys, set once _variant has refused them as
+# user keys: spectroscopy's A + B split, A labeled at 100 Hz and B at 60 Hz.
+# Its spectrum's orders count the A - B offset difference.
+_OMEGA_A, _OMEGA_B = 2 * np.pi * 100.0, 2 * np.pi * 60.0
+_CROSS_PEAK_LABEL = _OMEGA_A - _OMEGA_B
+_CROSS_PEAK_KEYS = {
+    "n": CROSS_PEAK_N,
+    "epsilons": [1.0, 0.8, 1.2, 0.9],
+    "p_axis": "z",
+    "detect_axis": "z",
+    "phi": 0.0,
+    "hamiltonian": HamiltonianConfig(
+        kind="weak-coupling", offsets=[_OMEGA_A] * CROSS_PEAK_A + [_OMEGA_B] * CROSS_PEAK_B
+    ),
+    "t1": T1Config(dt=1.0 / 1024, points=512),
+}
 _LABELED = {
     "n": REQUIRED,
     "epsilons": "uniform",
@@ -324,23 +327,17 @@ class SpectrumConfig:
 
     def __post_init__(self):
         _variant(self, f"preset {self.preset!r}", SPECTRUM_PRESETS[self.preset])
-        if self.preset == "cross-peak-demo":
-            # the demo fixes everything but its own keys (spectroscopy.CROSS_PEAK_*)
+        demo = self.preset == "cross-peak-demo"
+        if demo:
             require_order_separation(CROSS_PEAK_N, self.N1)
-            omega = CROSS_PEAK_OMEGA_A - CROSS_PEAK_OMEGA_B
-            _set(self, n=CROSS_PEAK_N, p_axis="z", detect_axis="z", phi=0.0, label_omega=omega)
-            offsets = [CROSS_PEAK_OMEGA_A] * CROSS_PEAK_A + [CROSS_PEAK_OMEGA_B] * CROSS_PEAK_B
-            h_evol = SpinHamiltonian.weak_coupling(CROSS_PEAK_N, offsets)
-            eps = np.array(CROSS_PEAK_EPSILONS)
-            pipe = PipelineConfig(h_evol, dt=CROSS_PEAK_DT, n_points=CROSS_PEAK_POINTS)
-        else:
-            h_evol = self.hamiltonian.build(self.n)
-            _set(self, label_omega=self.hamiltonian.omega)
-            eps = _eps_vector(self.epsilons, self.n)
-            pipe = PipelineConfig(h_evol, self.t1.dt, self.t1.points)
+            _set(self, **_CROSS_PEAK_KEYS)
+        h_evol = self.hamiltonian.build(self.n)
+        eps = _eps_vector(self.epsilons, self.n)
+        pipe = PipelineConfig(h_evol, self.t1.dt, self.t1.points)
         pipe.validate()
         marked = None if self.s is None else MarkedState(s=self.s, n=self.n)
         _set(self, marked=marked, pipe=pipe, rho0=initial_state(self.n, eps, self.p_axis))
+        _set(self, label_omega=_CROSS_PEAK_LABEL if demo else self.hamiltonian.omega)
 
 
 COMPOSE_METHODS = {

@@ -44,18 +44,11 @@ from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .sequences import grover_conjugate, projector_x_basis
 
 PEAK_REL_THRESHOLD = 1e-6
-INPHASE_TOL = 1e-9  # over Q's roundoff n (2 iterations + 1) eps_mach: 1.5e-11 at n 8, iterations 4096
 
-# The cross-peak demo, whose config keys leave these fixed: spins
-# 1..CROSS_PEAK_A form subsystem A and the next CROSS_PEAK_B form B, each
-# labeled at its own offset.
+# The cross-peak demo's split: spins 1..CROSS_PEAK_A form subsystem A and
+# the next CROSS_PEAK_B form B (config sets the demo's other fixed keys).
 CROSS_PEAK_A, CROSS_PEAK_B = 2, 2
 CROSS_PEAK_N = CROSS_PEAK_A + CROSS_PEAK_B
-CROSS_PEAK_OMEGA_A = 2 * np.pi * 100.0
-CROSS_PEAK_OMEGA_B = 2 * np.pi * 60.0
-CROSS_PEAK_EPSILONS = (1.0, 0.8, 1.2, 0.9)
-CROSS_PEAK_DT = 1.0 / 1024
-CROSS_PEAK_POINTS = 512
 
 
 class NyquistError(ValueError):
@@ -81,18 +74,23 @@ class SpinHamiltonian:
         return cls(omega * magnetic_quantum_numbers(n))
 
     @classmethod
-    def weak_coupling(cls, n: int, offsets, couplings=None) -> "SpinHamiltonian":
+    def weak_coupling(cls, n: int, offsets, couplings=()) -> "SpinHamiltonian":
         """sum_k Omega_k I_kz + sum_{k>l} 2 pi J_kl I_kz I_lz, built by index
         from the I_kz diagonals in term order: bit for bit the diagonal of
         the dense sum.
 
-        offsets in rad/s, couplings {(k, l): J_hz} in Hz.
+        offsets in rad/s, couplings (k, l, J_hz) triples with J in Hz, as a
+        config lists them.  Each names two distinct spins in 1..n, and no
+        spin pair may be named twice, in either order.
         """
         iz = iz_diagonals(n)
         h = sum(w * z for w, z in zip(qubit_weights(n, offsets), iz))
-        for (k, l), j_hz in (couplings or {}).items():
-            if k == l or not (1 <= k <= n and 1 <= l <= n):
-                raise ValueError(f"couplings need two distinct spins in 1..{n}, got ({k}, {l})")
+        named = set()
+        for k, l, j_hz in couplings:
+            pair = (min(k, l), max(k, l))
+            if k == l or not (1 <= k <= n and 1 <= l <= n) or pair in named:
+                raise ValueError(f"couplings need two distinct spins in 1..{n}, each pair once, got ({k}, {l})")
+            named.add(pair)
             h = h + 2 * np.pi * j_hz * (iz[k - 1] * iz[l - 1])
         return cls(h)
 

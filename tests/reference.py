@@ -550,7 +550,7 @@ def weak_coupling_frame_cases(n):
     rng = np.random.default_rng(FIXTURE_SEED)
     u, v, w = (random_unitary(rng, 2**n) for _ in range(3))
     rho0 = initial_state(n, rng.uniform(0.5, 1.5, n), "y")
-    h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), {(1, 2): 3.0})
+    h = SpinHamiltonian.weak_coupling(n, 2 * np.pi * rng.uniform(5, 15, n), [(1, 2, 3.0)])
     return [(rho0, u, v, PipelineConfig(h_evol=h, dt=1e-3, n_points=64), w, "z")]
 
 
@@ -832,7 +832,7 @@ TABLE: dict[str, Row] = {
             "3": (3, SpinHamiltonian.uniform_fz(3, 2 * np.pi * 10)),
             # 1 < K < 2^n distinct frequencies: spins 1 and 2 tie, K = 12
             "4-tied-offsets": (4, SpinHamiltonian.weak_coupling(
-                4, 2 * np.pi * np.array([10.0, 10.0, 15.0, 20.0]), {(1, 2): 3.0, (3, 4): 5.0}
+                4, 2 * np.pi * np.array([10.0, 10.0, 15.0, 20.0]), [(1, 2, 3.0), (3, 4, 5.0)]
             )),
             "2-zero-omega": (2, SpinHamiltonian.uniform_fz(2, 0.0)),  # K = 1
             # values 1e-6 rad/s apart stay distinct: K = 2^n

@@ -161,8 +161,9 @@ def test_reported_propagator_is_the_propagator_function(rng, name):
 @pytest.mark.parametrize("x", [0.2, -0.2])
 @pytest.mark.parametrize("pair", ["random-2", "random-4", "random-16", "su2-zx", "real-4"])
 def test_one_weight_cases_are_the_fractal_builders(rng, pair, x):
-    # the sandwich is the one-weight fractal product, and the level-2 cross
-    # composition the one-weight fractal difference with its operands swapped
+    # the sandwich is the one-weight fractal product (symmetric_sandwich builds
+    # it so), and the level-2 cross composition, built by its own path, the
+    # one-weight fractal difference with its operands swapped
     if pair == "su2-zx":
         a, b = IZ, IX
     else:

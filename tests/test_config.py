@@ -76,6 +76,14 @@ BAD_CONFIGS = {
         "spectrum",
         {**WEAK, "hamiltonian": {**WEAK["hamiltonian"], "couplings": [[1, 5, 2.0]]}},
     ),
+    "spectrum-coupling-pair-twice": (
+        "spectrum",
+        {**WEAK, "hamiltonian": {**WEAK["hamiltonian"], "couplings": [[1, 2, 2.0], [1, 2, 3.0]]}},
+    ),
+    "spectrum-coupling-pair-twice-reversed": (
+        "spectrum",
+        {**WEAK, "hamiltonian": {**WEAK["hamiltonian"], "couplings": [[1, 2, 2.0], [2, 1, 3.0]]}},
+    ),
     "cross-peak-zero-N1": ("spectrum", {"preset": "cross-peak-demo", "N1": 0}),
     "cross-peak-with-hamiltonian": ("spectrum", {"preset": "cross-peak-demo", "hamiltonian": UNIFORM_H}),
     "identity-with-marked-index": ("spectrum", {**WEAK, "s": 1}),
@@ -360,6 +368,11 @@ def test_variant_defaults_are_filled():
     assert (cfg.x, cfg.level, cfg.m) == (0.1, 2, None)
     demo = parse(SpectrumConfig, {"preset": "cross-peak-demo"})
     assert (demo.s, demo.N1, demo.n, demo.p_axis) == (5, 9, 4, "z")
+    # the demo's fixed keys, which bench's spectrum check and test_criterion_09 hard-code:
+    # 512 points at 1/1024 s, orders of omega_A - omega_B (2 pi 40 Hz), its polarizations
+    assert (demo.pipe.n_points, demo.pipe.dt) == (512, 1 / 1024)
+    assert demo.label_omega == 2 * math.pi * 100.0 - 2 * math.pi * 60.0
+    assert demo.epsilons == [1.0, 0.8, 1.2, 0.9]
 
 
 def test_axis_keys_name_their_choices():

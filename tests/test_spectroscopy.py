@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinsearch.cli import INPHASE_TOL
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import spin_op, total_op
 from spinsearch.mqalgebra import decompose_orders
@@ -8,7 +9,6 @@ from spinsearch.oracle import MarkedState
 from spinsearch.selftest import _fold
 from spinsearch.sequences import grover_propagator, initial_state
 from spinsearch.spectroscopy import (
-    INPHASE_TOL,
     PEAK_REL_THRESHOLD,
     NyquistError,
     PipelineConfig,
@@ -40,7 +40,7 @@ def signal(rho0, u, v, cfg):
 class TestSpinHamiltonian:
     def test_weak_coupling_is_diagonal(self):
         h = SpinHamiltonian.weak_coupling(
-            2, [2 * np.pi * 5, 2 * np.pi * 8], {(1, 2): 3.0}
+            2, [2 * np.pi * 5, 2 * np.pi * 8], [(1, 2, 3.0)]
         )
         expected = (
             2 * np.pi * 5 * spin_op(2, 1, "z")
@@ -57,9 +57,9 @@ class TestSpinHamiltonian:
         rng = np.random.default_rng(700 + n)
         offsets = 2 * np.pi * rng.uniform(-50.0, 50.0, n)
         pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        couplings = {pair: rng.uniform(-20.0, 20.0) for pair in pairs}
+        couplings = [(k, l, rng.uniform(-20.0, 20.0)) for k, l in pairs]
         dense = total_op(n, "z", offsets)
-        for (k, l), j_hz in couplings.items():
+        for k, l, j_hz in couplings:
             dense = dense + 2 * np.pi * j_hz * (spin_op(n, k, "z") @ spin_op(n, l, "z"))
         ref = np.diag(dense)
         got = SpinHamiltonian.weak_coupling(n, offsets, couplings).diagonal
@@ -75,10 +75,11 @@ class TestSpinHamiltonian:
         h = SpinHamiltonian.uniform_fz(3, 2.0)
         assert abs(h.max_transition_frequency - 6.0) < 1e-12
 
-    @pytest.mark.parametrize("pair", [(1, 1), (0, 1), (1, 3), (-1, 2)])
+    # (1, 2) and (2, 1) name the pair coupled first a second time
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 1), (1, 3), (-1, 2), (1, 2), (2, 1)])
     def test_coupling_needs_two_distinct_spins_of_the_system(self, pair):
         with pytest.raises(ValueError, match="distinct spins in 1..2"):
-            SpinHamiltonian.weak_coupling(2, [1.0, 2.0], {pair: 1.0})
+            SpinHamiltonian.weak_coupling(2, [1.0, 2.0], [(1, 2, 1.0), (*pair, 1.0)])
 
     def test_offset_count_checked(self):
         with pytest.raises(ValueError, match="one weight or one per qubit"):
@@ -305,7 +306,7 @@ class TestOrderIntensities:
         cfg_a = uniform_cfg(n, omega=2 * np.pi * 10)
         cfg_b = PipelineConfig(
             h_evol=SpinHamiltonian.weak_coupling(
-                n, [2 * np.pi * 7, 2 * np.pi * 13], {(1, 2): 2.0}
+                n, [2 * np.pi * 7, 2 * np.pi * 13], [(1, 2, 2.0)]
             ),
             dt=1e-3,
             n_points=64,
