@@ -39,6 +39,9 @@ from .oracle import (
 DEFAULT_SEARCH_THETA = -np.pi / 2
 READOUT_REL_THRESHOLD = 1e-9
 GAMMA1_PEAK_REL_TOL = 0.01  # how near the maximum gamma1_first_peak's first peak must come
+# work rows per slab of the explicit oracle's full-space state: at n = 8 a
+# slab is 32 full-space rows of 1024 reals, 256 KiB of the 8 MiB state
+EXPLICIT_SLAB_ROWS = 8
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -129,9 +132,11 @@ def simple_search(
     With aux_mode="explicit-uf" the oracle runs on the full work +
     auxiliary density matrix, so the equivalence of the two oracle
     realizations is computed, not assumed, and the auxiliary pair is traced
-    out right after it (exact, see _apply_explicit_oracle).  That oracle
-    runs in real arithmetic on one real full-space array, exactly: the
-    state there is i times a real array (see _with_aux).  The surviving
+    out right after it (exact, see _explicit_oracle_slabs).  That oracle
+    runs in real arithmetic, exactly, as the state there is i times a real
+    array, and it forms every full-space entry in slabs of
+    EXPLICIT_SLAB_ROWS work rows, each traced out as it arrives: the
+    (N, 4, N, 4) state is never held whole.  The surviving
     state is proportional to sum_k eps_k a_k I_kz; the sign pattern
     recovers s once the known sign of sin(theta) is divided out.  The
     measured proportionality constant is reported next to the 2/N reference
@@ -151,8 +156,7 @@ def simple_search(
         rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta])
         rho = np.ascontiguousarray(rho.real)
     elif aux_mode == "explicit-uf":
-        rho = _apply_explicit_oracle(_with_aux(initial_state(n, epsilons, "y")), marked, theta)
-        rho = np.einsum("iaja->ij", rho)  # a new array: trace out the auxiliary pair
+        rho = _explicit_oracle_work_state(marked, epsilons, theta)
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
@@ -194,42 +198,30 @@ def simple_search(
     )
 
 
-def _with_aux(rho: np.ndarray) -> np.ndarray:
-    """Im(rho x aux_pure_state()) as a real (N, 4, N, 4) array, the full
-    state indexed [x, aux, x', aux']: Im rho times aux[a, b] is written
-    into each block where aux is nonzero, and every other block stays zero.
+def _explicit_oracle_slabs(rho: np.ndarray, marked: MarkedState, theta: float):
+    """Yield Re[U_o (i A) U_o^dagger] for U_o = U_f V_S(theta) U_f and
+    A = Im(rho x aux_pure_state()), in consecutive slabs of
+    EXPLICIT_SLAB_ROWS whole work rows (fewer in the last): fresh real
+    (h, 4, N, 4) arrays indexed [x, aux, x', aux'], which stacked give the
+    whole full-space state, zero blocks included.  The (N, 4, N, 4) array
+    is never held: a consumer that drops each slab holds at most two.
 
-    That is the whole state, not a part of it: the y-axis work state is
+    i A is the whole state, not a part of it: the y-axis work state rho is
     purely imaginary and the auxiliary state is real, so
     rho x aux = i (Im rho x aux).  Both are checked, not assumed: a work
     state with a nonzero real part, or an auxiliary state with a nonzero
     imaginary part, raises ValueError.
-    """
-    aux = aux_pure_state()
-    if rho.real.any():
-        raise ValueError("the work state has a real part: the real explicit oracle needs an imaginary one")
-    if aux.imag.any():
-        raise ValueError("the auxiliary state has an imaginary part: the real explicit oracle needs a real one")
-    out = np.zeros((len(rho), 4, len(rho), 4))
-    for a, b in zip(*np.nonzero(aux)):
-        np.multiply(rho.imag, aux[a, b].real, out=out[:, a, :, b])
-    return out
 
-
-def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -> np.ndarray:
-    """Re[U_o (i A) U_o^dagger] for U_o = U_f V_S(theta) U_f, written into
-    the real (N, 4, N, 4) array rho, which holds A = Im of the full state
-    on entry (see _with_aux).
-
-    This is exact.  U_f is a real permutation: it swaps the rows, then the
-    columns, of the indices uf_permutation moves, and it maps a real array
-    to a real array.  V_S is diagonal with phases v_a that depend on the
-    auxiliary state alone, so it multiplies auxiliary block (a, b) by
-    w_ab = v_a conj(v_b), and the real part of w_ab (i A) is
-    -Im(w_ab) A.  The V_S step therefore scales all 16 blocks by a real
-    factor, zeros included (w = 1 gives exactly 0), and turns the array
-    from Im into Re of the state; the second U_f keeps it real.  Each row
-    slab rho[x] is scaled by one contiguous (4, 4N) tiling of the factors.
+    This is exact.  U_f is the real permutation p of full-space indices,
+    an involution, so U_f X U_f^dagger = X[p][:, p].  V_S is diagonal with
+    phases v_a that depend on the auxiliary state a alone, so it scales
+    entry (k, l) by w = v_a conj(v_b) for the aux states a, b of k, l, and
+    Re(i w A) = -Im(w) A.  Output entry (r, c) is therefore -Im(w) at
+    (p[r], p[c]) times A at (p[p[r]], p[p[c]]).  For its output rows R a
+    slab gathers the rows p[p[R]] of A, written block by block where aux
+    is nonzero (every other entry stays +0.0); it applies U_f on the
+    columns, the real V_S factors of the middle rows p[R] (zeros included:
+    w = 1 gives exactly 0), and U_f on the columns again.
     The search's only step on the auxiliary pair: the pair is traced out
     next, exact for any aux content as
     Tr_aux[(u x I) rho (u x I)^+] = u Tr_aux[rho] u^+ and the z readout
@@ -237,18 +229,40 @@ def _apply_explicit_oracle(rho: np.ndarray, marked: MarkedState, theta: float) -
     real pulse are linear and read Re rho alone, so Im of the final state
     is never needed.
     """
-    flat = rho.reshape(4 * len(rho), -1)  # a view: the 2-D full-space matrix
-    rows = rho.reshape(len(rho), 4, -1)  # a view indexed [x, a, (x', b)]
+    aux = aux_pure_state()
+    if rho.real.any():
+        raise ValueError("the work state has a real part: the real explicit oracle needs an imaginary one")
+    if aux.imag.any():
+        raise ValueError("the auxiliary state has an imaginary part: the real explicit oracle needs a real one")
+    dim = len(rho)
+    im = np.ascontiguousarray(rho.imag)
+    del rho  # Im rho as a contiguous copy, so the complex state can go
     p = uf_permutation(marked)
     moved = np.flatnonzero(p != np.arange(len(p)))
     v = aux_phase_vector(marked.n, theta)[:4]  # the phase of each auxiliary state
-    flat[moved] = flat[p[moved]]  # U_f
-    flat[:, moved] = flat[:, p[moved]]
-    re_iw = -np.outer(v, v.conj()).imag  # V_S: Re(i w_ab) for block (a, b)
-    rows *= np.tile(re_iw, len(rho))
-    flat[moved] = flat[p[moved]]  # U_f again
-    flat[:, moved] = flat[:, p[moved]]
-    return rho
+    re_iw = np.tile(-np.outer(v, v.conj()).imag, dim)  # V_S: Re(i w_ab), row a, tiled over x'
+    blocks = [(a, b, aux[a, b].real) for a, b in zip(*np.nonzero(aux))]
+    for start in range(0, dim, EXPLICIT_SLAB_ROWS):
+        rows = np.arange(4 * start, 4 * min(start + EXPLICIT_SLAB_ROWS, dim))
+        src = p[p[rows]]
+        slab = np.zeros((len(rows), dim, 4))
+        for a, b, value in blocks:
+            hit = (src & 3) == a
+            slab[hit, :, b] = im[src[hit] >> 2] * value
+        flat = slab.reshape(len(rows), -1)  # a view: the slab's full-space rows
+        flat[:, moved] = flat[:, p[moved]]  # U_f on the columns
+        flat *= re_iw[p[rows] & 3]  # V_S, by the middle row's aux state
+        flat[:, moved] = flat[:, p[moved]]  # U_f on the columns again
+        yield slab.reshape(-1, 4, dim, 4)
+
+
+def _explicit_oracle_work_state(marked: MarkedState, epsilons, theta: float) -> np.ndarray:
+    """Tr_aux Re[U_o (i A) U_o^dagger] for the y-axis initial state, the
+    real N x N work state: the auxiliary pair of each _explicit_oracle_slabs
+    slab is traced out as it arrives.  Only the generator holds the
+    complex initial state, so it can go once Im of it is copied."""
+    slabs = _explicit_oracle_slabs(initial_state(marked.n, epsilons, "y"), marked, theta)
+    return np.concatenate([np.einsum("iaja->ij", slab) for slab in slabs])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from spinsearch.oracle import (
     uf_permutation,
 )
 from spinsearch.sequences import (
-    _apply_explicit_oracle, _with_aux, conjugate_multi_selective, extract_alpha_from_matrix,
+    _explicit_oracle_slabs, conjugate_multi_selective, extract_alpha_from_matrix,
     grover_basis, grover_conjugate, grover_core, grover_propagator, initial_state,
     measured_conversion_coefficients, projector_x_basis, sign_flip_frame, simple_search,
     x_basis_state,
@@ -360,10 +360,10 @@ def search_row(aux_mode, forbidden, n_max, guard=None):
 
 
 def explicit_oracle_state(marked, epsilons, theta):
-    """The real full-space array the explicit search carries out of the
-    oracle, as a 2-D matrix."""
-    full = _apply_explicit_oracle(_with_aux(initial_state(marked.n, epsilons, "y")), marked, theta)
-    return full.reshape(4 * len(full), -1)
+    """The real full-space array the explicit search's oracle yields slab
+    by slab, stacked into one 2-D matrix."""
+    slabs = _explicit_oracle_slabs(initial_state(marked.n, epsilons, "y"), marked, theta)
+    return np.concatenate(list(slabs)).reshape(4 * 2**marked.n, -1)
 
 
 def dense_explicit_oracle_state(marked, epsilons, theta):

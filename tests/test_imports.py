@@ -45,6 +45,28 @@ def test_reference_imports_first_in_a_fresh_interpreter():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_loads_every_traced_layer():
+    # bench/tracer.py patched() reads sys.modules for each of its LAYERS and
+    # raises KeyError for one that `import spinsearch.cli` did not load, so
+    # a lazy import of a layer makes `bench/run.py --trace 1` exit 1.
+    # Retire this guard when the tracer imports the layers itself (ROADMAP
+    # item 1, "Tracer import").
+    tracer = ast.parse((Path(__file__).parent.parent / "bench" / "tracer.py").read_text())
+    (layers,) = [
+        ast.literal_eval(node.value) for node in tracer.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    ]
+    path = os.pathsep.join(filter(None, [str(SOURCES[0].parent.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, spinsearch.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    missing = [layer for layer in layers if f"spinsearch.{layer}" not in loaded]
+    assert layers and missing == [], f"import spinsearch.cli does not load {missing}"
+
+
 def test_sources_found():
     assert len(SOURCES) >= 9
 
@@ -92,7 +114,8 @@ def test_every_member_has_a_caller_in_the_package():
     assert defined - referenced == UNREFERENCED_ENTRY_POINTS
 
 
-# patches that substitute a function rather than count or forbid its calls
+# patches that substitute a function or a constant rather than count or
+# forbid calls
 SUBSTITUTIONS = {
     ("test_config.py", "run_selftest"): "the fuzzer's stand-in selftest; cmd_selftest reads cli's binding",
     ("test_cli.py", "INVARIANT_GROUPS"): "the registry plus a failing group, which selftest must report",
@@ -104,6 +127,7 @@ SUBSTITUTIONS = {
     ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
     ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
     ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",
+    ("test_sequences.py", "EXPLICIT_SLAB_ROWS"): "another slab height, which must not change a byte",
     ("test_scripts.py", "readout_with_extras"): "a readout off its prediction, which the demo must refuse",
 }
 

@@ -36,8 +36,8 @@ from spinsearch.sequences import (
 
 from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian, random_unitary
 from reference import (
-    Forbidden, agreement, dense_conjugate, explicit_search_n8, gradient_crush, patch_counted,
-    patch_forbidden, zq_dephase,
+    Forbidden, agreement, dense_conjugate, explicit_oracle_state, explicit_search_n8, gradient_crush,
+    patch_counted, patch_forbidden, zq_dephase,
 )
 
 
@@ -151,13 +151,36 @@ class TestSimpleSearch:
             assert res.recovered_s == marked.s
 
     def test_explicit_oracle_at_n8_peak_memory(self):
-        # one real full work + auxiliary state and two 256-dim complex
-        # matrices: no complex full state, no full-space pulse, no second
-        # copy of the state, no gathered slab (measured 9.07 MiB; 17.13 MiB
-        # with the complex full state)
-        bound = 1024**2 * np.dtype(float).itemsize + 2 * 256**2 * np.dtype(complex).itemsize
+        # the work state, and either the readout's complex pulse and its
+        # real part, or the oracle's Im rho, its traced rows and three slabs
+        # (the one traced, the one built and its V_S factors): never the
+        # whole (N, 4, N, 4) state (measured 2.00 MiB; 9.07 MiB with it)
+        slab = sequences.EXPLICIT_SLAB_ROWS * 4 * 1024 * np.dtype(float).itemsize
+        bound = (np.dtype(complex).itemsize + 2 * np.dtype(float).itemsize) * 256**2 + 3 * slab
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
+
+    @pytest.mark.parametrize("height", [1, 3, None], ids=["1", "3", "N"])
+    def test_explicit_oracle_is_the_same_bytes_at_every_slab_height(self, monkeypatch, height):
+        # 3 divides no N = 2^n, so its last slab is short; None is one slab
+        # of N rows.  A skipped slab fails this test at every height; defects
+        # that every height shares, such as a dropped second column U_f, are
+        # test_explicit_oracle_state's to catch
+        cases = [
+            (MarkedState(s=s, n=n), np.linspace(-1.3, 1.1, n), -np.pi / 2 + 0.7 * s)
+            for n in range(1, 4) for s in range(2**n)
+        ] + list(explicit_search_n8())
+
+        def outputs(marked, eps, theta):
+            return (
+                explicit_oracle_state(marked, eps, theta).tobytes(),
+                sequences._explicit_oracle_work_state(marked, eps, theta).tobytes(),
+            )
+
+        expected = [outputs(*case) for case in cases]
+        for case, want in zip(cases, expected):
+            monkeypatch.setattr(sequences, "EXPLICIT_SLAB_ROWS", height or 2**case[0].n)
+            assert outputs(*case) == want
 
     def test_selective_search_at_n8_peak_memory(self):
         # two 256-dim complex matrices (the state and the pulse) and two
