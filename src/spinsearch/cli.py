@@ -50,7 +50,7 @@ from .oracle import UF_CALLS_PER_UO
 from .selftest import InvariantResult, _fold, run_selftest
 from .sequences import (
     AmbiguousReadoutError,
-    conversion_coefficient,
+    conversion_coefficients,
     gamma1_first_peak,
     grover_coefficients,
     measured_conversion_coefficients,
@@ -143,8 +143,8 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         n, N = marked.n, 2**marked.n
         m = np.arange(m_max + 1)
         measured = measured_conversion_coefficients(marked, m_max, eps, k)
-        coeffs = [grover_coefficients(j, N) for j in range(m_max + 1)]
-        analytic = np.array([conversion_coefficient(c, eps, k) for c in coeffs])
+        alpha, gamma = grover_coefficients(m_max, N)
+        analytic = conversion_coefficients(gamma, N, eps, k)
         residual = np.abs(analytic - measured)
         # the measured route takes m_max steps; the closed form's angle m theta rounds m times
         bound = SCAN_ROUNDOFF * (m_max + 1) * (1 + np.abs(eps).sum() / abs(eps[k - 1]))
@@ -154,12 +154,10 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         j = int(np.argmax(transfer))  # the first m of largest transfer
         best = (float(transfer[j]), j) if transfer[j] > 0 else (0.0, 0)
         summary.append({"n": n, "max_transfer": best[0], "m_at_max": best[1]})
-        alpha = np.real([c.alpha for c in coeffs])
-        gamma = np.real([c.gamma for c in coeffs])
         blocks.append(
             {"n": np.full_like(m, n), "N": np.full_like(m, N), "m": m}
             | {f"alpha{i}": alpha[:, i - 1] for i in (1, 2, 3, 4)}
-            | {f"gamma{i}": gamma[:, i - 1] for i in range(1, 9)}
+            | {f"gamma{i}": gamma[:, i - 1].real for i in range(1, 9)}
             | {"c_analytic": analytic, "c_measured": measured, "residual": residual}
         )
 

@@ -167,7 +167,9 @@ def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000):
 
 def _check_search_recovery(*, n_values=(1, 2, 3, 4)):
     """Every marked index at uniform polarization: nonzero if a run misreads
-    s or takes other than two calls of U_f."""
+    s.  The call term reads oracle_uf_calls, the declared UF_CALLS_PER_UO,
+    not a count of U_f applications, so it is 0 on every run until the
+    oracle's uses are counted where it acts."""
     for n in n_values:
         eps = np.ones(n)
         for s in range(2**n):
@@ -240,13 +242,15 @@ def _check_even_order_closure(*, n_values=(2, 3), count=6, seed=59):
 def _check_grover_three_way(*, n_values=(2, 3, 4), count=26):
     """Closed form, recursion and a least-squares fit of the dense core
     iteration agree on the coefficients for m = 0 .. count - 1."""
+    if count < 1:
+        return
     for n in n_values:
-        fits = sequences.extract_alpha_from_matrix(n, count - 1) if count >= 1 else []
-        for m, (coeffs, recon_res) in enumerate(fits):
-            closed = np.array(sequences.grover_coefficients(m, 2**n).alpha)
-            yield closed - sequences.grover_coefficients_recursion(m, 2**n).alpha
-            yield coeffs[0] - 1.0, recon_res
-            yield coeffs[1:] - closed
+        coeffs, recon_res = zip(*sequences.extract_alpha_from_matrix(n, count - 1))
+        coeffs = np.array(coeffs)
+        closed = sequences.grover_coefficients(count - 1, 2**n)[0]
+        yield closed - sequences.grover_coefficients_recursion(count - 1, 2**n)
+        yield coeffs[:, 0] - 1.0, recon_res
+        yield coeffs[:, 1:] - closed
 
 
 def _check_grover_reexpression(*, n_values=(2, 3)):

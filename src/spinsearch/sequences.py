@@ -10,7 +10,8 @@ Two layers live here:
   action stays inside a five-operator algebra.  The expansion coefficients
   obey a two-by-two linear recursion with a trigonometric closed form, and
   they determine how much longitudinal magnetization survives m iterations
-  (the conversion coefficient).
+  (the conversion coefficient).  Each is evaluated as one table over
+  m = 0..m_max, one row per m.
 
 The analytic conjugation identities and coefficient formulas are always
 checked against brute-force matrix computation in the test suite; the
@@ -20,7 +21,7 @@ matrix pipeline is the ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -394,53 +395,56 @@ def grover_propagator_factored(marked: MarkedState, m: int) -> np.ndarray:
     return w @ grover_core(n, m) @ w.conj().T
 
 
-@dataclass
-class GroverCoefficients:
-    """Expansion coefficients of the m-fold core iteration.
-
-    G(m) = E + a1 D0 + a2 D0x + a3 D0 D0x + a4 D0x D0, with a1 = a2 and
-    a4 = -(2 a1 + a3) on the iteration trajectory.
-    """
-
-    m: int
-    N: int
-    alpha: tuple[complex, complex, complex, complex]
-    gamma: tuple[complex, ...] = field(default=())
-
-
 def _iteration_angle(N: int) -> float:
     return math.atan2(2 * math.sqrt(N - 1) / N, -1 + 2 / N)
 
 
-def grover_coefficients(m: int, N: int) -> GroverCoefficients:
-    """Closed-form coefficients, plus the derived gamma set."""
-    if m < 0:
+def grover_coefficients(m_max: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form coefficients of the m-fold core iteration for m = 0..m_max,
+    as two tables whose row m depends on m alone.
+
+    The alpha table is real, (m_max + 1, 4): row m is (a1, a2, a3, a4) of
+    G(m) = E + a1 D0 + a2 D0x + a3 D0 D0x + a4 D0x D0, with a1 = a2 and
+    a4 = -(2 a1 + a3) on the iteration trajectory.  The gamma table is
+    complex, (m_max + 1, 8): row m is the derived set for the conjugation of
+    transverse magnetization, taken at face value from the closed-algebra
+    expansion; the conversion coefficient always has a brute-force
+    counterpart, so any defect in it is observable rather than silent.
+    """
+    if m_max < 0:
         raise ValueError("iteration count must be >= 0")
-    th = _iteration_angle(N)
-    c, s = math.cos(m * th), math.sin(m * th)
+    mth = np.arange(m_max + 1) * _iteration_angle(N)
+    c, s = np.cos(mth), np.sin(mth)
     q = N / (N - 1)
     r = math.sqrt(N - 1)
     a1 = -q * (1 - c)
     a3 = -q * (-1 + c + r * s)
     a4 = q * (1 - c + r * s)
-    alpha = (a1, a1, a3, a4)
-    return GroverCoefficients(m=m, N=N, alpha=alpha, gamma=gamma_coefficients(alpha, N))
+    alpha = np.stack([a1, a1, a3, a4], axis=1)
+    a1, a2, a3, a4 = alpha.astype(complex).T
+    c1, c2, c3, c4 = a1.conj(), a2.conj(), a3.conj(), a4.conj()
+    g1 = (c1 * a3 + a1 * c3 + c3 * a3) / (2 * N)
+    g2 = 0.5 * (a2 + c2 + c2 * a2 + (c2 * a4 + a2 * c4) / N)
+    g3 = 0.5 * (a3 + a1 * c2 + c2 * a3 + a3 * c4 / N)
+    g4 = 0.5 * (c3 + c1 * a2 + a2 * c3 + c3 * a4 / N)
+    return alpha, np.stack([g1, g2, g3, g4, a1, c1, a4, c4], axis=1)
 
 
-def grover_coefficients_recursion(m: int, N: int) -> GroverCoefficients:
-    """The same coefficients by iterating the linear recursion from zero."""
-    if m < 0:
+def grover_coefficients_recursion(m_max: int, N: int) -> np.ndarray:
+    """The alpha table of grover_coefficients by iterating the linear
+    recursion once from zero: row m is the state after m steps."""
+    if m_max < 0:
         raise ValueError("iteration count must be >= 0")
-    a1 = a2 = a3 = a4 = 0.0 + 0j
-    for _ in range(m):
-        a1, a2, a3, a4 = (
+    alpha = np.zeros((m_max + 1, 4))
+    a1 = a2 = a3 = a4 = 0.0
+    for m in range(1, m_max + 1):
+        alpha[m] = a1, a2, a3, a4 = (
             (-1 + 4 / N) * a1 + (2 / N) * a3 - 2,
             -a2 - (2 / N) * a4 - 2,
             -2 * a1 - a3,
             2 * a2 + (-1 + 4 / N) * a4 + 4,
         )
-    alpha = (a1, a2, a3, a4)
-    return GroverCoefficients(m=m, N=N, alpha=alpha, gamma=gamma_coefficients(alpha, N))
+    return alpha
 
 
 def grover_basis(n: int) -> list[np.ndarray]:
@@ -495,38 +499,15 @@ def extract_alpha_from_matrix(n: int, m_max: int) -> list[tuple[np.ndarray, floa
     return fits
 
 
-def gamma_coefficients(alpha, N: int) -> tuple[complex, ...]:
-    """Derived coefficients for the conjugation of transverse magnetization.
-
-    These are taken at face value from the closed-algebra expansion; the
-    conversion-coefficient code always offers a brute-force counterpart so
-    any defect in them is observable rather than silent.
-    """
-    a1, a2, a3, a4 = [complex(a) for a in alpha]
-    g1 = (a1.conjugate() * a3 + a1 * a3.conjugate() + a3.conjugate() * a3) / (2 * N)
-    g2 = 0.5 * (
-        a2
-        + a2.conjugate()
-        + a2.conjugate() * a2
-        + (a2.conjugate() * a4 + a2 * a4.conjugate()) / N
-    )
-    g3 = 0.5 * (a3 + a1 * a2.conjugate() + a2.conjugate() * a3 + a3 * a4.conjugate() / N)
-    g4 = 0.5 * (
-        a3.conjugate() + a1.conjugate() * a2 + a2 * a3.conjugate() + a3.conjugate() * a4 / N
-    )
-    return (g1, g2, g3, g4, a1, a1.conjugate(), a4, a4.conjugate())
-
-
-def conversion_coefficient(coeffs: GroverCoefficients, epsilons, k: int) -> float:
-    """Analytic fraction of spin-k longitudinal magnetization surviving the
-    coeffs.m iterations: 1 + (g5 + g6)/N - (2/N) (sum_l eps_l / eps_k) g1,
-    with N and the gamma set read from coeffs."""
+def conversion_coefficients(gamma: np.ndarray, N: int, epsilons, k: int) -> np.ndarray:
+    """Analytic fraction of spin-k longitudinal magnetization surviving m
+    iterations, for each row m of a grover_coefficients gamma table:
+    1 + (g5 + g6)/N - (2/N) (sum_l eps_l / eps_k) g1."""
     epsilons = np.asarray(epsilons, dtype=float)
     if epsilons[k - 1] == 0:
         raise ValueError("polarization of the read spin must be nonzero")
-    g, N = coeffs.gamma, coeffs.N
     ratio = float(np.sum(epsilons) / epsilons[k - 1])
-    return float(np.real(1 + (g[4] + g[5]) / N - (2 / N) * ratio * g[0]))
+    return np.real(1 + (gamma[:, 4] + gamma[:, 5]) / N - (2 / N) * ratio * gamma[:, 0])
 
 
 def measured_conversion_coefficients(
@@ -567,7 +548,7 @@ def gamma1_first_peak(N: int) -> tuple[int, float]:
     accident; the first m within GAMMA1_PEAK_REL_TOL of the global maximum
     is the stable location.  Scans m in [1, auto_m_max(N)].
     """
-    vals = np.array([abs(grover_coefficients(m, N).gamma[0]) for m in range(1, auto_m_max(N) + 1)])
+    vals = np.abs(grover_coefficients(auto_m_max(N), N)[1][1:, 0])
     peak = vals.max()
     first = int(np.argmax(vals >= (1 - GAMMA1_PEAK_REL_TOL) * peak)) + 1
     return first, float(peak)

@@ -114,8 +114,8 @@ class Row:
 DIAGONALIZERS = ("expm_unitary", "numpy.linalg.eigh")
 # the closed forms of the Grover algebra, which no brute-force path may call
 GROVER_CLOSED_FORMS = (
-    "grover_coefficients", "grover_coefficients_recursion", "gamma_coefficients",
-    "conversion_coefficient", "grover_core", "extract_alpha_from_matrix",
+    "grover_coefficients", "grover_coefficients_recursion", "conversion_coefficients",
+    "grover_core", "extract_alpha_from_matrix",
 )
 
 # ---------------------------------------------------------------------------
@@ -823,7 +823,7 @@ TABLE: dict[str, Row] = {
     "extract_alpha_from_matrix": Row(
         extract_alpha_from_matrix,
         lambda n, m_max: [per_m_extraction(n, m) for m in range(m_max + 1)],
-        GROVER_CLOSED_FORMS[:4], lambda n: [(n, 25)], 1e-12, {str(n): n for n in (2, 3, 4)},
+        GROVER_CLOSED_FORMS[:3], lambda n: [(n, 25)], 1e-12, {str(n): n for n in (2, 3, 4)},
     ),
     "run_pipeline-line-expansion": Row(
         run_pipeline, line_expansion, PIPELINE_FORBIDDEN, line_expansion_cases, 1e-9,

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -489,9 +488,10 @@ def readout_row_times(factor):
 def perturbed_gamma1(monkeypatch):
     real = cli.grover_coefficients
 
-    def planted(m, N):
-        coeffs = real(m, N)
-        return replace(coeffs, gamma=(coeffs.gamma[0] * (1 + 1e-6), *coeffs.gamma[1:]))
+    def planted(m_max, N):
+        alpha, gamma = real(m_max, N)
+        gamma[:, 0] *= 1 + 1e-6
+        return alpha, gamma
 
     monkeypatch.setattr(cli, "grover_coefficients", planted)
 

@@ -18,8 +18,9 @@ from spinsearch.oracle import (
 )
 from spinsearch.sequences import (
     AmbiguousReadoutError,
+    auto_m_max,
     conjugate_multi_selective,
-    conversion_coefficient,
+    conversion_coefficients,
     gamma1_first_peak,
     grover_coefficients,
     grover_core,
@@ -335,27 +336,44 @@ class TestGroverConjugate:
 
 class TestGroverCoefficients:
     def test_zero_iterations(self):
-        assert grover_coefficients(0, 8).alpha == (0, 0, 0, 0)
+        assert np.array_equal(grover_coefficients(0, 8)[0], [[0, 0, 0, 0]])
 
     def test_single_iteration_exact(self):
         for N in (4, 8, 16):
-            alpha = np.array(grover_coefficients(1, N).alpha)
+            alpha = grover_coefficients(1, N)[0][1]
             assert maxabs(alpha - np.array([-2, -2, 0, 4])) <= 1e-12
 
     def test_alpha_identities(self):
         for N in (4, 8, 16):
+            alpha = grover_coefficients(13, N)[0]
             for m in (0, 1, 5, 13):
-                a1, a2, a3, a4 = grover_coefficients(m, N).alpha
+                a1, a2, a3, a4 = alpha[m]
                 assert abs(a1 - a2) <= 1e-10 and abs(a4 + 2 * a1 + a3) <= 1e-10
 
     def test_closed_algebra_residual(self):
         for n in (2, 3, 4):
-            N = 2**n
             basis = grover_basis(n)
+            alpha = grover_coefficients(25, 2**n)[0]
             for m in (1, 7, 25):
-                alpha = grover_coefficients(m, N).alpha
-                recon = basis[0] + sum(a * b for a, b in zip(alpha, basis[1:]))
+                recon = basis[0] + sum(a * b for a, b in zip(alpha[m], basis[1:]))
                 assert maxabs(grover_core(n, m) - recon) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_m_is_the_last_row_of_the_table_to_m(self, n):
+        # row m depends on m alone, signed zeros included: every longer
+        # table holds the bits of the table to m at row m, and a1 reads
+        # m theta rounded once, not an angle carried across m
+        N = 2**n
+        theta = sequences._iteration_angle(N)
+        tables = {
+            m: (*grover_coefficients(m, N), sequences.grover_coefficients_recursion(m, N))
+            for m in (0, 1, 2, auto_m_max(N), 4096)
+        }
+        for m, short in tables.items():
+            assert short[0][-1, 0] == -N / (N - 1) * (1 - np.cos(m * theta))
+            for longer in (tabs for m_max, tabs in tables.items() if m_max > m):
+                for table, last in zip(longer, short, strict=True):
+                    assert np.array_equal(table[m].view(np.int64), last[-1].view(np.int64))
 
     @pytest.mark.parametrize(
         "call",
@@ -380,33 +398,39 @@ class TestExtractAlpha:
         CHECK["grover-coefficients-three-way"]()
         assert calls["grover_basis"] == [(2,), (3,), (4,)]
 
+    def test_three_way_check_runs_the_recursion_once_per_n(self, monkeypatch):
+        calls = patch_counted(monkeypatch, ["grover_coefficients_recursion"])
+        CHECK["grover-coefficients-three-way"]()
+        assert calls["grover_coefficients_recursion"] == [(25, 4), (25, 8), (25, 16)]
+
 
 class TestConversionCoefficient:
     def test_no_iterations_no_transfer(self):
-        assert conversion_coefficient(grover_coefficients(0, 8), np.ones(3), 1) == 1.0
+        assert np.array_equal(conversion_coefficients(grover_coefficients(0, 8)[1], 8, np.ones(3), 1), [1.0])
 
     def test_analytic_matches_brute_force(self):
-        analytic = conversion_coefficient(grover_coefficients(1, 4), np.ones(2), 1)
+        analytic = conversion_coefficients(grover_coefficients(1, 4)[1], 4, np.ones(2), 1)[1]
         measured = measured_conversion_coefficients(MarkedState(s=0, n=2), 1, np.ones(2), 1)[1]
         assert abs(analytic - measured) <= 1e-8
 
     def test_agreement_over_m_and_spin(self):
         eps = np.array([0.7, 1.3, 0.9])
+        gamma = grover_coefficients(9, 8)[1]
         for m in (1, 2, 5, 9):
             for k in (1, 2, 3):
-                analytic = conversion_coefficient(grover_coefficients(m, 8), eps, k)
+                analytic = conversion_coefficients(gamma, 8, eps, k)[m]
                 measured = measured_conversion_coefficients(MarkedState(s=5, n=3), m, eps, k)[m]
                 assert abs(analytic - measured) <= 1e-8
 
     def test_precomputed_coefficients_need_no_closed_form(self, monkeypatch):
-        # N and the gamma set come from the GroverCoefficients handed in
+        # the gamma table handed in is all the closed form it reads
         eps = np.array([0.7, 1.3, 0.9])
-        coeffs = grover_coefficients(5, 8)
-        expected = conversion_coefficient(coeffs, eps, 2)
+        gamma = grover_coefficients(5, 8)[1]
+        expected = conversion_coefficients(gamma, 8, eps, 2)
         patch_forbidden(monkeypatch, ["grover_coefficients"])
         with pytest.raises(Forbidden):  # the patch is live
             sequences.grover_coefficients(5, 8)
-        assert conversion_coefficient(coeffs, eps, 2) == expected
+        assert np.array_equal(conversion_coefficients(gamma, 8, eps, 2), expected)
 
     def test_trajectory_matches_dense_reference(self):
         # the closed form on every read spin; the dense reference runs on
@@ -417,14 +441,11 @@ class TestConversionCoefficient:
             m_max = int(4 * np.sqrt(N)) + 1
             marked = MarkedState(s=int(rng.integers(N)), n=n)
             eps = rng.uniform(0.5, 1.5, n)
+            gamma = grover_coefficients(m_max, N)[1]
             for k in range(1, n + 1):
                 traj = measured_conversion_coefficients(marked, m_max, eps, k)
                 assert traj.shape == (m_max + 1,)
-                analytic = [
-                    conversion_coefficient(grover_coefficients(m, N), eps, k)
-                    for m in range(m_max + 1)
-                ]
-                assert maxabs(traj - np.array(analytic)) <= 1e-9
+                assert maxabs(traj - conversion_coefficients(gamma, N, eps, k)) <= 1e-9
 
     test_edge_marks_match_dense_reference = agreement("measured_conversion_coefficients")
 
@@ -445,7 +466,7 @@ class TestConversionCoefficient:
     def test_zero_read_polarization_rejected(self):
         eps = np.array([1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="read spin must be nonzero"):
-            conversion_coefficient(grover_coefficients(2, 8), eps, 2)
+            conversion_coefficients(grover_coefficients(2, 8)[1], 8, eps, 2)
         with pytest.raises(ValueError, match="read spin must be nonzero"):
             measured_conversion_coefficients(MarkedState(s=1, n=3), 2, eps, 2)
         # a zero elsewhere is fine: only the read spin is divided by
@@ -470,9 +491,7 @@ class TestConversionCoefficient:
     def test_gamma_maxima_bounded_and_located(self):
         for N in (16, 64, 256):
             m_max = int(4 * np.sqrt(N)) + 1
-            g = np.array(
-                [grover_coefficients(m, N).gamma for m in range(1, m_max + 1)]
-            )
+            g = grover_coefficients(m_max, N)[1][1:]
             for idx in (0, 4, 5):  # gamma1, gamma5, gamma6
                 assert np.abs(g[:, idx]).max() <= 5.0
             m_star, peak = gamma1_first_peak(N)
