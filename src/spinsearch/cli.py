@@ -51,7 +51,6 @@ from .selftest import InvariantResult, _fold, run_selftest
 from .sequences import (
     AmbiguousReadoutError,
     conversion_coefficients,
-    gamma1_first_peak,
     grover_coefficients,
     measured_conversion_coefficients,
     simple_search,
@@ -166,13 +165,7 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]},
     )
     return {
-        "payload": {
-            "per_n": summary,
-            "gamma1_first_peak": {
-                str(N): dict(zip(("m", "value"), gamma1_first_peak(N)))
-                for N in (16, 64, 256)
-            },
-        },
+        "payload": {"per_n": summary},
         "oracle_calls": total_calls,
         "checks": checks,
     }

@@ -147,13 +147,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (z + z.conj().T) / 2
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A Haar-random unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def magnetic_quantum_numbers(n: int) -> np.ndarray:
     """Diagonal of the collective z operator for n spins, indexed by basis state.
 

@@ -25,8 +25,10 @@ auxiliary |0>|1> sector:
 
 U_f is a permutation of basis indices, and uf_permutation is its one
 definition; V_S is diagonal, and aux_phase_vector is its diagonal.  The
-dense matrices built from them serve small-n checks; the search pipeline
-applies U_f by indexing and V_S as a phase vector.
+search pipeline applies U_f by indexing and V_S as a phase vector.  The
+dense matrices built from them, the matrix of C_s(theta) and the block
+on the |0>|1> sector serve small-n checks and live in
+spinsearch.references.
 
 Oracle cost accounting: one U_o (or its C_s stand-in) consumes two
 applications of U_f.
@@ -88,13 +90,6 @@ def diag_projector(marked: MarkedState) -> np.ndarray:
     return d
 
 
-def selective_phase(marked: MarkedState, theta: float) -> np.ndarray:
-    """C_s(theta) = E + (exp(-i theta) - 1) |s><s|, diagonal and unitary."""
-    c = np.eye(2**marked.n, dtype=complex)
-    c[marked.s, marked.s] = np.exp(-1j * theta)
-    return c
-
-
 def uf_permutation(marked: MarkedState) -> np.ndarray:
     """Index map p of the bit-flip oracle: U_f |idx> = |p[idx]>.
 
@@ -107,31 +102,12 @@ def uf_permutation(marked: MarkedState) -> np.ndarray:
     return idx ^ (0b10 * f)
 
 
-def oracle_uf(marked: MarkedState) -> np.ndarray:
-    """Bit-flip oracle U_f as a dense permutation matrix."""
-    p = uf_permutation(marked)
-    u = np.zeros((len(p), len(p)), dtype=complex)
-    u[p, np.arange(len(p))] = 1.0
-    return u
-
-
 def aux_phase_vector(n: int, theta: float) -> np.ndarray:
     """Diagonal of V_S(theta) on n work qubits plus the auxiliary pair:
     exp(-i theta) on auxiliary states with a = 1, b = 1."""
     d = np.ones(2 ** (n + 2), dtype=complex)
     d[0b11::4] = np.exp(-1j * theta)
     return d
-
-
-def oracle_uo(marked: MarkedState, theta: float) -> np.ndarray:
-    """Phase oracle U_o(theta) = U_f V_S(theta) U_f on the full system."""
-    uf = oracle_uf(marked)
-    return uf @ np.diag(aux_phase_vector(marked.n, theta)) @ uf
-
-
-def restrict_to_aux01(u: np.ndarray) -> np.ndarray:
-    """Block of a full-system operator on the auxiliary |0>|1> sector."""
-    return u[0b01::4, 0b01::4].copy()  # index x * 4 + aux, aux = 0b01
 
 
 def aux_pure_state() -> np.ndarray:

@@ -22,6 +22,10 @@ as for one matrix, so every residual keeps its bits.
 run_selftest compares each residual against the group's tolerance;
 selftest.csv carries both, so the headroom of each group can be read off
 the output.
+
+A check's brute-force side that no command runs (the dense oracles and
+propagators, the order grading, the line expansion) comes from
+spinsearch.references, which no other package module imports.
 """
 
 from __future__ import annotations
@@ -32,14 +36,13 @@ from itertools import combinations
 
 import numpy as np
 
-from . import composition, mqalgebra, oracle, sequences, spectroscopy
+from . import composition, mqalgebra, oracle, references, sequences, spectroscopy
 from .linalg import (
     PAULI_HALF,
     expm_unitary,
     kron_all,
     magnetic_quantum_numbers,
     random_hermitian,
-    random_unitary,
     spin_op,
     total_op,
     unitarity_defect,
@@ -117,8 +120,8 @@ def _check_oracle_equivalence(*, n_values=(1, 2, 3)):
         for s in range(2**n):
             marked = MarkedState(s=s, n=n)
             for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-                blocks.append(oracle.restrict_to_aux01(oracle.oracle_uo(marked, theta)))
-                cs.append(oracle.selective_phase(marked, theta))
+                blocks.append(references.restrict_to_aux01(references.oracle_uo(marked, theta)))
+                cs.append(references.selective_phase(marked, theta))
         yield np.array(blocks) - np.array(cs)
 
 
@@ -126,7 +129,7 @@ def _check_projector_frame_relation(*, n_values=(1, 2, 3)):
     for n in n_values:
         d0 = oracle.diag_projector(MarkedState(s=0, n=n))
         markeds = [MarkedState(s=s, n=n) for s in range(2**n)]
-        w = np.array([sequences.sign_flip_frame(marked) for marked in markeds])
+        w = np.array([references.sign_flip_frame(marked) for marked in markeds])
         ds = np.array([oracle.diag_projector(marked) for marked in markeds])
         yield ds - w @ d0 @ _dagger(w)
 
@@ -149,12 +152,12 @@ def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000):
                 theta = float(rng.uniform(0, 2 * np.pi))
                 marked = MarkedState(s=s, n=n)
                 ones.append(sequences.conjugate_multi_selective(rho, [marked], [theta]))
-                cs.append(oracle.selective_phase(marked, theta))
+                cs.append(references.selective_phase(marked, theta))
                 picks = rng.choice(dim, size=int(rng.integers(2, min(4, dim) + 1)), replace=False)
                 ths = rng.uniform(0, 2 * np.pi, size=len(picks))
                 markeds = [MarkedState(s=int(p), n=n) for p in picks]
                 multis.append(sequences.conjugate_multi_selective(rho, markeds, ths))
-                phases = [oracle.selective_phase(mk, th) for mk, th in zip(markeds, ths)]
+                phases = [references.selective_phase(mk, th) for mk, th in zip(markeds, ths)]
                 factors.append(phases + [eye] * (4 - len(phases)))
             rho = np.array(rhos)
             c = np.array(cs)
@@ -179,11 +182,11 @@ def _check_search_recovery(*, n_values=(1, 2, 3, 4)):
 
 def _check_lomso_reconstruction(*, n_values=(1, 2, 3)):
     for n in n_values:
-        basis = mqalgebra.lomso_transform(n)
+        basis = references.lomso_transform(n)
         yield basis.a @ basis.a_inv - np.eye(2**n)
         for k in range(2**n):
             d = oracle.diag_projector(MarkedState(s=k, n=n))
-            yield d - mqalgebra.lomso_expand_projector(basis, k)
+            yield d - references.lomso_expand_projector(basis, k)
 
 
 def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000):
@@ -198,13 +201,14 @@ def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000):
                 fs.append(random_hermitian(rng, 2**n))
                 targets.append(int(rng.integers(-n, n + 1)))
             f = np.array(fs)
-            yield mqalgebra.phase_cycle_project(f, 2 * n + 1, targets) - mqalgebra.order_component(f, targets)
+            selected = mqalgebra.phase_cycle_project(f, 2 * n + 1, targets)
+            yield selected - references.order_component(f, targets)
 
 
 def _outside_orders(op: np.ndarray, allowed):
     """The coherence-order components of op at every order m for which
     allowed(m) is false."""
-    return (a for m, a in mqalgebra.decompose_orders(op).items() if not allowed(m))
+    return (a for m, a in references.decompose_orders(op).items() if not allowed(m))
 
 
 def _check_mq_generator_orders(*, n_values=(2, 3)):
@@ -213,7 +217,7 @@ def _check_mq_generator_orders(*, n_values=(2, 3)):
     for n in n_values:
         subsets = [(1, *c) for size in range(1, n) for c in combinations(range(2, n + 1), size)]
         for qubits in subsets:
-            g = mqalgebra.mq_generator(n, qubits)
+            g = references.mq_generator(n, qubits)
             yield g - g.conj().T
             yield from _outside_orders(g, lambda m: abs(m) == len(qubits))
 
@@ -224,7 +228,7 @@ def _closure(allowed, t: float, *, n_values, count: int, seed: int):
     keeps the operator within those orders."""
     rng = np.random.default_rng(seed)
     for n in n_values:
-        mask = allowed(mqalgebra.order_matrix(n))
+        mask = allowed(references.order_matrix(n))
         for _ in range(count):
             h = np.where(mask, random_hermitian(rng, 2**n), 0)
             u = expm_unitary(np.where(mask, random_hermitian(rng, 2**n), 0), t)
@@ -245,10 +249,10 @@ def _check_grover_three_way(*, n_values=(2, 3, 4), count=26):
     if count < 1:
         return
     for n in n_values:
-        coeffs, recon_res = zip(*sequences.extract_alpha_from_matrix(n, count - 1))
+        coeffs, recon_res = zip(*references.extract_alpha_from_matrix(n, count - 1))
         coeffs = np.array(coeffs)
         closed = sequences.grover_coefficients(count - 1, 2**n)[0]
-        yield closed - sequences.grover_coefficients_recursion(count - 1, 2**n)
+        yield closed - references.grover_coefficients_recursion(count - 1, 2**n)
         yield coeffs[:, 0] - 1.0, recon_res
         yield coeffs[:, 1:] - closed
 
@@ -258,7 +262,8 @@ def _check_grover_reexpression(*, n_values=(2, 3)):
         for s in (0, 2**n - 1, 1):
             marked = MarkedState(s=s, n=n)
             for m in (1, 3, 6):
-                yield sequences.grover_propagator(marked, m) - sequences.grover_propagator_factored(marked, m)
+                dense = references.grover_propagator(marked, m)
+                yield dense - references.grover_propagator_factored(marked, m)
 
 
 def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000):
@@ -268,13 +273,13 @@ def _check_pipeline_vs_lines(*, n_values=(2, 3), count=1, seed=3000):
         rng = np.random.default_rng(seed + n)
         h = spectroscopy.SpinHamiltonian.uniform_fz(n, 2 * np.pi * 10)
         for _ in range(count):
-            u, v = (random_unitary(rng, 2**n) for _ in range(2))
+            u, v = (references.random_unitary(rng, 2**n) for _ in range(2))
             cfg = spectroscopy.PipelineConfig(h_evol=h, dt=1 / 256, n_points=128)
             rho0 = sequences.initial_state(n, rng.uniform(0.5, 1.5, n), "y")
             p, q = spectroscopy.transfer_pair(u, v, rho0)
             series = spectroscopy.run_pipeline(p, q, cfg)
-            om, amps = spectroscopy.eigen_expand(p, q, h)
-            yield series - spectroscopy.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
+            om, amps = references.eigen_expand(p, q, h)
+            yield series - references.resum_lines(om, amps, np.arange(cfg.n_points) * cfg.dt)
 
 
 def _check_composition_unitarity(*, seed=83):

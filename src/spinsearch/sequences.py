@@ -8,14 +8,17 @@ Two layers live here:
   coefficients;
 * the Grover-type iteration [exp(-i pi D_last) exp(-i pi D_s^x)]^m, whose
   action stays inside a five-operator algebra.  The expansion coefficients
-  obey a two-by-two linear recursion with a trigonometric closed form, and
-  they determine how much longitudinal magnetization survives m iterations
-  (the conversion coefficient).  Each is evaluated as one table over
-  m = 0..m_max, one row per m.
+  have a trigonometric closed form, and they determine how much
+  longitudinal magnetization survives m iterations (the conversion
+  coefficient).  Each is evaluated as one table over m = 0..m_max, one
+  row per m; measured_conversion_coefficients steps the iteration on the
+  state instead, without forming it.
 
-The analytic conjugation identities and coefficient formulas are always
-checked against brute-force matrix computation in the test suite; the
-matrix pipeline is the ground truth.
+Only what a command runs lives here.  The brute-force references these
+routes are checked against (the dense propagator and its factored form,
+the coefficients' linear recursion, the least-squares fit of the dense
+core iteration, the spin-echo projector sums and gamma1_first_peak) live
+in spinsearch.references; the matrix pipeline is the ground truth.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .oracle import (
 
 DEFAULT_SEARCH_THETA = -np.pi / 2
 READOUT_REL_THRESHOLD = 1e-9
-GAMMA1_PEAK_REL_TOL = 0.01  # how near the maximum gamma1_first_peak's first peak must come
 # work rows per slab of the explicit oracle's full-space state: at n = 8 a
 # slab is 32 full-space rows of 1024 reals, 256 KiB of the 8 MiB state
 EXPLICIT_SLAB_ROWS = 8
@@ -267,30 +269,6 @@ def _explicit_oracle_work_state(marked: MarkedState, epsilons, theta: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# spin-echo decoupled projector sums
-
-
-def spin_echo_hamiltonian(marked: MarkedState, k: int) -> np.ndarray:
-    """Projector sum independent of the last k qubits, built recursively.
-
-    Each step adds the pi-x-pulse conjugate on one more trailing qubit,
-    which replaces that qubit's projector factor by the identity.  The
-    result is the tensor product of the leading n-k single-spin projectors
-    with identities, and has trace 2^k.
-    """
-    n = marked.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"decoupled-qubit count {k} outside [0, {n - 1}]")
-    d = diag_projector(marked)
-    for j in range(k):
-        angles = np.zeros(n)
-        angles[n - j - 1] = np.pi  # a pi x pulse on qubit n - j
-        pulse = product_rotation(n, "x", angles)
-        d = d + pulse @ d @ pulse.conj().T
-    return d
-
-
-# ---------------------------------------------------------------------------
 # Grover-type iteration and its closed coefficient algebra
 
 
@@ -311,21 +289,6 @@ def x_basis_state(marked: MarkedState) -> np.ndarray:
     r = math.sqrt(0.5)
     ry_columns = {1: [[r, r]], -1: [[-r, r]]}
     return np.ascontiguousarray(kron_all(ry_columns[a] for a in marked.signs)[0].real)
-
-
-def grover_propagator(marked: MarkedState, m: int) -> np.ndarray:
-    """[exp(-i pi D_last) exp(-i pi D_s^x)]^m as a dense matrix: the reference
-    grover_conjugate is checked against.  Each step applies
-    S = (I - 2 D_last)(I - 2 |x_s><x_s|) from the left, as the rank-1 update
-    U - x_s (2 x_s^T U)^T and a sign flip of the last row."""
-    if m < 0:
-        raise ValueError("iteration count must be >= 0")
-    xs = x_basis_state(marked)
-    u = np.eye(2**marked.n, dtype=complex)
-    for _ in range(m):
-        u = u - np.outer(xs, 2 * (xs @ u))
-        u[-1] *= -1
-    return u
 
 
 def _two_sided_steps(rho: np.ndarray, xs: np.ndarray, antisymmetric: bool = False):
@@ -356,11 +319,11 @@ def _two_sided_steps(rho: np.ndarray, xs: np.ndarray, antisymmetric: bool = Fals
 
 
 def grover_conjugate(marked: MarkedState, m: int, x: np.ndarray) -> np.ndarray:
-    """U x U^dagger for U = grover_propagator(marked, m) and a Hermitian x,
-    by m two-sided steps; U is never formed.  U is real, so the real
-    symmetric and the imaginary antisymmetric part of x are conjugated
-    apart, each on a real copy, and a part that is all zero is skipped.
-    A real x gives its real conjugate."""
+    """U x U^dagger for U = [exp(-i pi D_last) exp(-i pi D_s^x)]^m and a
+    Hermitian x, by m two-sided steps; U is never formed.  U is real, so
+    the real symmetric and the imaginary antisymmetric part of x are
+    conjugated apart, each on a real copy, and a part that is all zero is
+    skipped.  A real x gives its real conjugate."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     xs = x_basis_state(marked)
@@ -374,25 +337,6 @@ def grover_conjugate(marked: MarkedState, m: int, x: np.ndarray) -> np.ndarray:
     out = re.astype(complex)
     out.imag = im
     return out
-
-
-def sign_flip_frame(marked: MarkedState) -> np.ndarray:
-    """Unitary W with D_s = W D_first W^dagger, built from x rotations.
-
-    W = exp(-i pi/2 Fx) * prod_k exp(+i pi/2 a_k I_kx); conjugating the
-    all-zeros projector by W lands on the marked projector.
-    """
-    n = marked.n
-    per_spin = [-a * np.pi / 2 for a in marked.signs]
-    return product_rotation(n, "x", np.pi / 2) @ product_rotation(n, "x", per_spin)
-
-
-def grover_propagator_factored(marked: MarkedState, m: int) -> np.ndarray:
-    """The same propagator with the marked-state dependence pulled into a
-    fixed frame change around a marked-independent core iteration."""
-    n = marked.n
-    w = product_rotation(n, "y", np.pi / 2) @ sign_flip_frame(marked)
-    return w @ grover_core(n, m) @ w.conj().T
 
 
 def _iteration_angle(N: int) -> float:
@@ -430,80 +374,14 @@ def grover_coefficients(m_max: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, np.stack([g1, g2, g3, g4, a1, c1, a4, c4], axis=1)
 
 
-def grover_coefficients_recursion(m_max: int, N: int) -> np.ndarray:
-    """The alpha table of grover_coefficients by iterating the linear
-    recursion once from zero: row m is the state after m steps."""
-    if m_max < 0:
-        raise ValueError("iteration count must be >= 0")
-    alpha = np.zeros((m_max + 1, 4))
-    a1 = a2 = a3 = a4 = 0.0
-    for m in range(1, m_max + 1):
-        alpha[m] = a1, a2, a3, a4 = (
-            (-1 + 4 / N) * a1 + (2 / N) * a3 - 2,
-            -a2 - (2 / N) * a4 - 2,
-            -2 * a1 - a3,
-            2 * a2 + (-1 + 4 / N) * a4 + 4,
-        )
-    return alpha
-
-
-def grover_basis(n: int) -> list[np.ndarray]:
-    """The closed five-operator basis {E, D0, D0x, D0 D0x, D0x D0}."""
-    d0 = diag_projector(MarkedState(s=0, n=n))
-    d0x = projector_x_basis(MarkedState(s=0, n=n))
-    return [np.eye(2**n, dtype=complex), d0, d0x, d0 @ d0x, d0x @ d0]
-
-
-def _core_trajectory(basis: list[np.ndarray], m_max: int):
-    """Yield G(0), G(1), ..., G(m_max) of the core iteration, each as the
-    dense product step @ G(m - 1); basis is grover_basis(n)."""
-    if m_max < 0:
-        raise ValueError("iteration count must be >= 0")
-    _, d0, d0x = basis[:3]
-    dim = d0.shape[0]
-    step = (np.eye(dim) - 2 * d0x) @ (np.eye(dim) - 2 * d0)
-    g = np.eye(dim, dtype=complex)
-    yield g
-    for _ in range(m_max):
-        g = step @ g
-        yield g
-
-
-def grover_core(n: int, m: int) -> np.ndarray:
-    """The marked-independent core iteration [exp(-i pi D0x) exp(-i pi D0)]^m."""
-    for g in _core_trajectory(grover_basis(n), m):
-        pass
-    return g
-
-
-def extract_alpha_from_matrix(n: int, m_max: int) -> list[tuple[np.ndarray, float]]:
-    """Least-squares coefficients of the core G(m) over the five-operator
-    basis, for m = 0..m_max.
-
-    The basis is not orthogonal under the trace inner product, so the
-    normal equations go through its Gram matrix, built once.  G(m) comes
-    from the dense iteration, never from the closed form.  Entry m holds
-    the five coefficients (the leading one should be 1) and the max-entry
-    residual of the reconstruction.
-    """
-    basis = grover_basis(n)
-    stack = np.array(basis)
-    bra = stack.conj()
-    gram = np.einsum("aij,bij->ab", bra, stack)
-    fits = []
-    for g in _core_trajectory(basis, m_max):
-        rhs = np.einsum("aij,ij->a", bra, g)
-        coeffs = np.linalg.solve(gram, rhs)
-        recon = sum(c * b for c, b in zip(coeffs, basis))
-        fits.append((coeffs, float(np.abs(g - recon).max())))
-    return fits
-
-
 def conversion_coefficients(gamma: np.ndarray, N: int, epsilons, k: int) -> np.ndarray:
     """Analytic fraction of spin-k longitudinal magnetization surviving m
     iterations, for each row m of a grover_coefficients gamma table:
     1 + (g5 + g6)/N - (2/N) (sum_l eps_l / eps_k) g1."""
     epsilons = np.asarray(epsilons, dtype=float)
+    n = len(epsilons)
+    if not 1 <= k <= n:
+        raise ValueError(f"read spin {k} outside [1, {n}]")
     if epsilons[k - 1] == 0:
         raise ValueError("polarization of the read spin must be nonzero")
     ratio = float(np.sum(epsilons) / epsilons[k - 1])
@@ -538,17 +416,3 @@ def auto_m_max(N: int) -> int:
     """The last m of the auto window, int(4 sqrt N) + 1: the m_max that
     grover-scan runs by default and the window gamma1_first_peak scans."""
     return int(4 * math.sqrt(N)) + 1
-
-
-def gamma1_first_peak(N: int) -> tuple[int, float]:
-    """Location and height of the first near-maximal |gamma_1(m)| peak.
-
-    |gamma_1| has near-degenerate replica peaks at odd multiples of the
-    first one, so the global argmax over a wide window is a lattice
-    accident; the first m within GAMMA1_PEAK_REL_TOL of the global maximum
-    is the stable location.  Scans m in [1, auto_m_max(N)].
-    """
-    vals = np.abs(grover_coefficients(auto_m_max(N), N)[1][1:, 0])
-    peak = vals.max()
-    first = int(np.argmax(vals >= (1 - GAMMA1_PEAK_REL_TOL) * peak)) + 1
-    return first, float(peak)

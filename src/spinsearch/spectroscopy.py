@@ -10,9 +10,11 @@ component, Fourier transform over t1.  The signal is
 Excitation and reconversion enter only through the transfer pair (P, Q),
 formed once per preset by `spectrum_transfer` (`transfer_pair` from dense U
 and V; sequences.grover_conjugate in place, without U); every stage below
-takes that same pair.  Coherence orders are exact integers: a matrix
-element's order comes from mqalgebra.order_matrix, and a spectral line's
-from the one rule in `_pick_peaks`, which the Spectrum carries per bin.
+takes that same pair.  Coherence orders are exact integers: a spectral
+line's comes from the one rule in `_pick_peaks`, which the Spectrum
+carries per bin.  The line expansion and the order intensities that
+check this pipeline, and the toggling-frame Hamiltonian, live in
+spinsearch.references.
 H is diagonal in the product basis and stored as its real diagonal w, so
 t1 evolution is the phase vector exp(-i w t1) and no diagonalization runs.
 Every spectral line sits at a transition frequency w_j - w_k with complex
@@ -39,7 +41,7 @@ from .linalg import (
     qubit_weights,
     total_op,
 )
-from .mqalgebra import order_matrix, phase_cycle_project
+from .mqalgebra import phase_cycle_project
 from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .sequences import grover_conjugate, projector_x_basis
 
@@ -190,17 +192,6 @@ def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarra
     return g.sum(axis=1)
 
 
-def eigen_expand(p: np.ndarray, q: np.ndarray, h: SpinHamiltonian):
-    """All transition lines (w_jk, conj(Q_jk) P_jk) of the diagonal H."""
-    w = h.diagonal
-    return (w[:, None] - w[None, :]).ravel(), (q.conj() * p).ravel()
-
-
-def resum_lines(omegas: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Reassemble the time signal sum_jk amp * exp(-i w t)."""
-    return np.exp(-1j * np.outer(times, omegas)) @ amps
-
-
 def inphase_check(p: np.ndarray, q: np.ndarray, phi: float) -> np.ndarray:
     """Does the reconversion mirror the excitation up to a z rotation?
 
@@ -280,35 +271,7 @@ def _pick_peaks(amps, freqs, label_omega, rel_threshold) -> Spectrum:
     return Spectrum(freqs, amps, orders, peaks)
 
 
-def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:
-    """Line-amplitude sums grouped by coherence order m = M_j - M_k.
-
-    Summing over all orders reproduces the t1 = 0 signal Tr(Q P).
-    """
-    n = n_qubits(p)
-    om = order_matrix(n)
-    amps = q.conj() * p
-    return {m: complex(amps[om == m].sum()) for m in range(-n, n + 1)}
-
-
 def cross_zq_hamiltonian(f_s: np.ndarray, f_r: np.ndarray, n1: int) -> np.ndarray:
     """Zero-quantum part of the sum of an oracle-dependent and an
     oracle-independent operator function, by phase cycling."""
     return phase_cycle_project(f_s + f_r, n1, 0)
-
-
-def interaction_frame(
-    h_s: np.ndarray, h_r: np.ndarray, t: float, series_order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Toggling-frame Hamiltonian exp(+i t H_r) H_s exp(-i t H_r), exact and
-    as the nested-commutator series truncated at the given order."""
-    if series_order > 6:
-        raise ValueError("series truncation supported up to order 6")
-    u = expm_unitary(h_r, -t)  # exp(+i t H_r)
-    exact = u @ h_s @ u.conj().T
-    term = h_s.astype(complex)
-    series = h_s.astype(complex)
-    for k in range(1, series_order + 1):
-        term = (1j * t / k) * (h_r @ term - term @ h_r)
-        series = series + term
-    return exact, series

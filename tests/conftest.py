@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinsearch.linalg import random_hermitian, random_unitary  # noqa: F401  (shared by the test modules)
+from spinsearch.linalg import random_hermitian  # noqa: F401  (shared by the test modules)
+from spinsearch.references import random_unitary  # noqa: F401
 from spinsearch.selftest import INVARIANT_GROUPS, _fold
 
 from reference import patch_forbidden

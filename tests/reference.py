@@ -16,10 +16,12 @@ a case generator and a tolerance.  Two tests run over the table:
 
 A forbidden name is a function name bound in spinsearch modules, or a
 dotted numpy path such as "numpy.linalg.eigh"; one that resolves nowhere
-fails the test instead of leaving it vacuous.  A new fast path adds a row
-here, not a private helper in its test module.  run_cli, the in-process
-CLI call the tests share, lives here too, so this module imports nothing
-from conftest.py.
+fails the test instead of leaving it vacuous.  A row whose fast path is in
+a route module does not list the names only spinsearch.references binds:
+tests/test_imports.py keeps every route module from importing it.  A
+new fast path adds a row here, not a private helper in its test module.
+run_cli, the in-process CLI call the tests share, lives here too, so this
+module imports nothing from conftest.py.
 
 Every test that counts or forbids calls uses patch_counted or patch_forbidden,
 which resolve names this way and patch every binding: a module that imports
@@ -45,22 +47,22 @@ from spinsearch.composition import commutator_product, trotter_product
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import (
     PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, product_rotation,
-    random_hermitian, random_unitary, spin_op, total_op,
+    random_hermitian, spin_op, total_op,
 )
-from spinsearch.mqalgebra import mq_generator, order_component, phase_cycle_project
-from spinsearch.oracle import (
-    MarkedState, aux_pure_state, diag_projector, oracle_uf, oracle_uo, selective_phase,
-    uf_permutation,
+from spinsearch.mqalgebra import phase_cycle_project
+from spinsearch.oracle import MarkedState, aux_pure_state, diag_projector, uf_permutation
+from spinsearch.references import (
+    eigen_expand, extract_alpha_from_matrix, grover_basis, grover_core, grover_propagator,
+    mq_generator, oracle_uf, oracle_uo, order_component, random_unitary, resum_lines,
+    selective_phase, sign_flip_frame,
 )
 from spinsearch.sequences import (
-    _explicit_oracle_slabs, conjugate_multi_selective, extract_alpha_from_matrix,
-    grover_basis, grover_conjugate, grover_core, grover_propagator, initial_state,
-    measured_conversion_coefficients, projector_x_basis, sign_flip_frame, simple_search,
-    x_basis_state,
+    _explicit_oracle_slabs, conjugate_multi_selective, grover_conjugate, initial_state,
+    measured_conversion_coefficients, projector_x_basis, simple_search, x_basis_state,
 )
 from spinsearch.spectroscopy import (
-    PipelineConfig, SpinHamiltonian, _pick_peaks, eigen_expand, inphase_check,
-    resum_lines, run_pipeline, spectrum_transfer, transfer_pair,
+    PipelineConfig, SpinHamiltonian, _pick_peaks, inphase_check, run_pipeline,
+    spectrum_transfer, transfer_pair,
 )
 
 
@@ -112,11 +114,11 @@ class Row:
 
 
 DIAGONALIZERS = ("expm_unitary", "numpy.linalg.eigh")
-# the closed forms of the Grover algebra, which no brute-force path may call
-GROVER_CLOSED_FORMS = (
-    "grover_coefficients", "grover_coefficients_recursion", "conversion_coefficients",
-    "grover_core", "extract_alpha_from_matrix",
-)
+# the closed forms of the Grover algebra in the route modules, which no
+# brute-force path may call; the ones in spinsearch.references no route
+# can reach (tests/test_imports.py), so only a row whose fast path is a
+# reference lists them
+GROVER_CLOSED_FORMS = ("grover_coefficients", "conversion_coefficients")
 
 # ---------------------------------------------------------------------------
 # linalg
@@ -752,9 +754,7 @@ def ladder_cases(param):
 # the table: Row(fast, reference, forbidden, cases, tol, params, guard)
 
 # the pipeline groups by the diagonal's values: never by coherence order or n
-PIPELINE_FORBIDDEN = (
-    "eigen_expand", "resum_lines", "order_matrix", "order_intensities", "magnetic_quantum_numbers",
-) + DIAGONALIZERS
+PIPELINE_FORBIDDEN = ("magnetic_quantum_numbers",) + DIAGONALIZERS
 GRID_N_AXIS = {f"{n}-{a}": (n, a) for n in range(1, 9) for a in "xyz"}
 TABLE: dict[str, Row] = {
     "kron_all": Row(kron_all, kron_fold, ("numpy.kron",), kron_cases, 0, {"False": False, "True": True}),
@@ -776,19 +776,14 @@ TABLE: dict[str, Row] = {
     ),
     "mq_generator": Row(mq_generator, mq_generator_expanded, (), lambda _: [(3, (1, 2))], 1e-12),
     "conjugate_multi_selective": Row(
-        conjugate_multi_selective, brute_conjugate, ("diag_projector", "selective_phase"),
-        conjugation_cases, 1e-12,
+        conjugate_multi_selective, brute_conjugate, ("diag_projector",), conjugation_cases, 1e-12,
     ),
-    "simple_search-selective-cs": search_row(
-        "selective-cs", ("oracle_uo", "oracle_uf", "selective_phase", "diag_projector"), 8
-    ),
+    "simple_search-selective-cs": search_row("selective-cs", ("diag_projector",), 8),
     "simple_search-explicit-uf": search_row(
-        "explicit-uf", ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"), 6,
-        explicit_search_n8,
+        "explicit-uf", ("conjugate_multi_selective",), 6, explicit_search_n8
     ),
     "explicit_oracle": Row(
-        explicit_oracle_state, dense_explicit_oracle_state,
-        ("oracle_uo", "oracle_uf", "selective_phase", "conjugate_multi_selective"),
+        explicit_oracle_state, dense_explicit_oracle_state, ("conjugate_multi_selective",),
         lambda n: search_cases(n, "explicit-uf"), 1e-12, {f"n{n}": n for n in range(1, 5)},
     ),
     "x_basis_state": Row(
@@ -804,15 +799,17 @@ TABLE: dict[str, Row] = {
     ),
     "grover_propagator": Row(
         lambda marked, m_max: [grover_propagator(marked, m) for m in range(m_max + 1)],
-        dense_grover_trajectory, ("projector_x_basis",) + DIAGONALIZERS + GROVER_CLOSED_FORMS,
+        dense_grover_trajectory,
+        ("projector_x_basis",) + DIAGONALIZERS + GROVER_CLOSED_FORMS
+        + ("grover_coefficients_recursion", "grover_core", "extract_alpha_from_matrix"),
         propagator_cases, 1e-12,
     ),
     "grover_conjugate": Row(
-        grover_conjugate, dense_conjugate, ("grover_propagator",) + GROVER_CLOSED_FORMS,
+        grover_conjugate, dense_conjugate, GROVER_CLOSED_FORMS,
         grover_conjugate_cases, 1e-12, {str(n): n for n in range(1, 9)},
     ),
     "measured_conversion_coefficients": Row(
-        trajectories, dense_conversion_coefficients, ("grover_propagator",) + GROVER_CLOSED_FORMS,
+        trajectories, dense_conversion_coefficients, GROVER_CLOSED_FORMS,
         conversion_cases, 1e-12,
         # s = 2^n - 1 is D_last's own index: the row/column flip and the
         # x_s reflection overlap there
@@ -823,7 +820,8 @@ TABLE: dict[str, Row] = {
     "extract_alpha_from_matrix": Row(
         extract_alpha_from_matrix,
         lambda n, m_max: [per_m_extraction(n, m) for m in range(m_max + 1)],
-        GROVER_CLOSED_FORMS[:3], lambda n: [(n, 25)], 1e-12, {str(n): n for n in (2, 3, 4)},
+        GROVER_CLOSED_FORMS + ("grover_coefficients_recursion",), lambda n: [(n, 25)], 1e-12,
+        {str(n): n for n in (2, 3, 4)},
     ),
     "run_pipeline-line-expansion": Row(
         run_pipeline, line_expansion, PIPELINE_FORBIDDEN, line_expansion_cases, 1e-9,
@@ -854,7 +852,7 @@ TABLE: dict[str, Row] = {
     "write_csv": Row(written_csv, rowwise_csv, (), csv_cases, 0),
     "spectrum": Row(  # the whole command, against the dense propagator
         spectrum_command, dense_spectrum_series,
-        ("grover_propagator", "expm_unitary") + GROVER_CLOSED_FORMS, lambda _: [(N8_SPECTRUM,)], 1e-11,
+        ("expm_unitary",) + GROVER_CLOSED_FORMS, lambda _: [(N8_SPECTRUM,)], 1e-11,
     ),
     "trotter-commutator-ladders": Row(
         ladders, sequential_ladders, (), ladder_cases, 1e-12,

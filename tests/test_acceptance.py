@@ -14,12 +14,10 @@ import numpy as np
 
 from spinsearch.cli import main as cli_main
 from spinsearch.linalg import spin_op
-from spinsearch.mqalgebra import decompose_orders, mq_generator
 from spinsearch.oracle import MarkedState
+from spinsearch.references import decompose_orders, gamma1_first_peak, grover_propagator, mq_generator
 from spinsearch.sequences import (
-    gamma1_first_peak,
     grover_coefficients,
-    grover_propagator,
     initial_state,
     measured_conversion_coefficients,
     simple_search,

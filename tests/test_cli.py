@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import spinsearch
-from spinsearch import cli, composition, linalg, mqalgebra, oracle, selftest, sequences, spectroscopy
+from spinsearch import (
+    cli, composition, linalg, mqalgebra, oracle, references, selftest, sequences, spectroscopy,
+)
 from spinsearch.cli import main
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
-from spinsearch.sequences import grover_conjugate, grover_propagator
+from spinsearch.references import grover_propagator
+from spinsearch.sequences import grover_conjugate
 from spinsearch.spectroscopy import inphase_check, run_pipeline, spectrum_transfer
 
 from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian
@@ -365,7 +368,7 @@ def same_call(first: tuple, second: tuple) -> bool:
 
 LAYER_FUNCTIONS = sorted(
     name
-    for module in (linalg, oracle, mqalgebra, sequences, spectroscopy, composition)
+    for module in (linalg, oracle, mqalgebra, sequences, spectroscopy, composition, references)
     for name, obj in vars(module).items()
     if inspect.isfunction(obj) and not name.startswith("_") and obj.__module__ == module.__name__
 )

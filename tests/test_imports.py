@@ -1,13 +1,18 @@
 """AST guards over the package sources and the tests.
 
-Every name a package module imports at module level is used in it, and
-every function or method the package defines is read by other package
-code, apart from the paper entry points still waiting for a registry
-group or a move into tests/.  No test module patches a package module or
-numpy.linalg by hand: counting and forbidding go through reference.py's
-helpers, which patch every binding of a name.  The test helpers import
-in either order: reference.py does not import conftest.py.  No matrix
-product in the package takes a strided .real or .imag view as an operand.
+Every name a package module imports at module level is used in it.  One
+rule separates the routes from the references that check them: a route
+module (every package module but selftest and references) defines only
+functions a command reaches, only selftest imports references, only cli
+imports selftest, and references takes from the route modules only the
+input builders INPUT_BUILDERS names, never a kernel.  Every references
+function is reached from selftest or tests/, so no function in the
+package is left without a caller.  No test module patches a package
+module or numpy.linalg by hand: counting and forbidding go through
+reference.py's helpers, which patch every binding of a name.  The test
+helpers import in either order: reference.py does not import conftest.py.
+No matrix product in the package takes a strided .real or .imag view as
+an operand.
 """
 
 import ast
@@ -22,6 +27,7 @@ SOURCES = sorted(
     p for p in (Path(__file__).parent.parent / "src" / "spinsearch").glob("*.py")
     if p.name != "__init__.py"
 )
+REGISTRY = ("selftest", "references")  # every other package module is a route module
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -68,7 +74,7 @@ def test_cli_import_loads_every_traced_layer():
 
 
 def test_sources_found():
-    assert len(SOURCES) >= 9
+    assert len(SOURCES) >= 10
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -79,39 +85,153 @@ def test_no_unused_module_imports(path):
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
 
 
-# Paper closed forms that only tests exercise so far; each is to become the
-# subject of a selftest group or move into tests/ as a reference.
-UNREFERENCED_ENTRY_POINTS = {
-    "order_intensities",
-    "interaction_frame",
-    "spin_echo_hamiltonian",
-}
-
-
-def defined_members(tree: ast.Module) -> set[str]:
-    """Module-level functions and the methods of module-level classes,
-    without dunder methods, which Python calls implicitly."""
-    names = set()
-    for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        names |= {f.name for f in body if isinstance(f, ast.FunctionDef)}
-    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
-
-
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Every bare name and attribute name the module's code reads."""
+def referenced_names(*nodes) -> set[str]:
+    """Every bare name and attribute name the code of the nodes reads."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
+        for root in nodes
+        for node in ast.walk(root)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
 
 
-def test_every_member_has_a_caller_in_the_package():
-    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
-    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
-    defined = set().union(*(defined_members(tree) for tree in trees.values()))
-    assert defined - referenced == UNREFERENCED_ENTRY_POINTS
+def unreached(trees, roots=()) -> set[str]:
+    """The functions and methods the modules define that neither their
+    top-level code nor a name in roots reaches, through the bodies of the
+    functions reached.  Top-level code is what runs on import or is called
+    implicitly: statements outside function bodies, decorators, signatures
+    and dunder methods.  By name: a body that reads a name, bare or as an
+    attribute, reaches every function of that name."""
+    todo, bodies = list(roots), {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                todo += referenced_names(*node.decorator_list, *node.bases)
+            for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(f, ast.FunctionDef) and not f.name[:2] == f.name[-2:] == "__":
+                    todo += referenced_names(*f.decorator_list, f.args)
+                    bodies.setdefault(f.name, set()).update(referenced_names(*f.body))
+                else:
+                    todo += referenced_names(f)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in bodies and name not in reached:
+            reached.add(name)
+            todo += bodies[name]
+    return set(bodies) - reached
+
+
+# what references may take from a route module: the inputs of a check
+# (states, projectors, rotations and the closed-form tables a reference
+# reads), never a route's kernel
+INPUT_BUILDERS = {
+    "MarkedState", "SpinHamiltonian", "aux_phase_vector", "auto_m_max", "diag_projector",
+    "expm_unitary", "grover_coefficients", "magnetic_quantum_numbers", "n_qubits",
+    "product_rotation", "projector_x_basis", "spin_op", "uf_permutation", "x_basis_state",
+}
+
+
+def package_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every import from a package module anywhere in the
+    tree, as `from .m import name` or `from spinsearch.m import name` make
+    it; an import of a whole module, as `from . import m` or
+    `import spinsearch.m`, gives (m, "*")."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "spinsearch":
+                    continue
+                module = module.partition(".")[2]
+            found |= {(module, a.name) if module else (a.name, "*") for a in node.names}
+        elif isinstance(node, ast.Import):
+            whole = [a.name for a in node.names if a.name.startswith("spinsearch.")]
+            found |= {(name.split(".")[1], "*") for name in whole}
+    return found
+
+
+def boundary_crossings(trees: dict[str, ast.Module]) -> list[str]:
+    """Every import, in the modules given by name, that crosses the line
+    between routes and references: of references outside selftest, of
+    selftest outside cli, and of a route module's name by references
+    that INPUT_BUILDERS does not hold."""
+    return [
+        f"{importer} imports {module}.{name}"
+        for importer, tree in sorted(trees.items())
+        for module, name in sorted(package_imports(tree))
+        if (module == "references" and importer != "selftest")
+        or (module == "selftest" and importer != "cli")
+        or (importer == "references" and module not in REGISTRY and name not in INPUT_BUILDERS)
+    ]
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+
+
+def test_routes_import_no_reference():
+    trees = package_trees()
+    assert boundary_crossings(trees) == []
+    # no stale entry: every input builder allowed is one references takes
+    assert {name for _, name in package_imports(trees["references"])} == INPUT_BUILDERS
+
+
+def test_every_function_has_a_caller():
+    trees = package_trees()
+    routes = [tree for name, tree in trees.items() if name not in REGISTRY]
+    # a route function that only selftest or tests/ reach belongs in references
+    assert unreached(routes) == set()
+    assert unreached(routes + [trees["selftest"]]) == set()  # the registry, from its table
+    tests = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert unreached([trees["references"]], referenced_names(trees["selftest"], *tests)) == set()
+
+
+def test_boundary_crossings_are_found():
+    planted = {
+        "sequences": "from .references import grover_propagator\n",
+        "spectroscopy": "import spinsearch.references\nfrom . import mqalgebra, selftest\n",
+        "composition": "def kernel():\n    from spinsearch.references import grover_core\n",
+        "references": (
+            "from .linalg import expm_unitary\nfrom . import oracle\nfrom .spectroscopy import run_pipeline\n"
+            "from .sequences import _explicit_oracle_slabs, conjugate_multi_selective\n"
+            "from .sequences import grover_conjugate, x_basis_state\n"
+        ),
+        "selftest": "from . import references, sequences\n",
+        "cli": "from .selftest import run_selftest\n",
+    }
+    assert boundary_crossings({name: ast.parse(source) for name, source in planted.items()}) == [
+        "composition imports references.grover_core",
+        "references imports oracle.*",
+        "references imports sequences._explicit_oracle_slabs",
+        "references imports sequences.conjugate_multi_selective",
+        "references imports sequences.grover_conjugate",
+        "references imports spectroscopy.run_pipeline",
+        "sequences imports references.grover_propagator",
+        "spectroscopy imports references.*",
+        "spectroscopy imports selftest.*",
+    ]
+
+
+def test_unreached_functions_are_found():
+    route = ast.parse("""
+COMMANDS = {"run": lambda cfg: command(cfg)}
+def command(cfg):
+    return kernel(cfg)
+def kernel(cfg):
+    return cfg.scale
+class Config:
+    @property
+    def scale(self):
+        return 2
+    def reference(self):
+        return kernel(self)
+def check():
+    return Config().reference()
+""")
+    assert unreached([route]) == {"reference", "check"}
+    assert unreached([route], {"check"}) == set()
 
 
 # patches that substitute a function or a constant rather than count or

@@ -9,16 +9,9 @@ from spinsearch.linalg import (
     spin_op,
     total_op,
 )
-from spinsearch.mqalgebra import (
-    PHASE_CYCLE_BATCH,
-    AliasingError,
-    decompose_orders,
-    lomso_transform,
-    mq_generator,
-    phase_cycle_project,
-    x_product_op,
-)
+from spinsearch.mqalgebra import PHASE_CYCLE_BATCH, AliasingError, phase_cycle_project
 from spinsearch.oracle import MarkedState, diag_projector
+from spinsearch.references import decompose_orders, lomso_transform, mq_generator, x_product_op
 
 from conftest import CHECK, maxabs, random_hermitian, support
 from reference import agreement, gradient_crush, zq_dephase

@@ -9,12 +9,10 @@ from spinsearch.oracle import (
     aux_phase_vector,
     aux_pure_state,
     diag_projector,
-    oracle_uf,
-    oracle_uo,
-    selective_phase,
     sign_vector,
     uf_permutation,
 )
+from spinsearch.references import oracle_uf, oracle_uo, selective_phase
 
 from conftest import maxabs
 from reference import agreement, basis_projector

@@ -45,10 +45,10 @@ def missing(*args, **kwargs):
 def test_a_row_naming_a_missing_function_fails(monkeypatch, role):
     row = TABLE["grover_conjugate"]
     if role == "forbidden":
-        original = sequences.grover_propagator
+        original = sequences.grover_coefficients
         with pytest.raises(LookupError, match="resolves nowhere"):
             patch_forbidden(monkeypatch, row.forbidden + ("grover_core_renamed",))
-        assert sequences.grover_propagator is original  # nothing was patched
+        assert sequences.grover_coefficients is original  # nothing was patched
     else:
         with pytest.raises(AttributeError, match="grover_conjugate_renamed"):
             check_agreement(replace(row, **{role: missing}), 1)

@@ -16,22 +16,26 @@ from spinsearch.oracle import (
     diag_projector,
     sign_vector,
 )
+from spinsearch.references import (
+    extract_alpha_from_matrix,
+    gamma1_first_peak,
+    grover_basis,
+    grover_coefficients_recursion,
+    grover_core,
+    grover_propagator,
+    spin_echo_hamiltonian,
+)
 from spinsearch.sequences import (
     AmbiguousReadoutError,
     auto_m_max,
     conjugate_multi_selective,
     conversion_coefficients,
-    gamma1_first_peak,
     grover_coefficients,
-    grover_core,
-    grover_basis,
     grover_conjugate,
-    grover_propagator,
     initial_state,
     measured_conversion_coefficients,
     projector_x_basis,
     simple_search,
-    spin_echo_hamiltonian,
     x_basis_state,
 )
 
@@ -366,7 +370,7 @@ class TestGroverCoefficients:
         N = 2**n
         theta = sequences._iteration_angle(N)
         tables = {
-            m: (*grover_coefficients(m, N), sequences.grover_coefficients_recursion(m, N))
+            m: (*grover_coefficients(m, N), grover_coefficients_recursion(m, N))
             for m in (0, 1, 2, auto_m_max(N), 4096)
         }
         for m, short in tables.items():
@@ -379,8 +383,8 @@ class TestGroverCoefficients:
         "call",
         [
             lambda: grover_core(2, -2),
-            lambda: sequences.extract_alpha_from_matrix(2, -3),
-            lambda: sequences.grover_coefficients_recursion(-1, 4),
+            lambda: extract_alpha_from_matrix(2, -3),
+            lambda: grover_coefficients_recursion(-1, 4),
         ],
         ids=["grover_core", "extract_alpha_from_matrix", "grover_coefficients_recursion"],
     )
@@ -421,6 +425,16 @@ class TestConversionCoefficient:
                 analytic = conversion_coefficients(gamma, 8, eps, k)[m]
                 measured = measured_conversion_coefficients(MarkedState(s=5, n=3), m, eps, k)[m]
                 assert abs(analytic - measured) <= 1e-8
+
+    def test_read_spin_outside_the_work_qubits_raises(self):
+        # k = 0 would read epsilons[-1] and answer with spin n's coefficients
+        eps = np.array([0.7, 1.3, 0.9])
+        gamma = grover_coefficients(5, 8)[1]
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=rf"read spin {k} outside \[1, 3\]"):
+                conversion_coefficients(gamma, 8, eps, k)
+        measured = measured_conversion_coefficients(MarkedState(s=5, n=3), 5, eps, 3)
+        assert maxabs(conversion_coefficients(gamma, 8, eps, 3) - measured) <= 1e-12
 
     def test_precomputed_coefficients_need_no_closed_form(self, monkeypatch):
         # the gamma table handed in is all the closed form it reads

@@ -4,20 +4,23 @@ import pytest
 from spinsearch.cli import INPHASE_TOL
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import spin_op, total_op
-from spinsearch.mqalgebra import decompose_orders
 from spinsearch.oracle import MarkedState
+from spinsearch.references import (
+    decompose_orders,
+    eigen_expand,
+    grover_propagator,
+    interaction_frame,
+    order_intensities,
+)
 from spinsearch.selftest import _fold
-from spinsearch.sequences import grover_propagator, initial_state
+from spinsearch.sequences import initial_state
 from spinsearch.spectroscopy import (
     PEAK_REL_THRESHOLD,
     NyquistError,
     PipelineConfig,
     SpinHamiltonian,
     cross_zq_hamiltonian,
-    eigen_expand,
     inphase_check,
-    interaction_frame,
-    order_intensities,
     run_pipeline,
     spectrum,
     spectrum_transfer,
