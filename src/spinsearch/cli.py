@@ -126,7 +126,8 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
         "oracle_calls": result.oracle_uf_calls,
         "checks": [
             InvariantResult("recovered-s", _fold([result.recovered_s - cfg.s]), RECOVERY_TOL),
-            # the readout's N-term sums round signal k by up to N MACHINE_EPS max|eps| / |eps_k| of itself
+            # the readout rounds each population in n pairwise steps of four terms, then sums N of them
+            # per spin: signal k rounds by up to N MACHINE_EPS max|eps| / |eps_k| of itself
             InvariantResult("prefactor-spread", _fold([result.prefactor_spread / result.measured_prefactor]),
                             2**n * MACHINE_EPS * np.abs(eps).max() / np.abs(eps).min()),
         ],

@@ -22,7 +22,10 @@ Conventions, fixed once here:
   eigendecomposition, which keeps the result unitary to roundoff.  The
   exception is a collective pulse exp(-i angle F_axis): its single-spin
   terms commute, so it is built exactly as a Kronecker product of 2x2
-  rotations (product_rotation).
+  rotations (product_rotation).  Where only the populations of a state
+  after such a product are needed, they are contracted from the 2x2
+  factor one qubit at a time, and the product is never built
+  (product_populations).
 """
 
 from __future__ import annotations
@@ -139,6 +142,26 @@ def product_rotation(n: int, axis: str, angle) -> np.ndarray:
     return kron_all(
         math.cos(a / 2) * eye - 1j * math.sin(a / 2) * sigma for a in angles
     )
+
+
+def product_populations(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """diag(R rho R^T) for R = r x ... x r on n qubits, a real 2 x 2 r and
+    a real N x N rho, without forming R or the N^3 product.
+
+    Entry i is sum_jk R_ij rho_jk R_ik, and R_ij R_ik is the product over
+    qubits q of t[i_q, (j_q, k_q)] with t[i, (j, k)] = r_ij r_ik.  One
+    transpose copy of rho interleaves each qubit's row bit with its column
+    bit, qubit 1's pair most significant; the pairs are then contracted
+    one qubit at a time, each step a product with inner dimension 4 that
+    halves the array: 4 N^2 multiply-adds in all.
+    """
+    n = n_qubits(rho)
+    t = (r[:, :, None] * r[:, None, :]).reshape(2, 4)
+    pairs = [axis for q in range(n) for axis in (q, n + q)]
+    x = np.ascontiguousarray(rho.reshape((2,) * 2 * n).transpose(pairs))
+    for q in range(n):
+        x = np.matmul(t, x.reshape(2**q, 4, -1))
+    return x.reshape(-1)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import iz_diagonals, kron_all, product_rotation, total_op
+from .linalg import iz_diagonals, kron_all, product_populations, product_rotation, total_op
 from .oracle import (
     UF_CALLS_PER_UO,
     MarkedState,
@@ -128,10 +128,13 @@ def simple_search(
     dephase -> per-qubit z projection.  The crush and the dephase keep the
     computational diagonal, and the z projection reads nothing else, so
     only the populations diag(P rho P^+) of the pulsed state are computed.
-    They are computed in real arithmetic, exactly: the pulse P is real
-    orthogonal, so Re[(P rho P^T)_ii] = (P Re(rho) P^T)_ii and Im rho
-    never reaches the readout.  A pulse with a nonzero imaginary part
-    raises ValueError, so the real pulse is checked, not assumed.
+    They are computed in real arithmetic, exactly: the pulse P = r x ... x r
+    is real orthogonal, so Re[(P rho P^T)_ii] = (P Re(rho) P^T)_ii and
+    Im rho never reaches the readout.  P itself is never built: the
+    populations are contracted from the single-qubit rotation r one qubit
+    at a time (product_populations), 4 N^2 multiply-adds in place of an
+    N^3 product.  An r with a nonzero imaginary part raises ValueError,
+    so the real pulse is checked, not assumed.
     With aux_mode="explicit-uf" the oracle runs on the full work +
     auxiliary density matrix, so the equivalence of the two oracle
     realizations is computed, not assumed, and the auxiliary pair is traced
@@ -153,21 +156,17 @@ def simple_search(
     if np.any(epsilons == 0):
         raise ValueError("polarizations must be nonzero")
 
-    # Re rho as a contiguous copy, so the complex state can go: matmul on a
-    # strided .real view leaves BLAS
     if aux_mode == "selective-cs":
-        rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta])
-        rho = np.ascontiguousarray(rho.real)
+        rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta]).real
     elif aux_mode == "explicit-uf":
         rho = _explicit_oracle_work_state(marked, epsilons, theta)
     else:
         raise ValueError(f"unknown aux_mode {aux_mode!r}")
 
-    pulse = product_rotation(n, "y", np.pi / 2)
-    if pulse.imag.any():
+    r = product_rotation(1, "y", np.pi / 2)
+    if r.imag.any():
         raise ValueError("the pi/2 y pulse has an imaginary part: the real readout needs a real pulse")
-    pulse = np.ascontiguousarray(pulse.real)
-    populations = np.einsum("ij,ij->i", pulse @ rho, pulse)
+    populations = product_populations(rho, r.real)
 
     dim = 2**n
     coeffs = iz_diagonals(n) @ populations / (dim / 4)

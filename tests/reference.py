@@ -46,8 +46,8 @@ from spinsearch import cli
 from spinsearch.composition import commutator_product, trotter_product
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import (
-    PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, product_rotation,
-    random_hermitian, spin_op, total_op,
+    PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, n_qubits,
+    product_populations, product_rotation, random_hermitian, spin_op, total_op,
 )
 from spinsearch.mqalgebra import phase_cycle_project
 from spinsearch.oracle import MarkedState, aux_pure_state, diag_projector, uf_permutation
@@ -192,6 +192,23 @@ def rotation_cases(param):
     n, axis = param
     angles = np.random.default_rng(100 * n + ord(axis)).uniform(-2 * np.pi, 2 * np.pi, size=3)
     return [(n, axis, angle) for angle in angles]
+
+
+def dense_populations(rho, r):
+    """Reference: diag(P rho P^T) with the whole product P = r x ... x r."""
+    p = kron_all([r] * n_qubits(rho))
+    return np.diag(p @ rho @ p.T)
+
+
+def population_cases(n):
+    """A random real rho at n, with the y rotations by the search's pi/2
+    and by two drawn angles, and with a drawn reflection (determinant -1)."""
+    rng = np.random.default_rng(300 + n)
+    rho = rng.normal(size=(2**n, 2**n))
+    angles = [np.pi / 2, *rng.uniform(-2 * np.pi, 2 * np.pi, size=2)]
+    phi = rng.uniform(0, 2 * np.pi)
+    reflection = np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]])
+    return [(rho, product_rotation(1, "y", a).real) for a in angles] + [(rho, reflection)]
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +782,10 @@ TABLE: dict[str, Row] = {
     "product_rotation": Row(
         product_rotation, eigh_pulse, DIAGONALIZERS, rotation_cases, 1e-12,
         {i: p for i, p in GRID_N_AXIS.items() if p[0] <= 6},
+    ),
+    "product_populations": Row(
+        product_populations, dense_populations, ("product_rotation", "kron_all", "numpy.kron"),
+        population_cases, 1e-12, {str(n): n for n in range(1, 9)},
     ),
     "uf_permutation": Row(
         uf_maps, loop_uf_maps, (), lambda n: [(MarkedState(s=s, n=n),) for s in range(2**n)], 0,

@@ -184,6 +184,10 @@ class TestProductRotation:
             product_rotation(2, "+", 1.0)
 
 
+class TestProductPopulations:
+    test_matches_the_dense_product = agreement("product_populations")
+
+
 class TestRandomHermitian:
     def test_same_draws_as_inline_formula(self):
         a = 2.5 * random_hermitian(np.random.default_rng(5), 6)

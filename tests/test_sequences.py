@@ -42,7 +42,7 @@ from spinsearch.sequences import (
 from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian, random_unitary
 from reference import (
     Forbidden, agreement, dense_conjugate, explicit_oracle_state, explicit_search_n8, gradient_crush,
-    patch_counted, patch_forbidden, zq_dephase,
+    patch_bindings, patch_counted, patch_forbidden, zq_dephase,
 )
 
 
@@ -147,7 +147,7 @@ class TestSimpleSearch:
             assert maxabs(res.per_qubit_signal - expected) <= 1e-12
 
     def test_explicit_oracle_at_n8_never_reaches_the_closed_form(self, monkeypatch):
-        patch_forbidden(monkeypatch, ["conjugate_multi_selective", "selective_phase"])
+        patch_forbidden(monkeypatch, ["conjugate_multi_selective"])
         marked, eps, theta = next(explicit_search_n8())
         with pytest.raises(Forbidden, match="conjugate_multi_selective"):  # the patch is live
             simple_search(marked, eps, theta, aux_mode="selective-cs")
@@ -155,13 +155,33 @@ class TestSimpleSearch:
             res = simple_search(marked, eps, theta, aux_mode="explicit-uf")
             assert res.recovered_s == marked.s
 
+    def test_n8_search_never_builds_the_n_qubit_pulse(self, monkeypatch):
+        # the readout contracts the populations from the single-qubit
+        # rotation: an n-qubit pulse must not come back in either mode
+        def single_qubit_only(name, real, where):
+            def rotation(n, axis, angle):
+                if n > 1:
+                    raise Forbidden(f"the search built a {n}-qubit pulse through {where}")
+                return real(n, axis, angle)
+
+            return rotation
+
+        patch_bindings(monkeypatch, ["product_rotation"], single_qubit_only)
+        with pytest.raises(Forbidden):  # the patch is live
+            sequences.product_rotation(2, "y", np.pi / 2)
+        for aux_mode in ("selective-cs", "explicit-uf"):
+            for marked, eps, theta in explicit_search_n8():
+                assert simple_search(marked, eps, theta, aux_mode=aux_mode).recovered_s == marked.s
+
     def test_explicit_oracle_at_n8_peak_memory(self):
-        # the work state, and either the readout's complex pulse and its
-        # real part, or the oracle's Im rho, its traced rows and three slabs
-        # (the one traced, the one built and its V_S factors): never the
-        # whole (N, 4, N, 4) state (measured 2.00 MiB; 9.07 MiB with it)
+        # while the oracle runs: its Im rho, its traced rows and three slabs
+        # (the one traced, the one built and its V_S factors); then the work
+        # state, the readout's interleaved copy of it and its half-size first
+        # step.  Three real 256-dim matrices and three slabs bound both; the
+        # whole (N, 4, N, 4) state is never held (measured 1.80 MiB; 2.00 MiB
+        # with the n-qubit pulse, 9.07 MiB with the whole state)
         slab = sequences.EXPLICIT_SLAB_ROWS * 4 * 1024 * np.dtype(float).itemsize
-        bound = (np.dtype(complex).itemsize + 2 * np.dtype(float).itemsize) * 256**2 + 3 * slab
+        bound = 3 * np.dtype(float).itemsize * 256**2 + 3 * slab
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
 
@@ -188,17 +208,20 @@ class TestSimpleSearch:
             assert outputs(*case) == want
 
     def test_selective_search_at_n8_peak_memory(self):
-        # two 256-dim complex matrices (the state and the pulse) and two
-        # real ones (their real parts): the pulsed product is real too
-        # (measured 2.01 MiB; 4.01 MiB with the complex readout)
-        bound = (2 * np.dtype(complex).itemsize + 2 * np.dtype(float).itemsize) * 256**2
+        # the conjugation holds two 256-dim complex matrices, the y state and
+        # the copy conjugate_multi_selective returns (measured 2.02 MiB); the
+        # readout then holds the conjugated state, its interleaved real copy
+        # and its half-size first step, 1.75 MiB.  One real 256-dim matrix
+        # more covers the small arrays (4.01 MiB with the complex readout)
+        bound = (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize) * 256**2
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="selective-cs")
 
     @pytest.mark.parametrize("aux_mode", ["selective-cs", "explicit-uf"])
     def test_a_pulse_with_an_imaginary_part_is_refused(self, monkeypatch, aux_mode):
         # a global phase leaves diag(P rho P^+) as it is, but not the real
-        # readout, which takes Re P: the pulse is checked real, not assumed
+        # readout, which takes Re r of the single-qubit rotation r: the pulse
+        # is checked real, not assumed
         real_pulse = sequences.product_rotation
         monkeypatch.setattr(
             sequences, "product_rotation", lambda *args: np.exp(0.3j) * real_pulse(*args)
