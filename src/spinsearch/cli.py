@@ -181,7 +181,7 @@ def cmd_spectrum(cfg: SpectrumConfig, out: Path) -> dict:
               else "V = U+ is not U+ exp(i phi Fz) at phi != 0" if cfg.phi != 0
               else "p_axis != detect_axis" if cfg.p_axis != cfg.detect_axis
               else "p_axis = detect_axis: the inphase operand is Q")
-    inphase = InvariantResult("inphase", _fold([inphase_check(p_inphase, q, cfg.phi)]), INPHASE_TOL, reason)
+    inphase = InvariantResult("inphase", _fold(inphase_check(p_inphase, q, cfg.phi)), INPHASE_TOL, reason)
     series = run_pipeline(p, q, pipe)
     times = np.arange(pipe.n_points) * pipe.dt
     write_csv(out / "timeseries.csv", {"t1": times, "re": series.real, "im": series.imag})

@@ -32,7 +32,7 @@ from .spectroscopy import CROSS_PEAK_A, CROSS_PEAK_B, CROSS_PEAK_N, NyquistError
 # Size bounds, checked before anything is allocated, with the peak RSS of
 # the largest accepted config at n = 8 (2 CPUs, numpy 2.4, OpenBLAS 0.3.31).
 N_MAX = 8  # work qubits; the explicit-oracle search runs on 2**(n+2) states
-T1_POINTS_MAX = 2**14  # 200 MB: run_pipeline holds points x K, K <= 2**n distinct diagonal values
+T1_POINTS_MAX = 2**14  # 40 MB, 0.26 s at K = 256: run_pipeline holds a slab of points x K, K <= 2**n
 COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest method
 GROVER_M_MAX = 4096  # scan 37 MB, 0.3 s; spectrum 39 MB, 0.44 s: one N x N operator stepped across m
 COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring

@@ -286,8 +286,10 @@ def eigen_expand(p: np.ndarray, q: np.ndarray, h: SpinHamiltonian):
 
 
 def resum_lines(omegas: np.ndarray, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Reassemble the time signal sum_jk amp * exp(-i w t)."""
-    return np.exp(-1j * np.outer(times, omegas)) @ amps
+    """Reassemble the time signal sum_jk amp * exp(-i w t), as elementwise
+    products and row sums: a complex matrix-vector product would go to a
+    threaded BLAS gemv, which stalls on a second thread at these sizes."""
+    return (np.exp(-1j * np.outer(times, omegas)) * amps).sum(axis=1)
 
 
 def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:

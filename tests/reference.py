@@ -44,7 +44,7 @@ import pytest
 
 from spinsearch import cli
 from spinsearch.composition import commutator_product, trotter_product
-from spinsearch.config import SpectrumConfig, parse
+from spinsearch.config import T1_POINTS_MAX, SpectrumConfig, parse
 from spinsearch.linalg import (
     PAULI_HALF, comm, expm_unitary, kron_all, magnetic_quantum_numbers, n_qubits,
     product_populations, product_rotation, random_hermitian, spin_op, total_op,
@@ -585,6 +585,13 @@ N8_SPECTRUM = {
     "hamiltonian": {"kind": "uniform-fz", "omega": 2 * np.pi * 10},
     "t1": {"dt": 1 / 256, "points": 256},
 }
+# N8_SPECTRUM with each spin labelled by its own offset 2 pi 2^(k-1): every
+# diagonal value is distinct (K = N), over the most t1 points a config takes
+N8_PER_SPIN = {
+    **N8_SPECTRUM,
+    "hamiltonian": {"kind": "weak-coupling", "offsets": [2 * np.pi * 2**k for k in range(8)]},
+    "t1": {"dt": 1 / 1024, "points": T1_POINTS_MAX},
+}
 
 
 def spectrum_command(cfg: dict) -> np.ndarray:
@@ -654,6 +661,11 @@ def dense_inphase_check(p, q, phi):
     rz = np.exp(-1j * magnetic_quantum_numbers(int(np.log2(p.shape[0]))) * phi)
     target = rz[:, None] * p * rz.conj()[None, :]
     return -np.conj(q.conj().T - target)
+
+
+def inphase_difference(p, q, phi):
+    """inphase_check's row slabs, joined into the one N x N difference."""
+    return np.concatenate([*inphase_check(p, q, phi)])
 
 
 def inphase_cases(_):
@@ -869,7 +881,7 @@ TABLE: dict[str, Row] = {
         {"2": 2, "3": 3},
     ),
     "pick_peaks": Row(picked_peaks, loop_peaks, (), peak_cases, 0),
-    "inphase_check": Row(inphase_check, dense_inphase_check, (), inphase_cases, 0),
+    "inphase_check": Row(inphase_difference, dense_inphase_check, (), inphase_cases, 0),
     "write_csv": Row(written_csv, rowwise_csv, (), csv_cases, 0),
     "spectrum": Row(  # the whole command, against the dense propagator
         spectrum_command, dense_spectrum_series,

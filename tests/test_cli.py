@@ -19,12 +19,12 @@ from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.references import grover_propagator
 from spinsearch.sequences import grover_conjugate
-from spinsearch.spectroscopy import inphase_check, run_pipeline, spectrum_transfer
+from spinsearch.spectroscopy import run_pipeline, spectrum_transfer
 
 from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian
 from reference import (
-    DIAGONALIZERS, N8_SPECTRUM, agreement, patch_bindings, patch_counted, run_cli, spectrum_command,
-    strict_json,
+    DIAGONALIZERS, N8_PER_SPIN, N8_SPECTRUM, agreement, inphase_difference, patch_bindings,
+    patch_counted, run_cli, spectrum_command, strict_json,
 )
 
 OMEGA_10HZ = 2 * np.pi * 10
@@ -699,8 +699,8 @@ def test_real_path_equals_complex_path(tmp_path, monkeypatch, name):
         assert np.array_equal(real, cplx)
     series = run_pipeline(p, q, cfg.pipe)
     assert np.array_equal(series, run_pipeline(p + 0j, q + 0j, cfg.pipe))
-    difference = inphase_check(p_inphase, q, cfg.phi)
-    assert np.array_equal(difference, inphase_check(p_inphase + 0j, q + 0j, cfg.phi))
+    difference = inphase_difference(p_inphase, q, cfg.phi)
+    assert np.array_equal(difference, inphase_difference(p_inphase + 0j, q + 0j, cfg.phi))
 
     outs = [run_cli(tmp_path, "spectrum", raw, "real")]
     complex_total_op(monkeypatch)
@@ -731,13 +731,23 @@ def test_n8_grover_transfer_peak_memory():
 
 
 def test_n8_spectrum_pipeline_peak_memory():
-    # the real Q^T * P and its block index, summed in one pass; the K = 9
-    # phases are small (measured 1.13 MiB; 2.00 MiB with a complex pair,
-    # 3.00 MiB with the T x 256 GEMM)
-    bound = 2.5 * np.dtype(float).itemsize * (2**8) ** 2
+    # a 64-row slab of the real Q^T * P and its block index at a time; the
+    # K = 9 phases are small (measured 0.38 MiB; 1.13 MiB with all of
+    # Q^T * P and its index at once)
+    bound = 0.4 * 2**20
     cfg = parse(SpectrumConfig, N8_SPECTRUM)
     p, q, _, _ = spectrum_transfer(cfg)
     assert_peak_at_most(bound, run_pipeline, p, q, cfg.pipe)
+
+
+def test_n8_per_spin_pipeline_peak_memory():
+    # K = N = 256 over T1_POINTS_MAX points: the complex K x K block matrix
+    # (1 MiB), the series and the t1 grid (0.38 MiB) and one 64-point slab
+    # of phases and products; measured 2.51 MiB, 130 MiB with all T x K
+    # phases at once
+    cfg = parse(SpectrumConfig, N8_PER_SPIN)
+    p, q, _, _ = spectrum_transfer(cfg)
+    assert_peak_at_most(4 * 2**20, run_pipeline, p, q, cfg.pipe)
 
 
 def test_cross_peak_demo_runs_one_phase_cycle(tmp_path, monkeypatch):

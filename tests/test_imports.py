@@ -248,6 +248,7 @@ SUBSTITUTIONS = {
     ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
     ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",
     ("test_sequences.py", "EXPLICIT_SLAB_ROWS"): "another slab height, which must not change a byte",
+    ("test_spectroscopy.py", "PHASE_CYCLE_BATCH"): "another slab budget, which must not change a bit",
     ("test_scripts.py", "readout_with_extras"): "a readout off its prediction, which the demo must refuse",
 }
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from spinsearch import spectroscopy
 from spinsearch.cli import INPHASE_TOL
 from spinsearch.config import SpectrumConfig, parse
 from spinsearch.linalg import spin_op, total_op
+from spinsearch.mqalgebra import PHASE_CYCLE_BATCH
 from spinsearch.oracle import MarkedState
 from spinsearch.references import (
     decompose_orders,
@@ -28,7 +30,16 @@ from spinsearch.spectroscopy import (
 )
 
 from conftest import assert_peak_at_most, maxabs, random_hermitian, random_unitary
-from reference import N8_SPECTRUM, TABLE, agreement
+from reference import N8_PER_SPIN, N8_SPECTRUM, TABLE, agreement, inphase_difference
+
+
+# spectrum configs whose pipeline and inphase check cross slabs at n = 8
+SLAB_CASES = {
+    "uniform-fz": N8_SPECTRUM,  # K = n + 1
+    "weak-coupling-k-n": {**N8_PER_SPIN, "t1": {"dt": 1 / 1024, "points": 256}},
+    "y-axis-pair": {**N8_SPECTRUM, "p_axis": "y", "detect_axis": "y"},  # a complex pair
+    "cross-peak-demo": {"preset": "cross-peak-demo"},
+}
 
 
 def uniform_cfg(n, omega=2 * np.pi * 10, dt=1e-3, points=64):
@@ -137,6 +148,27 @@ class TestRunPipeline:
             with pytest.raises(NyquistError, match=spread):
                 PipelineConfig(h_evol=h, dt=1e-3, n_points=8).validate()
 
+    @pytest.mark.parametrize("name", list(SLAB_CASES))
+    def test_slab_heights_keep_every_bit(self, monkeypatch, name):
+        # the series and the inphase difference at one row and two t1 points
+        # per slab (the fewest run_pipeline takes), and at the package's
+        # budget, against one slab for all
+        cfg = parse(SpectrumConfig, SLAB_CASES[name])
+        p, q, p_inphase, _ = spectrum_transfer(cfg)
+        if name == "y-axis-pair":
+            assert p.dtype == q.dtype == complex
+        if name == "weak-coupling-k-n":
+            assert len(np.unique(cfg.pipe.h_evol.diagonal)) == len(p)
+
+        def at_budget(entries):
+            monkeypatch.setattr(spectroscopy, "PHASE_CYCLE_BATCH", entries)
+            return run_pipeline(p, q, cfg.pipe), inphase_difference(p_inphase, q, 0.4)
+
+        whole = at_budget(len(p) * max(len(p), cfg.pipe.n_points))
+        for entries in (1, PHASE_CYCLE_BATCH):
+            for sliced, one_slab in zip(at_budget(entries), whole):
+                assert np.array_equal(sliced, one_slab)
+
     def test_power_of_two_guard(self):
         eye = np.eye(4, dtype=complex)
         cfg = uniform_cfg(2, points=100)
@@ -179,18 +211,17 @@ class TestInphase:
     def test_reference_cases_hold_fail_hold(self):
         # the check can fail: only the random reconversion misses the target
         cases = TABLE["inphase_check"].cases(None)
-        verdicts = [maxabs(inphase_check(*case)) <= INPHASE_TOL for case in cases]
+        verdicts = [_fold(inphase_check(*case)) <= INPHASE_TOL for case in cases]
         assert verdicts == [True, False, True]
 
     def test_n8_peak_memory(self):
-        # the check as the spectrum command folds it: one complex N x N
-        # buffer, made straight from the real P, and its real magnitudes:
-        # 1.50 MiB and the length-N phases (measured 1.505 MiB; 2.00 MiB
-        # with P made complex and then conjugated into a second buffer,
-        # 3.13 MiB with a fresh temporary per operation)
-        bound = 1.51 * 2**20
+        # the check as the spectrum command folds it: one complex 64-row
+        # slab, made straight from the real P, and the next one made before
+        # the generator drops it: 0.50 MiB and the length-N phases (measured
+        # 0.509 MiB; 1.505 MiB with one N x N buffer)
+        bound = 0.52 * 2**20
         _, q, p, _ = spectrum_transfer(parse(SpectrumConfig, N8_SPECTRUM))
-        assert_peak_at_most(bound, lambda: _fold([inphase_check(p, q, 0.4)]))
+        assert_peak_at_most(bound, lambda: _fold(inphase_check(p, q, 0.4)))
 
     def test_same_order_lines_share_phase(self):
         # the reference case that holds at phi != 0: V = U+ exp(i phi Fz)
