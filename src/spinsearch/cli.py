@@ -45,7 +45,7 @@ from .config import (
     SpectrumConfig,
     parse,
 )
-from .linalg import BranchCutError, random_hermitian, spin_op
+from .linalg import BranchCutError, random_hermitian, slabs, spin_op
 from .oracle import UF_CALLS_PER_UO
 from .selftest import InvariantResult, _fold, run_selftest
 from .sequences import (
@@ -63,26 +63,32 @@ def write_csv(path: Path, columns: dict):
 
     A header row, then one row per index: floats as %.17g (so inf, nan and
     -0 appear as such), integers in decimal, anything else by str; LF line
-    endings.  Each column becomes Python values by one .tolist() and every
-    row is formatted by one % template.
+    endings.  Every row is formatted by one % template, a slab of rows at a
+    time (linalg.slabs): each array column's slab becomes Python values by
+    one .tolist(), and each row is written as it is formatted, so the text
+    is never held whole.
     """
-    convs, values = [], []
+    convs = []
     for name, col in columns.items():
         if isinstance(col, np.ndarray):
             kind = col.dtype.kind
-            col = col.tolist()
         else:
             floats = {isinstance(v, (float, np.floating)) for v in col}
             if len(floats) > 1:
                 raise ValueError(f"column {name!r} mixes floats with other values")
             kind = "f" if floats == {True} else "O"
         convs.append("%.17g" if kind == "f" else "%d" if kind in "iu" else "%s")
-        values.append(col)
-    if len({len(col) for col in values}) > 1:
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) > 1:
         raise ValueError("columns differ in length")
     template = ",".join(convs) + "\n"
-    text = ",".join(columns) + "\n" + "".join(template % row for row in zip(*values))
-    path.write_text(text, encoding="ascii", newline="\n")
+    with path.open("w", encoding="ascii", newline="\n") as f:
+        f.write(",".join(columns) + "\n")
+        # an entry of a slab is a Python float (or int) and its list slot
+        for rows in slabs(max(lengths, default=0), 32 * max(len(columns), 1)):
+            values = [c[rows].tolist() if isinstance(c, np.ndarray) else c[rows] for c in columns.values()]
+            f.writelines(template % row for row in zip(*values))
+            del values  # one slab at a time: these go before the next are made
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from .oracle import MarkedState
 from .sequences import auto_m_max, initial_state
 from .spectroscopy import CROSS_PEAK_A, CROSS_PEAK_B, CROSS_PEAK_N, NyquistError, PipelineConfig, SpinHamiltonian
 
-# Size bounds, checked before anything is allocated, with the peak RSS of
-# the largest accepted config at n = 8 (2 CPUs, numpy 2.4, OpenBLAS 0.3.31).
+# Size bounds, checked before anything is allocated; the README states the
+# measured envelope of the corner configs where they meet.
 N_MAX = 8  # work qubits; the explicit-oracle search runs on 2**(n+2) states
-T1_POINTS_MAX = 2**14  # 40 MB, 0.26 s at K = 256: run_pipeline holds a slab of points x K, K <= 2**n
-COMPOSE_DIM_MAX = 2**8  # 58 MB, 3.4 s: cross-interaction level 4, the slowest method
-GROVER_M_MAX = 4096  # scan 37 MB, 0.3 s; spectrum 39 MB, 0.44 s: one N x N operator stepped across m
-COMPOSE_M_MAX = 2**10  # 55 MB, 0.9 s: commutator at dim 256, step powers by repeated squaring
-CROSS_PEAK_N1_MAX = 2**12  # 33 MB, 0.13 s: one phase cycle of N1 steps at n = 4
+T1_POINTS_MAX = 2**14  # run_pipeline holds a slab of points x K, K <= 2**n
+COMPOSE_DIM_MAX = 2**8  # cross-interaction level 4 is the slowest method
+GROVER_M_MAX = 4096  # one N x N operator stepped across m
+COMPOSE_M_MAX = 2**10  # step powers by repeated squaring
+CROSS_PEAK_N1_MAX = 2**12  # one phase cycle of N1 steps at n = 4
 # Magnitude bounds on float keys, far from where a sweep saw overflow (README)
 VALUE_MAX = 1e12  # times, angles, frequencies, couplings and polarizations
 # Smallest nonzero dwell time, label frequency or polarization: peak orders

@@ -37,6 +37,9 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 BRANCH_TOL = 1e-8
+# 256 KiB, a power of two: one slab of every loop over rows, cases or points
+# that would otherwise hold a large array; slabs() reads it at each call
+SLAB_BYTES = 2**18
 
 PAULI_HALF = {
     "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
@@ -49,6 +52,13 @@ PAULI_HALF = {
 
 class BranchCutError(ValueError):
     """A matrix logarithm hit the principal-branch cut (eigenphase at pi)."""
+
+
+def slabs(count: int, row_bytes: int, min_rows: int = 1) -> list[slice]:
+    """Consecutive slices of count rows of row_bytes each: as many rows to
+    a slice as SLAB_BYTES holds, at least min_rows, fewer in the last."""
+    height = max(min_rows, SLAB_BYTES // row_bytes)
+    return [slice(start, min(start + height, count)) for start in range(0, count, height)]
 
 
 def n_qubits(a: np.ndarray) -> int:

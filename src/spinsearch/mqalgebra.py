@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import magnetic_quantum_numbers, n_qubits
-
-
-# complex entries (256 KiB) per stacked batch, of phase-cycle (operator,
-# step) slices here and of the registry's stacked dense references: the
-# bound on the memory one stack takes
-PHASE_CYCLE_BATCH = 2**14
+from .linalg import magnetic_quantum_numbers, n_qubits, slabs
 
 
 class AliasingError(ValueError):
@@ -54,19 +48,18 @@ def phase_cycle_project(f_op: np.ndarray, n1: int, target_order) -> np.ndarray:
     dim = len(mz)
     out = np.zeros(stack.shape, dtype=complex)
     # the steps run as batched r @ f @ r+ over stacks of dense diagonal r
-    # = exp(-i phi Fz), at most PHASE_CYCLE_BATCH entries per (operator,
-    # step) stack; each operator's weighted slices are summed in step order
-    stride = max(1, PHASE_CYCLE_BATCH // (dim * dim))
-    ops_per = min(len(stack), stride)
-    steps_per = min(n1, max(1, stride // ops_per))
-    for start in range(0, n1, steps_per):
-        phis = 2 * np.pi * np.arange(start, min(start + steps_per, n1)) / n1
+    # = exp(-i phi Fz), one slab of (operator, step) slices of dim^2
+    # complex entries per stack; each operator's weighted slices are summed
+    # in step order
+    slice_bytes = 16 * dim * dim
+    op_slabs = slabs(len(stack), slice_bytes)
+    for batch in slabs(n1, op_slabs[0].stop * slice_bytes):
+        phis = 2 * np.pi * np.arange(batch.start, batch.stop) / n1
         r = np.zeros((len(phis), dim, dim), dtype=complex)
         r[:, np.arange(dim), np.arange(dim)] = np.exp(mz * phis[:, None])
         r_dagger = r.conj().transpose(0, 2, 1)
         weights = np.exp(1j * phis * targets[:, None])[:, :, None, None]
-        for first in range(0, len(stack), ops_per):
-            ops = slice(first, first + ops_per)
+        for ops in op_slabs:
             steps = r @ stack[ops, None] @ r_dagger
             np.multiply(weights[ops], steps, out=steps)  # weight first: the product's operand order
             acc = out[ops]

@@ -14,10 +14,9 @@ The checks it shares draw from one generator per n, seeded at seed + n,
 so a smaller count checks a prefix of the same cases.
 
 Where a group's cost is per-case dispatch, its dense references run as
-stacked products over consecutive chunks of its cases, drawn in the same
-order as one at a time, with at most mqalgebra.PHASE_CYCLE_BATCH complex
-entries per case stack; numpy runs the same per-slice product for a stack
-as for one matrix, so every residual keeps its bits.
+stacked products over consecutive slabs of its cases (linalg.slabs),
+drawn in the same order as one at a time; numpy runs the same per-slice
+product for a stack as for one matrix, so every residual keeps its bits.
 
 run_selftest compares each residual against the group's tolerance;
 selftest.csv carries both, so the headroom of each group can be read off
@@ -43,6 +42,7 @@ from .linalg import (
     kron_all,
     magnetic_quantum_numbers,
     random_hermitian,
+    slabs,
     spin_op,
     total_op,
     unitarity_defect,
@@ -72,24 +72,17 @@ def _fold(differences) -> float:
     return math.nan if largest < 0 else float(largest)
 
 
-def _chunks(count: int, entries: int):
-    """Consecutive slices of count cases, each case stacking `entries`
-    complex entries, at most PHASE_CYCLE_BATCH entries per slice."""
-    size = max(1, mqalgebra.PHASE_CYCLE_BATCH // entries)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
-
-
 def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
 def _check_spin_commutators(*, n_values=(2, 3, 4)):
     """[a, b] = a b - b a over every ordered pair of spin operators on
-    different spins, as stacked products over chunks of a."""
+    different spins, as stacked products over slabs of a."""
     for n in n_values:
         ops = np.array([spin_op(n, k, ax) for k in range(1, n + 1) for ax in "xyz"])
         spins = np.repeat(np.arange(n), 3)
-        for rows in _chunks(len(ops), ops.size):
+        for rows in slabs(len(ops), ops.nbytes):  # a row of a commutes with every op
             a = ops[rows, None]
             c = a @ ops - ops @ a
             yield c[spins[rows, None] != spins]
@@ -137,15 +130,15 @@ def _check_projector_frame_relation(*, n_values=(1, 2, 3)):
 def _check_conjugation_identities(*, n_values=(2, 3, 4), count=27, seed=1000):
     """Per case: one random state conjugated by a selective phase at a
     random angle, and by a product of 2..4 of them.  The dense products run
-    stacked over a chunk of cases; each U is padded to four factors with
+    stacked over a slab of cases; each U is padded to four factors with
     identities, whose products leave its entries exact."""
     for n in n_values:
         dim = 2**n
         eye = np.eye(dim, dtype=complex)
         rng = np.random.default_rng(seed + n)
-        for chunk in _chunks(count, dim * dim):
+        for cases in slabs(count, 16 * dim * dim):  # a case: complex dim x dim matrices
             rhos, ones, cs, multis, factors = [], [], [], [], []
-            for _ in range(chunk.stop - chunk.start):
+            for _ in range(cases.stop - cases.start):
                 rho = random_hermitian(rng, dim)
                 rhos.append(rho)
                 s = int(rng.integers(dim))
@@ -191,13 +184,13 @@ def _check_lomso_reconstruction(*, n_values=(1, 2, 3)):
 
 def _check_phase_cycling(*, n_values=(2, 3, 4), count=72, seed=2000):
     """Per case: one coherence order of a random operator, selected by
-    2n + 1 phase steps and by the Fz grading; a chunk of cases runs as one
+    2n + 1 phase steps and by the Fz grading; a slab of cases runs as one
     stacked phase cycle."""
     for n in n_values:
         rng = np.random.default_rng(seed + n)
-        for chunk in _chunks(count, 4**n):
+        for cases in slabs(count, 16 * 4**n):  # a case: one complex 2^n x 2^n operator
             fs, targets = [], []
-            for _ in range(chunk.stop - chunk.start):
+            for _ in range(cases.stop - cases.start):
                 fs.append(random_hermitian(rng, 2**n))
                 targets.append(int(rng.integers(-n, n + 1)))
             f = np.array(fs)

@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import iz_diagonals, kron_all, product_populations, product_rotation, total_op
+from .linalg import iz_diagonals, kron_all, product_populations, product_rotation, slabs, total_op
 from .oracle import (
     UF_CALLS_PER_UO,
     MarkedState,
@@ -42,9 +42,6 @@ from .oracle import (
 
 DEFAULT_SEARCH_THETA = -np.pi / 2
 READOUT_REL_THRESHOLD = 1e-9
-# work rows per slab of the explicit oracle's full-space state: at n = 8 a
-# slab is 32 full-space rows of 1024 reals, 256 KiB of the 8 MiB state
-EXPLICIT_SLAB_ROWS = 8
 
 
 class AmbiguousReadoutError(RuntimeError):
@@ -56,7 +53,7 @@ def initial_state(n: int, epsilons, axis: str = "y") -> np.ndarray:
     return total_op(n, axis, epsilons)
 
 
-def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
+def conjugate_multi_selective(rho: np.ndarray, markeds, thetas, *, overwrite=False) -> np.ndarray:
     """Conjugation by a product of selective phase shifts C_s(theta_k), in
     closed form; one marked state gives the single-phase identity.
 
@@ -70,6 +67,8 @@ def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
     Each D_k only picks out row or column s_k, so the first terms scale
     rows and columns of rho, and the sum is one m x m block at the marked
     indices; no projector is built.  Exact for distinct marked indices.
+    With overwrite=True a complex rho is conjugated in place and returned,
+    for a caller that holds no other use of it: the state is not held twice.
     """
     markeds = list(markeds)
     thetas = [float(t) for t in thetas]
@@ -85,10 +84,9 @@ def conjugate_multi_selective(rho: np.ndarray, markeds, thetas) -> np.ndarray:
     outer = uv[:, None, :, None] * uv[None, :, None, :]  # outer[a, b] = outer(uv[a], uv[b])
     w = outer[0, 0] + outer[1, 1] + 1j * (outer[1, 0] - outer[0, 1])
 
-    out = rho.astype(complex)
-    cols = rho[:, idx]
+    cols, rows = rho[:, idx], rho[idx]  # copies, taken before out is written
+    out = rho if overwrite and rho.dtype == complex else rho.astype(complex)
     out[:, idx] = cols - cols * (u - iv)  # rho - (rho D_u - i rho D_v) on the marked columns
-    rows = rho[idx]
     out[idx] -= (u + iv)[:, None] * rows  # D_u rho + i D_v rho
     out[idx[:, None], idx] += w * rows[:, idx]
     return out
@@ -140,14 +138,13 @@ def simple_search(
     realizations is computed, not assumed, and the auxiliary pair is traced
     out right after it (exact, see _explicit_oracle_slabs).  That oracle
     runs in real arithmetic, exactly, as the state there is i times a real
-    array, and it forms every full-space entry in slabs of
-    EXPLICIT_SLAB_ROWS work rows, each traced out as it arrives: the
-    (N, 4, N, 4) state is never held whole.  The surviving
-    state is proportional to sum_k eps_k a_k I_kz; the sign pattern
-    recovers s once the known sign of sin(theta) is divided out.  The
-    measured proportionality constant is reported next to the 2/N reference
-    value, which omits the sin(theta) dependence seen in the matrix
-    computation.
+    array, and it forms every full-space entry in slabs of whole work
+    rows (linalg.slabs), each traced out as it arrives: the (N, 4, N, 4)
+    state is never held whole.  The surviving state is proportional to
+    sum_k eps_k a_k I_kz; the sign pattern recovers s once the known sign
+    of sin(theta) is divided out.  The measured proportionality constant
+    is reported next to the 2/N reference value, which omits the
+    sin(theta) dependence seen in the matrix computation.
     """
     n = marked.n
     epsilons = np.asarray(epsilons, dtype=float)
@@ -157,7 +154,7 @@ def simple_search(
         raise ValueError("polarizations must be nonzero")
 
     if aux_mode == "selective-cs":
-        rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta]).real
+        rho = conjugate_multi_selective(initial_state(n, epsilons, "y"), [marked], [theta], overwrite=True).real
     elif aux_mode == "explicit-uf":
         rho = _explicit_oracle_work_state(marked, epsilons, theta)
     else:
@@ -202,8 +199,8 @@ def simple_search(
 
 def _explicit_oracle_slabs(rho: np.ndarray, marked: MarkedState, theta: float):
     """Yield Re[U_o (i A) U_o^dagger] for U_o = U_f V_S(theta) U_f and
-    A = Im(rho x aux_pure_state()), in consecutive slabs of
-    EXPLICIT_SLAB_ROWS whole work rows (fewer in the last): fresh real
+    A = Im(rho x aux_pure_state()), in consecutive slabs of whole work
+    rows (linalg.slabs: 8 work rows at n = 8, fewer in the last): fresh real
     (h, 4, N, 4) arrays indexed [x, aux, x', aux'], which stacked give the
     whole full-space state, zero blocks included.  The (N, 4, N, 4) array
     is never held: a consumer that drops each slab holds at most two.
@@ -244,8 +241,8 @@ def _explicit_oracle_slabs(rho: np.ndarray, marked: MarkedState, theta: float):
     v = aux_phase_vector(marked.n, theta)[:4]  # the phase of each auxiliary state
     re_iw = np.tile(-np.outer(v, v.conj()).imag, dim)  # V_S: Re(i w_ab), row a, tiled over x'
     blocks = [(a, b, aux[a, b].real) for a, b in zip(*np.nonzero(aux))]
-    for start in range(0, dim, EXPLICIT_SLAB_ROWS):
-        rows = np.arange(4 * start, 4 * min(start + EXPLICIT_SLAB_ROWS, dim))
+    for work in slabs(dim, 8 * 16 * dim):  # a work row: 4 full-space rows of 4N reals
+        rows = np.arange(4 * work.start, 4 * work.stop)
         src = p[p[rows]]
         slab = np.zeros((len(rows), dim, 4))
         for a, b, value in blocks:
@@ -263,8 +260,8 @@ def _explicit_oracle_work_state(marked: MarkedState, epsilons, theta: float) -> 
     real N x N work state: the auxiliary pair of each _explicit_oracle_slabs
     slab is traced out as it arrives.  Only the generator holds the
     complex initial state, so it can go once Im of it is copied."""
-    slabs = _explicit_oracle_slabs(initial_state(marked.n, epsilons, "y"), marked, theta)
-    return np.concatenate([np.einsum("iaja->ij", slab) for slab in slabs])
+    oracle = _explicit_oracle_slabs(initial_state(marked.n, epsilons, "y"), marked, theta)
+    return np.concatenate([np.einsum("iaja->ij", slab) for slab in oracle])
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ which is what makes order-resolved detection scale.  run_pipeline uses
 that collapse whatever H is: it groups basis states by distinct value of
 w, sums the amplitudes once per pair of groups (O(dim^2)) and evolves only
 the K <= dim distinct frequencies (O(points K^2); K = n + 1 for H = w Fz).
-It and the inphase check hold at most mqalgebra.PHASE_CYCLE_BATCH entries
-of any one array at a time, in slabs of rows or t1 points, besides the
-K x K block matrix and the series.
+It and the inphase check hold at most linalg.SLAB_BYTES of any one array
+at a time, in slabs of rows or t1 points, besides the K x K block matrix
+and the series.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from .linalg import (
     n_qubits,
     product_rotation,
     qubit_weights,
+    slabs,
     total_op,
 )
-from .mqalgebra import PHASE_CYCLE_BATCH, phase_cycle_project
+from .mqalgebra import phase_cycle_project
 from .oracle import UF_CALLS_PER_UO, MarkedState, diag_projector
 from .sequences import grover_conjugate, projector_x_basis
 
@@ -179,8 +180,8 @@ def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarra
     and each point costs O(K^2), K <= dim the number of distinct values
     of w: O(dim^2) once plus O(points K^2), with no diagonalization.
 
-    Both stages run in slabs of at most PHASE_CYCLE_BATCH entries: M and
-    its block index a slab of rows at a time, and the phases, their
+    Both stages run in slabs of at most linalg.SLAB_BYTES: M and its
+    block index a slab of rows at a time, and the phases, their
     product with M_K and its row sums a slab of points at a time (at
     least two).  The blocks accumulate entry by entry in row-major order,
     as one bincount over M does, and each point's row of a product of two
@@ -191,19 +192,16 @@ def run_pipeline(p: np.ndarray, q: np.ndarray, cfg: PipelineConfig) -> np.ndarra
     w, group = np.unique(cfg.h_evol.diagonal, return_inverse=True)
     dim, k = len(group), len(w)
     m_k = np.zeros(k * k, dtype=np.result_type(p, q, float))
-    rows = max(1, PHASE_CYCLE_BATCH // dim)
-    for start in range(0, dim, rows):
-        r = slice(start, start + rows)
+    for r in slabs(dim, 16 * dim):  # a row of dim complex entries
         block = group[r, None] * k + group[None, :]  # (row group, column group) of each entry
         np.add.at(m_k, block.ravel(), (q[:, r].T * p[r]).ravel())  # flat: numpy's fast path
     m_k = m_k.astype(complex, copy=False).reshape(k, k)  # a real pair's blocks get +0.0 imaginary parts
     times = np.arange(cfg.n_points) * cfg.dt
     series = np.empty(cfg.n_points, dtype=complex)
-    # a power of two, so the slabs tile the grid, and never one point:
-    # numpy sends a one-row product to gemv, which rounds differently
-    points = 1 << max(1, (PHASE_CYCLE_BATCH // k).bit_length() - 1)
-    for start in range(0, cfg.n_points, points):
-        t = slice(start, start + points)
+    # a point's K complex phases, K rounded up to a power of two: with the
+    # budget a power of two the slabs are one too and tile the grid.  Never
+    # one point: numpy sends a one-row product to gemv, which rounds differently
+    for t in slabs(cfg.n_points, 16 << (k - 1).bit_length(), min_rows=2):
         e = np.outer(times[t], w) * -1j
         np.exp(e, out=e)
         g = e @ m_k
@@ -217,15 +215,13 @@ def inphase_check(p: np.ndarray, q: np.ndarray, phi: float):
 
     Yields the difference Q+ - exp(-i phi Fz) P exp(+i phi Fz), with
     P = U F_p U+ and Q = V+ F_q V, conjugated and negated entry by entry,
-    in slabs of rows of at most PHASE_CYCLE_BATCH entries: a generator of
-    differences, for the one fold.  When it vanishes, every order-m line
-    has amplitude |P_jk|^2 exp(i m phi), so lines of one order share a
-    single phase.
+    in slabs of rows of at most linalg.SLAB_BYTES: a generator of
+    differences, for the one fold, which holds one slab at a time.  When
+    it vanishes, every order-m line has amplitude |P_jk|^2 exp(i m phi),
+    so lines of one order share a single phase.
     """
     rz = np.exp(-1j * magnetic_quantum_numbers(n_qubits(p)) * phi)  # exp(-i phi Fz) is diagonal
-    rows = max(1, PHASE_CYCLE_BATCH // len(p))
-    for start in range(0, len(p), rows):
-        r = slice(start, start + rows)
+    for r in slabs(len(p), 16 * len(p)):  # a row of N complex entries
         # Q+ - target as conj(target) - Q^T in one buffer per slab; conj
         # distributes exactly over * and -, and each product keeps the operand
         # order of rz[:, None] * p * conj(rz)[None, :].  conj(P) is P for a real P.
@@ -233,6 +229,7 @@ def inphase_check(p: np.ndarray, q: np.ndarray, phi: float):
         np.multiply(rz.conj()[r, None], buf, out=buf)
         np.multiply(buf, rz[None, :], out=buf)
         yield np.subtract(buf, q[:, r].T, out=buf)
+        del buf  # one slab at a time: this one goes before the next is built
 
 
 @dataclass

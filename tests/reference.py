@@ -725,6 +725,21 @@ def csv_cases(_):
     yield {"method": ["trotter"], "x_or_m": [3], "error_norm": [1e-9],  # a single row
            "fitted_order": [float("inf")], "oracle_calls": [np.int64(0)]},
     yield {"t1": np.array([]), "re": []},  # a header alone
+    yield scan_columns(1000),  # several slabs at the package's budget
+
+
+def scan_columns(rows: int) -> dict:
+    """Columns shaped like grover_scan.csv's at n_values 1..8 and m_max 4096:
+    n, N and m as integers, then 15 columns of seeded random floats, most
+    of them 17 significant digits wide."""
+    m_max = 4096
+    n = 1 + np.arange(rows) // (m_max + 1)
+    rng = np.random.default_rng(5)
+    floats = [f"alpha{i}" for i in range(1, 5)] + [f"gamma{i}" for i in range(1, 9)]
+    floats += ["c_analytic", "c_measured", "residual"]
+    return {"n": n, "N": 2**n, "m": np.arange(rows) % (m_max + 1)} | {
+        name: rng.normal(size=rows) for name in floats
+    }
 
 
 # ---------------------------------------------------------------------------

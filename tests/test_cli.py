@@ -23,8 +23,8 @@ from spinsearch.spectroscopy import run_pipeline, spectrum_transfer
 
 from conftest import CHECK, assert_peak_at_most, maxabs, random_hermitian
 from reference import (
-    DIAGONALIZERS, N8_PER_SPIN, N8_SPECTRUM, agreement, inphase_difference, patch_bindings,
-    patch_counted, run_cli, spectrum_command, strict_json,
+    DIAGONALIZERS, N8_PER_SPIN, N8_SPECTRUM, TABLE, agreement, inphase_difference, patch_bindings,
+    patch_counted, rowwise_csv, run_cli, scan_columns, spectrum_command, strict_json, written_csv,
 )
 
 OMEGA_10HZ = 2 * np.pi * 10
@@ -32,6 +32,21 @@ OMEGA_10HZ = 2 * np.pi * 10
 
 class TestWriteCsv:
     test_matches_value_by_value_formatting = agreement("write_csv")
+
+    @pytest.mark.parametrize("slab_bytes", [1, linalg.SLAB_BYTES, 2**62], ids=["min", "package", "one-slab"])
+    def test_same_bytes_at_every_slab_budget(self, monkeypatch, slab_bytes):
+        # one row per slab, the package's slabs and one slab for all rows
+        monkeypatch.setattr(linalg, "SLAB_BYTES", slab_bytes)
+        for (columns,) in TABLE["write_csv"].cases(None):
+            assert written_csv(columns) == rowwise_csv(columns)
+
+    def test_worst_scan_peak_memory(self, tmp_path):
+        # the worst grover-scan's 32,776 rows of 18 columns, 10 MB of text:
+        # one slab of rows as Python values at a time, each row written as
+        # it is formatted (measured 0.27 MiB; 38 MiB with every row
+        # converted and joined at once)
+        columns = scan_columns(8 * 4097)
+        assert_peak_at_most(3 * linalg.SLAB_BYTES, cli.write_csv, tmp_path / "scan.csv", columns)
 
     def test_rejects_a_column_mixing_floats_with_other_values(self, tmp_path):
         with pytest.raises(ValueError, match="mixes floats"):
@@ -400,10 +415,20 @@ class TestSelftestState:
         assert all(first[name] for name in REGISTRY_KERNELS if name != "matrix_log_skew")
 
     def test_peak_memory(self):
-        # stacked references in chunks of at most PHASE_CYCLE_BATCH complex
-        # entries (measured 1.60 MiB; 6.07 MiB with one unbounded stack per
-        # case set, 0.33 MiB with one case at a time)
+        # stacked references in slabs of at most linalg.SLAB_BYTES (measured
+        # 1.60 MiB; 6.07 MiB with one unbounded stack per case set, 0.33 MiB
+        # with one case at a time)
         assert_peak_at_most(2.0 * 2**20, selftest.run_selftest)
+
+    def test_residuals_keep_their_bits_at_the_smallest_budget(self, monkeypatch):
+        # one case per stacked reference and one (operator, step) slice per
+        # phase-cycle stack, against the package's slabs
+        def residuals():
+            return [(r.name, np.float64(r.residual).tobytes()) for r in selftest.run_selftest()]
+
+        expected = residuals()
+        monkeypatch.setattr(linalg, "SLAB_BYTES", 1)
+        assert residuals() == expected
 
 
 class TestDeterminism:

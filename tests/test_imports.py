@@ -247,8 +247,10 @@ SUBSTITUTIONS = {
     ("test_sequences.py", "product_rotation"): "a phased pulse, which simple_search must refuse",
     ("test_sequences.py", "initial_state"): "a work state with a real part, which the explicit oracle must refuse",
     ("test_sequences.py", "aux_pure_state"): "a phased auxiliary state, which the explicit oracle must refuse",
-    ("test_sequences.py", "EXPLICIT_SLAB_ROWS"): "another slab height, which must not change a byte",
-    ("test_spectroscopy.py", "PHASE_CYCLE_BATCH"): "another slab budget, which must not change a bit",
+    ("test_linalg.py", "SLAB_BYTES"): "another slab budget, which slabs must read at each call",
+    ("test_sequences.py", "SLAB_BYTES"): "another slab budget, which must not change a byte",
+    ("test_spectroscopy.py", "SLAB_BYTES"): "another slab budget, which must not change a bit",
+    ("test_cli.py", "SLAB_BYTES"): "another slab budget, which must not change a byte",
     ("test_scripts.py", "readout_with_extras"): "a readout off its prediction, which the demo must refuse",
 }
 

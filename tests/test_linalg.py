@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsearch import cli, linalg, mqalgebra, selftest, sequences, spectroscopy
 from spinsearch.linalg import (
     BranchCutError,
     comm,
@@ -14,14 +15,46 @@ from spinsearch.linalg import (
     n_qubits,
     product_rotation,
     single_spin_entries,
+    slabs,
     spin_op,
     total_op,
     unitarity_defect,
 )
+from spinsearch.oracle import MarkedState
 from spinsearch.sequences import initial_state
 
 from conftest import maxabs, random_hermitian, random_unitary
-from reference import KRON_SHAPES, agreement, kron_draw, kron_fold
+from reference import KRON_SHAPES, Forbidden, agreement, kron_draw, kron_fold, patch_forbidden
+
+
+class TestSlabs:
+    def test_rows_per_slab_come_from_the_budget(self, monkeypatch):
+        assert slabs(5, 2**16) == [slice(0, 4), slice(4, 5)]  # four 64 KiB rows to a slab
+        assert slabs(3, 2**20, min_rows=2) == [slice(0, 2), slice(2, 3)]
+        assert slabs(0, 8) == []
+        monkeypatch.setattr(linalg, "SLAB_BYTES", 1)  # read at each call
+        assert slabs(3, 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_every_bounded_loop_takes_its_slabs_from_it(self, tmp_path, monkeypatch):
+        # so that the one budget reaches every loop
+        p = q = total_op(2, "z")
+        pipe = spectroscopy.PipelineConfig(
+            h_evol=spectroscopy.SpinHamiltonian.uniform_fz(2, 1.0), dt=1e-3, n_points=8
+        )
+        loops = {
+            "run_pipeline": lambda: spectroscopy.run_pipeline(p, q, pipe),
+            "inphase_check": lambda: list(spectroscopy.inphase_check(p, q, 0.0)),
+            "explicit oracle": lambda: sequences._explicit_oracle_work_state(
+                MarkedState(s=1, n=2), np.ones(2), -np.pi / 2
+            ),
+            "phase_cycle_project": lambda: mqalgebra.phase_cycle_project(p, 5, 0),
+            "write_csv": lambda: cli.write_csv(tmp_path / "x.csv", {"x": [1.0]}),
+            "registry": lambda: list(selftest._check_phase_cycling(n_values=(2,), count=1)),
+        }
+        patch_forbidden(monkeypatch, ["slabs"])
+        for loop in loops.values():
+            with pytest.raises(Forbidden):
+                loop()
 
 
 class TestNQubits:

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsearch.linalg import (
+    SLAB_BYTES,
     comm,
     product_rotation,
     spin_op,
     total_op,
 )
-from spinsearch.mqalgebra import PHASE_CYCLE_BATCH, AliasingError, phase_cycle_project
+from spinsearch.mqalgebra import AliasingError, phase_cycle_project
 from spinsearch.oracle import MarkedState, diag_projector
 from spinsearch.references import decompose_orders, lomso_transform, mq_generator, x_product_op
 
@@ -142,10 +143,10 @@ class TestPhaseCycling:
             phase_cycle_project(np.array([flip_flop()] * 3), 4, [0, 1, -1])
 
     def test_stack_is_bit_identical_to_per_operator_calls(self, rng):
-        # more operators than one PHASE_CYCLE_BATCH chunk holds at n = 4,
-        # half of them not Hermitian, with every target order present
+        # more complex operators than one slab holds at n = 4, half of them
+        # not Hermitian, with every target order present
         n, n1 = 4, 9
-        count = PHASE_CYCLE_BATCH // 4**n + 3
+        count = SLAB_BYTES // (16 * 4**n) + 3
         ops = np.array([
             random_hermitian(rng, 2**n) + (1j * random_hermitian(rng, 2**n) if k % 2 else 0)
             for k in range(count)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsearch import sequences
+from spinsearch import linalg, sequences
 from spinsearch.linalg import (
     expm_unitary,
     kron_all,
@@ -180,8 +180,7 @@ class TestSimpleSearch:
         # step.  Three real 256-dim matrices and three slabs bound both; the
         # whole (N, 4, N, 4) state is never held (measured 1.80 MiB; 2.00 MiB
         # with the n-qubit pulse, 9.07 MiB with the whole state)
-        slab = sequences.EXPLICIT_SLAB_ROWS * 4 * 1024 * np.dtype(float).itemsize
-        bound = 3 * np.dtype(float).itemsize * 256**2 + 3 * slab
+        bound = 3 * np.dtype(float).itemsize * 256**2 + 3 * linalg.SLAB_BYTES
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="explicit-uf")
 
@@ -204,16 +203,17 @@ class TestSimpleSearch:
 
         expected = [outputs(*case) for case in cases]
         for case, want in zip(cases, expected):
-            monkeypatch.setattr(sequences, "EXPLICIT_SLAB_ROWS", height or 2**case[0].n)
+            work_row = 8 * 16 * 2**case[0].n  # its 4 full-space rows of 4N reals
+            monkeypatch.setattr(linalg, "SLAB_BYTES", (height or 2**case[0].n) * work_row)
             assert outputs(*case) == want
 
     def test_selective_search_at_n8_peak_memory(self):
-        # the conjugation holds two 256-dim complex matrices, the y state and
-        # the copy conjugate_multi_selective returns (measured 2.02 MiB); the
-        # readout then holds the conjugated state, its interleaved real copy
-        # and its half-size first step, 1.75 MiB.  One real 256-dim matrix
-        # more covers the small arrays (4.01 MiB with the complex readout)
-        bound = (2 * np.dtype(complex).itemsize + np.dtype(float).itemsize) * 256**2
+        # the conjugation works in place on the one complex 256-dim y state;
+        # the readout then holds it, its interleaved real copy and its
+        # half-size first step (measured 1.75 MiB).  Half a real 256-dim
+        # matrix more covers the small arrays (2.02 MiB with the y state
+        # copied, 4.01 MiB with the complex readout)
+        bound = (np.dtype(complex).itemsize + 2 * np.dtype(float).itemsize) * 256**2
         eps = np.linspace(0.6, 1.4, 8)
         assert_peak_at_most(bound, simple_search, MarkedState(s=173, n=8), eps, aux_mode="selective-cs")
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from spinsearch import spectroscopy
+from spinsearch import linalg, spectroscopy
 from spinsearch.cli import INPHASE_TOL
 from spinsearch.config import SpectrumConfig, parse
-from spinsearch.linalg import spin_op, total_op
-from spinsearch.mqalgebra import PHASE_CYCLE_BATCH
+from spinsearch.linalg import SLAB_BYTES, spin_op, total_op
 from spinsearch.oracle import MarkedState
 from spinsearch.references import (
     decompose_orders,
@@ -150,9 +149,9 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("name", list(SLAB_CASES))
     def test_slab_heights_keep_every_bit(self, monkeypatch, name):
-        # the series and the inphase difference at one row and two t1 points
-        # per slab (the fewest run_pipeline takes), and at the package's
-        # budget, against one slab for all
+        # the series and the inphase difference at the smallest budget, one
+        # row and two t1 points per slab (the fewest run_pipeline takes), and
+        # at the package's budget, against one slab for all
         cfg = parse(SpectrumConfig, SLAB_CASES[name])
         p, q, p_inphase, _ = spectrum_transfer(cfg)
         if name == "y-axis-pair":
@@ -160,13 +159,13 @@ class TestRunPipeline:
         if name == "weak-coupling-k-n":
             assert len(np.unique(cfg.pipe.h_evol.diagonal)) == len(p)
 
-        def at_budget(entries):
-            monkeypatch.setattr(spectroscopy, "PHASE_CYCLE_BATCH", entries)
+        def at_budget(slab_bytes):
+            monkeypatch.setattr(linalg, "SLAB_BYTES", slab_bytes)
             return run_pipeline(p, q, cfg.pipe), inphase_difference(p_inphase, q, 0.4)
 
-        whole = at_budget(len(p) * max(len(p), cfg.pipe.n_points))
-        for entries in (1, PHASE_CYCLE_BATCH):
-            for sliced, one_slab in zip(at_budget(entries), whole):
+        whole = at_budget(16 * len(p) * max(len(p), cfg.pipe.n_points))
+        for slab_bytes in (1, SLAB_BYTES):
+            for sliced, one_slab in zip(at_budget(slab_bytes), whole):
                 assert np.array_equal(sliced, one_slab)
 
     def test_power_of_two_guard(self):
@@ -216,10 +215,10 @@ class TestInphase:
 
     def test_n8_peak_memory(self):
         # the check as the spectrum command folds it: one complex 64-row
-        # slab, made straight from the real P, and the next one made before
-        # the generator drops it: 0.50 MiB and the length-N phases (measured
-        # 0.509 MiB; 1.505 MiB with one N x N buffer)
-        bound = 0.52 * 2**20
+        # slab at a time, made straight from the real P, its magnitudes and
+        # the length-N phases (measured 0.385 MiB; 0.505 MiB with the last
+        # slab kept while the next is made, 1.505 MiB with one N x N buffer)
+        bound = 0.4 * 2**20
         _, q, p, _ = spectrum_transfer(parse(SpectrumConfig, N8_SPECTRUM))
         assert_peak_at_most(bound, lambda: _fold(inphase_check(p, q, 0.4)))
 
