@@ -142,16 +142,25 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
 
 def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
     k = cfg.k
-    blocks = []
+    # the 18 written columns, allocated once for every n's rows and filled in place
+    names = ["n", "N", "m", *(f"alpha{i}" for i in range(1, 5)), *(f"gamma{i}" for i in range(1, 9)),
+             "c_analytic", "c_measured", "residual"]
+    total = sum(m_max + 1 for *_, m_max in cfg.plan)
+    index, values = np.empty((3, total), dtype=int), np.empty((15, total))
     summary, checks = [], []
-    total_calls = 0
+    total_calls = stop = 0
     for marked, eps, m_max in cfg.plan:
         n, N = marked.n, 2**marked.n
-        m = np.arange(m_max + 1)
-        measured = measured_conversion_coefficients(marked, m_max, eps, k)
+        rows = slice(stop, stop + m_max + 1)
+        stop = rows.stop
+        index[0, rows], index[1, rows], index[2, rows] = n, N, np.arange(m_max + 1)
+        analytic, measured, residual = values[12:, rows]
+        measured[:] = measured_conversion_coefficients(marked, m_max, eps, k)
         alpha, gamma = grover_coefficients(m_max, N)
-        analytic = conversion_coefficients(gamma, N, eps, k)
-        residual = np.abs(analytic - measured)
+        values[:4, rows], values[4:12, rows] = alpha.T, gamma.real.T
+        analytic[:] = conversion_coefficients(gamma, N, eps, k)
+        del alpha, gamma  # not held while the next n runs, nor while the table is written
+        np.abs(analytic - measured, out=residual)
         # the measured route takes m_max steps; the closed form's angle m theta rounds m times
         bound = SCAN_ROUNDOFF * (m_max + 1) * (1 + np.abs(eps).sum() / abs(eps[k - 1]))
         checks.append(InvariantResult(f"analytic-vs-measured-n{n}", _fold([residual]), bound))
@@ -160,17 +169,8 @@ def cmd_grover_scan(cfg: GroverScanConfig, out: Path) -> dict:
         j = int(np.argmax(transfer))  # the first m of largest transfer
         best = (float(transfer[j]), j) if transfer[j] > 0 else (0.0, 0)
         summary.append({"n": n, "max_transfer": best[0], "m_at_max": best[1]})
-        blocks.append(
-            {"n": np.full_like(m, n), "N": np.full_like(m, N), "m": m}
-            | {f"alpha{i}": alpha[:, i - 1] for i in (1, 2, 3, 4)}
-            | {f"gamma{i}": gamma[:, i - 1].real for i in range(1, 9)}
-            | {"c_analytic": analytic, "c_measured": measured, "residual": residual}
-        )
 
-    write_csv(
-        out / "grover_scan.csv",
-        {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]},
-    )
+    write_csv(out / "grover_scan.csv", dict(zip(names, [*index, *values])))
     return {
         "payload": {"per_n": summary},
         "oracle_calls": total_calls,

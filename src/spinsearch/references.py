@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_unitary, magnetic_quantum_numbers, n_qubits, product_rotation, spin_op
+from .linalg import magnetic_quantum_numbers, n_qubits, product_rotation, spin_op
 from .oracle import MarkedState, aux_phase_vector, diag_projector, uf_permutation
 from .sequences import auto_m_max, grover_coefficients, projector_x_basis, x_basis_state
 from .spectroscopy import SpinHamiltonian
@@ -142,24 +142,12 @@ def mq_generator(n: int, l_indices) -> np.ndarray:
     return 1j * (x_l @ d - d @ x_l)
 
 
-def spin_echo_hamiltonian(marked: MarkedState, k: int) -> np.ndarray:
-    """Projector sum independent of the last k qubits, built recursively.
-
-    Each step adds the pi-x-pulse conjugate on one more trailing qubit,
-    which replaces that qubit's projector factor by the identity.  The
-    result is the tensor product of the leading n-k single-spin projectors
-    with identities, and has trace 2^k.
-    """
-    n = marked.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"decoupled-qubit count {k} outside [0, {n - 1}]")
-    d = diag_projector(marked)
-    for j in range(k):
-        angles = np.zeros(n)
-        angles[n - j - 1] = np.pi  # a pi x pulse on qubit n - j
-        pulse = product_rotation(n, "x", angles)
-        d = d + pulse @ d @ pulse.conj().T
-    return d
+def sum_vector_signal(markeds, epsilons, theta: float) -> np.ndarray:
+    """The signal-enhancement law: the search's per-spin z coefficients
+    sin(theta) (2/N) eps_k sum_r a_k(r) when the same phase theta is applied
+    to each of the distinct indices r of markeds (s and the extras)."""
+    signs = np.sum([marked.signs for marked in markeds], axis=0)
+    return np.sin(theta) * 2 / 2 ** markeds[0].n * np.asarray(epsilons) * signs
 
 
 def grover_propagator(marked: MarkedState, m: int) -> np.ndarray:
@@ -302,19 +290,3 @@ def order_intensities(p: np.ndarray, q: np.ndarray) -> dict[int, complex]:
     amps = q.conj() * p
     return {m: complex(amps[om == m].sum()) for m in range(-n, n + 1)}
 
-
-def interaction_frame(
-    h_s: np.ndarray, h_r: np.ndarray, t: float, series_order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Toggling-frame Hamiltonian exp(+i t H_r) H_s exp(-i t H_r), exact and
-    as the nested-commutator series truncated at the given order."""
-    if series_order > 6:
-        raise ValueError("series truncation supported up to order 6")
-    u = expm_unitary(h_r, -t)  # exp(+i t H_r)
-    exact = u @ h_s @ u.conj().T
-    term = h_s.astype(complex)
-    series = h_s.astype(complex)
-    for k in range(1, series_order + 1):
-        term = (1j * t / k) * (h_r @ term - term @ h_r)
-        series = series + term
-    return exact, series

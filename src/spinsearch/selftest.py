@@ -23,8 +23,9 @@ selftest.csv carries both, so the headroom of each group can be read off
 the output.
 
 A check's brute-force side that no command runs (the dense oracles and
-propagators, the order grading, the line expansion) comes from
-spinsearch.references, which no other package module imports.
+propagators, the order grading, the line expansion) and the restated
+enhancement law come from spinsearch.references, which no other package
+module imports.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from . import composition, mqalgebra, oracle, references, sequences, spectroscop
 from .linalg import (
     PAULI_HALF,
     expm_unitary,
+    iz_diagonals,
     kron_all,
     magnetic_quantum_numbers,
+    product_rotation,
     random_hermitian,
     slabs,
     spin_op,
@@ -304,6 +307,34 @@ def _check_projector_product_form(*, n_values=(1, 2, 3, 4)):
             yield product - oracle.diag_projector(marked)
 
 
+def _check_signal_enhancement(*, n_values=(2, 4), count=3, seed=4000):
+    """Per case: the same selective phase theta on s and on distinct extra
+    indices r, then the pi/2 y pulse, as dense products on sum_k eps_k I_ky;
+    the per-spin z coefficients of the pulsed populations against the
+    sum-vector law.  First s = 5 at n = 3, theta = -pi/2 and unit eps with
+    extras that enhance, cancel and crowd; then seeded cases of s and 0-3
+    extras at a random theta and random eps."""
+    cases = {3: [([5, *extras], -np.pi / 2, np.ones(3)) for extras in ([4], [4, 7], [2], [0, 1, 2, 3])]}
+    for n in n_values:
+        rng = np.random.default_rng(seed + n)
+        cases[n] = [
+            (rng.choice(2**n, size=int(rng.integers(1, 5)), replace=False), rng.uniform(0, 2 * np.pi),
+             rng.uniform(-1.5, 1.5, n))
+            for _ in range(count)
+        ]
+    for n, per_n in cases.items():
+        pulse, iz = product_rotation(n, "y", np.pi / 2), iz_diagonals(n) / 2 ** (n - 2)
+        iy = np.array([spin_op(n, k, "y") for k in range(1, n + 1)])
+        for indices, theta, eps in per_n:
+            markeds = [MarkedState(s=int(r), n=n) for r in indices]
+            u = pulse
+            for marked in markeds:
+                u = u @ references.selective_phase(marked, theta)
+            rho = (eps[:, None, None] * iy).sum(axis=0)  # sum_k eps_k I_ky
+            populations = (u @ rho @ u.conj().T).diagonal().real
+            yield iz @ populations - references.sum_vector_signal(markeds, eps, theta)
+
+
 INVARIANT_GROUPS = (
     ("spin-commutators", _check_spin_commutators, 1e-13),
     ("expm-unitarity-and-group-law", _check_expm_unitary, 1e-10),
@@ -323,6 +354,7 @@ INVARIANT_GROUPS = (
     ("composition-unitarity", _check_composition_unitarity, 1e-10),
     ("sandwich-time-symmetry", _check_sandwich_time_symmetry, 1e-12),
     ("projector-product-form", _check_projector_product_form, 1e-13),
+    ("signal-enhancement-sum-vector", _check_signal_enhancement, 1e-12),
 )
 
 

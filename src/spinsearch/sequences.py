@@ -17,8 +17,8 @@ Two layers live here:
 Only what a command runs lives here.  The brute-force references these
 routes are checked against (the dense propagator and its factored form,
 the coefficients' linear recursion, the least-squares fit of the dense
-core iteration, the spin-echo projector sums and gamma1_first_peak) live
-in spinsearch.references; the matrix pipeline is the ground truth.
+core iteration, gamma1_first_peak and the signal-enhancement law) live in
+spinsearch.references; the matrix pipeline is the ground truth.
 """
 
 from __future__ import annotations

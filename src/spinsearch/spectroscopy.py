@@ -13,8 +13,7 @@ and V; sequences.grover_conjugate in place, without U); every stage below
 takes that same pair.  Coherence orders are exact integers: a spectral
 line's comes from the one rule in `_pick_peaks`, which the Spectrum
 carries per bin.  The line expansion and the order intensities that
-check this pipeline, and the toggling-frame Hamiltonian, live in
-spinsearch.references.
+check this pipeline live in spinsearch.references.
 H is diagonal in the product basis and stored as its real diagonal w, so
 t1 evolution is the phase vector exp(-i w t1) and no diagonalization runs.
 Every spectral line sits at a transition frequency w_j - w_k with complex

@@ -14,7 +14,7 @@ from spinsearch import (
     cli, composition, linalg, mqalgebra, oracle, references, selftest, sequences, spectroscopy,
 )
 from spinsearch.cli import main
-from spinsearch.config import SpectrumConfig, parse
+from spinsearch.config import GroverScanConfig, SpectrumConfig, parse
 from spinsearch.linalg import total_op
 from spinsearch.selftest import INVARIANT_GROUPS
 from spinsearch.references import grover_propagator
@@ -156,6 +156,13 @@ class TestGroverScanCommand:
         assert code == 0
         assert len((out / "grover_scan.csv").read_text().splitlines()) == 1 + 5
 
+    def test_worst_scan_peak_memory(self, tmp_path):
+        # the 18 written columns of 32,776 rows (4.5 MiB), allocated once and
+        # filled in place, and one n's closed-form tables at a time (measured
+        # 6.0 MiB; 11.6 MiB with every n's block of columns concatenated)
+        worst = {"n_values": list(range(1, 9)), "m_max": 4096, "s": 1, "k": 1, "epsilons": "uniform"}
+        assert_peak_at_most(7 * 2**20, cli.cmd_grover_scan, parse(GroverScanConfig, worst), tmp_path)
+
     def test_zero_epsilon_off_read_spin_runs(self, tmp_path):
         code, _, report = run_cli(
             tmp_path, "grover-scan", {"n_values": [2], "m_max": 4, "epsilons": [1.0, 0.0]}
@@ -219,15 +226,21 @@ class TestSpectrumCommand:
         x_series = [spectrum_command(dict(cfg, s=s, p_axis="x")) for s in (0, 3)]
         assert maxabs(x_series[1] - x_series[0]) > 0.1  # x excitation does carry s
 
-    def test_cross_peak_demo_combination_lines(self, tmp_path):
-        code, _, report = run_cli(tmp_path, "spectrum", {"preset": "cross-peak-demo"})
+    @pytest.mark.parametrize("dominance", [1.0, 5.0, 20.0])
+    def test_cross_peak_demo_combination_lines(self, tmp_path, dominance):
+        # as the oracle-independent term's dominance is swept, every peak
+        # stays on the 40 Hz grid and the orders stay symmetric about 0
+        code, _, report = run_cli(tmp_path, "spectrum", {"preset": "cross-peak-demo", "dominance": dominance})
         assert code == 0
+        assert report["payload"]["delta_hz"] == pytest.approx(40.0)
         delta = 2 * np.pi * report["payload"]["delta_hz"]
         for p in report["payload"]["peaks"]:
             ratio = p["frequency_rad_s"] / delta
             assert abs(ratio - round(ratio)) < 1e-9
         orders = {p["order"] for p in report["payload"]["peaks"]}
-        assert orders & {1, -1}  # cross zero-quantum lines are present
+        assert 0 in orders and orders == {-o for o in orders}
+        if dominance > 1.0:  # at 1.0 the cross zero-quantum lines fall below the peak threshold
+            assert orders & {1, -1}
 
 
 class TestComposeBenchCommand:
@@ -307,11 +320,31 @@ class TestSelftestCommand:
         code, out, report = run_cli(tmp_path, "selftest")
         assert code == 0
         names = [name for name, _check, _tolerance in INVARIANT_GROUPS]
-        assert len(names) == 18
+        assert len(names) == 19
         assert [g["name"] for g in report["payload"]["groups"]] == names
         rows = (out / "selftest.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == names
-        assert report["failing"] == [] and len(report["checks"]) == 18
+        assert report["failing"] == [] and len(report["checks"]) == 19
+
+    def test_every_group_is_in_the_claim_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### What checks each claim", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+        missing = [name for name, _check, _tolerance in INVARIANT_GROUPS if f"`{name}`" not in table]
+        assert missing == [], f"README's claim table does not name {missing}"
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            lambda law, markeds, eps, theta: 2 * law(markeds, eps, theta),  # 4/N in place of 2/N
+            lambda law, markeds, eps, theta: law(markeds[:1], eps, theta),  # the extras' term dropped
+        ],
+        ids=["four-over-N", "extras-dropped"],
+    )
+    def test_planted_wrong_enhancement_law_fails(self, monkeypatch, planted):
+        # at the quick budget, against the group's 1e-12 tolerance
+        law = references.sum_vector_signal
+        monkeypatch.setattr(references, "sum_vector_signal", lambda *args: planted(law, *args))
+        assert CHECK["signal-enhancement-sum-vector"]() > 1e-2
 
     def test_planted_failing_group_exits_1(self, tmp_path, monkeypatch, capsys):
         planted = ("planted-residual-over-tolerance", lambda: [2e-12], 1e-12)

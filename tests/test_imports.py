@@ -127,8 +127,8 @@ def unreached(trees, roots=()) -> set[str]:
 # reads), never a route's kernel
 INPUT_BUILDERS = {
     "MarkedState", "SpinHamiltonian", "aux_phase_vector", "auto_m_max", "diag_projector",
-    "expm_unitary", "grover_coefficients", "magnetic_quantum_numbers", "n_qubits",
-    "product_rotation", "projector_x_basis", "spin_op", "uf_permutation", "x_basis_state",
+    "grover_coefficients", "magnetic_quantum_numbers", "n_qubits", "product_rotation",
+    "projector_x_basis", "spin_op", "uf_permutation", "x_basis_state",
 }
 
 
@@ -194,7 +194,7 @@ def test_boundary_crossings_are_found():
         "spectroscopy": "import spinsearch.references\nfrom . import mqalgebra, selftest\n",
         "composition": "def kernel():\n    from spinsearch.references import grover_core\n",
         "references": (
-            "from .linalg import expm_unitary\nfrom . import oracle\nfrom .spectroscopy import run_pipeline\n"
+            "from .linalg import spin_op\nfrom . import oracle\nfrom .spectroscopy import run_pipeline\n"
             "from .sequences import _explicit_oracle_slabs, conjugate_multi_selective\n"
             "from .sequences import grover_conjugate, x_basis_state\n"
         ),
@@ -251,7 +251,7 @@ SUBSTITUTIONS = {
     ("test_sequences.py", "SLAB_BYTES"): "another slab budget, which must not change a byte",
     ("test_spectroscopy.py", "SLAB_BYTES"): "another slab budget, which must not change a bit",
     ("test_cli.py", "SLAB_BYTES"): "another slab budget, which must not change a byte",
-    ("test_scripts.py", "readout_with_extras"): "a readout off its prediction, which the demo must refuse",
+    ("test_cli.py", "sum_vector_signal"): "a wrong enhancement law, which its registry group must catch",
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 from spinsearch import linalg, sequences
 from spinsearch.linalg import (
     expm_unitary,
-    kron_all,
     product_rotation,
     spin_op,
     total_op,
@@ -13,7 +12,6 @@ from spinsearch.linalg import (
 from spinsearch.oracle import (
     MarkedState,
     aux_pure_state,
-    diag_projector,
     sign_vector,
 )
 from spinsearch.references import (
@@ -23,7 +21,6 @@ from spinsearch.references import (
     grover_coefficients_recursion,
     grover_core,
     grover_propagator,
-    spin_echo_hamiltonian,
 )
 from spinsearch.sequences import (
     AmbiguousReadoutError,
@@ -273,35 +270,6 @@ class TestEarlyTrace:
                 late = np.diag(trace_out_aux(np.diag(full), n))
                 early = crushed_diagonal(trace_out_aux(rho, n), u)
                 assert maxabs(late - early) <= 1e-13
-
-
-class TestSpinEcho:
-    def test_no_decoupling_returns_projector(self):
-        m = MarkedState(s=2, n=2)
-        assert maxabs(spin_echo_hamiltonian(m, 0) - diag_projector(m)) == 0
-
-    def test_one_step_two_qubits(self):
-        m = MarkedState(s=2, n=2)  # signs (-1, +1)
-        got = spin_echo_hamiltonian(m, 1)
-        single = 0.5 * np.eye(2) + (-1) * np.diag([0.5, -0.5])
-        expected = kron_all([single, np.eye(2)])
-        assert maxabs(got - expected) <= 1e-12
-
-    @pytest.mark.parametrize("n,s", [(3, 5), (4, 9)])
-    def test_closed_form_and_trace(self, n, s):
-        m = MarkedState(s=s, n=n)
-        signs = m.signs
-        for k in range(n):
-            got = spin_echo_hamiltonian(m, k)
-            factors = [
-                0.5 * np.eye(2) + signs[l] * np.diag([0.5, -0.5]) for l in range(n - k)
-            ] + [np.eye(2)] * k
-            assert maxabs(got - kron_all(factors)) <= 1e-12
-            assert abs(np.trace(got) - 2**k) <= 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            spin_echo_hamiltonian(MarkedState(s=0, n=2), 2)
 
 
 class TestGroverPropagator:

@@ -10,7 +10,6 @@ from spinsearch.references import (
     decompose_orders,
     eigen_expand,
     grover_propagator,
-    interaction_frame,
     order_intensities,
 )
 from spinsearch.selftest import _fold
@@ -374,34 +373,3 @@ class TestCrossZq:
         rhs = cross_zq_hamiltonian(f1, zero, 7) + cross_zq_hamiltonian(zero, f2, 7)
         assert maxabs(lhs - rhs) <= 1e-12
 
-
-class TestInteractionFrame:
-    def test_zero_time(self, rng):
-        h_s = random_hermitian(rng, 4)
-        h_r = random_hermitian(rng, 4)
-        exact, series = interaction_frame(h_s, h_r, 0.0, 3)
-        assert maxabs(exact - h_s) <= 1e-13
-        assert maxabs(series - h_s) <= 1e-13
-
-    def test_commuting_frame_is_static(self, rng):
-        h_r = random_hermitian(rng, 4)
-        w, v = np.linalg.eigh(h_r)
-        h_s = (v * rng.normal(size=4)) @ v.conj().T  # commutes with h_r
-        exact, _ = interaction_frame(h_s, h_r, 0.9, 2)
-        assert maxabs(exact - h_s) <= 1e-12
-
-    def test_order2_halving_ratio(self, rng):
-        h_s = random_hermitian(rng, 4)
-        h_r = random_hermitian(rng, 4)
-
-        def err(t):
-            exact, series = interaction_frame(h_s, h_r, t, 2)
-            return maxabs(exact - series)
-
-        ratio = err(0.1) / err(0.05)
-        assert 8 * 0.7 <= ratio <= 8 * 1.3
-
-    def test_truncation_order_capped(self, rng):
-        h = random_hermitian(rng, 2)
-        with pytest.raises(ValueError, match="order"):
-            interaction_frame(h, h, 0.1, 7)
