@@ -13,7 +13,7 @@ every command, `failing`, `max_residual` and the "<command> failed:" line.
 
 Every run writes report.json (command, config echo, payload, oracle-call
 count, checks, wall-clock duration) next to the command's CSV files.
-CSV content is byte-identical across runs for identical config and seed;
+CSV content is byte-identical across runs for identical config;
 the report's duration field is the one intentionally volatile output.
 """
 
@@ -119,7 +119,6 @@ def cmd_search(cfg: SearchConfig, out: Path) -> dict:
         "payload": {
             "recovered_s": result.recovered_s,
             "per_qubit_signal": result.per_qubit_signal.tolist(),
-            "confidence": result.confidence,
             "theta": result.theta,
             "prefactor_measured": result.measured_prefactor,
             "prefactor_reference_2_over_N": result.reference_prefactor,

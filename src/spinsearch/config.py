@@ -13,7 +13,8 @@ ConfigError.
 Keys declared with a None default belong to variants (a spectrum preset,
 a composition method or operator pair, a Hamiltonian kind): each variant
 lists the keys it uses with their defaults, and a key it does not use must
-not be given.
+not be given.  So `seed` is a key of compose-bench's drawn operator pairs
+alone: no other command draws a random number.
 """
 
 import math
@@ -200,7 +201,6 @@ class SearchConfig:
     theta: float = key(-np.pi / 2)
     aux_mode: Literal["selective-cs", "explicit-uf"] = key("selective-cs")
     epsilons: Literal["uniform"] | list[float] = key("uniform", lo=-VALUE_MAX, hi=VALUE_MAX)
-    seed: int = key(0, lo=0)
     marked: MarkedState = derived()
     eps: np.ndarray = derived()
 
@@ -218,7 +218,6 @@ class GroverScanConfig:
     k: int = key(1, lo=1)
     m_max: Literal["auto"] | int = key("auto", lo=0, hi=GROVER_M_MAX)
     epsilons: Literal["uniform"] | list[float] = key("uniform", lo=-VALUE_MAX, hi=VALUE_MAX)
-    seed: int = key(0, lo=0)
     plan: tuple = derived()  # (marked, eps, m_max) per n, all checked before the first runs
 
     def __post_init__(self):
@@ -319,7 +318,6 @@ class SpectrumConfig:
     tau_u: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     tau_v: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     dominance: float | None = key(None, lo=-DOMINANCE_MAX, hi=DOMINANCE_MAX)
-    seed: int = key(0, lo=0)
     marked: MarkedState | None = derived()
     rho0: np.ndarray = derived()
     pipe: PipelineConfig = derived()
@@ -340,6 +338,8 @@ class SpectrumConfig:
         _set(self, label_omega=_CROSS_PEAK_LABEL if demo else self.hamiltonian.omega)
 
 
+# the keys each operator pair reads: su2-zx is a fixed 2x2 pair, drawn from nothing
+COMPOSE_OPERATORS = {"random": {"dim": 4, "seed": 7}, "su2-zx": {}, "commuting": {"dim": 4, "seed": 7}}
 COMPOSE_METHODS = {
     "trotter": {"t": 1.0, "m": 16},
     "commutator": {"m": 100},
@@ -352,7 +352,7 @@ COMPOSE_METHODS = {
 @schema
 class ComposeBenchConfig:
     method: Literal[tuple(COMPOSE_METHODS)] = key()
-    operators: Literal["random", "su2-zx", "commuting"] = key("random")
+    operators: Literal[tuple(COMPOSE_OPERATORS)] = key("random")
     dim: int | None = key(None, lo=1, hi=COMPOSE_DIM_MAX)
     t: float | None = key(None, lo=-VALUE_MAX, hi=VALUE_MAX)
     m: int | None = key(None, lo=1, hi=COMPOSE_M_MAX)
@@ -361,16 +361,15 @@ class ComposeBenchConfig:
     p_list: list[float] | None = key(None)
     order_side: Literal["A-outer", "B-outer"] | None = key(None)
     mode: Literal["compose", "difference"] | None = key(None)
-    seed: int = key(7, lo=0)
+    seed: int | None = key(None, lo=0)
 
     def __post_init__(self):
-        if self.operators == "su2-zx" and self.dim is not None:
-            raise ValueError("key 'dim' does not apply to operators 'su2-zx' (a fixed 2x2 pair)")
-        _variant(self, f"method {self.method!r}", {**COMPOSE_METHODS[self.method], "dim": 4})
+        table = {**COMPOSE_METHODS[self.method], **COMPOSE_OPERATORS[self.operators]}
+        _variant(self, f"method {self.method!r} on operators {self.operators!r}", table)
         if self.p_list is not None:
             palindromic_weights(self.p_list)
 
 
 @schema
 class SelftestConfig:
-    seed: int = key(0, lo=0)
+    """No keys: every selftest group draws its cases from its own fixed seed."""

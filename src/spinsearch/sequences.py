@@ -101,7 +101,6 @@ class SearchResult:
     recovered_s: int
     per_qubit_signal: np.ndarray
     signs: np.ndarray
-    confidence: float
     oracle_uf_calls: int
     theta: float
     measured_prefactor: float
@@ -188,7 +187,6 @@ def simple_search(
         recovered_s=recovered,
         per_qubit_signal=coeffs,
         signs=signs,
-        confidence=float(mags.min() / threshold) if threshold > 0 else math.inf,
         oracle_uf_calls=UF_CALLS_PER_UO,
         theta=theta,
         measured_prefactor=prefactor,

@@ -254,13 +254,9 @@ class Spectrum:
         return abs(et - ef) / max(et, 1e-300)
 
 
-def spectrum(
-    series: np.ndarray,
-    dt: float,
-    label_omega: float | None = None,
-    rel_threshold: float = PEAK_REL_THRESHOLD,
-) -> Spectrum:
-    """DFT of the signal with local-maximum peak picking.
+def spectrum(series: np.ndarray, dt: float, label_omega: float | None = None) -> Spectrum:
+    """DFT of the signal with local-maximum peak picking above
+    PEAK_REL_THRESHOLD times the largest magnitude.
 
     The transform is normalized so a unit tone exp(-i w t) gives a peak of
     amplitude 1 at +w.  No apodization or zero filling.  When label_omega
@@ -271,7 +267,7 @@ def spectrum(
         raise ValueError("series length must be a power of two")
     amps = np.fft.ifft(series)
     freqs = 2 * np.pi * np.fft.fftfreq(m, d=dt)
-    return _pick_peaks(amps, freqs, label_omega, rel_threshold)
+    return _pick_peaks(amps, freqs, label_omega, PEAK_REL_THRESHOLD)
 
 
 def _pick_peaks(amps, freqs, label_omega, rel_threshold) -> Spectrum:

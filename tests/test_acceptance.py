@@ -220,7 +220,7 @@ def test_criterion_10_composition_orders():
 def test_criterion_11_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
-        json.dumps({"n_values": [2, 3], "m_max": 8, "s": 1, "seed": 5})
+        json.dumps({"n_values": [2, 3], "m_max": 8, "s": 1})
     )
     outs = []
     for run_dir in ("r1", "r2"):
@@ -233,7 +233,7 @@ def test_criterion_11_determinism(tmp_path):
     assert outs[0] == outs[1]
 
     cfg2 = tmp_path / "cfg2.json"
-    cfg2.write_text(json.dumps({"n": 3, "s": 4, "seed": 9}))
+    cfg2.write_text(json.dumps({"n": 3, "s": 4}))
     reports = []
     for run_dir in ("s1", "s2"):
         out = tmp_path / run_dir

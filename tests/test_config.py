@@ -7,6 +7,7 @@ that the config was rejected before anything was computed.
 """
 
 import contextlib
+import functools
 import io
 import math
 import tempfile
@@ -28,15 +29,18 @@ from spinsearch.config import (
     T1_POINTS_MAX,
     VALUE_MAX,
     VALUE_MIN,
+    ComposeBenchConfig,
     ConfigError,
-    SelftestConfig,
+    GroverScanConfig,
+    HamiltonianConfig,
+    SearchConfig,
     SpectrumConfig,
     T1Config,
     parse,
 )
 from spinsearch.selftest import InvariantResult
 
-from reference import run_cli
+from reference import patch_counted, run_cli, strict_json
 
 UNIFORM_H = {"kind": "uniform-fz", "omega": 2 * math.pi * 10}
 GROVER = {
@@ -169,15 +173,144 @@ def test_unknown_key_exits_2(tmp_path, capsys, no_numerics, where):
     assert repr(f"{nested}.extra" if nested else "extra") in err
 
 
-@pytest.mark.parametrize("command", sorted(cli.SCHEMAS))
-def test_every_command_declares_seed(command):
-    assert "seed" in {f.name for f in fields(cli.SCHEMAS[command]) if f.init}
+# nothing is drawn outside compose-bench's random and commuting operator pairs
+SEED_REFUSED = {
+    "search": ("search", {"n": 2, "s": 1, "seed": 0}),
+    "grover-scan": ("grover-scan", {"n_values": [2], "seed": 0}),
+    "spectrum-grover-excitation": ("spectrum", {**GROVER, "seed": 0}),
+    "spectrum-identity": ("spectrum", {**WEAK, "seed": 0}),
+    "spectrum-cross-peak-demo": ("spectrum", {"preset": "cross-peak-demo", "seed": 0}),
+    "selftest": ("selftest", {"seed": 0}),
+    "compose-bench-su2-zx": ("compose-bench", {"method": "cross-interaction", "operators": "su2-zx", "seed": 7}),
+}
 
 
-def test_seed_is_accepted(tmp_path):
-    assert parse(SelftestConfig, {"seed": 4}).seed == 4
-    code, _, _ = run_cli(tmp_path, "spectrum", {**GROVER, "seed": 4})
-    assert code == 0
+@pytest.mark.parametrize("name", sorted(SEED_REFUSED))
+def test_seed_where_nothing_is_drawn_exits_2(tmp_path, capsys, no_numerics, name):
+    command, cfg = SEED_REFUSED[name]
+    assert "'seed'" in assert_rejected(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("operators", ["random", "commuting"])
+def test_drawn_operators_take_seed_7_by_default(tmp_path, operators):
+    cfg = {"method": "sandwich", "operators": operators}
+    assert parse(ComposeBenchConfig, cfg).seed == 7
+    csv_bytes = []
+    for subdir, extra in (("default", {}), ("seed-7", {"seed": 7})):
+        code, out, _ = run_cli(tmp_path, "compose-bench", {**cfg, **extra}, subdir)
+        assert code == 0
+        csv_bytes.append((out / "compose_bench.csv").read_bytes())
+    assert csv_bytes[0] == csv_bytes[1]
+
+
+# ---------------------------------------------------------------------------
+# every declared key changes what a run writes
+
+
+def with_key(cfg: dict, path: str, value) -> dict:
+    """cfg with the key at a dotted path set to value; a nested object is copied."""
+    head, _, rest = path.partition(".")
+    return {**cfg, head: with_key(cfg[head], rest, value) if rest else value}
+
+
+def two(base: dict, path: str, a, b) -> tuple[dict, dict]:
+    """base with the key at path set to a, and base with it set to b."""
+    return with_key(base, path, a), with_key(base, path, b)
+
+
+SEARCH = {"n": 3, "s": 5}
+SCAN = {"n_values": [2], "epsilons": [1.0, 0.5]}
+DEMO = {"preset": "cross-peak-demo"}
+# z excitation read on z carries no s, and s and its complement 3 - s write
+# the same bytes at n = 2: the s row reads x excitation at s 1 and s 0
+X_EXCITED = {**GROVER, "p_axis": "x", "detect_axis": "x", "epsilons": [1.0, 0.5]}
+LABELED = {key: GROVER[key] for key in ("n", "hamiltonian", "t1")}
+SANDWICH = {"method": "sandwich"}
+FRACTAL = {"method": "fractal"}
+# (schema, key) -> (command, two accepted configs that differ in that key)
+KEY_EFFECT = {
+    (SearchConfig, "n"): ("search", *two({"s": 1}, "n", 2, 3)),
+    (SearchConfig, "s"): ("search", *two(SEARCH, "s", 5, 1)),
+    (SearchConfig, "theta"): ("search", *two(SEARCH, "theta", -1.0, 0.5)),
+    (SearchConfig, "aux_mode"): ("search", *two(SEARCH, "aux_mode", "selective-cs", "explicit-uf")),
+    (SearchConfig, "epsilons"): ("search", *two(SEARCH, "epsilons", "uniform", [1.0, 0.5, 2.0])),
+    (GroverScanConfig, "n_values"): ("grover-scan", *two({}, "n_values", [2], [3])),
+    (GroverScanConfig, "s"): ("grover-scan", *two(SCAN, "s", 0, 1)),
+    (GroverScanConfig, "k"): ("grover-scan", *two(SCAN, "k", 1, 2)),
+    (GroverScanConfig, "m_max"): ("grover-scan", *two(SCAN, "m_max", "auto", 3)),
+    (GroverScanConfig, "epsilons"): ("grover-scan", *two(SCAN, "epsilons", "uniform", [1.0, 0.5])),
+    (SpectrumConfig, "preset"): (
+        "spectrum", {**LABELED, "preset": "identity"}, {**LABELED, "preset": "grover-excitation", "s": 1},
+    ),
+    (SpectrumConfig, "n"): ("spectrum", *two(GROVER, "n", 2, 3)),
+    (SpectrumConfig, "s"): ("spectrum", *two(X_EXCITED, "s", 1, 0)),
+    (SpectrumConfig, "iterations"): ("spectrum", *two(GROVER, "iterations", 1, 2)),
+    (SpectrumConfig, "epsilons"): ("spectrum", *two(X_EXCITED, "epsilons", "uniform", [1.0, 0.5])),
+    (SpectrumConfig, "p_axis"): ("spectrum", *two(GROVER, "p_axis", "z", "x")),
+    (SpectrumConfig, "detect_axis"): ("spectrum", *two(GROVER, "detect_axis", "z", "x")),
+    (SpectrumConfig, "phi"): ("spectrum", *two(GROVER, "phi", 0.0, 0.5)),
+    (SpectrumConfig, "hamiltonian"): ("spectrum", *two(GROVER, "hamiltonian", UNIFORM_H, WEAK["hamiltonian"])),
+    (SpectrumConfig, "t1"): ("spectrum", *two(GROVER, "t1", GROVER["t1"], {"dt": 1 / 128, "points": 32})),
+    (SpectrumConfig, "N1"): ("spectrum", *two(DEMO, "N1", 9, 11)),
+    (SpectrumConfig, "tau_u"): ("spectrum", *two(DEMO, "tau_u", 0.8, 0.3)),
+    (SpectrumConfig, "tau_v"): ("spectrum", *two(DEMO, "tau_v", 0.6, 0.2)),
+    (SpectrumConfig, "dominance"): ("spectrum", *two(DEMO, "dominance", 5.0, 2.0)),
+    (HamiltonianConfig, "kind"): ("spectrum", *two(WEAK, "hamiltonian", UNIFORM_H, WEAK["hamiltonian"])),
+    (HamiltonianConfig, "omega"): ("spectrum", *two(GROVER, "hamiltonian.omega", 2 * math.pi * 10, 2 * math.pi * 20)),
+    (HamiltonianConfig, "offsets"): ("spectrum", *two(WEAK, "hamiltonian.offsets", [10.0, 20.0], [10.0, 30.0])),
+    (HamiltonianConfig, "couplings"): ("spectrum", *two(WEAK, "hamiltonian.couplings", [], [[1, 2, 2.0]])),
+    (T1Config, "dt"): ("spectrum", *two(GROVER, "t1.dt", 1 / 256, 1 / 128)),
+    (T1Config, "points"): ("spectrum", *two(GROVER, "t1.points", 64, 32)),
+    (ComposeBenchConfig, "method"): ("compose-bench", *two({}, "method", "trotter", "sandwich")),
+    (ComposeBenchConfig, "operators"): ("compose-bench", *two(SANDWICH, "operators", "random", "su2-zx")),
+    (ComposeBenchConfig, "dim"): ("compose-bench", *two(SANDWICH, "dim", 4, 2)),
+    (ComposeBenchConfig, "t"): ("compose-bench", *two({"method": "trotter"}, "t", 1.0, 0.5)),
+    (ComposeBenchConfig, "m"): ("compose-bench", *two({"method": "trotter"}, "m", 16, 8)),
+    (ComposeBenchConfig, "x"): ("compose-bench", *two(SANDWICH, "x", 0.2, 0.1)),
+    (ComposeBenchConfig, "level"): ("compose-bench", *two({"method": "cross-interaction"}, "level", 2, 4)),
+    (ComposeBenchConfig, "p_list"): ("compose-bench", *two(FRACTAL, "p_list", [1.0], [0.3, 0.4, 0.3])),
+    (ComposeBenchConfig, "order_side"): ("compose-bench", *two(SANDWICH, "order_side", "A-outer", "B-outer")),
+    (ComposeBenchConfig, "mode"): ("compose-bench", *two(FRACTAL, "mode", "compose", "difference")),
+    (ComposeBenchConfig, "seed"): ("compose-bench", *two(SANDWICH, "seed", 7, 8)),
+}
+NESTED_AT = {HamiltonianConfig: "hamiltonian.", T1Config: "t1."}
+# keys whose rows observe the route, as what it writes does not change:
+# - aux_mode: both oracle realizations write the same search.csv bytes at
+#   n = 3, s = 5; only explicit-uf calls uf_permutation;
+# - grover-scan's s: the diagonal sign flip that takes |x_s> to |x_0> leaves
+#   every diagonal operator alone, so the scan is s-independent to the last
+#   bit; s reaches the oracle state that x_basis_state builds
+ROUTE = {(SearchConfig, "aux_mode"): "uf_permutation", (GroverScanConfig, "s"): "x_basis_state"}
+
+
+def test_key_effect_covers_every_declared_key():
+    schemas = {*cli.SCHEMAS.values(), HamiltonianConfig, T1Config}
+    assert set(KEY_EFFECT) == {(schema, f.name) for schema in schemas for f in fields(schema) if f.init}
+
+
+def written(out: Path):
+    """What a run wrote: its CSV bytes, and report.json without the run's
+    duration and the config it echoes."""
+    report = strict_json((out / "report.json").read_text())
+    del report["duration_s"], report["config"]
+    return {csv.name: csv.read_bytes() for csv in out.glob("*.csv")}, report
+
+
+@pytest.mark.parametrize("row", KEY_EFFECT, ids=[f"{schema.__name__}.{key}" for schema, key in KEY_EFFECT])
+def test_every_declared_key_has_an_effect(tmp_path, monkeypatch, row):
+    command, cfg_a, cfg_b = KEY_EFFECT[row]
+    path = NESTED_AT.get(row[0], "") + row[1]
+    at = lambda cfg: functools.reduce(dict.get, path.split("."), cfg)
+    assert at(cfg_a) != at(cfg_b)
+    route = ROUTE.get(row)
+    seen = []
+    for subdir, cfg in (("a", cfg_a), ("b", cfg_b)):
+        with monkeypatch.context() as patch:
+            calls = patch_counted(patch, [route] if route else [])
+            code, out, report = run_cli(tmp_path, command, cfg, subdir)
+        assert code == 0, report
+        seen.append(calls[route] if route else written(out))
+    assert seen[0] != seen[1]
 
 
 OVER_BOUND = {
